@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import math
 import os
 import sys
 from dataclasses import dataclass

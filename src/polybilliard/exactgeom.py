@@ -231,8 +231,6 @@ class FloatFrame:
         return a / b
 
     def rational_value(self, r: float) -> Fraction | None:
-        from .approx import as_rational
-
         return as_rational(float(r))
 
 
@@ -261,10 +259,6 @@ class Polygon:
     @property
     def N(self) -> int:
         return self.frame.N
-
-    def side_vec(self, k: int):
-        return self.frame.unit(self.dirs[k]) * self.lengths[k] if self.frame.exact \
-            else self.frame.unit(self.dirs[k]) * float(self.lengths[k])
 
     def vertices_float(self) -> list[complex]:
         return [self.frame.to_complex(v) for v in self.verts]
@@ -381,9 +375,8 @@ def validate_polygon(angles, lengths, name: str | None = None) -> Polygon:
 
     verts = [frame.zero()]
     for k in range(n):
-        step = frame.unit(dirs[k]) * ls[k] if frame.exact else frame.unit(dirs[k]) * float(ls[k])
-        verts.append(verts[-1] + step)
-    scale = sum(frame.real_to_float(v) if frame.exact else v for v in ls)
+        verts.append(verts[-1] + frame.unit(dirs[k]) * ls[k])
+    scale = sum(frame.real_to_float(v) for v in ls)
     if not frame.is_zero(verts[-1], scale=scale):
         raise ClosureViolation(
             f"side chain misses its start by {abs(frame.to_complex(verts[-1])):.3g}"
@@ -435,7 +428,7 @@ def solve_closure(angles, fixed_lengths) -> list:
         lk = _coerce_length(frame, fixed_lengths[k])
         if not _length_positive(frame, lk):
             raise NonpositiveLength(f"side {k} has nonpositive length")
-        rhs = rhs + (frame.unit(dirs[k]) * lk if frame.exact else frame.unit(dirs[k]) * float(lk))
+        rhs = rhs + frame.unit(dirs[k]) * lk
 
     u1, u2 = frame.unit(dirs[i1]), frame.unit(dirs[i2])
     det = frame.cross(u1, u2)
@@ -451,7 +444,7 @@ def solve_closure(angles, fixed_lengths) -> list:
     for idx, t in ((i1, t1), (i2, t2)):
         if not _length_positive(frame, t):
             raise NonpositiveLength(f"solved length for side {idx} is not positive")
-        out[idx] = t if frame.exact else float(t)
+        out[idx] = t
     return out
 
 

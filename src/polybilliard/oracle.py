@@ -31,7 +31,7 @@ import scipy.sparse.linalg
 
 from .errors import ConvergenceFailure, OutOfRange, TooCoarse
 from .shapes import l_shape
-from .swf import DIRICHLET, NEUMANN
+from .swf import DIRICHLET, NEUMANN, _point_in_polygon
 
 _TOL = 1e-9
 _DENSE_LIMIT = 4000
@@ -43,21 +43,6 @@ _DENSE_LIMIT = 4000
 
 def _vertex_array(polygon) -> np.ndarray:
     return np.asarray(polygon.vertices_float(), dtype=complex)
-
-
-def _point_in_polygon(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Even-odd rule; callers keep query points away from the boundary."""
-    inside = np.zeros(px.shape, dtype=bool)
-    vx, vy = verts.real, verts.imag
-    n = len(verts)
-    for k in range(n):
-        x1, y1 = vx[k], vy[k]
-        x2, y2 = vx[(k + 1) % n], vy[(k + 1) % n]
-        straddles = (y1 > py) != (y2 > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= straddles & (px < xcross)
-    return inside
 
 
 def _edge_distances(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:

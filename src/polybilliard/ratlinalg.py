@@ -1,33 +1,31 @@
 """Small exact linear-algebra helpers over `fractions.Fraction`.
 
 Everything here is deliberately tiny and dependency-free: the package needs
-exact solves and rank bookkeeping on matrices of dimension at most a few
-dozen, where Gaussian elimination over Fraction is effortless and bit-exact.
+exact solves, inverses and rank bookkeeping on small matrices, where
+Gaussian elimination over Fraction is effortless and bit-exact.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import SingularSystem
 
 __all__ = [
     "solve_square",
+    "inverse",
     "FractionEchelon",
-    "TrackingEchelon",
-    "hnf_basis_2d",
     "hnf_rows",
 ]
 
 
-def solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve ``mat @ x = rhs`` exactly; ``mat`` is n x n over the rationals.
+def _gauss_jordan(mat: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Solve ``mat @ X = rhs`` exactly for n x n ``mat`` and n x k ``rhs``.
 
     Raises SingularSystem if the matrix is singular.
     """
     n = len(mat)
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
+    a = [[Fraction(v) for v in row] + [Fraction(v) for v in rhs[i]] for i, row in enumerate(mat)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -39,7 +37,24 @@ def solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    return [row[n:] for row in a]
+
+
+def solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve ``mat @ x = rhs`` exactly; ``mat`` is n x n over the rationals.
+
+    Raises SingularSystem if the matrix is singular.
+    """
+    return [row[0] for row in _gauss_jordan(mat, [[v] for v in rhs])]
+
+
+def inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of the n x n rational matrix ``mat``.
+
+    Raises SingularSystem if the matrix is singular.
+    """
+    n = len(mat)
+    return _gauss_jordan(mat, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 class FractionEchelon:
@@ -78,51 +93,6 @@ class FractionEchelon:
         return True
 
 
-class TrackingEchelon:
-    """FractionEchelon that also expresses dependent rows in the kept ones.
-
-    ``insert`` returns ``(True, t)`` when the vector was independent (it
-    becomes independent row number ``t``), or ``(False, coeffs)`` with the
-    exact coefficients writing the vector as a combination of the previously
-    inserted independent rows.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.count = 0  # independent rows accepted so far
-        # pivot column -> (reduced row, its expansion over accepted rows)
-        self._rows: dict[int, tuple[list[Fraction], dict[int, Fraction]]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def insert(self, vec):
-        work = [Fraction(x) for x in vec]
-        if len(work) != self.dim:
-            raise ValueError(f"expected dimension {self.dim}, got {len(work)}")
-        rep: dict[int, Fraction] = {}
-        for piv, (row, row_rep) in self._rows.items():
-            if work[piv] != 0:
-                f = work[piv]
-                work = [x - f * y for x, y in zip(work, row)]
-                for t, c in row_rep.items():
-                    rep[t] = rep.get(t, Fraction(0)) + f * c
-        piv = next((i for i, x in enumerate(work) if x != 0), None)
-        if piv is None:
-            return False, [rep.get(t, Fraction(0)) for t in range(self.count)]
-        t = self.count
-        self.count += 1
-        # work = vec - sum(rep) over accepted rows, and vec is accepted row t
-        new_rep = {t: Fraction(1)}
-        for j, c in rep.items():
-            if c:
-                new_rep[j] = -c
-        inv = 1 / work[piv]
-        self._rows[piv] = ([x * inv for x in work], {j: c * inv for j, c in new_rep.items()})
-        return True, t
-
-
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Hermite basis (row style) of the integer lattice generated by ``rows``.
 
@@ -156,35 +126,3 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
                 work[i] = [x - q * y for x, y in zip(work[i], work[r])]
         r += 1
     return [row for row in work[:r]]
-
-
-def hnf_basis_2d(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Hermite basis of the sublattice of Z^2 generated by integer ``rows``.
-
-    Returns [], [v1], or [v1, v2] where v2 = (0, c) with c > 0, v1 has
-    positive leading entry, and 0 <= v1[1] < c in the rank-2 case.
-    """
-    r1: tuple[int, int] | None = None
-    c2 = 0
-    for a, b in rows:
-        if a == 0:
-            c2 = math.gcd(c2, abs(b))
-            continue
-        if r1 is None:
-            r1 = (a, b)
-            continue
-        a1, b1 = r1
-        a2, b2 = a, b
-        while a2:
-            q = a1 // a2
-            a1, b1, a2, b2 = a2, b2, a1 - q * a2, b1 - q * b2
-        r1 = (a1, b1)
-        c2 = math.gcd(c2, abs(b2))
-    if r1 is None:
-        return [] if c2 == 0 else [(0, c2)]
-    a1, b1 = r1
-    if a1 < 0:
-        a1, b1 = -a1, -b1
-    if c2 == 0:
-        return [(a1, b1)]
-    return [(a1, b1 % c2), (0, c2)]

@@ -274,33 +274,33 @@ def _gradient(swf, points) -> tuple[np.ndarray, np.ndarray]:
     return swf.amplitude * gx, swf.amplitude * gy
 
 
-def _interior_points(polygon: Polygon, count: int, seed: int) -> np.ndarray:
-    verts = polygon.vertices_float()
-    xs = [v.real for v in verts]
-    ys = [v.imag for v in verts]
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        z = complex(
-            rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys))
-        )
-        if _contains(verts, z):
-            out.append(z)
-    return np.array(out)
-
-
-def _contains(verts: list[complex], z: complex) -> bool:
-    inside = False
+def _point_in_polygon(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Even-odd rule; callers keep query points away from the boundary."""
+    inside = np.zeros(px.shape, dtype=bool)
+    vx, vy = verts.real, verts.imag
     n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        if (a.imag > z.imag) != (b.imag > z.imag):
-            xcross = a.real + (z.imag - a.imag) * (b.real - a.real) / (
-                b.imag - a.imag
-            )
-            if z.real < xcross:
-                inside = not inside
+    for k in range(n):
+        x1, y1 = vx[k], vy[k]
+        x2, y2 = vx[(k + 1) % n], vy[(k + 1) % n]
+        straddles = (y1 > py) != (y2 > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= straddles & (px < xcross)
     return inside
+
+
+def _interior_points(polygon: Polygon, count: int, seed: int) -> np.ndarray:
+    """The first `count` uniform draws over the bounding box that fall inside."""
+    verts = np.asarray(polygon.vertices_float())
+    lo = [verts.real.min(), verts.imag.min()]
+    hi = [verts.real.max(), verts.imag.max()]
+    rng = np.random.default_rng(seed)
+    pts = np.empty(0, dtype=complex)
+    while len(pts) < count:
+        xy = rng.uniform(lo, hi, size=(count, 2))
+        z = xy[:, 0] + 1j * xy[:, 1]
+        pts = np.concatenate([pts, z[_point_in_polygon(z.real, z.imag, verts)]])
+    return pts[:count]
 
 
 def real_combinations(swf_pair: tuple[SWF, SWF]) -> tuple[RealSWF, RealSWF]:
@@ -398,16 +398,12 @@ def verify_helmholtz(swf, samples: int = 100, seed: int = 2) -> HelmholtzReport:
     h = 1e-4 * 2 * math.pi / math.sqrt(2 * e)
     pts = _interior_points(swf.polygon, samples, seed=seed)
     # keep the whole stencil inside the polygon
-    verts = swf.polygon.vertices_float()
-    keep = [
-        z
-        for z in pts
-        if all(
-            _contains(verts, z + off)
-            for off in (h, -h, 1j * h, -1j * h)
-        )
-    ]
-    pts = np.array(keep) if keep else pts[:1]
+    verts = np.asarray(swf.polygon.vertices_float())
+    keep = np.ones(pts.shape, dtype=bool)
+    for off in (h, -h, 1j * h, -1j * h):
+        moved = pts + off
+        keep &= _point_in_polygon(moved.real, moved.imag, verts)
+    pts = pts[keep] if keep.any() else pts[:1]
     center = evaluate(swf, pts)
     lap = (
         evaluate(swf, pts + h)
@@ -517,19 +513,25 @@ def l2_norm(swf) -> float:
     return math.sqrt(total)
 
 
+def _sample_grid(swf, width: int, height: int):
+    """Grid axes over the bounding box and the wave on each row, bottom row
+    first, zeroed outside the polygon."""
+    verts = np.asarray(swf.polygon.vertices_float())
+    gx = np.linspace(verts.real.min(), verts.real.max(), width)
+    gy = np.linspace(verts.imag.min(), verts.imag.max(), height)
+    rows = []
+    for y in gy:
+        inside = _point_in_polygon(gx, np.full(width, y), verts)
+        rows.append(np.where(inside, evaluate(swf, gx + 1j * y), 0.0))
+    return gx, gy, rows
+
+
 def grid_csv(swf, width: int, height: int) -> str:
     """CSV dump x,y,re,im,abs2 on the bounding grid (outside rows included,
     zeroed)."""
-    verts = swf.polygon.vertices_float()
-    xs = [v.real for v in verts]
-    ys = [v.imag for v in verts]
-    gx = np.linspace(min(xs), max(xs), width)
-    gy = np.linspace(min(ys), max(ys), height)
+    gx, gy, rows = _sample_grid(swf, width, height)
     lines = ["x,y,re,im,abs2"]
-    for y in gy:
-        row_pts = gx + 1j * y
-        inside = np.array([_contains(verts, z) for z in row_pts])
-        vals = np.where(inside, evaluate(swf, row_pts), 0.0)
+    for y, vals in zip(gy, rows):
         for x, v in zip(gx, vals):
             c = complex(v)
             lines.append(
@@ -541,17 +543,8 @@ def grid_csv(swf, width: int, height: int) -> str:
 
 def grid_pgm(swf, width: int, height: int) -> bytes:
     """8-bit PGM of |Psi|^2 on the bounding grid, outside pixels zeroed."""
-    verts = swf.polygon.vertices_float()
-    xs = [v.real for v in verts]
-    ys = [v.imag for v in verts]
-    gx = np.linspace(min(xs), max(xs), width)
-    gy = np.linspace(min(ys), max(ys), height)
-    img = np.zeros((height, width))
-    for row, y in enumerate(gy):
-        row_pts = gx + 1j * y
-        inside = np.array([_contains(verts, z) for z in row_pts])
-        vals = np.abs(np.where(inside, evaluate(swf, row_pts), 0.0)) ** 2
-        img[height - 1 - row] = vals  # top row first in the file
+    _gx, _gy, rows = _sample_grid(swf, width, height)
+    img = np.abs(np.array(rows[::-1])) ** 2  # top row first in the file
     peak = img.max() or 1.0
     data = np.clip(img / peak * 255, 0, 255).astype(np.uint8)
     header = f"P5 {width} {height} 255\n".encode()

@@ -9,10 +9,13 @@ reflection lands on an accepted image up to a pure translation; those
 translations are the simple periods, and the pattern's edges glue in pairs.
 
 Gluing the 2C images along their edge pairs produces a closed orientable
-surface whose genus the angle data fixes (`genus`).  `period_basis` computes
-2g independent cycles on that surface and returns their translation vectors;
-`find_pocs` classifies which simple periods admit an unobstructed channel of
-parallel periodic orbits.
+surface whose genus the angle data fixes (`genus`).  Its faces are the
+images, its edges the edge classes and its vertices the glued corners.  A
+spanning tree of the faces and a spanning co-tree of the vertices leave
+exactly 2g edge classes over, whose crossing cycles are a Z-basis of the
+surface's homology; `period_basis` picks 2g short cycles against that basis
+and returns their translation vectors.  `find_pocs` classifies which simple
+periods admit an unobstructed channel of parallel periodic orbits.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import lcm
 
 from .errors import NonIntegerGenus, OrbitExplosion, RankMismatch
 from .exactgeom import Polygon
-from .ratlinalg import TrackingEchelon, hnf_rows
+from .ratlinalg import FractionEchelon, hnf_rows, inverse
 
 __all__ = [
     "Isometry",
@@ -358,8 +361,8 @@ def _edge_lookup(epp: EPP) -> dict:
     return table
 
 
-def _corner_loops(epp: EPP, lookup: dict):
-    """One chain per vertex class: the cycle of faces around the glued vertex.
+def _vertex_classes(epp: EPP, lookup: dict) -> dict[tuple[int, int], int]:
+    """(image, vertex) -> id of the glued vertex of the surface at that corner.
 
     Going around a vertex of the surface crosses the two adjacent sides
     alternately, 2q times in total, and its developed image closes up, so the
@@ -369,21 +372,19 @@ def _corner_loops(epp: EPP, lookup: dict):
     f = poly.frame
     n = poly.n
     scale = poly.perimeter_float()
-    loops = []
-    seen: set[tuple[int, int]] = set()
+    vclass: dict[tuple[int, int], int] = {}
+    count = 0
     for k in range(1, len(epp.images) + 1):
         for i in range(n):
-            if (k, i) in seen:
+            if (k, i) in vclass:
                 continue
-            chain: dict[int, int] = defaultdict(int)
             hol = f.zero()
             cur, toggle, steps = k, 0, 0
             while True:
-                seen.add((cur, i))
+                vclass[(cur, i)] = count
                 s = i if toggle == 0 else (i - 1) % n
                 cid, sgn = lookup[(cur, s)]
                 e = epp.edges[cid]
-                chain[cid] += sgn
                 hol = hol + (e.translation if sgn > 0 else -e.translation)
                 cur = e.b if sgn > 0 else e.a
                 toggle ^= 1
@@ -399,8 +400,8 @@ def _corner_loops(epp: EPP, lookup: dict):
                 )
             if not f.is_zero(hol, scale):
                 raise RankMismatch("vertex loop has nonzero holonomy")
-            loops.append(dict(chain))
-    return loops
+            count += 1
+    return vclass
 
 
 def _interior_tree(epp: EPP):
@@ -423,33 +424,85 @@ def _interior_tree(epp: EPP):
     return parent
 
 
-def _chain_to_root(k: int, parent, epp: EPP) -> dict[int, int]:
-    chain: dict[int, int] = defaultdict(int)
-    while parent[k] is not None:
-        pk, cid = parent[k]
-        e = epp.edges[cid]
-        chain[cid] += 1 if e.a == k else -1
-        k = pk
-    return chain
+def _homology_coords(epp: EPP) -> tuple[list[int], dict[int, list[int]]]:
+    """Tree–co-tree split of the edge classes and the cycle coordinates it gives.
+
+    The crossing cycle of an edge class crosses it from image a to image b
+    and returns through the face tree (`_interior_tree`).  The edge class
+    itself is also a segment between two vertex classes, oriented from corner
+    s to corner s+1 of image a, reversed when a is reflecting, so that every
+    crossing runs from its left to its right.  A spanning co-tree of the
+    vertex classes over the classes off the face tree leaves 2g classes
+    over; returns them and, for every class off the face tree, the integer
+    coordinates of its crossing cycle over theirs.
+    """
+    n = epp.polygon.n
+    g = genus(epp.polygon)
+    vclass = _vertex_classes(epp, _edge_lookup(epp))
+    nverts = len(set(vclass.values()))
+    chi = nverts - len(epp.edges) + len(epp.images)
+    if chi != 2 - 2 * g:
+        raise RankMismatch(f"Euler characteristic {chi} != {2 - 2 * g}")
+    face_tree = {p[1] for p in _interior_tree(epp).values() if p is not None}
+    ends: dict[int, tuple[int, int]] = {}  # class id -> (tail, head) vertex class
+    adj: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    for cid, e in enumerate(epp.edges):
+        if cid in face_tree:
+            continue
+        tail, head = vclass[(e.a, e.side)], vclass[(e.a, (e.side + 1) % n)]
+        if epp.image(e.a).iso.reflecting:
+            tail, head = head, tail
+        ends[cid] = (tail, head)
+        adj[tail].append((head, cid, 1))
+        adj[head].append((tail, cid, -1))
+    # vertex class -> (parent, class id, +1 if the class points at the parent)
+    up: dict[int, tuple[int, int, int] | None] = {0: None}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w, cid, d in adj[v]:
+            if w not in up:
+                up[w] = (v, cid, -d)
+                queue.append(w)
+    if len(up) != nverts:
+        raise RankMismatch("co-tree does not reach every vertex class")
+    co_tree = {p[1] for p in up.values() if p is not None}
+    leftover = [cid for cid in ends if cid not in co_tree]
+    if len(leftover) != 2 * g:
+        raise RankMismatch(
+            f"{len(leftover)} edge classes off the tree and co-tree, genus demands {2 * g}"
+        )
+    # The coordinate of a crossing cycle on leftover class j is its
+    # intersection number with j's primal cycle: j from tail to head, then
+    # back through the co-tree.  The crossing cycle meets only its own class
+    # and face-tree classes, and no primal cycle uses a face-tree class.
+    coords = {cid: [0] * (2 * g) for cid in co_tree}
+    for j, cid in enumerate(leftover):
+        coords[cid] = [int(i == j) for i in range(2 * g)]
+        tail, head = ends[cid]
+        for v, sign in ((head, 1), (tail, -1)):
+            while up[v] is not None:
+                v, c, d = up[v]
+                coords[c][j] += sign * d
+    return leftover, coords
 
 
-def _merge(a: dict[int, int], b: dict[int, int], sign: int) -> dict[int, int]:
-    out = dict(a)
-    for cid, c in b.items():
-        out[cid] = out.get(cid, 0) + sign * c
-    return {cid: c for cid, c in out.items() if c}
-
-
-def period_basis(epp: EPP, verify: bool | None = None) -> list[Period]:
+def period_basis(epp: EPP) -> list[Period]:
     """2g independent periods of the unfolded figure.
 
-    Cycles on the glued surface are chains over the edge classes; quotienting
-    by the vertex loops (which bound) leaves a rank-2g homology in which the
-    boundary-pair crossing cycles and their chains live.  The basis is chosen
-    greedily among crossing cycles by ascending period length, completed by
-    chained (compound) cycles, and then Hermite-refined so that every cycle of
-    the pattern — in particular every simple period — is an exact integer
-    combination of the returned classes.
+    Cycles on the glued surface are built from a tree and a co-tree
+    (Eppstein 2003): a spanning tree of the images over zero-translation
+    gluings, and a spanning tree of the glued vertices over the remaining
+    edge classes.  The 2g edge classes in neither tree have crossing cycles
+    that form a Z-basis of the homology by construction — each pairs to
+    +-1 with its own primal cycle and to 0 with every other — so every cycle
+    of the pattern, in particular every simple period, has integer
+    coordinates over them (`_homology_coords`).
+
+    The returned basis is chosen greedily among crossing cycles by ascending
+    period length (Erickson & Whittlesey 2005), completed by chained
+    (compound) cycles, and put in Hermite normal form over the accepted
+    cycles so that it generates exactly the homology lattice.
 
     Note the returned *vectors* need not be integer-independent in the plane:
     whenever period ratios are rational the plane vectors satisfy integer
@@ -458,82 +511,40 @@ def period_basis(epp: EPP, verify: bool | None = None) -> list[Period]:
     poly = epp.polygon
     f = poly.frame
     g = genus(poly)
-    edges = epp.edges
-    ecount = len(edges)
-    lookup = _edge_lookup(epp)
-    loops = _corner_loops(epp, lookup)
-    nverts = len(loops)
-    if nverts - ecount + len(epp.images) != 2 - 2 * g:
-        raise RankMismatch(
-            f"Euler characteristic {nverts - ecount + len(epp.images)} != {2 - 2 * g}"
-        )
+    _leftover, coords = _homology_coords(epp)
 
-    def dense(chain: dict[int, int]) -> list[Fraction]:
-        return [Fraction(chain.get(cid, 0)) for cid in range(ecount)]
-
-    ech = TrackingEchelon(ecount)
-    for chain in loops:
-        ech.insert(dense(chain))
-    n_faces = ech.rank
-    if n_faces != nverts - 1:
-        raise RankMismatch(f"vertex loops have rank {n_faces}, expected {nverts - 1}")
-
-    parent = _interior_tree(epp)
-    to_root = {k: _chain_to_root(k, parent, epp) for k in range(1, len(epp.images) + 1)}
-    tree_classes = {cid for p in parent.values() if p is not None for cid in [p[1]]}
-
-    candidates = []  # (sort key, chain, holonomy vector, boundary class id or None)
-    for cid, e in enumerate(edges):
+    candidates = []  # (sort key, class id): boundary pairs by length, then interior
+    for cid in coords:
+        e = epp.edges[cid]
         if e.period is None:
-            continue
-        chain = _merge({cid: 1}, _merge(to_root[e.b], to_root[e.a], -1), 1)
-        norm = abs(f.to_complex(e.translation))
-        candidates.append(((0, round(norm, 12), cid), chain, e.translation, cid))
-    for cid, e in enumerate(edges):
-        if e.period is not None or cid in tree_classes:
-            continue
-        chain = _merge({cid: 1}, _merge(to_root[e.b], to_root[e.a], -1), 1)
-        candidates.append(((1, 0.0, cid), chain, f.zero(), cid))
-    candidates.sort(key=lambda c: c[0])
-
-    accepted = []  # (chain, holonomy, boundary class id or None)
-    coords = []  # homology coordinates of every candidate over the accepted cycles
-    for _key, chain, hol, cid in candidates:
-        ok, info = ech.insert(dense(chain))
-        if ok:
-            coords.append(
-                [Fraction(1 if j == len(accepted) else 0) for j in range(2 * g)]
-            )
-            accepted.append((chain, hol, cid))
+            candidates.append(((1, 0.0, cid), cid))
         else:
-            # drop the vertex-loop components; keep the cycle components
-            cvec = [info[n_faces + j] if n_faces + j < len(info) else Fraction(0)
-                    for j in range(2 * g)]
-            coords.append(cvec)
+            norm = abs(f.to_complex(e.translation))
+            candidates.append(((0, round(norm, 12), cid), cid))
+    candidates.sort(key=lambda c: c[0])
+    ech = FractionEchelon(2 * g)
+    accepted = [cid for _key, cid in candidates if ech.try_insert(coords[cid])]
     if len(accepted) != 2 * g:
         raise RankMismatch(
             f"found {len(accepted)} independent cycles, genus demands {2 * g}"
         )
 
-    # Hermite refinement: the accepted cycles span the homology over Q but may
-    # generate a proper sublattice over Z; refine on all candidates' coordinates.
-    den = 1
-    for cvec in coords:
-        for x in cvec:
-            den = lcm(den, x.denominator)
-    hermite = hnf_rows([[int(x * den) for x in cvec] for cvec in coords])
+    # In coordinates over the accepted cycles (rows of A), the homology
+    # lattice Z^2g is generated by the rows of A^-1.
+    a_inv = inverse([coords[cid] for cid in accepted])
+    den = lcm(*(x.denominator for row in a_inv for x in row))
+    hermite = hnf_rows([[int(x * den) for x in row] for row in a_inv])
     if len(hermite) != 2 * g:
         raise RankMismatch("period lattice rank disagrees with the genus")
-    basis_coords = [[Fraction(h, den) for h in row] for row in hermite]
+    out_coords = [[Fraction(h, den) for h in row] for row in hermite]
 
     def holonomy_of(cvec) -> object:
         vec = f.zero()
-        for c, (_chain, hol, _cid) in zip(cvec, accepted):
+        for c, cid in zip(cvec, accepted):
             if c:
-                vec = vec + hol * c
+                vec = vec + epp.edges[cid].translation * c
         return vec
 
-    out_coords = [list(row) for row in basis_coords]
     vectors = [holonomy_of(c) for c in out_coords]
     scale = poly.perimeter_float()
     nonzero = next(
@@ -547,11 +558,6 @@ def period_basis(epp: EPP, verify: bool | None = None) -> list[Period]:
                 a + b for a, b in zip(out_coords[j], out_coords[nonzero])
             ]
             vectors[j] = holonomy_of(out_coords[j])
-
-    if verify is None:
-        verify = len(epp.images) <= 200
-    if verify:
-        _verify_integer_spans(coords, basis_coords)
 
     periods = []
     for vec in vectors:
@@ -571,26 +577,6 @@ def period_basis(epp: EPP, verify: bool | None = None) -> list[Period]:
         periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), Period(v, kind)))
     periods.sort(key=lambda t: (t[0], t[1]))
     return [p for _n, _a, p in periods]
-
-
-def _verify_integer_spans(coords, basis_coords) -> None:
-    """Every candidate cycle must be an integer combination of the basis."""
-    rows = [list(r) for r in basis_coords]
-    pivots = []
-    for r in rows:
-        pivots.append(next(j for j, x in enumerate(r) if x))
-    for cvec in coords:
-        v = list(cvec)
-        for r, piv in zip(rows, pivots):
-            c = v[piv] / r[piv]
-            if c:
-                if c.denominator != 1:
-                    raise RankMismatch(
-                        "a pattern cycle is not an integer combination of the basis"
-                    )
-                v = [a - c * b for a, b in zip(v, r)]
-        if any(v):
-            raise RankMismatch("a pattern cycle escapes the period basis")
 
 
 # ---------------------------------------------------------------------------
@@ -685,13 +671,12 @@ def channel_exists(epp: EPP, vector, samples: int = 33) -> bool:
     return False
 
 
-def find_pocs(epp: EPP, basis: list[Period] | None = None):
+def find_pocs(epp: EPP):
     """Simple periods admitting a periodic-orbit channel, with their directions.
 
     Returns (direction, Period) pairs, direction in [0, pi); one entry per
-    distinct simple period up to sign, ordered by period length.  The basis
-    argument is accepted for interface symmetry with period_basis and is not
-    consulted: channels are a property of the pattern's edge pairs alone.
+    distinct simple period up to sign, ordered by period length.  Channels
+    are a property of the pattern's edge pairs alone.
     """
     f = epp.polygon.frame
     scale = epp.polygon.perimeter_float()

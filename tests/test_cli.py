@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import polybilliard
+from polybilliard import cli, shapes
 from polybilliard.cli import run
 
 POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
@@ -112,6 +114,64 @@ def test_unfold_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("EPP C=2 images=4")
+
+
+# SHA-256 of the `unfold` and the `analyze` stdout, recorded before the period
+# basis was rebuilt on a tree and co-tree; the route changed, the bytes may not.
+UNFOLD_ANALYZE_SHA256 = {
+    "broken_rectangle.json": ("069919ba214c08af95d04e4ef3d192f65f89fdf87603203d43b4c514c8d527ea",
+        "3b9cfe5a14ccfc51025d7e0efd7c1af5870c5320147d573311a6b100d40a6bc0"),
+    "broken_rectangle_199_100.json": ("145c169378be0d563251aa7a7ee84cc2399282553e95ce819281d715679c95ea",
+        "4e7205dd88e89c5aaa2b02338d820e4b79a85eae971e15e13a43505260a2f59a"),
+    "broken_rectangle_3_2.json": ("6fae35dfac299d76cdf08b68436273114d2a8c0d2525914a53819202ba44380f",
+        "90a45362114337e7fa568718712d7f867362ba3f7ea1d1d879a800cfd4029293"),
+    "equilateral.json": ("d7a4176bc805fbf6aa1fb44d1d9b107821edcbbcbe502eda88d547123d78aa4a",
+        "76ea878f2b271da44333d2af6016eaa5f25925faf67c200f999d2e5959612b92"),
+    "isosceles_pi5.json": ("da675a596b800503ca8e030dedbd5cbecadbe9da973d6db7351b787c9340acd8",
+        "f9223b03604cd29dd479a135455887d9fda69cfe813225227d14c6d28ddc97c4"),
+    "parallelogram_2_3.json": ("59a6da127805acab6ae3b9326cd1b49b0f437c0e652c9bacde2dc7fa238a79c5",
+        "89117f379f820d324f6ccbf203f29b9cf28d60a3d9e5feb1b7b8d997fd4e7d5c"),
+    "rhombus.json": ("adb07513f085fc79b565de6f0100e558291ff61968222050ce7ae35dc7707928",
+        "8d9e797412d84e0423deb72767a69a47c59bb59346ed7efff00ca374e045338b"),
+    "square.json": ("a6b782d5e2b721a5368bed0de5a5afd8390b57d6b97e4f840a5bb9a110fecf27",
+        "50a49572fd3ae500ce38bfe07c7b6e892c5d1444423d2fffd3fd8241c675af0c"),
+    "square": ("a6b782d5e2b721a5368bed0de5a5afd8390b57d6b97e4f840a5bb9a110fecf27",
+        "50a49572fd3ae500ce38bfe07c7b6e892c5d1444423d2fffd3fd8241c675af0c"),
+    "l_shape": ("069919ba214c08af95d04e4ef3d192f65f89fdf87603203d43b4c514c8d527ea",
+        "3b9cfe5a14ccfc51025d7e0efd7c1af5870c5320147d573311a6b100d40a6bc0"),
+    "parallelogram_pi3": ("59a6da127805acab6ae3b9326cd1b49b0f437c0e652c9bacde2dc7fa238a79c5",
+        "89117f379f820d324f6ccbf203f29b9cf28d60a3d9e5feb1b7b8d997fd4e7d5c"),
+    "equilateral": ("d7a4176bc805fbf6aa1fb44d1d9b107821edcbbcbe502eda88d547123d78aa4a",
+        "76ea878f2b271da44333d2af6016eaa5f25925faf67c200f999d2e5959612b92"),
+    "isosceles_pi5": ("da675a596b800503ca8e030dedbd5cbecadbe9da973d6db7351b787c9340acd8",
+        "f9223b03604cd29dd479a135455887d9fda69cfe813225227d14c6d28ddc97c4"),
+    "broken_parallelogram": ("baa4b1fd861ef9a28b8954a87b8d3bc5463f9f08c7bd0db481db7f3dbcf6641f",
+        "83b64e7ad37e1ae5b02df1e23a34896c879e67213baa52605ecffd8e016248d7"),
+    "rectangle": ("d759d4b0d99aac3a66c9bc84aa17207630b7fd9c304ce0c237d0aead7a96c863",
+        "d7eb7eaab13bc5c2eeabc636505b23ad934997606b388871e8f18dbd48b430e7"),
+}
+SHAPES = {
+    "square": shapes.square,
+    "l_shape": shapes.l_shape,
+    "parallelogram_pi3": shapes.parallelogram_pi3,
+    "equilateral": shapes.equilateral,
+    "isosceles_pi5": shapes.isosceles_pi5,
+    "broken_parallelogram": shapes.broken_parallelogram,
+    "rectangle": lambda: shapes.rectangle(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNFOLD_ANALYZE_SHA256))
+def test_unfold_and_analyze_output_unchanged(name, capsys, monkeypatch):
+    path = POLYGONS / name
+    if name in SHAPES:
+        monkeypatch.setattr(cli, "load_polygon", lambda _path: SHAPES[name]())
+    got = []
+    for command in ("unfold", "analyze"):
+        code, out, _ = invoke(capsys, command, str(path))
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == UNFOLD_ANALYZE_SHA256[name]
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from polybilliard.approx import as_rational, best_rational, convergents
 from polybilliard.errors import OutOfRange, SingularSystem
-from polybilliard.ratlinalg import FractionEchelon, hnf_basis_2d, solve_square
+from polybilliard.ratlinalg import FractionEchelon, inverse, solve_square
 
 
 # --- solve_square -----------------------------------------------------------
@@ -39,6 +39,9 @@ def test_solve_square_random_roundtrip():
             except SingularSystem:
                 continue
             assert got == x
+            inv = inverse(a)
+            assert [[sum(inv[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 # --- FractionEchelon --------------------------------------------------------
@@ -62,56 +65,6 @@ def test_echelon_residual_zero_for_combination():
     e.try_insert(v2)
     combo = [3 * a - 2 * b for a, b in zip(v1, v2)]
     assert all(x == 0 for x in e.residual(combo))
-
-
-# --- 2-column Hermite form --------------------------------------------------
-
-def test_hnf_simple_lattices():
-    assert hnf_basis_2d([]) == []
-    assert hnf_basis_2d([(0, 0)]) == []
-    assert hnf_basis_2d([(2, 0), (0, 2)]) == [(2, 0), (0, 2)]
-    assert hnf_basis_2d([(2, 0), (0, 2), (4, 0), (0, 6)]) == [(2, 0), (0, 2)]
-    assert hnf_basis_2d([(1, 1)]) == [(1, 1)]
-    assert hnf_basis_2d([(0, -3), (0, 5)]) == [(0, 1)]
-
-
-def test_hnf_rank2_det():
-    # index of the sublattice generated by (2,1) and (1,2) is |det| = 3
-    h = hnf_basis_2d([(2, 1), (1, 2)])
-    assert len(h) == 2
-    assert h[0][0] * h[1][1] == 3
-    # canonical reduction of the off-diagonal entry
-    assert 0 <= h[0][1] < h[1][1]
-
-
-def _in_lattice(v, basis):
-    # membership check by exact solve over the basis
-    if not basis:
-        return v == (0, 0)
-    if len(basis) == 1:
-        (a, b), (x, y) = basis[0], v
-        if a == 0 and b == 0:
-            return v == (0, 0)
-        if a != 0:
-            return x % a == 0 and y * a == x * b
-        return x == 0 and y % b == 0
-    (a, b), (c, d) = basis
-    det = a * d - b * c
-    x, y = v
-    s, t = x * d - y * c, a * y - b * x
-    return s % det == 0 and t % det == 0
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=6))
-def test_hnf_generates_same_lattice(rows):
-    basis = hnf_basis_2d(rows)
-    # every generator lies in the basis lattice
-    for r in rows:
-        assert _in_lattice(r, basis)
-    # and the basis adds nothing beyond the generators: since the Hermite form
-    # is canonical, lattice equality is form equality
-    assert hnf_basis_2d(list(rows) + basis) == basis
 
 
 # --- continued fractions ----------------------------------------------------
@@ -196,53 +149,6 @@ def test_as_rational_rejects_irrationals():
     assert as_rational(math.sqrt(2)) is None
     assert as_rational(math.pi) is None
     assert as_rational((1 + math.sqrt(5)) / 2) is None
-
-
-# --- TrackingEchelon --------------------------------------------------------
-
-def test_tracking_echelon_reports_combination():
-    from polybilliard.ratlinalg import TrackingEchelon
-
-    e = TrackingEchelon(3)
-    ok, t = e.insert([1, 0, 0])
-    assert ok and t == 0
-    ok, t = e.insert([1, 1, 0])
-    assert ok and t == 1
-    ok, rep = e.insert([3, 2, 0])
-    assert not ok and rep == [Fraction(1), Fraction(2)]
-    ok, t = e.insert([0, 0, 5])
-    assert ok and t == 2
-    ok, rep = e.insert([2, -2, 10])
-    assert not ok and rep == [Fraction(4), Fraction(-2), Fraction(2)]
-    assert e.rank == 3
-    assert e.count == 3
-
-
-def test_tracking_echelon_dimension_check():
-    from polybilliard.ratlinalg import TrackingEchelon
-
-    e = TrackingEchelon(2)
-    with pytest.raises(ValueError):
-        e.insert([1, 2, 3])
-
-
-def test_tracking_echelon_random_reconstruction():
-    from polybilliard.ratlinalg import TrackingEchelon
-
-    rng = random.Random(11)
-    dim = 5
-    e = TrackingEchelon(dim)
-    kept: list[list[Fraction]] = []
-    for _ in range(30):
-        v = [Fraction(rng.randrange(-4, 5)) for _ in range(dim)]
-        ok, info = e.insert(v)
-        if ok:
-            kept.append([Fraction(x) for x in v])
-        else:
-            rebuilt = [
-                sum(c * row[i] for c, row in zip(info, kept)) for i in range(dim)
-            ]
-            assert rebuilt == [Fraction(x) for x in v]
 
 
 # --- hnf_rows ---------------------------------------------------------------

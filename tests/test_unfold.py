@@ -1,13 +1,18 @@
 """Unfolding: image orbits, elementary patterns, genus, periods, channels."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polybilliard
 from polybilliard.shapes import (
     broken_parallelogram,
     equilateral,
@@ -18,7 +23,7 @@ from polybilliard.shapes import (
     right_triangle_rationalized,
     square,
 )
-from polybilliard.exactgeom import validate_polygon
+from polybilliard.exactgeom import solve_closure, validate_polygon
 from polybilliard.unfold import (
     EPP,
     Isometry,
@@ -31,6 +36,7 @@ from polybilliard.unfold import (
     reflect_image,
     unfold_vertex,
 )
+from polybilliard.unfold import _homology_coords
 
 
 def _identity_image(polygon) -> PolygonImage:
@@ -352,6 +358,41 @@ def test_equivalent_epp_same_invariants():
         basis = period_basis(epp)
         assert len(basis) == len(ref_basis)
         assert _rectilinear_lattice_gcds(p, basis) == ref_lattice
+
+
+def _right_triangle(a: int, n: int):
+    angles = [Fraction(a, n), Fraction(1, 2), Fraction(1, 2) - Fraction(a, n)]
+    return validate_polygon(angles, solve_closure(angles, [1, None, None]))
+
+
+@pytest.mark.parametrize(
+    "make, exact",
+    [(l_shape, True), (parallelogram_pi3, True), (isosceles_pi5, True),
+     (broken_parallelogram, True), (lambda: _right_triangle(3, 16), True),
+     (lambda: _right_triangle(1, 38), False), (lambda: _right_triangle(7, 44), False)],
+)
+def test_crossing_cycle_holonomy_matches_coordinates(make, exact):
+    # the plane holonomy is additive on homology, so a crossing cycle's
+    # translation must equal the combination its coordinates name
+    p = make()
+    f = p.frame
+    assert f.exact is exact
+    epp = build_epp(p, classify=False)
+    leftover, coords = _homology_coords(epp)
+    assert len(leftover) == 2 * genus(p)
+    assert len(coords) == len(epp.edges) - len(epp.images) + 1
+    for cid, x in coords.items():
+        combo = f.zero()
+        for xj, j in zip(x, leftover):
+            combo = combo + epp.edges[j].translation * xj
+        assert f.is_zero(epp.edges[cid].translation - combo, p.perimeter_float())
+
+
+def test_unfold_loads_no_numpy():
+    # the analyze path never calls numpy code, so it must not pay numpy's memory
+    code = "import sys, polybilliard.unfold; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(polybilliard.__file__).resolve().parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # --- find_pocs and channels -------------------------------------------------
