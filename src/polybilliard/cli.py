@@ -9,6 +9,7 @@ stable contract scripts can rely on:
   3  the billiard is not doubly rational and no --rationalize cap was given
   4  sign-prescription id out of range
   5  verification failure (spectra out of tolerance, boundary/Helmholtz check)
+     or an iterative search that gave up (FD eigensolver, channel trace limit)
 
 The only environment influence is ``POLYBILLIARD_THREADS=N``, which caps the
 BLAS/OpenMP thread pools of both finite-difference eigensolvers, dense and
@@ -26,7 +27,6 @@ import argparse
 import importlib
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -49,7 +49,7 @@ from .quantize import (
 )
 from .unfold import build_epp, period_basis
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 # What `swf` and `verify` use of the numpy-backed modules.  `_bind` puts these
 # names into this module's namespace when the command runs, so that importing
@@ -101,32 +101,6 @@ _KIND_NAMES = {
     "periodic": CLASSICAL_PERIODIC,
     "quantum": QUANTUM,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from flags."""
-
-    command: str
-    polygon_path: str | None = None
-    out: str | None = None
-    e_max: float = 50.0
-    kinds: tuple[str, ...] = (CLASSICAL_APERIODIC, CLASSICAL_PERIODIC)
-    max_ratio: float = 0.2
-    max_denominator: int | None = None
-    prescription: int = 1
-    labels: tuple[int, int] = (1, 1)
-    grid: tuple[int, int] = (160, 120)
-    edge_samples: int = 1000
-    swf_tol: float = 1e-9
-    spacing: float = 1.0 / 64
-    count: int = 40
-    rel_tol: float = 0.02
-    bc: str = DIRICHLET
-    against: str | None = None
-    study: tuple[float, ...] | None = None
-    study_count: int = 10
-    value: str | None = None
 
 
 # --------------------------------------------------------------------------
@@ -317,39 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    fields = {"command": ns.command}
-    if hasattr(ns, "polygon"):
-        fields["polygon_path"] = ns.polygon
-    for src, dst in [
-        ("out", "out"),
-        ("e_max", "e_max"),
-        ("kinds", "kinds"),
-        ("max_ratio", "max_ratio"),
-        ("rationalize", "max_denominator"),
-        ("max_denominator", "max_denominator"),
-        ("prescription", "prescription"),
-        ("labels", "labels"),
-        ("grid", "grid"),
-        ("out_prefix", "out"),
-        ("edge_samples", "edge_samples"),
-        ("tol", "swf_tol"),
-        ("count", "count"),
-        ("bc", "bc"),
-        ("against", "against"),
-        ("study", "study"),
-        ("study_count", "study_count"),
-        ("value", "value"),
-    ]:
-        if hasattr(ns, src) and getattr(ns, src) is not None:
-            fields[dst] = getattr(ns, src)
-    if hasattr(ns, "spacing"):
-        fields["spacing"] = float(ns.spacing)
-    if hasattr(ns, "rel_tol"):
-        fields["rel_tol"] = float(ns.rel_tol)
-    return RunConfig(**fields)
-
-
 # --------------------------------------------------------------------------
 # shared plumbing
 
@@ -378,8 +319,8 @@ def _drpb_phrase(lat: PeriodLattice) -> str:
 # subcommands
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    _, epp, basis, lat = _load_lattice(config.polygon_path)
+def cmd_analyze(ns: argparse.Namespace) -> int:
+    _, epp, basis, lat = _load_lattice(ns.polygon)
     print(
         f"g={lat.genus}, images={len(epp.images)}, "
         f"periods={len(basis)}, DRPB={_drpb_phrase(lat)}"
@@ -388,8 +329,8 @@ def cmd_analyze(config: RunConfig) -> int:
     return 0
 
 
-def cmd_unfold(config: RunConfig) -> int:
-    polygon = load_polygon(config.polygon_path)
+def cmd_unfold(ns: argparse.Namespace) -> int:
+    polygon = load_polygon(ns.polygon)
     epp = build_epp(polygon)
     basis = period_basis(epp)
     f = polygon.frame
@@ -398,29 +339,29 @@ def cmd_unfold(config: RunConfig) -> int:
         z = f.to_complex(per.vector)
         kind = f" {per.kind}" if per.kind else ""
         lines.append(f"  P{idx + 1}: ({z.real:.12g}, {z.imag:.12g}){kind}")
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit("\n".join(lines) + "\n", ns.out)
     return 0
 
 
-def cmd_quantize(config: RunConfig) -> int:
-    _, _, _, lat = _load_lattice(config.polygon_path)
+def cmd_quantize(ns: argparse.Namespace) -> int:
+    _, _, _, lat = _load_lattice(ns.polygon)
     if not lat.doubly_rational:
-        if config.max_denominator is None:
+        if ns.rationalize is None:
             print(
                 "period relations are irrational; re-run with --rationalize Q "
                 "to quantize the nearest doubly-rational billiard",
                 file=sys.stderr,
             )
             return 3
-        rational = rationalize_relations(lat.relations, config.max_denominator)
+        rational = rationalize_relations(lat.relations, ns.rationalize)
         lat = PeriodLattice(basis=lat.basis, relations=lat.relations, rational=rational)
         print(
             f"approximate: relations rationalized with denominator cap "
-            f"Q={config.max_denominator}; the spectrum below belongs to the "
+            f"Q={ns.rationalize}; the spectrum below belongs to the "
             f"substituted billiard",
             file=sys.stderr,
         )
-    entries = spectrum(lat, config.e_max, kinds=config.kinds, max_ratio=config.max_ratio)
+    entries = spectrum(lat, ns.e_max, kinds=ns.kinds, max_ratio=ns.max_ratio)
     flagged = sum(1 for e in entries if e.flag)
     if flagged:
         print(
@@ -428,15 +369,15 @@ def cmd_quantize(config: RunConfig) -> int:
             f"(see the flag column)",
             file=sys.stderr,
         )
-    _emit(spectrum_csv(entries), config.out)
+    _emit(spectrum_csv(entries), ns.out)
     return 0
 
 
-def cmd_swf(config: RunConfig) -> int:
+def cmd_swf(ns: argparse.Namespace) -> int:
     _bind("swf")
-    polygon, epp, basis, lat = _load_lattice(config.polygon_path)
+    polygon, epp, basis, lat = _load_lattice(ns.polygon)
     prescriptions = enumerate_prescriptions(epp)
-    pid = config.prescription
+    pid = ns.prescription
     if not 1 <= pid <= len(prescriptions):
         print(
             f"prescription id {pid} out of range: this pattern has "
@@ -445,13 +386,12 @@ def cmd_swf(config: RunConfig) -> int:
         )
         return 4
     pres = prescriptions[pid - 1]
-    m, n = config.labels
+    m, n = ns.labels
     momentum = momentum_aperiodic(lat, m, n)
     psi = compile_swf(epp, pres, momentum)[0]
 
-    width, height = config.grid
-    csv_path = f"{config.out}.csv" if config.out else "swf.csv"
-    pgm_path = f"{config.out}.pgm" if config.out else "swf.pgm"
+    width, height = ns.grid
+    csv_path, pgm_path = f"{ns.out_prefix}.csv", f"{ns.out_prefix}.pgm"
     with open(csv_path, "w") as fh:
         fh.write(grid_csv(psi, width, height))
     with open(pgm_path, "wb") as fh:
@@ -461,7 +401,7 @@ def cmd_swf(config: RunConfig) -> int:
     print(f"energy: {psi.energy:.12g}")
     print(f"wrote {csv_path} and {pgm_path} ({width}x{height} grid)")
     boundary = verify_boundary(
-        psi, polygon, pres, samples_per_edge=config.edge_samples, tol=config.swf_tol
+        psi, polygon, pres, samples_per_edge=ns.edge_samples, tol=ns.tol
     )
     for side, bc, res in boundary.entries:
         print(f"side {side} [{bc}]: residual {res:.3e}")
@@ -512,9 +452,9 @@ def _axis_product_levels(lat: PeriodLattice, e_max: float, bc: str) -> list[floa
     return sorted(levels)
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(ns: argparse.Namespace) -> int:
     _bind("oracle")
-    polygon, _, _, lat = _load_lattice(config.polygon_path)
+    polygon, _, _, lat = _load_lattice(ns.polygon)
     if not lat.doubly_rational:
         print(
             "period relations are irrational; there is no closed-form "
@@ -522,22 +462,24 @@ def cmd_verify(config: RunConfig) -> int:
             file=sys.stderr,
         )
         return 3
-    sem = _axis_product_levels(lat, config.e_max, config.bc)
-    if config.against is not None:
-        _, _, _, other = _load_lattice(config.against)
-        numerical = _axis_product_levels(other, config.e_max, config.bc)
+    # float: Fraction does not take the :g format before Python 3.12
+    spacing, rel_tol = float(ns.spacing), float(ns.rel_tol)
+    sem = _axis_product_levels(lat, ns.e_max, ns.bc)
+    if ns.against is not None:
+        _, _, _, other = _load_lattice(ns.against)
+        numerical = _axis_product_levels(other, ns.e_max, ns.bc)
     else:
-        domain = rasterize(polygon, config.spacing, bc_map=config.bc)
-        numerical = fd_eigenvalues(domain, config.count)
-    ceiling = float(numerical[-1]) / (1 + config.rel_tol)
+        domain = rasterize(polygon, spacing, bc_map=ns.bc)
+        numerical = fd_eigenvalues(domain, ns.count)
+    ceiling = float(numerical[-1]) / (1 + rel_tol)
     sem = [e for e in sem if e <= ceiling]
     if not sem:
         raise OutOfRange(
             "no closed-form level below the numerical reach; raise --count "
             "or --e-max"
         )
-    report = compare_spectra(sem, numerical, config.rel_tol)
-    _emit(report_csv(report), config.out)
+    report = compare_spectra(sem, numerical, rel_tol)
+    _emit(report_csv(report), ns.out)
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"spectrum match: {len(report.pairs)} levels, "
@@ -548,10 +490,8 @@ def cmd_verify(config: RunConfig) -> int:
     )
     ok = report.passed
 
-    if config.study is not None:
-        study = perturbation_study(
-            polygon, config.study, count=config.study_count, h=config.spacing
-        )
+    if ns.study is not None:
+        study = perturbation_study(polygon, ns.study, count=ns.study_count, h=spacing)
         sys.stdout.write(study_csv(study))
         bounds_ok = all(row.bounds.passed for row in study.rows)
         print(f"deformation bounds: {'PASS' if bounds_ok else 'FAIL'}")
@@ -564,18 +504,17 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if ok else 5
 
 
-def cmd_rationalize(config: RunConfig) -> int:
-    text = config.value.strip()
+def cmd_rationalize(ns: argparse.Namespace) -> int:
+    text = ns.value.strip()
     try:
         x = Fraction(text) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a number: {text!r}")
-    cap = config.max_denominator if config.max_denominator is not None else 100
-    best = rationalize_relations(x, cap)
+    best = rationalize_relations(x, ns.max_denominator)
     err = abs(float(x) - best.numerator / best.denominator)
     print(f"{best.numerator}/{best.denominator}")
     print(
-        f"input {float(x):.15g}, error {err:.6g}, denominator cap {cap}",
+        f"input {float(x):.15g}, error {err:.6g}, denominator cap {ns.max_denominator}",
         file=sys.stderr,
     )
     return 0
@@ -616,9 +555,8 @@ def run(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    config = _config_from_args(ns)
     try:
-        return _DISPATCH[config.command](config)
+        return _DISPATCH[ns.command](ns)
     except NotDoublyRational as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

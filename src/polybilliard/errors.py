@@ -80,7 +80,7 @@ class TooCoarse(BilliardError):
 
 
 class ConvergenceFailure(BilliardError):
-    """Iterative eigensolver failed to converge."""
+    """An iterative search gave up (FD eigensolver, channel trace step limit)."""
 
 
 class OutOfRange(BilliardError):

@@ -269,9 +269,6 @@ class Polygon:
     def perimeter_float(self) -> float:
         return sum(self.side_length_float(k) for k in range(self.n))
 
-    def min_side_float(self) -> float:
-        return min(self.side_length_float(k) for k in range(self.n))
-
     def angle_sum(self) -> Fraction:
         return sum((a.frac for a in self.angles), Fraction(0))
 

@@ -14,8 +14,10 @@ images, its edges the edge classes and its vertices the glued corners.  A
 spanning tree of the faces and a spanning co-tree of the vertices leave
 exactly 2g edge classes over, whose crossing cycles are a Z-basis of the
 surface's homology; `period_basis` picks 2g short cycles against that basis
-and returns their translation vectors.  `find_pocs` classifies which simple
-periods admit an unobstructed channel of parallel periodic orbits.
+and returns their translation vectors.  Boundary pairs with equal
+translations share one simple period (`EPP.periods`); `build_epp` decides
+once per distinct period whether it admits an unobstructed channel of
+parallel periodic orbits, and `find_pocs` lists those that do.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import NonIntegerGenus, OrbitExplosion, RankMismatch
+from .errors import ConvergenceFailure, NonIntegerGenus, OrbitExplosion, RankMismatch
 from .exactgeom import Polygon
 from .ratlinalg import FractionEchelon, hnf_rows, inverse
 
@@ -47,6 +49,8 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+_SAMPLES = 33  # `channel_exists` starts traces at _SAMPLES - 1 points per boundary edge
+_MAX_STEPS = 100000  # edge crossings one channel trace may make before it gives up
 
 
 def _fmt_vec(f, v) -> str:
@@ -141,7 +145,8 @@ class EdgePair:
 
     Crossing from a to b continues the trajectory in the copy of the pattern
     offset by +translation; interior gluings have translation zero.  Boundary
-    pairs are tagged with their simple period (canonical sign).
+    pairs are tagged with their simple period (canonical sign), one `Period`
+    per group of equal translations in a classified pattern.
     """
 
     a: int
@@ -171,6 +176,36 @@ class EPP:
     @property
     def interior_edges(self) -> list[EdgePair]:
         return [e for e in self.edges if e.period is None]
+
+    @cached_property
+    def periods(self) -> list[Period]:
+        """Distinct simple periods in discovery order.
+
+        Boundary pairs whose half-plane translations are equal share one
+        period, represented by the first pair found.  A classifying
+        `build_epp` has set every kind and pointed each pair at its group's
+        `Period`; otherwise the kinds are None and the grouping runs here,
+        on first use.
+        """
+        return list(dict.fromkeys(self._period_of.values()))
+
+    @cached_property
+    def _period_of(self) -> dict[EdgePair, Period]:
+        """Boundary pair -> the period of the first pair with an equal translation."""
+        f = self.polygon.frame
+        scale = self.polygon.perimeter_float()
+        out: dict[EdgePair, Period] = {}
+        distinct: list[Period] = []
+        for e in self.edge_pairs:
+            p = e.period
+            if p not in distinct:  # pairs grouped by build_epp share one object
+                rep = next((q for q in distinct if f.is_zero(p.vector - q.vector, scale)), None)
+                if rep is None:
+                    distinct.append(p)
+                else:
+                    p = rep
+            out[e] = p
+        return out
 
     @cached_property
     def gluing(self) -> dict:
@@ -279,9 +314,14 @@ def build_epp(polygon: Polygon, classify: bool | None = None) -> EPP:
     The linear parts of unfolding isometries live in the dihedral group of
     order 2C, and two images are faithful copies of each other exactly when
     their orientations agree, so orientation-dedup yields the 2C-image
-    elementary pattern deterministically.  `classify` controls whether each
-    boundary pair's simple period is channel-classified (the test traces
-    sample orbits; defaults to on for patterns of at most 200 images).
+    elementary pattern deterministically.
+
+    `classify` (default: on for patterns of at most 200 images) groups the
+    boundary pairs by their simple period (`EPP.periods`: pairs with equal
+    half-plane translations share one `Period`, represented by the first
+    pair found) and calls `channel_exists` once per distinct period to set
+    its kind.  Unclassified patterns leave every pair its own period with
+    kind None, so that large unfoldings pay for no grouping.
     """
     f = polygon.frame
     n = polygon.n
@@ -330,21 +370,14 @@ def build_epp(polygon: Polygon, classify: bool | None = None) -> EPP:
     epp = EPP(polygon, images, edges, f.N)
     if classify is None:
         classify = len(images) <= 200
-    if classify:
-        kinds: dict[int, str] = {}
-        for cid, e in enumerate(edges):
-            if e.period is None:
-                continue
-            kind = "simple-internal" if channel_exists(epp, e.period.vector) else "structural"
-            kinds[cid] = kind
-        edges = [
-            replace(e, period=Period(e.period.vector, kinds[cid]))
-            if e.period is not None
-            else e
-            for cid, e in enumerate(edges)
-        ]
-        epp = EPP(polygon, images, edges, f.N)
-    return epp
+    if not classify:
+        return epp
+    kinds = {p: _classified(epp, p) for p in epp.periods}
+    edges = [
+        replace(e, period=kinds[epp._period_of[e]]) if e.period is not None else e
+        for e in edges
+    ]
+    return EPP(polygon, images, edges, f.N)
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +595,8 @@ def period_basis(epp: EPP) -> list[Period]:
     periods = []
     for vec in vectors:
         v = _half_plane(f, vec)
-        kind = "compound"
-        for e in epp.edge_pairs:
-            if f.is_zero(v - _half_plane(f, e.translation), scale):
-                kind = e.period.kind
-                if kind is None:
-                    kind = (
-                        "simple-internal"
-                        if channel_exists(epp, v)
-                        else "structural"
-                    )
-                break
+        simple = next((p for p in epp.periods if f.is_zero(v - p.vector, scale)), None)
+        kind = "compound" if simple is None else _classified(epp, simple).kind
         z = f.to_complex(v)
         periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), Period(v, kind)))
     periods.sort(key=lambda t: (t[0], t[1]))
@@ -584,13 +608,14 @@ def period_basis(epp: EPP) -> list[Period]:
 # ---------------------------------------------------------------------------
 
 
-def _trace_closes(epp: EPP, face0: int, z0: complex, target, max_steps: int = 100000) -> bool:
+def _trace_closes(epp: EPP, face0: int, z0: complex, target) -> bool:
     """March a straight line of length |target| from z0 and test closure.
 
     Crossing a glued side moves the march to the partner face and shifts the
     local frame by the pair translation; the orbit is periodic exactly when
     it returns to the starting face at the starting point with accumulated
-    offset equal to `target` (compared exactly).
+    offset equal to `target` (compared exactly).  A march that makes
+    `_MAX_STEPS` crossings without ending raises `ConvergenceFailure`.
     """
     f = epp.polygon.frame
     scale = epp.polygon.perimeter_float()
@@ -601,7 +626,7 @@ def _trace_closes(epp: EPP, face0: int, z0: complex, target, max_steps: int = 10
     cur, face = z0, face0
     offset = f.zero()
     remaining = total
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         verts = epp._verts_float[face - 1]
         n = len(verts)
         best_s, best_side, best_r = None, None, None
@@ -636,16 +661,20 @@ def _trace_closes(epp: EPP, face0: int, z0: complex, target, max_steps: int = 10
             if not f.is_zero(offset - target, scale):
                 return False
             return abs(cur - z0) <= 1e-6 * max(1.0, scale)
-    return False
+    raise ConvergenceFailure(
+        f"channel trace toward {tgt:.12g} made {_MAX_STEPS} edge crossings without closing"
+    )
 
 
-def channel_exists(epp: EPP, vector, samples: int = 33) -> bool:
+def channel_exists(epp: EPP, vector) -> bool:
     """Does some straight orbit close up under translation by `vector`?
 
-    A closing orbit must cross a boundary edge, so sampling points along all
-    boundary edges and marching in both directions finds any channel wider
-    than the sampling pitch.  The test is a sampled sufficient check: True is
-    a proof (up to float tracing), False means no channel was found.
+    A closing orbit must cross a boundary edge, so tracing in both
+    directions from `_SAMPLES - 1` evenly spaced points on every boundary
+    edge finds any channel wider than the sampling pitch.  The test is a sampled
+    sufficient check: True is a proof (up to float tracing), False means no
+    channel was found.  A trace that reaches its step limit raises
+    `ConvergenceFailure` rather than count as "no channel".
     """
     f = epp.polygon.frame
     tgt = f.to_complex(vector)
@@ -657,8 +686,8 @@ def channel_exists(epp: EPP, vector, samples: int = 33) -> bool:
             a, b = verts[e.side], verts[(e.side + 1) % len(verts)]
             ccw = not epp.image(face).iso.reflecting
             d = (b - a) / abs(b - a)
-            for j in range(1, samples):
-                z = a + (b - a) * (j / samples)
+            for j in range(1, _SAMPLES):
+                z = a + (b - a) * (j / _SAMPLES)
                 for sign in (1, -1):
                     u = sign * tgt / abs(tgt)
                     inward = (d.conjugate() * u).imag
@@ -671,27 +700,27 @@ def channel_exists(epp: EPP, vector, samples: int = 33) -> bool:
     return False
 
 
+def _classified(epp: EPP, period: Period) -> Period:
+    """`period` with its kind; traces its channel only if build_epp did not."""
+    if period.kind is not None:
+        return period
+    kind = "simple-internal" if channel_exists(epp, period.vector) else "structural"
+    return Period(period.vector, kind)
+
+
 def find_pocs(epp: EPP):
     """Simple periods admitting a periodic-orbit channel, with their directions.
 
-    Returns (direction, Period) pairs, direction in [0, pi); one entry per
-    distinct simple period up to sign, ordered by period length.  Channels
-    are a property of the pattern's edge pairs alone.
+    Returns (direction, Period) pairs, direction in [0, pi): the distinct
+    periods of `epp.periods` whose kind is "simple-internal", ordered by
+    length.  A classified pattern already holds every kind, so nothing is
+    traced; an unclassified one has each distinct period traced once.
     """
     f = epp.polygon.frame
-    scale = epp.polygon.perimeter_float()
     entries = []
-    seen: list = []
-    for e in sorted(
-        epp.edge_pairs,
-        key=lambda e: round(abs(f.to_complex(e.translation)), 12),
-    ):
-        v = _half_plane(f, e.translation)
-        if any(f.is_zero(v - w, scale) for w in seen):
-            continue
-        seen.append(v)
-        if channel_exists(epp, v):
-            z = f.to_complex(v)
-            direction = math.atan2(z.imag, z.real) % math.pi
-            entries.append((direction, Period(v, "simple-internal")))
+    for p in sorted(epp.periods, key=lambda p: round(abs(f.to_complex(p.vector)), 12)):
+        p = _classified(epp, p)
+        if p.kind == "simple-internal":
+            z = f.to_complex(p.vector)
+            entries.append((math.atan2(z.imag, z.real) % math.pi, p))
     return entries

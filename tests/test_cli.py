@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,8 @@ from polybilliard.cli import run
 POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 # the directory holding the imported package, from src/ or from an install
 PACKAGE_ROOT = str(Path(polybilliard.__file__).resolve().parents[1])
+# the inherited environment, able to import the package without an install
+CHILD_ENV = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
 # a bare environment: the CLI needs nothing but the package's location
 THREAD_ENV = {
     "PATH": "/usr/bin:/bin",
@@ -489,6 +492,7 @@ def test_module_entry_point_help():
         [sys.executable, "-m", "polybilliard", "--help"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     for name in ("analyze", "unfold", "quantize", "swf", "verify", "rationalize"):
@@ -497,7 +501,7 @@ def test_module_entry_point_help():
 
 def test_missing_subcommand_is_usage_error():
     proc = subprocess.run(
-        [sys.executable, "-m", "polybilliard"], capture_output=True, text=True
+        [sys.executable, "-m", "polybilliard"], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 2
 
@@ -505,11 +509,13 @@ def test_missing_subcommand_is_usage_error():
 def test_exit_codes_from_subprocess(tmp_path):
     base = [sys.executable, "-m", "polybilliard"]
     ok = subprocess.run(
-        base + ["analyze", str(POLYGONS / "square.json")], capture_output=True
+        base + ["analyze", str(POLYGONS / "square.json")], capture_output=True, env=CHILD_ENV
     )
     assert ok.returncode == 0
     drpb = subprocess.run(
-        base + ["quantize", str(POLYGONS / "isosceles_pi5.json")], capture_output=True
+        base + ["quantize", str(POLYGONS / "isosceles_pi5.json")],
+        capture_output=True,
+        env=CHILD_ENV,
     )
     assert drpb.returncode == 3
 
@@ -524,8 +530,8 @@ def test_quantize_bytes_identical_across_processes():
         "--e-max",
         "120",
     ]
-    first = subprocess.run(cmd, capture_output=True).stdout
-    second = subprocess.run(cmd, capture_output=True).stdout
+    first = subprocess.run(cmd, capture_output=True, env=CHILD_ENV).stdout
+    second = subprocess.run(cmd, capture_output=True, env=CHILD_ENV).stdout
     assert first == second and first.startswith(b"level_index,")
 
 

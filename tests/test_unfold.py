@@ -1,5 +1,6 @@
 """Unfolding: image orbits, elementary patterns, genus, periods, channels."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polybilliard
+from polybilliard import unfold
+from polybilliard.errors import ConvergenceFailure
 from polybilliard.shapes import (
     broken_parallelogram,
     equilateral,
@@ -23,7 +26,7 @@ from polybilliard.shapes import (
     right_triangle_rationalized,
     square,
 )
-from polybilliard.exactgeom import solve_closure, validate_polygon
+from polybilliard.exactgeom import load_polygon, solve_closure, validate_polygon
 from polybilliard.unfold import (
     EPP,
     Isometry,
@@ -37,6 +40,8 @@ from polybilliard.unfold import (
     unfold_vertex,
 )
 from polybilliard.unfold import _homology_coords
+
+POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 
 
 def _identity_image(polygon) -> PolygonImage:
@@ -441,6 +446,113 @@ def test_channel_exists_respects_direction():
     assert channel_exists(epp, f.from_xy(0, 2))
     assert not channel_exists(epp, f.from_xy(1, 0))
 
+
+def _count_channel_tests(monkeypatch) -> list:
+    calls = []
+    real = unfold.channel_exists
+
+    def counting(epp, vector):
+        calls.append(vector)
+        return real(epp, vector)
+
+    monkeypatch.setattr(unfold, "channel_exists", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [l_shape, broken_parallelogram])
+def test_build_epp_traces_each_distinct_period_once(make, monkeypatch):
+    calls = _count_channel_tests(monkeypatch)
+    p = make()
+    f, scale = p.frame, p.perimeter_float()
+    epp = build_epp(p)
+    assert len(calls) == len(epp.periods) < len(epp.edge_pairs)
+    for i, a in enumerate(epp.periods):
+        assert not any(f.is_zero(a.vector - b.vector, scale) for b in epp.periods[:i])
+    # every pair points at the shared, classified period of its group
+    assert {id(e.period) for e in epp.edge_pairs} == {id(q) for q in epp.periods}
+    assert all(q.kind in ("simple-internal", "structural") for q in epp.periods)
+
+
+def test_find_pocs_on_classified_pattern_traces_nothing(monkeypatch):
+    epp = build_epp(broken_parallelogram())
+    calls = _count_channel_tests(monkeypatch)
+    pocs = find_pocs(epp)
+    assert pocs and calls == []
+
+
+def test_find_pocs_unclassified_traces_each_period_once(monkeypatch):
+    p = isosceles_pi5()
+    expected = [(d, repr(per.vector)) for d, per in find_pocs(build_epp(p))]
+    epp = build_epp(p, classify=False)
+    calls = _count_channel_tests(monkeypatch)
+    got = [(d, repr(per.vector)) for d, per in find_pocs(epp)]
+    assert got == expected
+    assert len(calls) == len(epp.periods)
+
+
+def test_channel_trace_step_limit_raises(monkeypatch):
+    # a march that runs out of steps must not read as "no channel"
+    p = square()
+    epp = build_epp(p)
+    monkeypatch.setattr(unfold, "_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceFailure):
+        channel_exists(epp, p.frame.from_xy(2, 0))
+
+
+# SHA-256 of repr([(direction, repr(vector), kind), ...]) from find_pocs, recorded
+# while find_pocs still traced every distinct period itself.
+FIND_POCS_SHA256 = {
+    "broken_rectangle.json": "103107e8ca0f98230502eeaee7d833aff05fa2b4de0b5cbfc19e491120e141fd",
+    "broken_rectangle_199_100.json": "8e122539ac88958ad475211dc0330d4f607ab4d44e631ca4b9433db53f217726",
+    "broken_rectangle_3_2.json": "629ec1be3796bc085f4e082f874ceda3b4fc8346603808429a47877a4cc5b754",
+    "equilateral.json": "c323f1197089241e77073ac21525ab5bef8b1a78730677cf8e326c91f27f4f98",
+    "isosceles_pi5.json": "b85c5869df34adaaad3244b35430548a08efb06d9a15c10399fba59a504ec187",
+    "parallelogram_2_3.json": "a5300a8c57b5c4721560c68c8feed0c0d70bb59740dd7f7053271882c71d5ae7",
+    "rhombus.json": "954b30a7173bc8face639f1d32864d27a4e7bbec75709cdaad1a1ba217f58761",
+    "square.json": "dc7940d3330e94dc36834e26a9828f93466fc99384b7c18403254ff107150734",
+    "square": "dc7940d3330e94dc36834e26a9828f93466fc99384b7c18403254ff107150734",
+    "l_shape": "103107e8ca0f98230502eeaee7d833aff05fa2b4de0b5cbfc19e491120e141fd",
+    "parallelogram_pi3": "a5300a8c57b5c4721560c68c8feed0c0d70bb59740dd7f7053271882c71d5ae7",
+    "equilateral": "c323f1197089241e77073ac21525ab5bef8b1a78730677cf8e326c91f27f4f98",
+    "isosceles_pi5": "b85c5869df34adaaad3244b35430548a08efb06d9a15c10399fba59a504ec187",
+    "broken_parallelogram": "7b7b06a721fce996e214ff2ab6a2863de9cd1a23fb87e09e267bf56b7c4b6fa4",
+    "rectangle": "762a1805a769e55bd8bbc49bfe106815a9f764043550ac7a0bc30a2845fdad99",
+}
+POCS_SHAPES = {
+    "square": square,
+    "l_shape": l_shape,
+    "parallelogram_pi3": parallelogram_pi3,
+    "equilateral": equilateral,
+    "isosceles_pi5": isosceles_pi5,
+    "broken_parallelogram": broken_parallelogram,
+    "rectangle": lambda: rectangle(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIND_POCS_SHA256))
+def test_find_pocs_output_unchanged(name):
+    p = POCS_SHAPES[name]() if name in POCS_SHAPES else load_polygon(str(POLYGONS / name))
+    text = repr([(d, repr(per.vector), per.kind) for d, per in find_pocs(build_epp(p))])
+    assert hashlib.sha256(text.encode()).hexdigest() == FIND_POCS_SHA256[name]
+
+
+# --- property sweeps --------------------------------------------------------
+
+_SIDE = st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=6)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    polygon=st.one_of(
+        st.builds(lambda x1, dx, y1, dy: l_shape(x1, y1, x1 + dx, y1 + dy), _SIDE, _SIDE, _SIDE, _SIDE),
+        st.builds(parallelogram_pi3, st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=8)),
+    )
+)
+def test_pair_kind_matches_direct_channel_test(polygon):
+    epp = build_epp(polygon)
+    for e in epp.edge_pairs:
+        direct = channel_exists(epp, e.period.vector)
+        assert e.period.kind == ("simple-internal" if direct else "structural")
 
 # --- property sweeps --------------------------------------------------------
 
