@@ -15,16 +15,16 @@ spanning tree of the faces and a spanning co-tree of the vertices leave
 exactly 2g edge classes over, whose crossing cycles are a Z-basis of the
 surface's homology; `period_basis` picks 2g short cycles against that basis
 and returns their translation vectors.  Boundary pairs with equal
-translations share one simple period (`EPP.periods`); `build_epp` decides
-once per distinct period whether it admits an unobstructed channel of
-parallel periodic orbits, and `find_pocs` lists those that do.
+translations share one simple period (`EPP.periods`).  On first use the
+pattern decides, once per distinct period, whether it admits an unobstructed
+channel of parallel periodic orbits; `find_pocs` lists those that do.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -131,8 +131,9 @@ class Period:
 
     kind: "simple-internal" (a single edge-pair translation whose channel is
     unobstructed), "structural" (single pair, channel blocked by a branch
-    point), "compound" (integer chain of pair translations), or None when a
-    large pattern was built without channel classification.
+    point), "compound" (integer chain of pair translations), or None for the
+    bare translation an `EdgePair` carries; the pattern's classified periods
+    are `EPP.periods`.
     """
 
     vector: object
@@ -144,9 +145,10 @@ class EdgePair:
     """Gluing of side `side` of image a to side `side` of image b.
 
     Crossing from a to b continues the trajectory in the copy of the pattern
-    offset by +translation; interior gluings have translation zero.  Boundary
-    pairs are tagged with their simple period (canonical sign), one `Period`
-    per group of equal translations in a classified pattern.
+    offset by +translation; interior gluings have translation zero.  A
+    boundary pair's `period` is its translation with the canonical sign
+    (`_half_plane`) and kind None; the classified period it shares with every
+    pair of an equal translation is in `EPP.periods`.
     """
 
     a: int
@@ -170,7 +172,7 @@ class EPP:
 
     @property
     def edge_pairs(self) -> list[EdgePair]:
-        """Boundary pairs (nonzero translation), each tagged with its simple period."""
+        """Boundary pairs: the gluings with a nonzero translation."""
         return [e for e in self.edges if e.period is not None]
 
     @property
@@ -179,31 +181,27 @@ class EPP:
 
     @cached_property
     def periods(self) -> list[Period]:
-        """Distinct simple periods in discovery order.
+        """Distinct simple periods in discovery order, each with its kind.
 
         Boundary pairs whose half-plane translations are equal share one
-        period, represented by the first pair found.  A classifying
-        `build_epp` has set every kind and pointed each pair at its group's
-        `Period`; otherwise the kinds are None and the grouping runs here,
-        on first use.
+        period, represented by the first pair found.  Its kind comes from one
+        `channel_exists` call, made on first use of the pattern's periods.
         """
         return list(dict.fromkeys(self._period_of.values()))
 
     @cached_property
     def _period_of(self) -> dict[EdgePair, Period]:
-        """Boundary pair -> the period of the first pair with an equal translation."""
+        """Boundary pair -> the classified period of its group of equal translations."""
         f = self.polygon.frame
         scale = self.polygon.perimeter_float()
         out: dict[EdgePair, Period] = {}
         distinct: list[Period] = []
         for e in self.edge_pairs:
-            p = e.period
-            if p not in distinct:  # pairs grouped by build_epp share one object
-                rep = next((q for q in distinct if f.is_zero(p.vector - q.vector, scale)), None)
-                if rep is None:
-                    distinct.append(p)
-                else:
-                    p = rep
+            v = e.period.vector
+            p = next((q for q in distinct if f.is_zero(v - q.vector, scale)), None)
+            if p is None:
+                p = Period(v, "simple-internal" if channel_exists(self, v) else "structural")
+                distinct.append(p)
             out[e] = p
         return out
 
@@ -230,7 +228,7 @@ class EPP:
                 + (f" t_exact={img.iso.translation!r}" if f.exact else "")
             )
         for e in self.edges:
-            kind = e.period.kind if e.period is not None else "interior"
+            kind = self._period_of[e].kind if e.period is not None else "interior"
             lines.append(
                 f"pair side {e.side}: {e.a} <-> {e.b} "
                 f"T={_fmt_vec(f, e.translation)} [{kind}]"
@@ -295,12 +293,7 @@ def genus(polygon: Polygon) -> int:
 def _half_plane(frame, v):
     """v or -v, whichever has re > 0 (tie: im > 0)."""
     z = frame.to_complex(v)
-    scale = max(1.0, abs(z))
-    re = z.real
-    if frame.exact and frame.re(v).is_zero():
-        re = 0.0
-    elif not frame.exact and abs(re) <= _TOL * scale:
-        re = 0.0
+    re = 0.0 if frame.is_zero(frame.re(v), abs(z)) else z.real
     if re > 0:
         return v
     if re < 0:
@@ -308,7 +301,7 @@ def _half_plane(frame, v):
     return v if z.imag > 0 else -v
 
 
-def build_epp(polygon: Polygon, classify: bool | None = None) -> EPP:
+def build_epp(polygon: Polygon) -> EPP:
     """Breadth-first unfolding accepting one image per orientation.
 
     The linear parts of unfolding isometries live in the dihedral group of
@@ -316,12 +309,8 @@ def build_epp(polygon: Polygon, classify: bool | None = None) -> EPP:
     their orientations agree, so orientation-dedup yields the 2C-image
     elementary pattern deterministically.
 
-    `classify` (default: on for patterns of at most 200 images) groups the
-    boundary pairs by their simple period (`EPP.periods`: pairs with equal
-    half-plane translations share one `Period`, represented by the first
-    pair found) and calls `channel_exists` once per distinct period to set
-    its kind.  Unclassified patterns leave every pair its own period with
-    kind None, so that large unfoldings pay for no grouping.
+    Only unfolds: no channel is traced here.  The boundary pairs are grouped
+    into simple periods and classified on first use of `EPP.periods`.
     """
     f = polygon.frame
     n = polygon.n
@@ -367,16 +356,6 @@ def build_epp(polygon: Polygon, classify: bool | None = None) -> EPP:
         )
     if len(edges) != n * f.N or len(glued) != 2 * n * f.N:
         raise RuntimeError("edge pairing incomplete after BFS closure")
-    epp = EPP(polygon, images, edges, f.N)
-    if classify is None:
-        classify = len(images) <= 200
-    if not classify:
-        return epp
-    kinds = {p: _classified(epp, p) for p in epp.periods}
-    edges = [
-        replace(e, period=kinds[epp._period_of[e]]) if e.period is not None else e
-        for e in edges
-    ]
     return EPP(polygon, images, edges, f.N)
 
 
@@ -385,16 +364,7 @@ def build_epp(polygon: Polygon, classify: bool | None = None) -> EPP:
 # ---------------------------------------------------------------------------
 
 
-def _edge_lookup(epp: EPP) -> dict:
-    """(image, side) -> (edge class id, crossing sign)."""
-    table = {}
-    for cid, e in enumerate(epp.edges):
-        table[(e.a, e.side)] = (cid, 1)
-        table[(e.b, e.side)] = (cid, -1)
-    return table
-
-
-def _vertex_classes(epp: EPP, lookup: dict) -> dict[tuple[int, int], int]:
+def _vertex_classes(epp: EPP) -> dict[tuple[int, int], int]:
     """(image, vertex) -> id of the glued vertex of the surface at that corner.
 
     Going around a vertex of the surface crosses the two adjacent sides
@@ -416,10 +386,8 @@ def _vertex_classes(epp: EPP, lookup: dict) -> dict[tuple[int, int], int]:
             while True:
                 vclass[(cur, i)] = count
                 s = i if toggle == 0 else (i - 1) % n
-                cid, sgn = lookup[(cur, s)]
-                e = epp.edges[cid]
-                hol = hol + (e.translation if sgn > 0 else -e.translation)
-                cur = e.b if sgn > 0 else e.a
+                cur, t = epp.gluing[(cur, s)]
+                hol = hol + t
                 toggle ^= 1
                 steps += 1
                 if cur == k and toggle == 0:
@@ -471,7 +439,7 @@ def _homology_coords(epp: EPP) -> tuple[list[int], dict[int, list[int]]]:
     """
     n = epp.polygon.n
     g = genus(epp.polygon)
-    vclass = _vertex_classes(epp, _edge_lookup(epp))
+    vclass = _vertex_classes(epp)
     nverts = len(set(vclass.values()))
     chi = nverts - len(epp.edges) + len(epp.images)
     if chi != 2 - 2 * g:
@@ -596,7 +564,7 @@ def period_basis(epp: EPP) -> list[Period]:
     for vec in vectors:
         v = _half_plane(f, vec)
         simple = next((p for p in epp.periods if f.is_zero(v - p.vector, scale)), None)
-        kind = "compound" if simple is None else _classified(epp, simple).kind
+        kind = "compound" if simple is None else simple.kind
         z = f.to_complex(v)
         periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), Period(v, kind)))
     periods.sort(key=lambda t: (t[0], t[1]))
@@ -700,26 +668,18 @@ def channel_exists(epp: EPP, vector) -> bool:
     return False
 
 
-def _classified(epp: EPP, period: Period) -> Period:
-    """`period` with its kind; traces its channel only if build_epp did not."""
-    if period.kind is not None:
-        return period
-    kind = "simple-internal" if channel_exists(epp, period.vector) else "structural"
-    return Period(period.vector, kind)
-
-
 def find_pocs(epp: EPP):
     """Simple periods admitting a periodic-orbit channel, with their directions.
 
     Returns (direction, Period) pairs, direction in [0, pi): the distinct
     periods of `epp.periods` whose kind is "simple-internal", ordered by
-    length.  A classified pattern already holds every kind, so nothing is
-    traced; an unclassified one has each distinct period traced once.
+    length.  The kinds are the pattern's own: each distinct period's channel
+    is traced at most once per pattern, whichever of `find_pocs`,
+    `period_basis` and `EPP.dump` asks first.
     """
     f = epp.polygon.frame
     entries = []
     for p in sorted(epp.periods, key=lambda p: round(abs(f.to_complex(p.vector)), 12)):
-        p = _classified(epp, p)
         if p.kind == "simple-internal":
             z = f.to_complex(p.vector)
             entries.append((math.atan2(z.imag, z.real) % math.pi, p))

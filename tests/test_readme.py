@@ -1,0 +1,21 @@
+"""The README's Python examples run as written."""
+
+import re
+from pathlib import Path
+
+from polybilliard import shapes
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_lists_every_shape():
+    line = README[README.index("`polybilliard.shapes` provides"):].split("\n\n")[0]
+    named = set(re.findall(r"`(\w+)\(", line))
+    assert named == set(shapes.__all__)

@@ -160,12 +160,12 @@ def test_epp_counts():
         assert len(epp.images) == 2 * epp.C
 
 
-def test_epp_rationalized_triangle_has_2000_images():
+def test_epp_rationalized_triangle_has_2000_images(monkeypatch):
+    calls = _count_channel_tests(monkeypatch)
     epp = build_epp(right_triangle_rationalized())
     assert len(epp.images) == 2000
     assert epp.C == 1000
-    # too large for automatic channel classification: kinds stay undecided
-    assert all(e.period.kind is None for e in epp.edge_pairs)
+    assert calls == []  # unfolding traces no channel, whatever the size
 
 
 def test_epp_images_pairwise_nonfaithful():
@@ -382,7 +382,7 @@ def test_crossing_cycle_holonomy_matches_coordinates(make, exact):
     p = make()
     f = p.frame
     assert f.exact is exact
-    epp = build_epp(p, classify=False)
+    epp = build_epp(p)
     leftover, coords = _homology_coords(epp)
     assert len(leftover) == 2 * genus(p)
     assert len(coords) == len(epp.edges) - len(epp.images) + 1
@@ -428,9 +428,7 @@ def test_structural_periods_excluded_from_pocs():
     epp = build_epp(p)
     poc_vectors = [per.vector for _, per in find_pocs(epp)]
     scale = p.perimeter_float()
-    structural = [
-        e.period.vector for e in epp.edge_pairs if e.period.kind == "structural"
-    ]
+    structural = [q.vector for q in epp.periods if q.kind == "structural"]
     assert structural  # the notch must block something
     for v in structural:
         assert not any(_same_vector(f, v, w, scale) for w in poc_vectors)
@@ -460,30 +458,51 @@ def _count_channel_tests(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("make", [l_shape, broken_parallelogram])
-def test_build_epp_traces_each_distinct_period_once(make, monkeypatch):
+def test_periods_trace_each_distinct_period_once(make, monkeypatch):
     calls = _count_channel_tests(monkeypatch)
     p = make()
     f, scale = p.frame, p.perimeter_float()
     epp = build_epp(p)
-    assert len(calls) == len(epp.periods) < len(epp.edge_pairs)
-    for i, a in enumerate(epp.periods):
-        assert not any(f.is_zero(a.vector - b.vector, scale) for b in epp.periods[:i])
-    # every pair points at the shared, classified period of its group
-    assert {id(e.period) for e in epp.edge_pairs} == {id(q) for q in epp.periods}
-    assert all(q.kind in ("simple-internal", "structural") for q in epp.periods)
+    assert calls == []
+    periods = epp.periods
+    assert len(calls) == len(periods) < len(epp.edge_pairs)
+    for i, a in enumerate(periods):
+        assert not any(f.is_zero(a.vector - b.vector, scale) for b in periods[:i])
+    # every pair maps to the classified period of its group
+    for e in epp.edge_pairs:
+        assert epp._period_of[e] in periods
+        assert f.is_zero(e.period.vector - epp._period_of[e].vector, scale)
+    assert all(e.period.kind is None for e in epp.edge_pairs)
+    assert all(q.kind in ("simple-internal", "structural") for q in periods)
 
 
 def test_find_pocs_on_classified_pattern_traces_nothing(monkeypatch):
     epp = build_epp(broken_parallelogram())
+    epp.periods
     calls = _count_channel_tests(monkeypatch)
     pocs = find_pocs(epp)
+    period_basis(epp)
+    epp.dump()
     assert pocs and calls == []
+
+
+def test_channel_work_is_shared_across_readers(monkeypatch):
+    # 204 images: find_pocs, period_basis and dump share one trace per
+    # distinct period, and dump prints every pair's decided kind
+    calls = _count_channel_tests(monkeypatch)
+    epp = build_epp(_right_triangle(1, 102))
+    assert len(epp.images) == 204
+    find_pocs(epp)
+    period_basis(epp)
+    text = epp.dump()
+    assert len(calls) == len(epp.periods) == 53
+    assert "[None]" not in text
 
 
 def test_find_pocs_unclassified_traces_each_period_once(monkeypatch):
     p = isosceles_pi5()
     expected = [(d, repr(per.vector)) for d, per in find_pocs(build_epp(p))]
-    epp = build_epp(p, classify=False)
+    epp = build_epp(p)
     calls = _count_channel_tests(monkeypatch)
     got = [(d, repr(per.vector)) for d, per in find_pocs(epp)]
     assert got == expected
@@ -552,7 +571,7 @@ def test_pair_kind_matches_direct_channel_test(polygon):
     epp = build_epp(polygon)
     for e in epp.edge_pairs:
         direct = channel_exists(epp, e.period.vector)
-        assert e.period.kind == ("simple-internal" if direct else "structural")
+        assert epp._period_of[e].kind == ("simple-internal" if direct else "structural")
 
 # --- property sweeps --------------------------------------------------------
 
