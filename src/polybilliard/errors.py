@@ -80,7 +80,7 @@ class TooCoarse(BilliardError):
 
 
 class ConvergenceFailure(BilliardError):
-    """An iterative search gave up (FD eigensolver, channel trace step limit)."""
+    """An iterative search gave up (the FD eigensolver did not converge)."""
 
 
 class OutOfRange(BilliardError):

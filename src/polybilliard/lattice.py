@@ -47,7 +47,8 @@ class RealRelations:
 
     Each non-pair basis period D_k, after subtracting an integer combination
     ``shifts[k]`` of the pair, equals ``coeffs[k][0]*d1 + coeffs[k][1]*d2``
-    exactly, with both coefficients lying in [0, 1].  Scalars are frame-typed:
+    exactly.  A rational coefficient lies in [0, 1), any other in [0, 1] up
+    to float rounding (`_reduce_unit`).  Scalars are frame-typed:
     exact field elements in exact mode, floats otherwise.
     """
 
@@ -189,19 +190,18 @@ def default_pair(frame, basis: list[Period] | tuple[Period, ...]) -> tuple[int, 
 
 
 def _reduce_unit(frame, a):
-    """Split a real scalar into (reduced, shift) with reduced = a - shift in [0, 1]."""
+    """Split a real scalar into (reduced, shift) with reduced = a - shift.
+
+    When `frame.rational_value` finds a rational value, the shift is its
+    floor and the reduced scalar lies in [0, 1) (up to float rounding in a
+    float frame).  Otherwise the shift is the floor of the float value, and
+    the reduced scalar lies in [0, 1] up to float rounding.
+    """
     r = frame.rational_value(a)
     if r is not None:
         shift = math.floor(r)
         return a - frame.scalar(shift), shift
-    fa = frame.real_to_float(a)
-    shift = math.floor(fa)
-    # Float floor can land one off when an irrational value sits within
-    # rounding distance of an integer; nudge back into [0, 1].
-    if fa - shift > 1.0:
-        shift += 1
-    elif fa - shift < 0.0:
-        shift -= 1
+    shift = math.floor(frame.real_to_float(a))
     return a - frame.scalar(shift), shift
 
 
@@ -213,9 +213,10 @@ def real_relations(
     """Express every non-pair basis period over the chosen pair, exactly.
 
     ``pair_choice`` indexes two real-independent basis periods (defaults to
-    the shortest independent pair).  Coefficients are reduced into [0, 1] by
-    subtracting integer multiples of the pair, which only moves each period
-    by lattice translations.
+    the shortest independent pair).  Coefficients are reduced by subtracting
+    integer multiples of the pair, which only moves each period by lattice
+    translations: into [0, 1) for a rational coefficient, and into [0, 1] up
+    to float rounding otherwise (`_reduce_unit`).
     """
     if pair_choice is None:
         pair_choice = default_pair(frame, basis)

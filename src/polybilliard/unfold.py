@@ -16,12 +16,15 @@ exactly 2g edge classes over, whose crossing cycles are a Z-basis of the
 surface's homology; `period_basis` picks 2g short cycles against that basis
 and returns their translation vectors.  Boundary pairs with equal
 translations share one simple period (`EPP.periods`).  On first use the
-pattern decides, once per distinct period, whether it admits an unobstructed
-channel of parallel periodic orbits; `find_pocs` lists those that do.
+pattern decides, once per distinct period, whether a channel of parallel
+periodic orbits runs along it (`channel_exists`: cut the boundary sides at
+the separatrices of that direction, test one orbit per piece); `find_pocs`
+lists those that do.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -29,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import ConvergenceFailure, NonIntegerGenus, OrbitExplosion, RankMismatch
+from .errors import NonIntegerGenus, OrbitExplosion, RankMismatch
 from .exactgeom import Polygon
 from .ratlinalg import FractionEchelon, hnf_rows, inverse
 
@@ -49,8 +52,6 @@ __all__ = [
 ]
 
 _TOL = 1e-9
-_SAMPLES = 33  # `channel_exists` starts traces at _SAMPLES - 1 points per boundary edge
-_MAX_STEPS = 100000  # edge crossings one channel trace may make before it gives up
 
 
 def _fmt_vec(f, v) -> str:
@@ -113,10 +114,6 @@ class PolygonImage:
         """0 for even (orientation-preserving), 1 for odd; equals the reflecting flag."""
         return 1 if self.iso.reflecting else 0
 
-    def vertices(self) -> list:
-        f = self.polygon.frame
-        return [self.iso.apply(f, v) for v in self.polygon.verts]
-
     def vertices_float(self) -> list[complex]:
         f = self.polygon.frame
         return [f.to_complex(self.iso.apply(f, v)) for v in self.polygon.verts]
@@ -129,11 +126,11 @@ class PolygonImage:
 class Period:
     """A translation leaving the unfolded figure invariant.
 
-    kind: "simple-internal" (a single edge-pair translation whose channel is
-    unobstructed), "structural" (single pair, channel blocked by a branch
-    point), "compound" (integer chain of pair translations), or None for the
-    bare translation an `EdgePair` carries; the pattern's classified periods
-    are `EPP.periods`.
+    kind: "simple-internal" (a single edge-pair translation along which a
+    channel of parallel periodic orbits runs), "structural" (single pair, no
+    orbit of that holonomy closes: `channel_exists` is False), "compound"
+    (integer chain of pair translations), or None for the bare translation
+    an `EdgePair` carries; the pattern's classified periods are `EPP.periods`.
     """
 
     vector: object
@@ -213,6 +210,12 @@ class EPP:
             table[(e.a, e.side)] = (e.b, e.translation)
             table[(e.b, e.side)] = (e.a, -e.translation)
         return table
+
+    @cached_property
+    def _gluing_float(self) -> dict:
+        """`gluing` with the crossing translations as floats."""
+        f = self.polygon.frame
+        return {key: (k, f.to_complex(t)) for key, (k, t) in self.gluing.items()}
 
     @cached_property
     def _verts_float(self) -> list[list[complex]]:
@@ -309,7 +312,7 @@ def build_epp(polygon: Polygon) -> EPP:
     their orientations agree, so orientation-dedup yields the 2C-image
     elementary pattern deterministically.
 
-    Only unfolds: no channel is traced here.  The boundary pairs are grouped
+    Only unfolds: no channel is decided here.  The boundary pairs are grouped
     into simple periods and classified on first use of `EPP.periods`.
     """
     f = polygon.frame
@@ -576,95 +579,90 @@ def period_basis(epp: EPP) -> list[Period]:
 # ---------------------------------------------------------------------------
 
 
-def _trace_closes(epp: EPP, face0: int, z0: complex, target) -> bool:
-    """March a straight line of length |target| from z0 and test closure.
+def _march(epp: EPP, face: int, z: complex, u: complex, length: float):
+    """March a straight line of `length` from z in image `face`, direction u.
 
-    Crossing a glued side moves the march to the partner face and shifts the
-    local frame by the pair translation; the orbit is periodic exactly when
-    it returns to the starting face at the starting point with accumulated
-    offset equal to `target` (compared exactly).  A march that makes
-    `_MAX_STEPS` crossings without ending raises `ConvergenceFailure`.
+    Crossing a glued side moves the march to the partner image and shifts
+    the local frame by the pair's float translation.  Returns the crossings,
+    as (image, side, r) with r the crossing's position along the side from
+    its start corner (the same in both images the side glues), and the image
+    the march ends in, or None when it runs into a corner.  Every step
+    advances by more than the tolerance, so the march ends; an image it
+    finds no exit from raises RuntimeError.
     """
-    f = epp.polygon.frame
-    scale = epp.polygon.perimeter_float()
-    tol = _TOL * max(1.0, scale)
-    tgt = f.to_complex(target)
-    total = abs(tgt)
-    u = tgt / total
-    cur, face = z0, face0
-    offset = f.zero()
-    remaining = total
-    for _ in range(_MAX_STEPS):
+    tol = _TOL * max(1.0, epp.polygon.perimeter_float())
+    uc = u.conjugate()
+    crossings = []
+    while True:
         verts = epp._verts_float[face - 1]
         n = len(verts)
-        best_s, best_side, best_r = None, None, None
+        best = None
         for t in range(n):
-            a, b = verts[t], verts[(t + 1) % n]
-            d = b - a
-            denom = (u.conjugate() * d).imag
+            w, d = verts[t] - z, verts[(t + 1) % n] - verts[t]
+            denom = (uc * d).imag
             if abs(denom) < 1e-13:
                 continue
-            w = a - cur
             s_hit = (w.conjugate() * d).imag / denom
             r_hit = (w.conjugate() * u).imag / denom
-            if s_hit <= tol or r_hit < -_TOL or r_hit > 1 + _TOL:
-                continue
-            if best_s is None or s_hit < best_s:
-                best_s, best_side, best_r = s_hit, t, r_hit
-        if best_s is None:
-            return False
-        if remaining <= best_s - tol:
-            return False  # endpoint strictly inside a face: cannot match z0 on its edge
-        edge_len = abs(verts[(best_side + 1) % len(verts)] - verts[best_side])
-        if min(best_r, 1 - best_r) * edge_len < tol:
-            return False  # corner hit: sample invalid
-        nxt, t_cross = epp.gluing[(face, best_side)]
-        cur = cur + best_s * u - f.to_complex(t_cross)
-        offset = offset + t_cross
-        face = nxt
-        remaining -= best_s
-        if abs(remaining) <= tol:
-            if face != face0:
-                return False
-            if not f.is_zero(offset - target, scale):
-                return False
-            return abs(cur - z0) <= 1e-6 * max(1.0, scale)
-    raise ConvergenceFailure(
-        f"channel trace toward {tgt:.12g} made {_MAX_STEPS} edge crossings without closing"
-    )
+            if s_hit > tol and -_TOL <= r_hit <= 1 + _TOL and (best is None or s_hit < best[0]):
+                best = (s_hit, t, r_hit, abs(d))
+        if best is None:
+            raise RuntimeError(f"march from {z:.12g} finds no exit from image {face}")
+        s_hit, side, r, side_len = best
+        if length < s_hit - tol:
+            return crossings, face
+        if min(r, 1 - r) * side_len < tol:
+            return crossings, None
+        crossings.append((face, side, r))
+        face, t_cross = epp._gluing_float[(face, side)]
+        z = z + s_hit * u - t_cross
+        length -= s_hit
 
 
 def channel_exists(epp: EPP, vector) -> bool:
     """Does some straight orbit close up under translation by `vector`?
 
-    A closing orbit must cross a boundary edge, so tracing in both
-    directions from `_SAMPLES - 1` evenly spaced points on every boundary
-    edge finds any channel wider than the sampling pitch.  The test is a sampled
-    sufficient check: True is a proof (up to float tracing), False means no
-    channel was found.  A trace that reaches its step limit raises
-    `ConvergenceFailure` rather than count as "no channel".
+    Such an orbit, of direction u and length |vector|, crosses a boundary
+    side.  Cut: from every corner sector that -u enters, march a separatrix
+    backward for |vector| (2g-2+V of them at most, V the number of vertex
+    classes) and cut the sides it crosses.  Between two cuts every orbit runs
+    into no corner and follows the same path, so all of them close or none
+    does.  Test: march one orbit from the middle of each piece of a boundary
+    side, in the image u enters; it closes when it ends in that image with
+    an accumulated translation exactly equal to `vector`.
     """
     f = epp.polygon.frame
     tgt = f.to_complex(vector)
-    for e in epp.edges:
-        if e.period is None:
-            continue
-        for face in (e.a, e.b):
-            verts = epp._verts_float[face - 1]
-            a, b = verts[e.side], verts[(e.side + 1) % len(verts)]
-            ccw = not epp.image(face).iso.reflecting
-            d = (b - a) / abs(b - a)
-            for j in range(1, _SAMPLES):
-                z = a + (b - a) * (j / _SAMPLES)
-                for sign in (1, -1):
-                    u = sign * tgt / abs(tgt)
-                    inward = (d.conjugate() * u).imag
-                    if not ccw:
-                        inward = -inward
-                    if inward < 1e-9:
-                        continue
-                    if _trace_closes(epp, face, z, vector if sign > 0 else -vector):
-                        return True
+    length = abs(tgt)
+    u = tgt / length
+    angles, n = epp.polygon.angles, epp.polygon.n
+    cuts = defaultdict(list)  # (image, side) -> positions of its cuts
+    for k, verts in enumerate(epp._verts_float, 1):
+        reflecting = epp.image(k).iso.reflecting
+        for i, z in enumerate(verts):
+            # the sector at corner i turns counterclockwise from `start`
+            start = (verts[i - 1] if reflecting else verts[(i + 1) % n]) - z
+            if _TOL < cmath.phase(-u / start) % (2 * math.pi) < angles[i - 1].radians() - _TOL:
+                for face, side, r in _march(epp, k, z, -u, length)[0]:
+                    cuts[(face, side)].append(r)
+    for e in epp.edge_pairs:
+        verts = epp._verts_float[e.a - 1]
+        d = verts[(e.side + 1) % n] - verts[e.side]
+        cross = ((d / abs(d)).conjugate() * u).imag
+        if abs(cross) <= _TOL:
+            continue  # parallel to the orbits: none crosses it
+        # image a lies left of its side, or right when it is reflecting
+        face = e.a if (cross > 0) != epp.image(e.a).iso.reflecting else e.b
+        verts = epp._verts_float[face - 1]
+        a, b = verts[e.side], verts[(e.side + 1) % n]
+        rs = sorted([0.0, 1.0, *cuts[(e.a, e.side)], *cuts[(e.b, e.side)]])
+        for r0, r1 in zip(rs, rs[1:]):
+            crossings, end = _march(epp, face, a + (b - a) * ((r0 + r1) / 2), u, length)
+            if end != face:
+                continue
+            offset = sum((epp.gluing[(fc, s)][1] for fc, s, _r in crossings), f.zero())
+            if f.is_zero(offset - vector, epp.polygon.perimeter_float()):
+                return True
     return False
 
 
@@ -674,8 +672,8 @@ def find_pocs(epp: EPP):
     Returns (direction, Period) pairs, direction in [0, pi): the distinct
     periods of `epp.periods` whose kind is "simple-internal", ordered by
     length.  The kinds are the pattern's own: each distinct period's channel
-    is traced at most once per pattern, whichever of `find_pocs`,
-    `period_basis` and `EPP.dump` asks first.
+    is decided by `channel_exists` at most once per pattern, whichever of
+    `find_pocs`, `period_basis` and `EPP.dump` asks first.
     """
     f = epp.polygon.frame
     entries = []

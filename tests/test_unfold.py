@@ -39,7 +39,7 @@ from polybilliard.unfold import (
     reflect_image,
     unfold_vertex,
 )
-from polybilliard.unfold import _homology_coords
+from polybilliard.unfold import _homology_coords, _vertex_classes
 
 POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 
@@ -509,13 +509,135 @@ def test_find_pocs_unclassified_traces_each_period_once(monkeypatch):
     assert len(calls) == len(epp.periods)
 
 
-def test_channel_trace_step_limit_raises(monkeypatch):
-    # a march that runs out of steps must not read as "no channel"
-    p = square()
+# the sampled decision that `channel_exists` replaced, kept as an oracle
+_SAMPLES = 33  # the sampled oracle starts traces at _SAMPLES - 1 points per boundary edge
+_MAX_STEPS = 100000  # edge crossings one sampled trace may make before it gives up
+
+
+def _sampled_trace_closes(epp, face0, z0, target) -> bool:
+    """March a straight line of length |target| from z0 and test closure."""
+    f = epp.polygon.frame
+    scale = epp.polygon.perimeter_float()
+    tol = 1e-9 * max(1.0, scale)
+    tgt = f.to_complex(target)
+    total = abs(tgt)
+    u = tgt / total
+    cur, face = z0, face0
+    offset = f.zero()
+    remaining = total
+    for _ in range(_MAX_STEPS):
+        verts = epp._verts_float[face - 1]
+        n = len(verts)
+        best_s, best_side, best_r = None, None, None
+        for t in range(n):
+            a, b = verts[t], verts[(t + 1) % n]
+            d = b - a
+            denom = (u.conjugate() * d).imag
+            if abs(denom) < 1e-13:
+                continue
+            w = a - cur
+            s_hit = (w.conjugate() * d).imag / denom
+            r_hit = (w.conjugate() * u).imag / denom
+            if s_hit <= tol or r_hit < -1e-9 or r_hit > 1 + 1e-9:
+                continue
+            if best_s is None or s_hit < best_s:
+                best_s, best_side, best_r = s_hit, t, r_hit
+        if best_s is None:
+            return False
+        if remaining <= best_s - tol:
+            return False  # endpoint strictly inside a face: cannot match z0 on its edge
+        edge_len = abs(verts[(best_side + 1) % len(verts)] - verts[best_side])
+        if min(best_r, 1 - best_r) * edge_len < tol:
+            return False  # corner hit: sample invalid
+        nxt, t_cross = epp.gluing[(face, best_side)]
+        cur = cur + best_s * u - f.to_complex(t_cross)
+        offset = offset + t_cross
+        face = nxt
+        remaining -= best_s
+        if abs(remaining) <= tol:
+            if face != face0:
+                return False
+            if not f.is_zero(offset - target, scale):
+                return False
+            return abs(cur - z0) <= 1e-6 * max(1.0, scale)
+    raise ConvergenceFailure(f"sampled trace made {_MAX_STEPS} edge crossings without closing")
+
+
+def _sampled_channel_exists(epp, vector) -> bool:
+    """The sampled sufficient check that `channel_exists` replaced: traces
+    from `_SAMPLES - 1` evenly spaced points on every boundary edge, in both
+    directions.  True is a proof (up to float tracing); False only means
+    that no sample closed."""
+    f = epp.polygon.frame
+    tgt = f.to_complex(vector)
+    for e in epp.edge_pairs:
+        for face in (e.a, e.b):
+            verts = epp._verts_float[face - 1]
+            a, b = verts[e.side], verts[(e.side + 1) % len(verts)]
+            ccw = not epp.image(face).iso.reflecting
+            d = (b - a) / abs(b - a)
+            for j in range(1, _SAMPLES):
+                z = a + (b - a) * (j / _SAMPLES)
+                for sign in (1, -1):
+                    u = sign * tgt / abs(tgt)
+                    inward = (d.conjugate() * u).imag
+                    if not ccw:
+                        inward = -inward
+                    if inward < 1e-9:
+                        continue
+                    if _sampled_trace_closes(epp, face, z, vector if sign > 0 else -vector):
+                        return True
+    return False
+
+
+def _separatrix_count(monkeypatch) -> list:
+    # a cut march starts at a corner of its face, a test march inside a side
+    starts = []
+    real = unfold._march
+
+    def counting(epp, face, z, u, length):
+        starts.append(z in epp._verts_float[face - 1])
+        return real(epp, face, z, u, length)
+
+    monkeypatch.setattr(unfold, "_march", counting)
+    return starts
+
+
+def test_channel_marches_at_most_one_separatrix_per_sector(monkeypatch):
+    # 2g-2+V: each direction enters k corner sectors at a vertex class of
+    # cone angle 2*pi*k, and the k-1 summed over the V classes give 2g-2
+    p = broken_parallelogram()
+    f = p.frame
     epp = build_epp(p)
-    monkeypatch.setattr(unfold, "_MAX_STEPS", 1)
-    with pytest.raises(ConvergenceFailure):
-        channel_exists(epp, p.frame.from_xy(2, 0))
+    bound = 2 * genus(p) - 2 + len(set(_vertex_classes(epp).values()))
+    assert bound == 24
+    starts = _separatrix_count(monkeypatch)
+    channel_exists(epp, f.from_xy(3, 1))  # parallel to no side: every sector counts
+    assert sum(starts) == bound
+    for per in epp.periods:
+        starts.clear()
+        channel_exists(epp, per.vector)
+        assert 0 < sum(starts) <= bound
+        assert len(starts) > sum(starts)  # at least one test march
+
+
+def test_march_without_exit_raises():
+    # a march that cannot leave its image must not read as "no channel"
+    epp = build_epp(square())
+    with pytest.raises(RuntimeError):
+        unfold._march(epp, 1, complex(5, 5), 1 + 0j, 1.0)
+
+
+def test_narrow_channel_missed_by_sampling_is_found():
+    # the period (113/20, 0) runs through the bottom arm, 1/8 high; samples
+    # every 73/264 on the 73/8 left side never start an orbit in the arm
+    p = l_shape(Fraction(6, 5), Fraction(1, 8), Fraction(113, 40), Fraction(73, 8))
+    f = p.frame
+    epp = build_epp(p)
+    arm = next(q for q in epp.periods if f.is_zero(q.vector - f.from_xy(Fraction(113, 20), 0)))
+    assert arm.kind == "simple-internal"
+    assert not _sampled_channel_exists(epp, arm.vector)
+    assert any(d == 0.0 and per is arm for d, per in find_pocs(epp))
 
 
 # SHA-256 of repr([(direction, repr(vector), kind), ...]) from find_pocs, recorded
@@ -572,6 +694,10 @@ def test_pair_kind_matches_direct_channel_test(polygon):
     for e in epp.edge_pairs:
         direct = channel_exists(epp, e.period.vector)
         assert epp._period_of[e].kind == ("simple-internal" if direct else "structural")
+    # sampling can miss a narrow channel but never invents one
+    for per in epp.periods:
+        if _sampled_channel_exists(epp, per.vector):
+            assert per.kind == "simple-internal"
 
 # --- property sweeps --------------------------------------------------------
 
