@@ -144,12 +144,13 @@ class CycloField:
 class Cyclo:
     """An element of Q(zeta_M); immutable, canonically normalized."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs", "_hash", "_inv")
 
     def __init__(self, field: CycloField, coeffs: dict[tuple[int, ...], Fraction]):
         self.field = field
         self.coeffs = coeffs
         self._hash: int | None = None
+        self._inv: Cyclo | None = None
 
     # -- ring structure ----------------------------------------------------
 
@@ -309,7 +310,9 @@ class Cyclo:
         return z.real
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse via an exact linear solve of w -> self*w = 1."""
+        """Multiplicative inverse by an exact solve of w -> self*w = 1, kept once solved."""
+        if self._inv is not None:
+            return self._inv
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero")
         fld = self.field
@@ -324,7 +327,8 @@ class Cyclo:
         rhs = [Fraction(0)] * n
         rhs[index[fld.zero_key]] = Fraction(1)
         sol = solve_square(mat, rhs)  # always solvable: nonzero element of a field
-        return Cyclo(fld, {k: sol[i] for i, k in enumerate(basis) if sol[i]})
+        self._inv = Cyclo(fld, {k: sol[i] for i, k in enumerate(basis) if sol[i]})
+        return self._inv
 
     # -- equality -------------------------------------------------------------
 

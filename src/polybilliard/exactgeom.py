@@ -170,10 +170,6 @@ class ExactFrame:
     def real_to_float(self, r) -> float:
         return float(r)
 
-    def real_ratio(self, a, b):
-        """Exact ratio of two real scalars (b nonzero)."""
-        return a / b
-
     def rational_value(self, r) -> Fraction | None:
         """Fraction value of a real scalar if it is rational, else None."""
         return r.as_fraction() if r.is_rational() else None
@@ -226,9 +222,6 @@ class FloatFrame:
 
     def real_to_float(self, r) -> float:
         return float(r)
-
-    def real_ratio(self, a: float, b: float) -> float:
-        return a / b
 
     def rational_value(self, r: float) -> Fraction | None:
         return as_rational(float(r))
@@ -435,8 +428,8 @@ def solve_closure(angles, fixed_lengths) -> list:
         )
     # [re u1  re u2] [t1]   [re rhs]          t1 = -cross(rhs, u2)/det
     # [im u1  im u2] [t2] = -[im rhs]   =>    t2 = -cross(u1, rhs)/det
-    t1 = frame.real_ratio(frame.cross(rhs, u2), det) * -1
-    t2 = frame.real_ratio(frame.cross(u1, rhs), det) * -1
+    t1 = frame.cross(rhs, u2) / det * -1
+    t2 = frame.cross(u1, rhs) / det * -1
     out = list(fixed_lengths)
     for idx, t in ((i1, t1), (i2, t2)):
         if not _length_positive(frame, t):

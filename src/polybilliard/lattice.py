@@ -237,8 +237,8 @@ def real_relations(
         if k == i or k == j:
             continue
         v = per.vector
-        a1 = frame.real_ratio(frame.cross(v, d2), det)
-        a2 = frame.real_ratio(frame.cross(d1, v), det)
+        a1 = frame.cross(v, d2) / det
+        a2 = frame.cross(d1, v) / det
         a1, s1 = _reduce_unit(frame, a1)
         a2, s2 = _reduce_unit(frame, a2)
         members.append(per)
@@ -308,8 +308,8 @@ def reduce_period(period, rational: RationalRelations) -> tuple[int, int]:
     frame = rel.frame
     v = period.vector if isinstance(period, Period) else period
     det = frame.cross(rel.d1, rel.d2)
-    x = frame.real_ratio(frame.cross(v, rel.d2), det)
-    y = frame.real_ratio(frame.cross(rel.d1, v), det)
+    x = frame.cross(v, rel.d2) / det
+    y = frame.cross(rel.d1, v) / det
     out = []
     for coord, c in ((x, rational.c1), (y, rational.c2)):
         r = frame.rational_value(coord)

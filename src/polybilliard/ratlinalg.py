@@ -1,31 +1,32 @@
-"""Small exact linear-algebra helpers over `fractions.Fraction`.
+"""Small exact linear-algebra helpers over the integers and the rationals.
 
-Everything here is deliberately tiny and dependency-free: the package needs
-exact solves, inverses and rank bookkeeping on small matrices, where
-Gaussian elimination over Fraction is effortless and bit-exact.
+Everything here is deliberately tiny and dependency-free: a square solve
+over `fractions.Fraction`, a sparse fraction-free echelon over Z for rank
+and determinant bookkeeping, and Hermite normal forms of integer lattices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import SingularSystem
 
 __all__ = [
     "solve_square",
-    "inverse",
-    "FractionEchelon",
+    "IntegerEchelon",
     "hnf_rows",
+    "hnf_inverse",
 ]
 
 
-def _gauss_jordan(mat: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve ``mat @ X = rhs`` exactly for n x n ``mat`` and n x k ``rhs``.
+def solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve ``mat @ x = rhs`` exactly; ``mat`` is n x n over the rationals.
 
     Raises SingularSystem if the matrix is singular.
     """
     n = len(mat)
-    a = [[Fraction(v) for v in row] + [Fraction(v) for v in rhs[i]] for i, row in enumerate(mat)]
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -37,59 +38,46 @@ def _gauss_jordan(mat: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    return [row[n] for row in a]
 
 
-def solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve ``mat @ x = rhs`` exactly; ``mat`` is n x n over the rationals.
+class IntegerEchelon:
+    """Incremental fraction-free row echelon over Z with sparse rows.
 
-    Raises SingularSystem if the matrix is singular.
-    """
-    return [row[0] for row in _gauss_jordan(mat, [[v] for v in rhs])]
-
-
-def inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of the n x n rational matrix ``mat``.
-
-    Raises SingularSystem if the matrix is singular.
-    """
-    n = len(mat)
-    return _gauss_jordan(mat, [[int(i == j) for j in range(n)] for i in range(n)])
-
-
-class FractionEchelon:
-    """Incremental row-echelon form for exact rank tracking.
-
-    Rows are inserted one at a time; ``try_insert`` reports whether the row
-    was independent of the span collected so far (and keeps it if so).
+    ``try_insert`` reports whether a row is independent (over Q) of the rows
+    kept so far, and keeps it if so: reduced, primitive, with a positive
+    leading entry, as a dict {column: nonzero int} under its leading column.
+    Once ``dim`` rows are in, ``det`` is |det| of the matrix they form.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: dict[int, list[Fraction]] = {}  # pivot column -> row, pivot scaled to 1
+        self._rows: dict[int, dict[int, int]] = {}
+        self._det = Fraction(1)  # |det| of the inserted rows, once there are dim of them
 
     @property
-    def rank(self) -> int:
-        return len(self._rows)
+    def det(self) -> int:
+        if len(self._rows) != self.dim:
+            raise ValueError(f"rank {len(self._rows)} is below dimension {self.dim}")
+        return int(self._det)
 
-    def residual(self, vec: list[Fraction]) -> list[Fraction]:
-        """Reduce ``vec`` against the stored rows; zero vector means dependent."""
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.dim:
-            raise ValueError(f"expected dimension {self.dim}, got {len(v)}")
-        for piv, row in self._rows.items():
-            if v[piv] != 0:
-                f = v[piv]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def try_insert(self, vec: list[Fraction]) -> bool:
-        v = self.residual(vec)
-        piv = next((i for i, x in enumerate(v) if x != 0), None)
-        if piv is None:
+    def try_insert(self, vec: list[int]) -> bool:
+        v, mult = {i: x for i, x in enumerate(vec) if x}, 1
+        while v and (c := min(v)) in self._rows:
+            row = self._rows[c]
+            g = gcd(row[c], v[c])
+            a, b = row[c] // g, v[c] // g  # a*v - b*row clears column c
+            mult *= a
+            keys = v.keys() | row.keys()
+            v = {i: s for i in keys if (s := a * v.get(i, 0) - b * row.get(i, 0))}
+        if not v:
             return False
-        inv = 1 / v[piv]
-        self._rows[piv] = [x * inv for x in v]
+        c = min(v)
+        content = gcd(*v.values()) if v[c] > 0 else -gcd(*v.values())
+        self._rows[c] = {i: x // content for i, x in v.items()}
+        # the stored row is (mult / content) * vec plus earlier rows, and its
+        # pivot is v[c] / content: the echelon's |det| gains |v[c]| / mult
+        self._det *= Fraction(abs(v[c]), mult)
         return True
 
 
@@ -102,19 +90,16 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     work = [list(r) for r in rows if any(r)]
     if not work:
         return []
-    ncols = len(work[0])
     r = 0
-    for c in range(ncols):
-        while True:
-            live = [i for i in range(r, len(work)) if work[i][c]]
-            if len(live) <= 1:
-                break
+    for c in range(len(work[0])):
+        live = [i for i in range(r, len(work)) if work[i][c]]
+        while len(live) > 1:
             live.sort(key=lambda i: abs(work[i][c]))
             i0 = live[0]
             for i in live[1:]:
                 q = work[i][c] // work[i0][c]
                 work[i] = [x - q * y for x, y in zip(work[i], work[i0])]
-        live = [i for i in range(r, len(work)) if work[i][c]]
+            live = [i for i in live if work[i][c]]
         if not live:
             continue
         work[r], work[live[0]] = work[live[0]], work[r]
@@ -125,4 +110,18 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
             if q:
                 work[i] = [x - q * y for x, y in zip(work[i], work[r])]
         r += 1
-    return [row for row in work[:r]]
+    return work[:r]
+
+
+def hnf_inverse(a: list[list[int]], d: int) -> list[list[int]]:
+    """Hermite basis of d * Z^n * A^-1, for a nonsingular n x n integer matrix A.
+
+    d is a positive multiple of |det A|, so d * A^-1 is integral.  The rows of
+    [[A | I], [d*I | 0]] generate the pairs (x*A + d*y, x); those with a zero
+    left half are x in d * Z^n * A^-1, and their Hermite basis is the rows of
+    the stacked Hermite form with a zero left half (Cohen 1993, section 2.4).
+    """
+    n = len(a)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    rows += [[d * (i == j) for j in range(n)] + [0] * n for i in range(n)]
+    return [r[n:] for r in hnf_rows(rows) if not any(r[:n])]

@@ -34,7 +34,7 @@ from math import lcm
 
 from .errors import NonIntegerGenus, OrbitExplosion, RankMismatch
 from .exactgeom import Polygon
-from .ratlinalg import FractionEchelon, hnf_rows, inverse
+from .ratlinalg import IntegerEchelon, hnf_inverse
 
 __all__ = [
     "Isometry",
@@ -190,12 +190,11 @@ class EPP:
     def _period_of(self) -> dict[EdgePair, Period]:
         """Boundary pair -> the classified period of its group of equal translations."""
         f = self.polygon.frame
-        scale = self.polygon.perimeter_float()
         out: dict[EdgePair, Period] = {}
         distinct: list[Period] = []
         for e in self.edge_pairs:
             v = e.period.vector
-            p = next((q for q in distinct if f.is_zero(v - q.vector, scale)), None)
+            p = next((q for q in distinct if f.is_zero(v - q.vector, self._scale)), None)
             if p is None:
                 p = Period(v, "simple-internal" if channel_exists(self, v) else "structural")
                 distinct.append(p)
@@ -216,6 +215,11 @@ class EPP:
         """`gluing` with the crossing translations as floats."""
         f = self.polygon.frame
         return {key: (k, f.to_complex(t)) for key, (k, t) in self.gluing.items()}
+
+    @cached_property
+    def _scale(self) -> float:
+        """The polygon's perimeter: the length scale of float tolerances."""
+        return self.polygon.perimeter_float()
 
     @cached_property
     def _verts_float(self) -> list[list[complex]]:
@@ -505,8 +509,10 @@ def period_basis(epp: EPP) -> list[Period]:
 
     The returned basis is chosen greedily among crossing cycles by ascending
     period length (Erickson & Whittlesey 2005), completed by chained
-    (compound) cycles, and put in Hermite normal form over the accepted
-    cycles so that it generates exactly the homology lattice.
+    (compound) cycles; an echelon over Z tests independence and yields
+    d = |det A|, A the coordinates of the accepted cycles.  The basis is the
+    Hermite normal form of the homology lattice over those cycles, taken in
+    integers as that of d * Z^2g * A^-1 (`hnf_inverse`) divided by d.
 
     Note the returned *vectors* need not be integer-independent in the plane:
     whenever period ratios are rational the plane vectors satisfy integer
@@ -526,7 +532,7 @@ def period_basis(epp: EPP) -> list[Period]:
             norm = abs(f.to_complex(e.translation))
             candidates.append(((0, round(norm, 12), cid), cid))
     candidates.sort(key=lambda c: c[0])
-    ech = FractionEchelon(2 * g)
+    ech = IntegerEchelon(2 * g)
     accepted = [cid for _key, cid in candidates if ech.try_insert(coords[cid])]
     if len(accepted) != 2 * g:
         raise RankMismatch(
@@ -534,13 +540,10 @@ def period_basis(epp: EPP) -> list[Period]:
         )
 
     # In coordinates over the accepted cycles (rows of A), the homology
-    # lattice Z^2g is generated by the rows of A^-1.
-    a_inv = inverse([coords[cid] for cid in accepted])
-    den = lcm(*(x.denominator for row in a_inv for x in row))
-    hermite = hnf_rows([[int(x * den) for x in row] for row in a_inv])
-    if len(hermite) != 2 * g:
-        raise RankMismatch("period lattice rank disagrees with the genus")
-    out_coords = [[Fraction(h, den) for h in row] for row in hermite]
+    # lattice Z^2g is generated by the rows of A^-1 = (d * A^-1) / d.
+    d = ech.det
+    hermite = hnf_inverse([coords[cid] for cid in accepted], d)
+    out_coords = [[Fraction(h, d) for h in row] for row in hermite]
 
     def holonomy_of(cvec) -> object:
         vec = f.zero()
@@ -590,7 +593,7 @@ def _march(epp: EPP, face: int, z: complex, u: complex, length: float):
     advances by more than the tolerance, so the march ends; an image it
     finds no exit from raises RuntimeError.
     """
-    tol = _TOL * max(1.0, epp.polygon.perimeter_float())
+    tol = _TOL * max(1.0, epp._scale)
     uc = u.conjugate()
     crossings = []
     while True:
@@ -661,7 +664,7 @@ def channel_exists(epp: EPP, vector) -> bool:
             if end != face:
                 continue
             offset = sum((epp.gluing[(fc, s)][1] for fc, s, _r in crossings), f.zero())
-            if f.is_zero(offset - vector, epp.polygon.perimeter_float()):
+            if f.is_zero(offset - vector, epp._scale):
                 return True
     return False
 

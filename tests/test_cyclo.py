@@ -131,6 +131,7 @@ def test_inverse_exact():
             continue
         w = z.inverse()
         assert (z * w) == f.one()
+        assert z.inverse() is w  # solved once, then kept
         assert complex(z / z) == pytest.approx(1.0)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from polybilliard.approx import as_rational, best_rational, convergents
 from polybilliard.errors import OutOfRange, SingularSystem
-from polybilliard.ratlinalg import FractionEchelon, inverse, solve_square
+from polybilliard.ratlinalg import IntegerEchelon, hnf_inverse, hnf_rows, solve_square
 
 
 # --- solve_square -----------------------------------------------------------
@@ -39,32 +39,90 @@ def test_solve_square_random_roundtrip():
             except SingularSystem:
                 continue
             assert got == x
-            inv = inverse(a)
-            assert [[sum(inv[i][k] * a[k][j] for k in range(n)) for j in range(n)]
-                    for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-# --- FractionEchelon --------------------------------------------------------
+# --- IntegerEchelon ---------------------------------------------------------
 
 def test_echelon_rank_tracking():
-    e = FractionEchelon(3)
+    e = IntegerEchelon(3)
     assert e.try_insert([1, 0, 1])
     assert not e.try_insert([2, 0, 2])
     assert e.try_insert([0, 1, 0])
     assert not e.try_insert([3, 5, 3])
+    with pytest.raises(ValueError):
+        e.det  # rank 2 of 3
     assert e.try_insert([0, 0, 1])
-    assert e.rank == 3
     assert not e.try_insert([7, -2, 9])  # full rank now
+    assert e.det == 1
 
 
 def test_echelon_residual_zero_for_combination():
-    e = FractionEchelon(4)
-    v1 = [Fraction(1), Fraction(2), Fraction(0), Fraction(1)]
-    v2 = [Fraction(0), Fraction(1), Fraction(1), Fraction(0)]
-    e.try_insert(v1)
-    e.try_insert(v2)
-    combo = [3 * a - 2 * b for a, b in zip(v1, v2)]
-    assert all(x == 0 for x in e.residual(combo))
+    # a combination reduces to zero against the stored rows: not inserted
+    e = IntegerEchelon(4)
+    v1 = [1, 2, 0, 1]
+    v2 = [0, 2, 3, 0]
+    assert e.try_insert(v1)
+    assert e.try_insert(v2)
+    assert not e.try_insert([3 * a - 2 * b for a, b in zip(v1, v2)])
+    assert e.try_insert([0, 0, 0, 5])
+
+
+def _fraction_det(a):
+    """|det a| by Fraction elimination (test oracle)."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n, det = len(m), Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return 0
+        m[c], m[piv] = m[piv], m[c]
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return abs(det)
+
+
+def _fraction_inverse(a):
+    """Exact inverse by Fraction Gauss-Jordan (test oracle)."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c])
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def test_echelon_det_and_hnf_inverse_match_fraction_route():
+    """Sweep random small integer matrices, many of them not unimodular:
+    the echelon's det is |det A|, and the integer Hermite step divided by it
+    equals the Hermite form of A^-1 taken through a Fraction inverse."""
+    rng = random.Random(7)
+    seen_nonunimodular = 0
+    for _ in range(300):
+        n = rng.randrange(1, 6)
+        a = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        e = IntegerEchelon(n)
+        independent = all([e.try_insert(row) for row in a])
+        d = _fraction_det(a)
+        assert independent == (d != 0)
+        if not d:
+            continue
+        assert e.det == d
+        seen_nonunimodular += d > 1
+        inv = _fraction_inverse(a)
+        den = math.lcm(*(x.denominator for row in inv for x in row))
+        want = [[Fraction(h, den) for h in row]
+                for row in hnf_rows([[int(x * den) for x in row] for row in inv])]
+        got = [[Fraction(h, d) for h in row] for row in hnf_inverse(a, d)]
+        assert got == want
+    assert seen_nonunimodular > 100
 
 
 # --- continued fractions ----------------------------------------------------
@@ -154,8 +212,6 @@ def test_as_rational_rejects_irrationals():
 # --- hnf_rows ---------------------------------------------------------------
 
 def test_hnf_rows_fixed_cases():
-    from polybilliard.ratlinalg import hnf_rows
-
     assert hnf_rows([[2, 0], [0, 3]]) == [[2, 0], [0, 3]]
     assert hnf_rows([[2, 1], [1, 1]]) == [[1, 0], [0, 1]]
     assert hnf_rows([[3, 0], [5, 0]]) == [[1, 0]]  # gcd along one axis
@@ -166,8 +222,6 @@ def test_hnf_rows_fixed_cases():
 
 
 def test_hnf_rows_is_lattice_invariant():
-    from polybilliard.ratlinalg import hnf_rows
-
     rng = random.Random(23)
     for _ in range(25):
         rows = [[rng.randrange(-6, 7) for _ in range(3)] for _ in range(4)]

@@ -298,6 +298,10 @@ def test_period_count_is_twice_genus():
         assert len(basis) == 2 * genus(p)
 
 
+def test_rationalized_triangle_period_basis_has_500_periods():
+    assert len(period_basis(build_epp(right_triangle_rationalized()))) == 500
+
+
 def test_period_kinds_are_classified():
     basis = period_basis(build_epp(broken_parallelogram()))
     kinds = {b.kind for b in basis}
