@@ -13,7 +13,6 @@ Units: hbar = 1 and mass = 1, so E = |p|^2 / 2 throughout.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -138,13 +137,18 @@ def _dual_steps(lattice: PeriodLattice) -> tuple[complex, complex]:
     return p1, p2
 
 
-def _classify_classical(lattice: PeriodLattice, p: complex) -> str:
-    """Parallel to any basis period means the skeleton is periodic."""
-    ap = abs(p)
+def _basis_floats(lattice: PeriodLattice) -> list[tuple[complex, float]]:
+    """Each basis period as a complex number, with its modulus."""
     f = lattice.frame
-    for per in lattice.basis:
-        z = f.to_complex(per.vector)
-        if abs((p.conjugate() * z).imag) <= _REL_TOL * ap * abs(z):
+    return [(z, abs(z)) for z in (f.to_complex(per.vector) for per in lattice.basis)]
+
+
+def _classify_classical(periods: list[tuple[complex, float]], p: complex) -> str:
+    """Parallel to any basis period (`_basis_floats`) means the skeleton is
+    periodic."""
+    tol = _REL_TOL * abs(p)
+    for z, az in periods:
+        if abs((p.conjugate() * z).imag) <= tol * az:
             return CLASSICAL_PERIODIC
     return CLASSICAL_APERIODIC
 
@@ -161,7 +165,9 @@ def momentum_aperiodic(lattice: PeriodLattice, m: int, n: int) -> QuantizedMomen
         raise OutOfRange("momentum labels m = n = 0 carry no motion")
     p1, p2 = _dual_steps(lattice)  # raises NotDoublyRational via lattice.c1
     p = m * p1 + n * p2
-    return QuantizedMomentum(m=m, n=n, vector=p, kind=_classify_classical(lattice, p))
+    return QuantizedMomentum(
+        m=m, n=n, vector=p, kind=_classify_classical(_basis_floats(lattice), p)
+    )
 
 
 def periodic_skeleton_check(
@@ -293,13 +299,6 @@ def quantum_momentum(
     return QuantizedMomentum(m=m, n=n, vector=vector, kind=QUANTUM, flag=flag)
 
 
-def _lambda_pair(lattice: PeriodLattice, m: int, n: int) -> tuple[float, float]:
-    z1, z2 = _pair_floats(lattice)
-    l1 = abs(z1) / (abs(m) * lattice.c1) if m else math.inf
-    l2 = abs(z2) / (abs(n) * lattice.c2) if n else math.inf
-    return (l1, l2)
-
-
 def spectrum(
     lattice: PeriodLattice,
     e_max: float,
@@ -308,18 +307,25 @@ def spectrum(
 ) -> list[SpectrumEntry]:
     """All energy levels up to e_max from the requested momentum families.
 
-    Classical entries enumerate every label pair |m|+|n| > 0 of the closed
-    form; the quantum family (opt-in via kinds) adds the transverse-quantized
-    levels m, n >= 1 of the skeleton along the lattice's own pair when that
-    skeleton exists.  Levels of equal kind within 1e-9 relative merge into one
+    Classical entries cover every label pair |m|+|n| > 0 of the closed form
+    p = m*P1 + n*P2 with E = 0.5*|p|^2 <= e_max (1e-9 relative slack).  Row
+    m runs over the labels n between the roots of the energy quadratic
+    g22*n^2 + 2*g12*m*n + g11*m^2 = 2*cutoff (g the Gram matrix of P1, P2),
+    widened by one label on each side and kept within the label box that
+    the smallest eigenvalue of g allows; the float energy 0.5*abs(p)**2
+    still decides every label.  The basis periods' floats are computed
+    once.  The quantum family (opt-in via kinds) adds the
+    transverse-quantized levels m, n >= 1 of the skeleton along the
+    lattice's own pair when that skeleton exists.  Each run of levels of
+    equal kind within 1e-9 relative of its first energy merges into one
     entry with a degeneracy count and the lexicographically smallest labels.
     """
     if e_max <= 0:
         raise OutOfRange("e_max must be positive")
-    raw: list[tuple[float, str, tuple[int, int], tuple[float, float] | None, str | None]] = []
+    raw: list[tuple[float, str, tuple[int, int], str | None]] = []
+    pair: list[tuple[float, int]] = []  # (|D_i|, C_i): the classical wavelengths
 
-    want_classical = CLASSICAL_APERIODIC in kinds or CLASSICAL_PERIODIC in kinds
-    if want_classical:
+    if CLASSICAL_APERIODIC in kinds or CLASSICAL_PERIODIC in kinds:
         p1, p2 = _dual_steps(lattice)
         g11, g22 = abs(p1) ** 2, abs(p2) ** 2
         g12 = (p1.conjugate() * p2).real
@@ -327,74 +333,74 @@ def spectrum(
         lam_min = (tr - math.sqrt(max(tr * tr - 4 * det, 0.0))) / 2
         reach = int(math.sqrt(2 * e_max / lam_min)) + 1
         cutoff = e_max * (1 + _REL_TOL)
+        periods = _basis_floats(lattice)
+        pair = [(abs(z), c) for z, c in zip(_pair_floats(lattice), (lattice.c1, lattice.c2))]
         for m in range(-reach, reach + 1):
-            for n in range(-reach, reach + 1):
+            mid = -g12 * m / g22
+            half = math.sqrt(max(2 * cutoff * g22 - det * m * m, 0.0)) / g22
+            mp1 = m * p1
+            for n in range(max(-reach, math.floor(mid - half) - 1),
+                           min(reach, math.ceil(mid + half) + 1) + 1):
                 if m == 0 and n == 0:
                     continue
-                p = m * p1 + n * p2
+                p = mp1 + n * p2
                 e = 0.5 * abs(p) ** 2
                 if e > cutoff:
                     continue
-                kind = _classify_classical(lattice, p)
+                kind = _classify_classical(periods, p)
                 if kind in kinds:
-                    raw.append((e, kind, (m, n), _lambda_pair(lattice, m, n), None))
+                    raw.append((e, kind, (m, n), None))
 
     if QUANTUM in kinds:
         data = periodic_skeleton_check(lattice)
         if data is not None:
-            m = 1
-            while True:
-                sin_a = math.sin(data.alpha)
-                t = 2 * math.pi * m * data.c1 / (abs(data.d1) * sin_a)
-                e0 = 0.5 * t * t
-                if e0 > e_max:
-                    break
-                n = 1
+            sin_a = math.sin(data.alpha)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConstraintViolation)
+                m = 1
                 while True:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", ConstraintViolation)
-                        q = quantum_momentum(
-                            lattice, data, m, n, max_ratio=max_ratio
-                        )
-                    if q.energy > e_max * (1 + _REL_TOL):
+                    t = 2 * math.pi * m * data.c1 / (abs(data.d1) * sin_a)
+                    if 0.5 * t * t > e_max:
                         break
-                    raw.append((q.energy, QUANTUM, (m, n), None, q.flag))
-                    n += 1
-                if n == 1:
-                    break
-                m += 1
+                    n = 1
+                    while True:
+                        q = quantum_momentum(lattice, data, m, n, max_ratio=max_ratio)
+                        e = q.energy
+                        if e > e_max * (1 + _REL_TOL):
+                            break
+                        raw.append((e, QUANTUM, (m, n), q.flag))
+                        n += 1
+                    if n == 1:
+                        break
+                    m += 1
 
-    raw.sort(key=lambda r: (r[0], r[1], r[2]))
-    entries: list[SpectrumEntry] = []
-    for e, kind, labels, lam_pair, flag in raw:
-        prev = entries[-1] if entries else None
-        if (
-            prev is not None
-            and prev.kind == kind
-            and abs(e - prev.energy) <= _REL_TOL * max(1.0, abs(prev.energy))
-        ):
-            entries[-1] = SpectrumEntry(
-                labels=min(prev.labels, labels),
-                energy=prev.energy,
-                kind=kind,
-                degeneracy=prev.degeneracy + 1,
-                lam=prev.lam,
-                lam_pair=prev.lam_pair if prev.labels <= labels else lam_pair,
-                flag=prev.flag or flag,
-            )
-            continue
+    raw.sort()  # (energy, kind, labels) is unique, so no further field compares
+    runs: list[list] = []
+    for r in raw:
+        if runs and r[1] == head[1] and abs(r[0] - head[0]) <= slack:
+            runs[-1].append(r)
+        else:
+            head, slack = r, _REL_TOL * max(1.0, abs(r[0]))
+            runs.append([r])
+    # the run heads come in raw's order, so the entries come out sorted
+    entries = []
+    for run in runs:
+        e, kind = run[0][0], run[0][1]
+        labels = min(r[2] for r in run)
+        lam_pair = None
+        if kind != QUANTUM:
+            lam_pair = tuple(a / (abs(k) * c) if k else math.inf for (a, c), k in zip(pair, labels))
         entries.append(
             SpectrumEntry(
                 labels=labels,
                 energy=e,
                 kind=kind,
-                degeneracy=1,
+                degeneracy=len(run),
                 lam=2 * math.pi / math.sqrt(2 * e),
                 lam_pair=lam_pair,
-                flag=flag,
+                flag=next((r[3] for r in run if r[3]), None),
             )
         )
-    entries.sort(key=lambda s: (s.energy, s.kind, s.labels))
     return entries
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -513,9 +514,11 @@ def l2_norm(swf) -> float:
     return math.sqrt(total)
 
 
+@lru_cache(maxsize=1)
 def _sample_grid(swf, width: int, height: int):
     """Grid axes over the bounding box and the wave on each row, bottom row
-    first, zeroed outside the polygon."""
+    first, zeroed outside the polygon.  The last sample is kept, so
+    `grid_csv` and `grid_pgm` of one wave and grid sample it once."""
     verts = np.asarray(swf.polygon.vertices_float())
     gx = np.linspace(verts.real.min(), verts.real.max(), width)
     gy = np.linspace(verts.imag.min(), verts.imag.max(), height)

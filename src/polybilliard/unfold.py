@@ -17,8 +17,9 @@ surface's homology; `period_basis` picks 2g short cycles against that basis
 and returns their translation vectors.  Boundary pairs with equal
 translations share one simple period (`EPP.periods`).  On first use the
 pattern decides, once per distinct period, whether a channel of parallel
-periodic orbits runs along it (`channel_exists`: cut the boundary sides at
-the separatrices of that direction, test one orbit per piece); `find_pocs`
+periodic orbits runs along it (`channel_exists`: test one orbit from the
+middle of each boundary side, and only if none closes, cut the sides at the
+separatrices of that direction and test one orbit per piece); `find_pocs`
 lists those that do.
 """
 
@@ -622,32 +623,43 @@ def _march(epp: EPP, face: int, z: complex, u: complex, length: float):
         length -= s_hit
 
 
+def _closes(epp: EPP, face: int, z: complex, u: complex, length: float, vector):
+    """March the orbit of `vector` from z on a side of image `face`.
+
+    True when it closes: it ends in `face` with an accumulated translation
+    exactly equal to `vector`.  False when it ends in an image without
+    closing, None when it runs into a corner.
+    """
+    crossings, end = _march(epp, face, z, u, length)
+    if end is None:
+        return None
+    if end != face:
+        return False
+    f = epp.polygon.frame
+    offset = sum((epp.gluing[(fc, s)][1] for fc, s, _r in crossings), f.zero())
+    return f.is_zero(offset - vector, epp._scale)
+
+
 def channel_exists(epp: EPP, vector) -> bool:
     """Does some straight orbit close up under translation by `vector`?
 
     Such an orbit, of direction u and length |vector|, crosses a boundary
-    side.  Cut: from every corner sector that -u enters, march a separatrix
-    backward for |vector| (2g-2+V of them at most, V the number of vertex
-    classes) and cut the sides it crosses.  Between two cuts every orbit runs
-    into no corner and follows the same path, so all of them close or none
-    does.  Test: march one orbit from the middle of each piece of a boundary
-    side, in the image u enters; it closes when it ends in that image with
-    an accumulated translation exactly equal to `vector`.
+    side.  Test first: march one orbit from the middle of each boundary side
+    not parallel to u, in the image u enters; any orbit that closes proves
+    the channel.  Only when none closes, cut: from every corner sector that
+    -u enters, march a separatrix backward for |vector| (2g-2+V of them at
+    most, V the number of vertex classes) and cut the sides it crosses.
+    Between two cuts every orbit runs into no corner and follows the same
+    path, so all of them close or none does.  Then test one orbit from the
+    middle of each piece, skipping the piece that holds a side's middle when
+    the first march from there ran into no corner: it tested that piece.
     """
     f = epp.polygon.frame
     tgt = f.to_complex(vector)
     length = abs(tgt)
     u = tgt / length
     angles, n = epp.polygon.angles, epp.polygon.n
-    cuts = defaultdict(list)  # (image, side) -> positions of its cuts
-    for k, verts in enumerate(epp._verts_float, 1):
-        reflecting = epp.image(k).iso.reflecting
-        for i, z in enumerate(verts):
-            # the sector at corner i turns counterclockwise from `start`
-            start = (verts[i - 1] if reflecting else verts[(i + 1) % n]) - z
-            if _TOL < cmath.phase(-u / start) % (2 * math.pi) < angles[i - 1].radians() - _TOL:
-                for face, side, r in _march(epp, k, z, -u, length)[0]:
-                    cuts[(face, side)].append(r)
+    sides = []  # (pair, image u enters, side ends, the middle's piece is tested)
     for e in epp.edge_pairs:
         verts = epp._verts_float[e.a - 1]
         d = verts[(e.side + 1) % n] - verts[e.side]
@@ -658,13 +670,25 @@ def channel_exists(epp: EPP, vector) -> bool:
         face = e.a if (cross > 0) != epp.image(e.a).iso.reflecting else e.b
         verts = epp._verts_float[face - 1]
         a, b = verts[e.side], verts[(e.side + 1) % n]
+        middle = _closes(epp, face, a + (b - a) * 0.5, u, length, vector)
+        if middle:
+            return True
+        sides.append((e, face, a, b, middle is False))
+    cuts = defaultdict(list)  # (image, side) -> positions of its cuts
+    for k, verts in enumerate(epp._verts_float, 1):
+        reflecting = epp.image(k).iso.reflecting
+        for i, z in enumerate(verts):
+            # the sector at corner i turns counterclockwise from `start`
+            start = (verts[i - 1] if reflecting else verts[(i + 1) % n]) - z
+            if _TOL < cmath.phase(-u / start) % (2 * math.pi) < angles[i - 1].radians() - _TOL:
+                for face, side, r in _march(epp, k, z, -u, length)[0]:
+                    cuts[(face, side)].append(r)
+    for e, face, a, b, tested in sides:
         rs = sorted([0.0, 1.0, *cuts[(e.a, e.side)], *cuts[(e.b, e.side)]])
         for r0, r1 in zip(rs, rs[1:]):
-            crossings, end = _march(epp, face, a + (b - a) * ((r0 + r1) / 2), u, length)
-            if end != face:
+            if tested and r0 < 0.5 < r1:
                 continue
-            offset = sum((epp.gluing[(fc, s)][1] for fc, s, _r in crossings), f.zero())
-            if f.is_zero(offset - vector, epp._scale):
+            if _closes(epp, face, a + (b - a) * ((r0 + r1) / 2), u, length, vector):
                 return True
     return False
 

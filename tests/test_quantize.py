@@ -2,25 +2,36 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polybilliard
+from polybilliard import shapes
 from polybilliard.errors import (
     ConstraintViolation,
     NotDoublyRational,
     NotPeriodicSkeleton,
     OutOfRange,
 )
-from polybilliard.exactgeom import FloatFrame
+from polybilliard.exactgeom import FloatFrame, load_polygon
 from polybilliard.lattice import period_lattice
 from polybilliard.quantize import (
     CLASSICAL_APERIODIC,
     CLASSICAL_PERIODIC,
     QUANTUM,
+    SpectrumEntry,
+    _dual_steps,
     momentum_aperiodic,
     momentum_periodic,
     periodic_skeleton_check,
@@ -29,7 +40,13 @@ from polybilliard.quantize import (
     spectrum_csv,
     wavelength_report,
 )
-from polybilliard.shapes import isosceles_pi5, l_shape, parallelogram_pi3, square
+from polybilliard.shapes import (
+    isosceles_pi5,
+    l_shape,
+    parallelogram_pi3,
+    rectangle,
+    square,
+)
 from polybilliard.unfold import Period, build_epp, period_basis
 
 
@@ -498,3 +515,216 @@ def test_quantized_momenta_fit_every_period(num, den, m, n):
     lat = period_lattice(f, basis, pair_choice=(0, 1))
     q = momentum_aperiodic(lat, m, n)
     assert all(entry.ok for entry in wavelength_report(lat, q))
+
+
+def test_quantize_loads_no_numpy():
+    # the CLI's quantize never calls numpy code, so it must not pay numpy's memory
+    code = "import sys, polybilliard.quantize; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(polybilliard.__file__).resolve().parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# --- spectrum digests and the box-enumeration oracle ---------------------------
+
+POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
+KIND_SETS = {
+    "default": (CLASSICAL_APERIODIC, CLASSICAL_PERIODIC),
+    "periodic": (CLASSICAL_PERIODIC,),
+    "quantum": (CLASSICAL_APERIODIC, CLASSICAL_PERIODIC, QUANTUM),
+}
+DIGEST_E_MAX = (200.0, 3e4, 1e5)
+
+
+def _box_spectrum(lattice, e_max, kinds, max_ratio=0.2) -> list[SpectrumEntry]:
+    """The closed-form spectrum as it was computed before the row bounds:
+    every label of the (2*reach+1)^2 box, each duplicate merged into a new
+    entry."""
+    rel_tol = 1e-9
+    raw = []
+    if CLASSICAL_APERIODIC in kinds or CLASSICAL_PERIODIC in kinds:
+        p1, p2 = _dual_steps(lattice)
+        g11, g22 = abs(p1) ** 2, abs(p2) ** 2
+        g12 = (p1.conjugate() * p2).real
+        tr, det = g11 + g22, g11 * g22 - g12 * g12
+        lam_min = (tr - math.sqrt(max(tr * tr - 4 * det, 0.0))) / 2
+        reach = int(math.sqrt(2 * e_max / lam_min)) + 1
+        cutoff = e_max * (1 + rel_tol)
+        f = lattice.frame
+        z1, z2 = f.to_complex(lattice.d1), f.to_complex(lattice.d2)
+        for m in range(-reach, reach + 1):
+            for n in range(-reach, reach + 1):
+                if m == 0 and n == 0:
+                    continue
+                p = m * p1 + n * p2
+                e = 0.5 * abs(p) ** 2
+                if e > cutoff:
+                    continue
+                kind = CLASSICAL_APERIODIC
+                for per in lattice.basis:
+                    z = f.to_complex(per.vector)
+                    if abs((p.conjugate() * z).imag) <= rel_tol * abs(p) * abs(z):
+                        kind = CLASSICAL_PERIODIC
+                        break
+                if kind in kinds:
+                    l1 = abs(z1) / (abs(m) * lattice.c1) if m else math.inf
+                    l2 = abs(z2) / (abs(n) * lattice.c2) if n else math.inf
+                    raw.append((e, kind, (m, n), (l1, l2), None))
+    if QUANTUM in kinds:
+        data = periodic_skeleton_check(lattice)
+        if data is not None:
+            m = 1
+            while True:
+                t = 2 * math.pi * m * data.c1 / (abs(data.d1) * math.sin(data.alpha))
+                if 0.5 * t * t > e_max:
+                    break
+                n = 1
+                while True:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", ConstraintViolation)
+                        q = quantum_momentum(lattice, data, m, n, max_ratio=max_ratio)
+                    if q.energy > e_max * (1 + rel_tol):
+                        break
+                    raw.append((q.energy, QUANTUM, (m, n), None, q.flag))
+                    n += 1
+                if n == 1:
+                    break
+                m += 1
+    raw.sort(key=lambda r: (r[0], r[1], r[2]))
+    entries = []
+    for e, kind, labels, lam_pair, flag in raw:
+        prev = entries[-1] if entries else None
+        if (
+            prev is not None
+            and prev.kind == kind
+            and abs(e - prev.energy) <= rel_tol * max(1.0, abs(prev.energy))
+        ):
+            entries[-1] = SpectrumEntry(
+                labels=min(prev.labels, labels),
+                energy=prev.energy,
+                kind=kind,
+                degeneracy=prev.degeneracy + 1,
+                lam=prev.lam,
+                lam_pair=prev.lam_pair if prev.labels <= labels else lam_pair,
+                flag=prev.flag or flag,
+            )
+            continue
+        entries.append(
+            SpectrumEntry(
+                labels=labels,
+                energy=e,
+                kind=kind,
+                degeneracy=1,
+                lam=2 * math.pi / math.sqrt(2 * e),
+                lam_pair=lam_pair,
+                flag=flag,
+            )
+        )
+    entries.sort(key=lambda s: (s.energy, s.kind, s.labels))
+    return entries
+
+
+def _fields(entries) -> list[str]:
+    return [
+        repr((s.labels, s.energy, s.kind, s.degeneracy, s.lam, s.lam_pair, s.flag))
+        for s in entries
+    ]
+
+
+@cache
+def _digest_lattice(name: str):
+    if name.endswith(".json"):
+        return lattice_of(load_polygon(POLYGONS / name))
+    return lattice_of(getattr(shapes, name)())
+
+
+# SHA-256 over DIGEST_E_MAX of spectrum_csv and the repr of every entry field,
+# recorded while spectrum still enumerated the whole label box.  The bundled
+# doubly rational polygons, plus the `shapes` lattices that no bundled polygon
+# already gives: square(), parallelogram_pi3() and equilateral() build the
+# lattices of square.json, parallelogram_2_3.json and equilateral.json.
+SPECTRUM_SHA256 = {
+    "broken_rectangle.json": {
+        "default": "a9a052637a9edae8a716ae3667ebcf9b4f7cf659e5d901d9f1ffac2df740ef19",
+        "periodic": "ce930c8cdb8d73c065c573083589f9f231322805311fb543f2d59e8d3be55ef8",
+        "quantum": "0d8f934facd6c0b201088c594ab78356209796b8965dba8652d524a8010c7f44",
+    },
+    "broken_rectangle_199_100.json": {
+        "default": "1d005818421da3ab7f452cc7647e86eb9b71a0eb0cac441e115fac81018d546e",
+        "periodic": "e1b0b1eee26b67cae400e6db89b2730106c59f7ca39d5bcf441b6a627cd34226",
+        "quantum": "fea885b996a34452603b3394c01c0a73d86abbb35e866e57a2a4035f676bce37",
+    },
+    "broken_rectangle_3_2.json": {
+        "default": "8134622c5c1b2bdaa759dec98332353149390fbbb9440bfdb4918cb09b01bcf6",
+        "periodic": "afbc34f2298f0d828b9df3922047be53dbbacaef88ed25052f271ddd592f66c3",
+        "quantum": "c5790359166de68a6cec831e33a20599f317f7ec76300a2e4005f43fee18f7a8",
+    },
+    "equilateral.json": {
+        "default": "8ce809bcd09863af8e81dbaea0fa85dc767f9462d0f1210947b48a59bc9703d1",
+        "periodic": "f042cbde03c6425bd8cfbd188a6f294734bae78a469d5a28b7a8e26929cda8a8",
+        "quantum": "8ce809bcd09863af8e81dbaea0fa85dc767f9462d0f1210947b48a59bc9703d1",
+    },
+    "parallelogram_2_3.json": {
+        "default": "52e11f74430652d55a6f9265f2985afc1c33f3818523142e01bad22f1dbfbb2e",
+        "periodic": "84fefe76fcd76de9ae5eef616811943f88d58252f96f7975fc2ec23db36350dc",
+        "quantum": "52e11f74430652d55a6f9265f2985afc1c33f3818523142e01bad22f1dbfbb2e",
+    },
+    "rhombus.json": {
+        "default": "cd1a2523fe39b7ceafb3e3235d8d3938e1dfe8542cb396cd3106ad2a99612bac",
+        "periodic": "82492141484e194bdd8a1d9534834a40c0e45bb647f5b15244e306bdd592f15f",
+        "quantum": "cd1a2523fe39b7ceafb3e3235d8d3938e1dfe8542cb396cd3106ad2a99612bac",
+    },
+    "square.json": {
+        "default": "a9a052637a9edae8a716ae3667ebcf9b4f7cf659e5d901d9f1ffac2df740ef19",
+        "periodic": "ce930c8cdb8d73c065c573083589f9f231322805311fb543f2d59e8d3be55ef8",
+        "quantum": "0d8f934facd6c0b201088c594ab78356209796b8965dba8652d524a8010c7f44",
+    },
+    "l_shape": {
+        "default": "a9a052637a9edae8a716ae3667ebcf9b4f7cf659e5d901d9f1ffac2df740ef19",
+        "periodic": "ce930c8cdb8d73c065c573083589f9f231322805311fb543f2d59e8d3be55ef8",
+        "quantum": "0d8f934facd6c0b201088c594ab78356209796b8965dba8652d524a8010c7f44",
+    },
+    "broken_parallelogram": {
+        "default": "618d4fd63ebc661dead2842280f311322192cd43066bbe621ac3446191b9d165",
+        "periodic": "ce23022f4cf465efb15fd782928dc4fd1ab62dd46ed3f02b507457ca78168710",
+        "quantum": "618d4fd63ebc661dead2842280f311322192cd43066bbe621ac3446191b9d165",
+    },
+}
+
+
+@pytest.mark.parametrize("kind_set", sorted(KIND_SETS))
+@pytest.mark.parametrize("name", sorted(SPECTRUM_SHA256))
+def test_spectrum_digest(name, kind_set):
+    lat = _digest_lattice(name)
+    h = hashlib.sha256()
+    for e_max in DIGEST_E_MAX:
+        entries = spectrum(lat, e_max, kinds=KIND_SETS[kind_set])
+        h.update(spectrum_csv(entries).encode())
+        h.update("\n".join(_fields(entries)).encode())
+    assert h.hexdigest() == SPECTRUM_SHA256[name][kind_set]
+
+
+SIDES = st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=6)
+
+
+@st.composite
+def drpb_lattices(draw):
+    family = draw(st.sampled_from(["rectangle", "l-shape", "parallelogram"]))
+    if family == "rectangle":
+        poly = rectangle(draw(SIDES), draw(SIDES))
+    elif family == "l-shape":
+        x1, y1, dx, dy = (draw(SIDES) for _ in range(4))
+        poly = l_shape(x1, y1, x1 + dx, y1 + dy)
+    else:
+        poly = parallelogram_pi3(draw(SIDES) + draw(SIDES))
+    return lattice_of(poly)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lat=drpb_lattices(),
+    e_max=st.floats(min_value=1.0, max_value=1e4),
+    kind_set=st.sampled_from(sorted(KIND_SETS)),
+)
+def test_spectrum_matches_box_enumeration(lat, e_max, kind_set):
+    kinds = KIND_SETS[kind_set]
+    assert _fields(spectrum(lat, e_max, kinds=kinds)) == _fields(_box_spectrum(lat, e_max, kinds))

@@ -607,6 +607,23 @@ def _separatrix_count(monkeypatch) -> list:
     return starts
 
 
+def _middle_march_closes(epp, vector) -> bool:
+    """Does the sampled trace from the middle of some boundary side close?"""
+    tgt = epp.polygon.frame.to_complex(vector)
+    for e in epp.edge_pairs:
+        for face in (e.a, e.b):
+            verts = epp._verts_float[face - 1]
+            a, b = verts[e.side], verts[(e.side + 1) % len(verts)]
+            inward = ((b - a).conjugate() * tgt).imag
+            if epp.image(face).iso.reflecting:
+                inward = -inward
+            if inward > 1e-9 * abs(b - a) * abs(tgt) and _sampled_trace_closes(
+                epp, face, a + (b - a) * 0.5, vector
+            ):
+                return True
+    return False
+
+
 def test_channel_marches_at_most_one_separatrix_per_sector(monkeypatch):
     # 2g-2+V: each direction enters k corner sectors at a vertex class of
     # cone angle 2*pi*k, and the k-1 summed over the V classes give 2g-2
@@ -616,13 +633,19 @@ def test_channel_marches_at_most_one_separatrix_per_sector(monkeypatch):
     bound = 2 * genus(p) - 2 + len(set(_vertex_classes(epp).values()))
     assert bound == 24
     starts = _separatrix_count(monkeypatch)
-    channel_exists(epp, f.from_xy(3, 1))  # parallel to no side: every sector counts
+    # a "no" direction parallel to no side: every sector counts
+    assert not channel_exists(epp, f.from_xy(3, 1))
     assert sum(starts) == bound
+    closed_at_middle = 0
     for per in epp.periods:
         starts.clear()
         channel_exists(epp, per.vector)
-        assert 0 < sum(starts) <= bound
-        assert len(starts) > sum(starts)  # at least one test march
+        assert sum(starts) <= bound
+        if _middle_march_closes(epp, per.vector):
+            # a side's middle march proves the channel before any cut
+            assert sum(starts) == 0
+            closed_at_middle += 1
+    assert 0 < closed_at_middle < len(epp.periods)
 
 
 def test_march_without_exit_raises():
