@@ -354,25 +354,29 @@ def spectrum(
     if QUANTUM in kinds:
         data = periodic_skeleton_check(lattice)
         if data is not None:
+            # quantum_momentum's floats, computed once per lattice
             sin_a = math.sin(data.alpha)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConstraintViolation)
-                m = 1
+            abs_d1 = abs(data.d1)
+            d2_sq = abs(data.d2) ** 2
+            transverse = 1j * (data.d2 / abs(data.d2))
+            m = 1
+            while True:
+                t = 2 * math.pi * m * data.c1 / (abs_d1 * sin_a)
+                if 0.5 * t * t > e_max:
+                    break
+                shift = t * transverse
+                n = 1
                 while True:
-                    t = 2 * math.pi * m * data.c1 / (abs(data.d1) * sin_a)
-                    if 0.5 * t * t > e_max:
+                    base = (2 * math.pi * n * data.c2 / d2_sq) * data.d2
+                    e = 0.5 * abs(shift + base) ** 2
+                    if e > e_max * (1 + _REL_TOL):
                         break
-                    n = 1
-                    while True:
-                        q = quantum_momentum(lattice, data, m, n, max_ratio=max_ratio)
-                        e = q.energy
-                        if e > e_max * (1 + _REL_TOL):
-                            break
-                        raw.append((e, QUANTUM, (m, n), q.flag))
-                        n += 1
-                    if n == 1:
-                        break
-                    m += 1
+                    flag = "eq21c-ratio" if t / abs(base) > max_ratio else None
+                    raw.append((e, QUANTUM, (m, n), flag))
+                    n += 1
+                if n == 1:
+                    break
+                m += 1
 
     raw.sort()  # (energy, kind, labels) is unique, so no further field compares
     runs: list[list] = []

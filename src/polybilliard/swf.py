@@ -516,38 +516,45 @@ def l2_norm(swf) -> float:
 
 @lru_cache(maxsize=1)
 def _sample_grid(swf, width: int, height: int):
-    """Grid axes over the bounding box and the wave on each row, bottom row
-    first, zeroed outside the polygon.  The last sample is kept, so
-    `grid_csv` and `grid_pgm` of one wave and grid sample it once."""
+    """Grid axes over the bounding box, the wave on the whole grid (one
+    row per y, bottom row first, zeroed outside the polygon) and the
+    inside mask.  One point-in-polygon test and one evaluation cover every
+    point.  The last sample is kept, so `grid_csv` and `grid_pgm` of one
+    wave and grid sample it once."""
     verts = np.asarray(swf.polygon.vertices_float())
     gx = np.linspace(verts.real.min(), verts.real.max(), width)
     gy = np.linspace(verts.imag.min(), verts.imag.max(), height)
-    rows = []
-    for y in gy:
-        inside = _point_in_polygon(gx, np.full(width, y), verts)
-        rows.append(np.where(inside, evaluate(swf, gx + 1j * y), 0.0))
-    return gx, gy, rows
+    px = np.broadcast_to(gx, (height, width))
+    py = np.broadcast_to(gy[:, None], (height, width))
+    inside = _point_in_polygon(px, py, verts)
+    vals = np.where(inside, evaluate(swf, px + 1j * py), 0.0)
+    return gx, gy, vals, inside
 
 
 def grid_csv(swf, width: int, height: int) -> str:
-    """CSV dump x,y,re,im,abs2 on the bounding grid (outside rows included,
-    zeroed)."""
-    gx, gy, rows = _sample_grid(swf, width, height)
-    lines = ["x,y,re,im,abs2"]
-    for y, vals in zip(gy, rows):
-        for x, v in zip(gx, vals):
-            c = complex(v)
-            lines.append(
-                f"{x:.12g},{y:.12g},{c.real:.12g},{c.imag:.12g},"
-                f"{abs(c) ** 2:.12g}"
-            )
-    return "\n".join(lines) + "\n"
+    """CSV dump x,y,re,im,abs2 on the bounding grid, bottom row first.
+
+    Each x and each y is formatted once; a point outside the polygon is an
+    exact zero and writes the constant tail `0,0,0`."""
+    gx, gy, vals, inside = _sample_grid(swf, width, height)
+    xs = [f"{x:.12g}," for x in gx.tolist()]
+    out = ["x,y,re,im,abs2\n"]
+    for y, row, row_inside in zip(gy.tolist(), vals.tolist(), inside.tolist()):
+        ys = f"{y:.12g},"
+        zero = ys + "0,0,0\n"
+        for x, v, point_inside in zip(xs, row, row_inside):
+            if point_inside:
+                out.append("%s%s%.12g,%.12g,%.12g\n" % (x, ys, v.real, v.imag, abs(v) ** 2))
+            else:
+                out.append(x + zero)
+    return "".join(out)
 
 
 def grid_pgm(swf, width: int, height: int) -> bytes:
-    """8-bit PGM of |Psi|^2 on the bounding grid, outside pixels zeroed."""
-    _gx, _gy, rows = _sample_grid(swf, width, height)
-    img = np.abs(np.array(rows[::-1])) ** 2  # top row first in the file
+    """8-bit PGM of |Psi|^2 on the bounding grid, outside pixels zeroed;
+    it reuses the sample of a `grid_csv` call on the same wave and grid."""
+    _gx, _gy, vals, _inside = _sample_grid(swf, width, height)
+    img = (np.abs(vals) ** 2)[::-1]  # top row first in the file
     peak = img.max() or 1.0
     data = np.clip(img / peak * 255, 0, 255).astype(np.uint8)
     header = f"P5 {width} {height} 255\n".encode()

@@ -303,6 +303,18 @@ def test_swf_files_are_deterministic(tmp_path, capsys):
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
 
+def test_swf_square_files_digest(tmp_path, capsys, monkeypatch):
+    # the README quick-tour wave, written under the default prefix
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = invoke(
+        capsys, "swf", str(POLYGONS / "square.json"), "--labels", "1,2", "--grid", "200x200"
+    )
+    assert code == 0
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest("swf.csv") == "0bef2d9f987565eedd4d568ab6ec5b6e7be27c32540bb4d54cd698ccd80e719c"
+    assert digest("swf.pgm") == "2697c972feb6698cba011defc108bda5e1578fe3ae83c09d8fe64bb145087312"
+
+
 def test_swf_prescription_out_of_range(tmp_path, capsys):
     code, _, err = invoke(
         capsys,

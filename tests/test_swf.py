@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polybilliard.errors import (
     DegenerateCombination,
@@ -16,6 +21,7 @@ from polybilliard.errors import (
     SymmetryNotAutomorphism,
     UnquantizedMomentum,
 )
+from polybilliard.exactgeom import load_polygon
 from polybilliard.lattice import period_lattice
 from polybilliard.quantize import momentum_aperiodic
 from polybilliard.shapes import (
@@ -30,7 +36,9 @@ from polybilliard.swf import (
     DIRICHLET,
     NEUMANN,
     PlaneWaveTerm,
+    RealSWF,
     SWF,
+    _point_in_polygon,
     compile_swf,
     enumerate_prescriptions,
     evaluate,
@@ -565,3 +573,147 @@ def test_grid_exports():
     assert img.startswith(b"P5 16 12 255\n")
     assert len(img) == len(b"P5 16 12 255\n") + 16 * 12
     assert max(img[-16 * 12 :]) == 255
+
+
+# ------------------------------------------------------------ grid bytes
+
+POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
+GRID_SIZES = ((80, 60), (37, 91), (2, 2))
+GRID_SHAPES = {
+    "square": square,
+    "l_shape": lambda: l_shape(1, 1, 2, 2),
+    "parallelogram_pi3": parallelogram_pi3,
+    "equilateral": equilateral,
+    "broken_rectangle.json": lambda: load_polygon(POLYGONS / "broken_rectangle.json"),
+}
+
+
+def row_sample_grid(swf, width, height):
+    """The row-by-row sampler that the whole-grid one replaced: one
+    point-in-polygon test and one evaluation per grid row."""
+    verts = np.asarray(swf.polygon.vertices_float())
+    gx = np.linspace(verts.real.min(), verts.real.max(), width)
+    gy = np.linspace(verts.imag.min(), verts.imag.max(), height)
+    rows = []
+    for y in gy:
+        inside = _point_in_polygon(gx, np.full(width, y), verts)
+        rows.append(np.where(inside, evaluate(swf, gx + 1j * y), 0.0))
+    return gx, gy, rows
+
+
+def row_grid_csv(swf, width, height) -> str:
+    """Oracle for `grid_csv`: every field of every point formatted on its own."""
+    gx, gy, rows = row_sample_grid(swf, width, height)
+    lines = ["x,y,re,im,abs2"]
+    for y, vals in zip(gy, rows):
+        for x, v in zip(gx, vals):
+            c = complex(v)
+            lines.append(
+                f"{x:.12g},{y:.12g},{c.real:.12g},{c.imag:.12g},"
+                f"{abs(c) ** 2:.12g}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def row_grid_pgm(swf, width, height) -> bytes:
+    """Oracle for `grid_pgm` on the row sampler."""
+    _gx, _gy, rows = row_sample_grid(swf, width, height)
+    img = np.abs(np.array(rows[::-1])) ** 2
+    peak = img.max() or 1.0
+    data = np.clip(img / peak * 255, 0, 255).astype(np.uint8)
+    return f"P5 {width} {height} 255\n".encode() + data.tobytes()
+
+
+def wave_family(poly, labels):
+    """Both branches and every real combination of every prescription."""
+    epp = build_epp(poly)
+    lat = period_lattice(poly.frame, period_basis(epp))
+    q = momentum_aperiodic(lat, *labels)
+    waves = []
+    for pres in enumerate_prescriptions(epp):
+        pair = compile_swf(epp, pres, q)
+        waves.extend(pair)
+        try:
+            waves.extend(real_combinations(pair))
+        except DegenerateCombination:
+            pass
+    return waves
+
+
+@cache
+def digest_waves(name):
+    """Labels (2, 3): both branches of every prescription and the real
+    combinations that do not vanish (a vanishing one samples rounding
+    noise, whose bytes would pin the host's libm, not the code).  Both
+    real modes occur on every shape."""
+    waves = wave_family(GRID_SHAPES[name](), (2, 3))
+    return tuple(w for w in waves if not getattr(w, "degenerate", False))
+
+
+# SHA-256 over digest_waves(name) of grid_csv then grid_pgm, recorded on
+# the row-by-row sampler.  broken_rectangle.json is l_shape(1, 1, 2, 2)
+# read from disk, so the two rows agree.
+GRID_SHA256 = {
+    "broken_rectangle.json": {
+        (80, 60): "b0de85573953b2e16249860b3da600ac1195e23cea772c8249ae8390c5df43b2",
+        (37, 91): "427461098e905db402b53041bb878d8e804f431563f9330abe0e886b3c9fb9b5",
+        (2, 2): "01f1a296df0124ac7a60f8ef3c944e814c22e1fcd7a9ec0b8f600fd9ffb54c51",
+    },
+    "equilateral": {
+        (80, 60): "d720bcc022e8d26a38a694ed0c644c62d4cd6e7d8209af12726edba25301e0d4",
+        (37, 91): "4c7bfb6093b72753587edfb1813e78a2f7f9355ade62822fc84581ac1f76ea66",
+        (2, 2): "be62220528627c0e44850dce1c150787031cbb2458d74ae6d318bd62e2bb6ed2",
+    },
+    "l_shape": {
+        (80, 60): "b0de85573953b2e16249860b3da600ac1195e23cea772c8249ae8390c5df43b2",
+        (37, 91): "427461098e905db402b53041bb878d8e804f431563f9330abe0e886b3c9fb9b5",
+        (2, 2): "01f1a296df0124ac7a60f8ef3c944e814c22e1fcd7a9ec0b8f600fd9ffb54c51",
+    },
+    "parallelogram_pi3": {
+        (80, 60): "d3ac43d06a37d089bf1823bdc529d67bda58802dbb0533a4eaf0173f36883070",
+        (37, 91): "fb4b1df2da42131686f4c8cd4ecea28b1257076377f9cba6fbc6b24f9dfb99ba",
+        (2, 2): "1c94f9ba13df57ad5ddbf2b46d39434fe3b128e441ec55df6f9a3e106201a23d",
+    },
+    "square": {
+        (80, 60): "94c98d6278752b6d32715e05f500d16e5d4dc29b5a72a33895554e4507816776",
+        (37, 91): "aa41e96d049b6e599126e3e972494c27cce3827fed2121e63f02cad8bf3810b9",
+        (2, 2): "980a87fcc8915652b15ff304b4fc3e320a2041c9877a8ec352d402e02ab756e5",
+    },
+}
+
+
+@pytest.mark.parametrize("size", GRID_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("name", sorted(GRID_SHAPES))
+def test_grid_digest(name, size):
+    h = hashlib.sha256()
+    for wave in digest_waves(name):
+        h.update(grid_csv(wave, *size).encode())
+        h.update(grid_pgm(wave, *size))
+    assert h.hexdigest() == GRID_SHA256[name][size]
+
+
+GRID_SIDES = st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=6)
+
+
+@st.composite
+def grid_polygons(draw):
+    family = draw(st.sampled_from(["rectangle", "l-shape", "parallelogram"]))
+    if family == "rectangle":
+        return rectangle(draw(GRID_SIDES), draw(GRID_SIDES))
+    if family == "l-shape":
+        x1, y1, dx, dy = (draw(GRID_SIDES) for _ in range(4))
+        return l_shape(x1, y1, x1 + dx, y1 + dy)
+    return parallelogram_pi3(draw(GRID_SIDES) + draw(GRID_SIDES))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    poly=grid_polygons(),
+    labels=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    width=st.integers(1, 50),
+    height=st.integers(1, 50),
+)
+def test_grid_bytes_match_row_sampler(poly, labels, width, height):
+    for wave in wave_family(poly, labels):
+        assert grid_csv(wave, width, height) == row_grid_csv(wave, width, height)
+        assert grid_pgm(wave, width, height) == row_grid_pgm(wave, width, height)
