@@ -214,6 +214,40 @@ def periodic_skeleton_check(
     )
 
 
+class _SkeletonFloats:
+    """The floats that the momenta of one periodic skeleton share, computed
+    once: |D1|*sin(alpha), |D2|^2 and the transverse unit 1j*D2/|D2|.
+
+    `momentum_periodic`, `quantum_momentum` and `spectrum` all build their
+    vectors through these methods, so each float expression lives here only.
+    """
+
+    __slots__ = ("data", "t_den", "d2_sq", "transverse")
+
+    def __init__(self, data: PeriodicSkeletonData):
+        self.data = data
+        self.t_den = abs(data.d1) * math.sin(data.alpha)
+        self.d2_sq = abs(data.d2) ** 2
+        # the local x-axis, perpendicular to the rays
+        self.transverse = 1j * (data.d2 / abs(data.d2))
+
+    def transverse_t(self, m: int) -> float:
+        """sqrt(2*E_0m), from sqrt(2*E_0m)*D1*sin(alpha) = 2*pi*m*C1."""
+        return 2 * math.pi * m * self.data.c1 / self.t_den
+
+    def periodic(self, n: int) -> complex:
+        """The momentum along D2 whose wavelength fits C2*n times into D2."""
+        return (2 * math.pi * n * self.data.c2 / self.d2_sq) * self.data.d2
+
+    def quantum(
+        self, t: float, base: complex, max_ratio: float
+    ) -> tuple[complex, float, str | None]:
+        """Vector, transverse/longitudinal ratio and flag of the quantum state
+        with transverse part t over the periodic momentum base."""
+        ratio = t / abs(base)
+        return t * self.transverse + base, ratio, ("eq21c-ratio" if ratio > max_ratio else None)
+
+
 def momentum_periodic(
     lattice: PeriodLattice,
     data: PeriodicSkeletonData | None,
@@ -233,7 +267,7 @@ def momentum_periodic(
     if n == 0:
         raise OutOfRange("periodic skeleton label n must be nonzero")
     if along is None:
-        p = (2 * math.pi * n * data.c2 / abs(data.d2) ** 2) * data.d2
+        p = _SkeletonFloats(data).periodic(n)
     else:
         f = lattice.frame
         v = along.vector
@@ -281,15 +315,9 @@ def quantum_momentum(
     if m == 0 and not has_aperiodic_bundle:
         raise OutOfRange("an all-channel skeleton has no m = 0 state")
     base = momentum_periodic(lattice, data, n)
-    sin_a = math.sin(data.alpha)
-    t = 2 * math.pi * m * data.c1 / (abs(data.d1) * sin_a)
-    direction = data.d2 / abs(data.d2)
-    transverse = 1j * direction  # local x-axis, perpendicular to the rays
-    vector = t * transverse + base.vector
-    flag = None
-    ratio = t / abs(base.vector)
-    if ratio > max_ratio:
-        flag = "eq21c-ratio"
+    floats = _SkeletonFloats(data)
+    vector, ratio, flag = floats.quantum(floats.transverse_t(m), base.vector, max_ratio)
+    if flag:
         warnings.warn(
             ConstraintViolation(
                 f"transverse/longitudinal momentum ratio {ratio:.3g} exceeds {max_ratio}"
@@ -354,24 +382,18 @@ def spectrum(
     if QUANTUM in kinds:
         data = periodic_skeleton_check(lattice)
         if data is not None:
-            # quantum_momentum's floats, computed once per lattice
-            sin_a = math.sin(data.alpha)
-            abs_d1 = abs(data.d1)
-            d2_sq = abs(data.d2) ** 2
-            transverse = 1j * (data.d2 / abs(data.d2))
+            floats = _SkeletonFloats(data)
             m = 1
             while True:
-                t = 2 * math.pi * m * data.c1 / (abs_d1 * sin_a)
+                t = floats.transverse_t(m)
                 if 0.5 * t * t > e_max:
                     break
-                shift = t * transverse
                 n = 1
                 while True:
-                    base = (2 * math.pi * n * data.c2 / d2_sq) * data.d2
-                    e = 0.5 * abs(shift + base) ** 2
+                    vector, _ratio, flag = floats.quantum(t, floats.periodic(n), max_ratio)
+                    e = 0.5 * abs(vector) ** 2
                     if e > e_max * (1 + _REL_TOL):
                         break
-                    flag = "eq21c-ratio" if t / abs(base) > max_ratio else None
                     raw.append((e, QUANTUM, (m, n), flag))
                     n += 1
                 if n == 1:

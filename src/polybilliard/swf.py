@@ -534,15 +534,16 @@ def _sample_grid(swf, width: int, height: int):
 def grid_csv(swf, width: int, height: int) -> str:
     """CSV dump x,y,re,im,abs2 on the bounding grid, bottom row first.
 
-    Each x and each y is formatted once; a point outside the polygon is an
-    exact zero and writes the constant tail `0,0,0`."""
+    Each x and each y is formatted once, and the sample becomes Python
+    numbers one row at a time; a point outside the polygon is an exact zero
+    and writes the constant tail `0,0,0`."""
     gx, gy, vals, inside = _sample_grid(swf, width, height)
     xs = [f"{x:.12g}," for x in gx.tolist()]
     out = ["x,y,re,im,abs2\n"]
-    for y, row, row_inside in zip(gy.tolist(), vals.tolist(), inside.tolist()):
+    for y, row, row_inside in zip(gy.tolist(), vals, inside):
         ys = f"{y:.12g},"
         zero = ys + "0,0,0\n"
-        for x, v, point_inside in zip(xs, row, row_inside):
+        for x, v, point_inside in zip(xs, row.tolist(), row_inside.tolist()):
             if point_inside:
                 out.append("%s%s%.12g,%.12g,%.12g\n" % (x, ys, v.real, v.imag, abs(v) ** 2))
             else:
