@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import os
 import sys
 from fractions import Fraction
@@ -38,7 +39,7 @@ from .errors import (
     TooCoarse,
 )
 from .exactgeom import DIRICHLET, NEUMANN, load_polygon
-from .lattice import PeriodLattice, period_lattice, rationalize_relations
+from .lattice import PeriodLattice, _period_line, period_lattice, rationalize_relations
 from .quantize import (
     CLASSICAL_APERIODIC,
     CLASSICAL_PERIODIC,
@@ -114,6 +115,16 @@ def _fraction_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
+def _finite_flag(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _labels_flag(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -169,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="semiclassical spectrum as CSV")
     p.add_argument("polygon")
-    p.add_argument("--e-max", type=float, default=50.0, help="energy cutoff (default 50)")
+    p.add_argument("--e-max", type=_finite_flag, default=50.0, help="energy cutoff (default 50)")
     p.add_argument(
         "--kinds",
         type=_kinds_flag,
@@ -178,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-ratio",
-        type=float,
+        type=_finite_flag,
         default=0.2,
         help="slow-variation bound for the quantum family (default 0.2)",
     )
@@ -225,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tol",
-        type=float,
+        type=_finite_flag,
         default=1e-9,
         help="boundary residual tolerance (default 1e-9)",
     )
@@ -244,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--count", type=int, default=40, help="numerical levels to compute (default 40)"
     )
     p.add_argument(
-        "--e-max", type=float, default=40.0, help="closed-form cutoff (default 40)"
+        "--e-max", type=_finite_flag, default=40.0, help="closed-form cutoff (default 40)"
     )
     p.add_argument(
         "--rel-tol",
@@ -333,12 +344,8 @@ def cmd_unfold(ns: argparse.Namespace) -> int:
     polygon = load_polygon(ns.polygon)
     epp = build_epp(polygon)
     basis = period_basis(epp)
-    f = polygon.frame
     lines = [epp.dump(), "period basis:"]
-    for idx, per in enumerate(basis):
-        z = f.to_complex(per.vector)
-        kind = f" {per.kind}" if per.kind else ""
-        lines.append(f"  P{idx + 1}: ({z.real:.12g}, {z.imag:.12g}){kind}")
+    lines += (_period_line(polygon.frame, idx, per) for idx, per in enumerate(basis))
     _emit("\n".join(lines) + "\n", ns.out)
     return 0
 
@@ -508,7 +515,9 @@ def cmd_rationalize(ns: argparse.Namespace) -> int:
     text = ns.value.strip()
     try:
         x = Fraction(text) if "/" in text else float(text)
-    except (ValueError, ZeroDivisionError):
+        if not math.isfinite(x):
+            raise ValueError
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"not a number: {text!r}")
     best = rationalize_relations(x, ns.max_denominator)
     err = abs(float(x) - best.numerator / best.denominator)

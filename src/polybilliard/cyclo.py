@@ -102,6 +102,22 @@ class CycloField:
         self._reduce_cache[key] = terms
         return terms
 
+    def _collect(self, terms) -> "Cyclo":
+        """Sum (raw monomial, coefficient) pairs over the canonical basis.
+
+        A key enters the result where it is first nonzero; one that cancels
+        leaves and re-enters at the end, the order `Cyclo.__complex__` sums in.
+        """
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for raw, c in terms:
+            for key, sign in self._reduce_raw(raw):
+                s = acc.get(key, Fraction(0)) + (c if sign > 0 else -c)
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
+        return Cyclo(self, acc)
+
     def _monomial_value(self, key: tuple[int, ...]) -> complex:
         v = self._value_cache.get(key)
         if v is None:
@@ -127,10 +143,7 @@ class CycloField:
 
     def zeta(self, j: int = 1) -> "Cyclo":
         """The root of unity zeta_M^j."""
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for key, sign in self._reduce_raw(self._raw_key(j)):
-            acc[key] = acc.get(key, Fraction(0)) + sign
-        return Cyclo(self, {k: v for k, v in acc.items() if v})
+        return self._collect([(self._raw_key(j), 1)])
 
     def i(self) -> "Cyclo":
         if self.order % 4:
@@ -198,18 +211,11 @@ class Cyclo:
         if o is None:
             return NotImplemented
         moduli = self.field.moduli
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in o.coeffs.items():
-                raw = tuple((a + b) % q for a, b, q in zip(ka, kb, moduli))
-                c = va * vb
-                for key, sign in self.field._reduce_raw(raw):
-                    s = acc.get(key, Fraction(0)) + (c if sign > 0 else -c)
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
-        return Cyclo(self.field, acc)
+        return self.field._collect(
+            (tuple((a + b) % q for a, b, q in zip(ka, kb, moduli)), va * vb)
+            for ka, va in self.coeffs.items()
+            for kb, vb in o.coeffs.items()
+        )
 
     __rmul__ = __mul__
 
@@ -247,30 +253,18 @@ class Cyclo:
         """Multiply by zeta_M^j (a rotation by 2*pi*j/M when read as a planar vector)."""
         moduli = self.field.moduli
         kj = self.field._raw_key(j % self.field.order)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for ka, va in self.coeffs.items():
-            raw = tuple((a + b) % q for a, b, q in zip(ka, kj, moduli))
-            for key, sign in self.field._reduce_raw(raw):
-                s = acc.get(key, Fraction(0)) + (va if sign > 0 else -va)
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return Cyclo(self.field, acc)
+        return self.field._collect(
+            (tuple((a + b) % q for a, b, q in zip(ka, kj, moduli)), va)
+            for ka, va in self.coeffs.items()
+        )
 
     def conj(self) -> "Cyclo":
         """Complex conjugation: zeta -> zeta^(-1) componentwise."""
         moduli = self.field.moduli
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for ka, va in self.coeffs.items():
-            raw = tuple((q - a) % q for a, q in zip(ka, moduli))
-            for key, sign in self.field._reduce_raw(raw):
-                s = acc.get(key, Fraction(0)) + (va if sign > 0 else -va)
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return Cyclo(self.field, acc)
+        return self.field._collect(
+            (tuple((q - a) % q for a, q in zip(ka, moduli)), va)
+            for ka, va in self.coeffs.items()
+        )
 
     def re(self) -> "Cyclo":
         return (self + self.conj()) / 2

@@ -41,6 +41,13 @@ def _independent(frame, u, v) -> bool:
     return not frame.is_zero(frame.cross(u, v), scale=_norm(frame, u) * _norm(frame, v))
 
 
+def _period_line(frame, index: int, period: Period, role: str = "") -> str:
+    """The `  P<index+1>: (x, y) kind` line of a printed period list."""
+    z = frame.to_complex(period.vector)
+    kind = f" {period.kind}" if period.kind else ""
+    return f"  P{index + 1}: ({z.real:.12g}, {z.imag:.12g}){kind}{role}"
+
+
 @dataclass(frozen=True, eq=False)
 class RealRelations:
     """Exact relation coefficients of the remaining periods over a chosen pair.
@@ -145,10 +152,8 @@ class PeriodLattice:
         i, j = self.relations.pair_indexes
         lines = [f"periods: {len(self.basis)} (genus {self.genus})"]
         for idx, per in enumerate(self.basis):
-            z = f.to_complex(per.vector)
             role = " [D1]" if idx == i else (" [D2]" if idx == j else "")
-            kind = f" {per.kind}" if per.kind else ""
-            lines.append(f"  P{idx + 1}: ({z.real:.12g}, {z.imag:.12g}){kind}{role}")
+            lines.append(_period_line(f, idx, per, role))
         if self.relations.coeffs:
             lines.append("relation coefficients over (D1, D2):")
             for pos, (a, b) in enumerate(self.relations.coeffs_float):

@@ -5,9 +5,12 @@ wave: the image's isometry rotates (or reflects) the momentum and its
 translation contributes a constant phase.  Choosing signs for the images that
 are consistent across every edge identification yields a coherent sum which
 satisfies Dirichlet conditions on the edges whose sign pairs are opposite and
-Neumann conditions where they agree.  The sum solves the Helmholtz equation
-exactly — all component momenta share one norm — so verification amounts to
-boundary residuals and bookkeeping, not PDE solving.
+Neumann conditions where they agree.  Not every mixing of the two exists: a
+set of sides can be Dirichlet exactly when every closed cycle of the glued
+pattern crosses them an even number of times (`enumerate_prescriptions`).
+The sum solves the Helmholtz equation exactly — all component momenta share
+one norm — so verification amounts to boundary residuals and bookkeeping, not
+PDE solving.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ class SignPrescription:
     eta[k-1] is the sign of image k (image 1 fixed to +1); bc[s] is the
     boundary condition the prescription induces on base-polygon edge s:
     opposite signs across all copies of the edge give Dirichlet, equal signs
-    give Neumann.
+    give Neumann.  A `bc` exists only when every closed cycle of the glued
+    pattern crosses its Dirichlet sides an even number of times.
     """
 
     eta: tuple[int, ...]
@@ -124,59 +128,32 @@ class HelmholtzReport:
     passed: bool
 
 
-class _Parity:
-    """Union-find tracking relative signs: parity 1 joins mean opposite signs."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.parity = [0] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        if self.parent[x] == x:
-            return x, 0
-        root, par = self.find(self.parent[x])
-        self.parent[x] = root
-        self.parity[x] ^= par
-        return root, self.parity[x]
-
-    def union(self, x: int, y: int, rel: int) -> bool:
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        self.parent[rx] = ry
-        self.parity[rx] = px ^ py ^ rel
-        return True
-
-
 def enumerate_prescriptions(epp: EPP) -> list[SignPrescription]:
     """All consistent sign prescriptions of the pattern, image 1 positive.
 
-    Each base edge independently demands either equal or opposite signs
-    across all C copies; the choices that survive parity propagation over the
-    full gluing are returned, all-Dirichlet first and all-Neumann last.
+    A set of base sides can be Dirichlet, the rest Neumann, exactly when
+    every closed cycle of the glued pattern crosses those sides an even
+    number of times.  The cycles are spanned by one per gluing: across it,
+    then back through the face tree (`EPP.face_tree`).  Each image's sign is
+    then -1 to the number of Dirichlet sides its tree path from image 1
+    crosses.  Returned all-Dirichlet first and all-Neumann last.
     """
     n = epp.polygon.n
-    count = len(epp.images)
+    # image -> bit set of the sides its tree path from image 1 crosses an odd number of times
+    crossed: dict[int, int] = {}
+    for k, up in epp.face_tree.items():
+        crossed[k] = 0 if up is None else crossed[up[0]] ^ 1 << epp.edges[up[1]].side
+    cycles = {crossed[e.a] ^ crossed[e.b] ^ (1 << e.side) for e in epp.edges}
     found: list[SignPrescription] = []
-    for mask in range(2**n):
-        # bit set -> opposite signs on that edge class (Dirichlet)
-        uf = _Parity(count + 1)
-        ok = True
-        for e in epp.edges:
-            rel = 1 if mask >> e.side & 1 else 0
-            if not uf.union(e.a, e.b, rel):
-                ok = False
-                break
-        if not ok:
+    for mask in range(2**n):  # bit set -> Dirichlet on that side
+        if any((c & mask).bit_count() & 1 for c in cycles):
             continue
-        _, base = uf.find(1)
-        eta = []
-        for k in range(1, count + 1):
-            _, par = uf.find(k)
-            eta.append(1 if par == base else -1)
+        eta = tuple(
+            -1 if (crossed[k] & mask).bit_count() & 1 else 1
+            for k in range(1, len(epp.images) + 1)
+        )
         bc = tuple(DIRICHLET if mask >> s & 1 else NEUMANN for s in range(n))
-        found.append(SignPrescription(eta=tuple(eta), bc=bc))
+        found.append(SignPrescription(eta=eta, bc=bc))
     found.sort(key=lambda pr: (pr.bc.count(NEUMANN), pr.bc))
     return found
 

@@ -203,6 +203,32 @@ class EPP:
         return out
 
     @cached_property
+    def face_tree(self) -> dict[int, tuple[int, int] | None]:
+        """BFS spanning tree of the images over the zero-translation gluings.
+
+        Maps each image to (parent image, index in `edges` of the gluing to
+        it), image 1 to None.  `_homology_coords` closes its crossing cycles
+        through this tree, and `swf.enumerate_prescriptions` reads off it
+        which sides each image's path from image 1 crosses.
+        """
+        adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for cid, e in enumerate(self.edges):
+            if e.period is None:
+                adj[e.a].append((e.b, cid))
+                adj[e.b].append((e.a, cid))
+        parent: dict[int, tuple[int, int] | None] = {1: None}
+        queue = deque([1])
+        while queue:
+            k = queue.popleft()
+            for k2, cid in adj[k]:
+                if k2 not in parent:
+                    parent[k2] = (k, cid)
+                    queue.append(k2)
+        if len(parent) != len(self.images):
+            raise RankMismatch("pattern interior is not connected")
+        return parent
+
+    @cached_property
     def gluing(self) -> dict:
         """(image, side) -> (neighbor image, crossing translation)."""
         table = {}
@@ -413,31 +439,11 @@ def _vertex_classes(epp: EPP) -> dict[tuple[int, int], int]:
     return vclass
 
 
-def _interior_tree(epp: EPP):
-    """Spanning tree of the zero-translation adjacency; image -> (parent, class id)."""
-    adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for cid, e in enumerate(epp.edges):
-        if e.period is None:
-            adj[e.a].append((e.b, cid))
-            adj[e.b].append((e.a, cid))
-    parent: dict[int, tuple[int, int] | None] = {1: None}
-    queue = deque([1])
-    while queue:
-        k = queue.popleft()
-        for k2, cid in adj[k]:
-            if k2 not in parent:
-                parent[k2] = (k, cid)
-                queue.append(k2)
-    if len(parent) != len(epp.images):
-        raise RankMismatch("pattern interior is not connected")
-    return parent
-
-
 def _homology_coords(epp: EPP) -> tuple[list[int], dict[int, list[int]]]:
     """Tree–co-tree split of the edge classes and the cycle coordinates it gives.
 
     The crossing cycle of an edge class crosses it from image a to image b
-    and returns through the face tree (`_interior_tree`).  The edge class
+    and returns through the face tree (`EPP.face_tree`).  The edge class
     itself is also a segment between two vertex classes, oriented from corner
     s to corner s+1 of image a, reversed when a is reflecting, so that every
     crossing runs from its left to its right.  A spanning co-tree of the
@@ -452,7 +458,7 @@ def _homology_coords(epp: EPP) -> tuple[list[int], dict[int, list[int]]]:
     chi = nverts - len(epp.edges) + len(epp.images)
     if chi != 2 - 2 * g:
         raise RankMismatch(f"Euler characteristic {chi} != {2 - 2 * g}")
-    face_tree = {p[1] for p in _interior_tree(epp).values() if p is not None}
+    face_tree = {p[1] for p in epp.face_tree.values() if p is not None}
     ends: dict[int, tuple[int, int]] = {}  # class id -> (tail, head) vertex class
     adj: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
     for cid, e in enumerate(epp.edges):

@@ -491,6 +491,31 @@ def test_rationalize_small_cap(capsys):
     assert out.splitlines()[0] == "7/5"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quantize", "square.json", "--e-max", "inf"),
+        ("quantize", "square.json", "--max-ratio", "nan"),
+        ("verify", "square.json", "--e-max", "inf"),
+        ("swf", "square.json", "--tol", "nan"),
+        ("rationalize", "inf"),
+        ("rationalize", "1e400"),
+        ("rationalize", "nan"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_non_finite_value_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # swf writes its files to the working directory
+    command, *rest = argv
+    if command != "rationalize":
+        rest[0] = str(POLYGONS / rest[0])
+    code, out, err = invoke(capsys, command, *rest)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rationalize_garbage(capsys):
     assert invoke(capsys, "rationalize", "not-a-number")[0] == 2
 

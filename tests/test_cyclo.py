@@ -222,3 +222,77 @@ def test_canonical_zero_is_float_zero(pair):
     nrm = a * a.conj()
     assert complex(nrm).imag == pytest.approx(0.0, abs=1e-12)
     assert complex(nrm).real >= -1e-12
+
+
+# The reduce-and-accumulate loops of zeta, *, shift and conj as they stood
+# before they shared `CycloField._collect`: an oracle for the coefficient
+# values and for their insertion order, which `complex()` sums in.
+
+
+def _accumulate(f, raws):
+    acc = {}
+    for raw, c in raws:
+        for key, sign in f._reduce_raw(raw):
+            s = acc.get(key, Fraction(0)) + (c if sign > 0 else -c)
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+    return list(acc.items())
+
+
+def oracle_zeta(f, j):
+    acc = {}
+    for key, sign in f._reduce_raw(f._raw_key(j)):
+        acc[key] = acc.get(key, Fraction(0)) + sign
+    return [(k, v) for k, v in acc.items() if v]
+
+
+def oracle_mul(a, b):
+    mods = a.field.moduli
+    return _accumulate(a.field, (
+        (tuple((x + y) % q for x, y, q in zip(ka, kb, mods)), va * vb)
+        for ka, va in a.coeffs.items() for kb, vb in b.coeffs.items()
+    ))
+
+
+def oracle_shift(a, j):
+    f = a.field
+    kj = f._raw_key(j % f.order)
+    return _accumulate(f, (
+        (tuple((x + y) % q for x, y, q in zip(ka, kj, f.moduli)), va)
+        for ka, va in a.coeffs.items()
+    ))
+
+
+def oracle_conj(a):
+    mods = a.field.moduli
+    return _accumulate(a.field, (
+        (tuple((q - x) % q for x, q in zip(ka, mods)), va) for ka, va in a.coeffs.items()
+    ))
+
+
+@st.composite
+def wide_element_pairs(draw):
+    m = draw(st.sampled_from([4, 8, 12, 20, 24, 28, 36, 40, 60, 84]))
+    f = CycloField(m)
+
+    def elt():
+        coeffs = {}
+        for _ in range(draw(st.integers(0, 5))):
+            key = tuple(draw(st.integers(0, ph - 1)) for ph in f.phis)
+            coeffs[key] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+        return f.element({k: v for k, v in coeffs.items() if v})
+
+    return elt(), elt(), draw(st.integers(-2 * m, 2 * m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_element_pairs())
+def test_collect_keeps_term_order(triple):
+    a, b, j = triple
+    f = a.field
+    assert list(f.zeta(j).coeffs.items()) == oracle_zeta(f, j)
+    assert list((a * b).coeffs.items()) == oracle_mul(a, b)
+    assert list(a.shift(j).coeffs.items()) == oracle_shift(a, j)
+    assert list(a.conj().coeffs.items()) == oracle_conj(a)

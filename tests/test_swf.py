@@ -21,10 +21,11 @@ from polybilliard.errors import (
     SymmetryNotAutomorphism,
     UnquantizedMomentum,
 )
-from polybilliard.exactgeom import load_polygon
+from polybilliard.exactgeom import load_polygon, polygon_from_spec
 from polybilliard.lattice import period_lattice
 from polybilliard.quantize import momentum_aperiodic
 from polybilliard.shapes import (
+    broken_parallelogram,
     equilateral,
     isosceles_pi5,
     l_shape,
@@ -187,6 +188,44 @@ def test_enumeration_matches_brute_force(poly):
     assert len(epp.images) <= 20
     got = {(pr.eta, pr.bc) for pr in enumerate_prescriptions(epp)}
     assert got == brute_prescriptions(epp)
+
+
+def ladder_triangle(a: Fraction):
+    """The triangle with angles (a, 1/2, 1/2 - a) times pi and a unit first side."""
+    sides = [{"angle": str(x)} for x in (a, Fraction(1, 2), Fraction(1, 2) - a)]
+    sides[0]["length"] = "1"
+    return polygon_from_spec({"name": f"triangle {a}", "sides": sides})
+
+
+def prescription_polygons():
+    """The bundled files, nine `shapes` polygons and 19 triangles a/N.
+
+    N runs from 6 to 44; the frames at N = 38 and 44 are float frames.
+    """
+    yield from (load_polygon(p) for p in sorted(POLYGONS.glob("*.json")))
+    yield from (
+        square(), rectangle(2, 1), rectangle(Fraction(3, 2), Fraction(2, 3)),
+        l_shape(), l_shape(1, 1, Fraction(3, 2), 2), parallelogram_pi3(),
+        equilateral(), isosceles_pi5(), broken_parallelogram(),
+    )
+    for n in (6, 8, 10, 12, 16, 20):
+        for a in range(1, n // 2):
+            if math.gcd(a, n) == 1:
+                yield ladder_triangle(Fraction(a, n))
+    for n in (38, 44):
+        for a in (1, 3):
+            yield ladder_triangle(Fraction(a, n))
+
+
+def test_prescription_digest():
+    h = hashlib.sha256()
+    count = 0
+    for poly in prescription_polygons():
+        found = enumerate_prescriptions(build_epp(poly))
+        h.update(repr([(pr.eta, pr.bc) for pr in found]).encode())
+        count += 1
+    assert count == 36
+    assert h.hexdigest() == "f0288b58b9843b2314741c1bdd75f65b39e8b3c152b71de5d04422da0641480e"
 
 
 # ------------------------------------------------------------- compilation
@@ -721,3 +760,13 @@ def test_grid_bytes_match_row_sampler(poly, labels, width, height):
     for wave in wave_family(poly, labels):
         assert grid_csv(wave, width, height) == row_grid_csv(wave, width, height)
         assert grid_pgm(wave, width, height) == row_grid_pgm(wave, width, height)
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly=grid_polygons())
+def test_prescriptions_match_brute_force_sweep(poly):
+    epp = build_epp(poly)
+    found = enumerate_prescriptions(epp)
+    assert {(pr.eta, pr.bc) for pr in found} == brute_prescriptions(epp)
+    keys = [(pr.bc.count(NEUMANN), pr.bc) for pr in found]
+    assert keys == sorted(keys)
