@@ -1,7 +1,7 @@
 """Semiclassical quantization of rational polygon billiards.
 
 The pipeline, in dependency order: exact cyclotomic arithmetic (`cyclo`),
-rational-vector linear algebra (`ratlinalg`), validated polygon geometry
+integer linear algebra (`ratlinalg`), validated polygon geometry
 (`exactgeom`, ready-made shapes in `shapes`), unfolding into the elementary
 pattern with its periods (`unfold`), period-lattice relations and double
 rationality (`lattice`), momentum quantization and spectra (`quantize`),

@@ -27,6 +27,7 @@ import argparse
 import importlib
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -125,6 +126,23 @@ def _finite_flag(text: str) -> float:
     return x
 
 
+def _positive_flag(text: str) -> float:
+    x = _finite_flag(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
+    return x
+
+
+def _positive_int_flag(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return n
+
+
 def _labels_flag(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -189,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-ratio",
-        type=_finite_flag,
+        type=_positive_flag,
         default=0.2,
         help="slow-variation bound for the quantum family (default 0.2)",
     )
@@ -230,13 +248,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--edge-samples",
-        type=int,
+        type=_positive_int_flag,
         default=1000,
         help="boundary-residual samples per edge (default 1000)",
     )
     p.add_argument(
         "--tol",
-        type=_finite_flag,
+        type=_positive_flag,
         default=1e-9,
         help="boundary residual tolerance (default 1e-9)",
     )
@@ -290,6 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the match CSV to a file instead of stdout")
 
     p = sub.add_parser("rationalize", help="best fraction under a denominator cap")
+    # argparse reads a word with a leading minus as a flag unless it looks
+    # like a negative decimal; let a negative fraction such as -1/2 through
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("value", help="a decimal or fraction, e.g. 1.41421356237 or 99/70")
     p.add_argument(
         "--max-denominator",

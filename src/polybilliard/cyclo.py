@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from itertools import product
+from math import gcd
 
 from .errors import OutOfRange
-from .ratlinalg import solve_square
 
 __all__ = ["CycloField", "Cyclo", "prime_power_factors"]
 
@@ -258,13 +257,17 @@ class Cyclo:
             for ka, va in self.coeffs.items()
         )
 
-    def conj(self) -> "Cyclo":
-        """Complex conjugation: zeta -> zeta^(-1) componentwise."""
+    def _galois(self, k: int) -> "Cyclo":
+        """The automorphism zeta -> zeta^k, for k coprime to M."""
         moduli = self.field.moduli
         return self.field._collect(
-            (tuple((q - a) % q for a, q in zip(ka, moduli)), va)
+            (tuple((a * k) % q for a, q in zip(ka, moduli)), va)
             for ka, va in self.coeffs.items()
         )
+
+    def conj(self) -> "Cyclo":
+        """Complex conjugation: zeta -> zeta^(-1) componentwise."""
+        return self._galois(-1)
 
     def re(self) -> "Cyclo":
         return (self + self.conj()) / 2
@@ -304,24 +307,30 @@ class Cyclo:
         return z.real
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse by an exact solve of w -> self*w = 1, kept once solved."""
+        """Multiplicative inverse by the norm identity, kept once computed.
+
+        x^-1 = prod_{sigma != 1} sigma(x) / N(x) (Cohen 1993).  Applied to the
+        real y = x * conj(x), or to x itself when it is real, the product runs
+        over the automorphisms zeta -> zeta^k with 1 < k < M/2 coprime to M,
+        and y times it is N(y), a rational.  The coefficients are kept in
+        sorted key order, the order `__complex__` then sums them in.
+        """
         if self._inv is not None:
             return self._inv
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero")
         fld = self.field
-        basis = [tuple(k) for k in product(*(range(ph) for ph in fld.phis))]
-        index = {k: i for i, k in enumerate(basis)}
-        n = len(basis)
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for col, bk in enumerate(basis):
-            prod_elt = self * Cyclo(fld, {bk: Fraction(1)})
-            for k, v in prod_elt.coeffs.items():
-                mat[index[k]][col] = v
-        rhs = [Fraction(0)] * n
-        rhs[index[fld.zero_key]] = Fraction(1)
-        sol = solve_square(mat, rhs)  # always solvable: nonzero element of a field
-        self._inv = Cyclo(fld, {k: sol[i] for i, k in enumerate(basis) if sol[i]})
+        conj = self.conj()
+        real = self == conj
+        y = self if real else self * conj
+        p = fld.one()
+        for k in range(2, (fld.order + 1) // 2):
+            if gcd(k, fld.order) == 1:
+                p = p * y._galois(k)
+        inv = p / (y * p).as_fraction()
+        if not real:
+            inv = inv * conj
+        self._inv = Cyclo(fld, dict(sorted(inv.coeffs.items())))
         return self._inv
 
     # -- equality -------------------------------------------------------------

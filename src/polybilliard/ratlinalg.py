@@ -1,8 +1,8 @@
-"""Small exact linear-algebra helpers over the integers and the rationals.
+"""Small exact linear-algebra helpers over the integers.
 
-Everything here is deliberately tiny and dependency-free: a square solve
-over `fractions.Fraction`, a sparse fraction-free echelon over Z for rank
-and determinant bookkeeping, and Hermite normal forms of integer lattices.
+Everything here is deliberately tiny and dependency-free: a sparse
+fraction-free echelon over Z for rank and determinant bookkeeping, and
+Hermite normal forms of integer lattices.
 """
 
 from __future__ import annotations
@@ -10,35 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import SingularSystem
-
 __all__ = [
-    "solve_square",
     "IntegerEchelon",
     "hnf_rows",
     "hnf_inverse",
 ]
-
-
-def solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve ``mat @ x = rhs`` exactly; ``mat`` is n x n over the rationals.
-
-    Raises SingularSystem if the matrix is singular.
-    """
-    n = len(mat)
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularSystem(f"matrix is singular at column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n] for row in a]
 
 
 class IntegerEchelon:

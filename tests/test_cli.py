@@ -498,6 +498,10 @@ def test_rationalize_small_cap(capsys):
         ("quantize", "square.json", "--max-ratio", "nan"),
         ("verify", "square.json", "--e-max", "inf"),
         ("swf", "square.json", "--tol", "nan"),
+        ("swf", "square.json", "--tol", "0"),
+        ("swf", "square.json", "--tol", "-1"),
+        ("swf", "square.json", "--edge-samples", "0"),
+        ("quantize", "square.json", "--max-ratio", "-1"),
         ("rationalize", "inf"),
         ("rationalize", "1e400"),
         ("rationalize", "nan"),
@@ -514,6 +518,13 @@ def test_non_finite_value_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     assert out == ""
     assert "error" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [("-1/2",), ("--", "-1/2")], ids=" ".join)
+def test_rationalize_negative_fraction(argv, capsys):
+    code, out, _ = invoke(capsys, "rationalize", *argv)
+    assert code == 0
+    assert out == "-1/2\n"
 
 
 def test_rationalize_garbage(capsys):

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from polybilliard.cyclo import CycloField, prime_power_factors
 from polybilliard.errors import OutOfRange
+from polybilliard.exactgeom import ExactFrame
 
 
 def test_prime_power_factors():
@@ -296,3 +298,73 @@ def test_collect_keeps_term_order(triple):
     assert list((a * b).coeffs.items()) == oracle_mul(a, b)
     assert list(a.shift(j).coeffs.items()) == oracle_shift(a, j)
     assert list(a.conj().coeffs.items()) == oracle_conj(a)
+
+
+# The inverse as it was solved before the norm identity: the matrix of
+# w -> x*w on the tensor basis and a Fraction Gauss-Jordan solve of it
+# against 1, read off in basis order.
+
+
+def gauss_jordan_inverse(x):
+    f = x.field
+    basis = list(product(*(range(ph) for ph in f.phis)))
+    index = {k: i for i, k in enumerate(basis)}
+    n = len(basis)
+    a = [[Fraction(0)] * n + [Fraction(int(k == f.zero_key))] for k in basis]
+    for col, bk in enumerate(basis):
+        for k, v in (x * f.element({bk: Fraction(1)})).coeffs.items():
+            a[index[k]][col] = v
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                g = a[r][col]
+                a[r] = [v - g * w for v, w in zip(a[r], a[col])]
+    return [(k, row[n]) for k, row in zip(basis, a) if row[n]]
+
+
+def _degree(m):
+    return math.prod(q - q // p for p, q in prime_power_factors(m))
+
+
+# every field order 4N of degree <= 32 (phi(m) >= sqrt(m/2) bounds the
+# search), and two of degree 64
+INVERSE_ORDERS = [m for m in range(4, 2 * 32**2 + 1, 4) if _degree(m) <= 32] + [128, 160]
+
+
+@pytest.mark.parametrize("m", INVERSE_ORDERS)
+def test_inverse_matches_gauss_jordan(m):
+    frame = ExactFrame(m // 4)
+    f = frame.field
+    rng = random.Random(m)
+
+    def side_chain():
+        # a sum of sides along directions j*pi/N, as periods and diagonals are
+        z = f.zero()
+        for _ in range(rng.randrange(1, 4)):
+            z = z + frame.unit(rng.randrange(2 * frame.N)) * Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
+        return z
+
+    def random_element(terms):
+        return f.element({
+            tuple(rng.randrange(ph) for ph in f.phis): Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10), rng.randrange(1, 6))
+            for _ in range(terms)
+        })
+
+    u, v = side_chain(), side_chain()
+    r = random_element(3 if f.degree <= 32 else 1)
+    cases = [frame.cross(u, v), frame.dot(u, v), u.conj() * v, r, r + r.conj()]
+    cases = [x for x in cases if x]
+    assert any(x == x.conj() for x in cases) and any(x != x.conj() for x in cases)
+    for x in cases:
+        assert list(x.inverse().coeffs.items()) == gauss_jordan_inverse(x), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_element_pairs())
+def test_inverse_times_self_is_one(triple):
+    a, _, _ = triple
+    if a:
+        assert a * a.inverse() == 1

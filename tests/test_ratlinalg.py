@@ -9,36 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybilliard.approx import as_rational, best_rational, convergents
-from polybilliard.errors import OutOfRange, SingularSystem
-from polybilliard.ratlinalg import IntegerEchelon, hnf_inverse, hnf_rows, solve_square
-
-
-# --- solve_square -----------------------------------------------------------
-
-def test_solve_square_2x2():
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = solve_square(a, [Fraction(5), Fraction(10)])
-    assert x == [Fraction(1), Fraction(3)]
-
-
-def test_solve_square_singular():
-    a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    with pytest.raises(SingularSystem):
-        solve_square(a, [Fraction(1), Fraction(2)])
-
-
-def test_solve_square_random_roundtrip():
-    rng = random.Random(3)
-    for n in (1, 2, 3, 5):
-        for _ in range(5):
-            a = [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(n)] for _ in range(n)]
-            x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n)]
-            rhs = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
-            try:
-                got = solve_square(a, rhs)
-            except SingularSystem:
-                continue
-            assert got == x
+from polybilliard.errors import OutOfRange
+from polybilliard.ratlinalg import IntegerEchelon, hnf_inverse, hnf_rows
 
 
 # --- IntegerEchelon ---------------------------------------------------------
