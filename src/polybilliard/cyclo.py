@@ -11,13 +11,19 @@ A planar vector is represented by a single field element z = x + i*y, so the
 whole 2D geometry of the package reduces to field arithmetic.  The field
 order used downstream is always M = 4N, which keeps i = zeta^{M/4} and all
 side directions e^{i*pi*j/N} = zeta^{2j} exactly representable.
+
+An element stores integer numerators (basis monomial -> nonzero int) over one
+positive int denominator, normalized so that gcd(den, *numerators) == 1.
+Equal elements therefore have equal representations, and ring operations
+add and multiply plain ints, reducing once per result.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import OutOfRange
 
@@ -101,21 +107,22 @@ class CycloField:
         self._reduce_cache[key] = terms
         return terms
 
-    def _collect(self, terms) -> "Cyclo":
-        """Sum (raw monomial, coefficient) pairs over the canonical basis.
+    def _collect(self, terms, den: int = 1) -> "Cyclo":
+        """Sum (raw monomial, nonzero int numerator) pairs over `den` on the canonical basis.
 
         A key enters the result where it is first nonzero; one that cancels
         leaves and re-enters at the end, the order `Cyclo.__complex__` sums in.
         """
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int] = {}
+        reduce_raw = self._reduce_raw
         for raw, c in terms:
-            for key, sign in self._reduce_raw(raw):
-                s = acc.get(key, Fraction(0)) + (c if sign > 0 else -c)
+            for key, sign in reduce_raw(raw):
+                s = acc.get(key, 0) + (c if sign > 0 else -c)
                 if s:
                     acc[key] = s
                 else:
-                    acc.pop(key, None)
-        return Cyclo(self, acc)
+                    del acc[key]
+        return _normalized(self, acc, den)
 
     def _monomial_value(self, key: tuple[int, ...]) -> complex:
         v = self._value_cache.get(key)
@@ -128,17 +135,21 @@ class CycloField:
     # -- element constructors ---------------------------------------------
 
     def element(self, coeffs: dict[tuple[int, ...], Fraction]) -> "Cyclo":
-        return Cyclo(self, coeffs)
+        """The element with these rational coefficients on basis monomials; zeros are dropped."""
+        values = {k: Fraction(v) for k, v in coeffs.items() if v}
+        den = lcm(*(v.denominator for v in values.values()))
+        num = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        return _normalized(self, num, den)
 
     def zero(self) -> "Cyclo":
-        return Cyclo(self, {})
+        return Cyclo(self, {}, 1)
 
     def one(self) -> "Cyclo":
         return self.rational(1)
 
     def rational(self, q) -> "Cyclo":
         q = Fraction(q)
-        return Cyclo(self, {self.zero_key: q} if q else {})
+        return Cyclo(self, {self.zero_key: q.numerator} if q else {}, q.denominator)
 
     def zeta(self, j: int = 1) -> "Cyclo":
         """The root of unity zeta_M^j."""
@@ -153,16 +164,39 @@ class CycloField:
         return f"CycloField({self.order})"
 
 
+def _normalized(field: CycloField, num: dict[tuple[int, ...], int], den: int) -> "Cyclo":
+    """The element num / den (den > 0), with the common factor of both divided out."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+    return Cyclo(field, num, den)
+
+
 class Cyclo:
-    """An element of Q(zeta_M); immutable, canonically normalized."""
+    """An element of Q(zeta_M); immutable, canonically normalized.
 
-    __slots__ = ("field", "coeffs", "_hash", "_inv")
+    `num` maps each basis monomial with a nonzero coefficient to its integer
+    numerator over the one positive denominator `den`, and
+    gcd(den, *num.values()) == 1, so the zero element is ({}, 1).  `coeffs`
+    reads the same coefficients as Fractions, in the same order.
+    """
 
-    def __init__(self, field: CycloField, coeffs: dict[tuple[int, ...], Fraction]):
+    __slots__ = ("field", "num", "den", "_hash", "_inv")
+
+    def __init__(self, field: CycloField, num: dict[tuple[int, ...], int], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash: int | None = None
         self._inv: Cyclo | None = None
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {basis monomial: Fraction coefficient}, in storage order."""
+        den = self.den
+        return MappingProxyType({k: Fraction(v, den) for k, v in self.num.items()})
 
     # -- ring structure ----------------------------------------------------
 
@@ -179,19 +213,26 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in o.coeffs.items():
-            s = out.get(k, Fraction(0)) + v
+        den, oden = self.den, o.den
+        if den == oden:
+            out, scale = dict(self.num), 1
+        else:
+            g = gcd(den, oden)
+            scale = den // g
+            out = {k: v * (oden // g) for k, v in self.num.items()}
+            den *= oden // g
+        for k, v in o.num.items():
+            s = out.get(k, 0) + v * scale
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
-        return Cyclo(self.field, out)
+                del out[k]
+        return _normalized(self.field, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.field, {k: -v for k, v in self.coeffs.items()})
+        return Cyclo(self.field, {k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -211,9 +252,12 @@ class Cyclo:
             return NotImplemented
         moduli = self.field.moduli
         return self.field._collect(
-            (tuple((a + b) % q for a, b, q in zip(ka, kb, moduli)), va * vb)
-            for ka, va in self.coeffs.items()
-            for kb, vb in o.coeffs.items()
+            (
+                (tuple((a + b) % q for a, b, q in zip(ka, kb, moduli)), va * vb)
+                for ka, va in self.num.items()
+                for kb, vb in o.num.items()
+            ),
+            self.den * o.den,
         )
 
     __rmul__ = __mul__
@@ -222,8 +266,10 @@ class Cyclo:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            inv = Fraction(1, 1) / Fraction(other)
-            return Cyclo(self.field, {k: v * inv for k, v in self.coeffs.items()})
+            q = Fraction(other)
+            # x / (a/b) = x * b / a, with the sign of a moved onto b
+            b, a = (q.denominator, q.numerator) if q > 0 else (-q.denominator, -q.numerator)
+            return _normalized(self.field, {k: v * b for k, v in self.num.items()}, self.den * a)
         if isinstance(other, Cyclo):
             return self * other.inverse()
         return NotImplemented
@@ -253,16 +299,18 @@ class Cyclo:
         moduli = self.field.moduli
         kj = self.field._raw_key(j % self.field.order)
         return self.field._collect(
-            (tuple((a + b) % q for a, b, q in zip(ka, kj, moduli)), va)
-            for ka, va in self.coeffs.items()
+            ((tuple((a + b) % q for a, b, q in zip(ka, kj, moduli)), va)
+             for ka, va in self.num.items()),
+            self.den,
         )
 
     def _galois(self, k: int) -> "Cyclo":
         """The automorphism zeta -> zeta^k, for k coprime to M."""
         moduli = self.field.moduli
         return self.field._collect(
-            (tuple((a * k) % q for a, q in zip(ka, moduli)), va)
-            for ka, va in self.coeffs.items()
+            ((tuple((a * k) % q for a, q in zip(ka, moduli)), va)
+             for ka, va in self.num.items()),
+            self.den,
         )
 
     def conj(self) -> "Cyclo":
@@ -281,24 +329,23 @@ class Cyclo:
     # -- predicates and conversions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def is_rational(self) -> bool:
-        return all(k == self.field.zero_key for k in self.coeffs)
+        return all(k == self.field.zero_key for k in self.num)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise OutOfRange(f"not a rational number: {self!r}")
-        return self.coeffs.get(self.field.zero_key, Fraction(0))
+        return Fraction(self.num.get(self.field.zero_key, 0), self.den)
 
     def __complex__(self) -> complex:
-        return sum(
-            (float(v) * self.field._monomial_value(k) for k, v in self.coeffs.items()),
-            complex(0),
-        )
+        # int / int is correctly rounded, as float() of the Fraction v / den is
+        den, value = self.den, self.field._monomial_value
+        return sum((v / den * value(k) for k, v in self.num.items()), complex(0))
 
     def __float__(self) -> float:
         z = complex(self)
@@ -317,7 +364,7 @@ class Cyclo:
         """
         if self._inv is not None:
             return self._inv
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError("inverse of zero")
         fld = self.field
         conj = self.conj()
@@ -330,7 +377,7 @@ class Cyclo:
         inv = p / (y * p).as_fraction()
         if not real:
             inv = inv * conj
-        self._inv = Cyclo(fld, dict(sorted(inv.coeffs.items())))
+        self._inv = Cyclo(fld, dict(sorted(inv.num.items())), inv.den)
         return self._inv
 
     # -- equality -------------------------------------------------------------
@@ -340,7 +387,7 @@ class Cyclo:
             other = self.field.rational(other)
         if not isinstance(other, Cyclo) or other.field is not self.field:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -348,7 +395,7 @@ class Cyclo:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "Cyclo(0)"
         parts = [f"{v}*z{k}" for k, v in sorted(self.coeffs.items())]
         return f"Cyclo[{self.field.order}](" + " + ".join(parts) + ")"

@@ -168,9 +168,9 @@ class EPP:
     def image(self, k: int) -> PolygonImage:
         return self.images[k - 1]
 
-    @property
+    @cached_property
     def edge_pairs(self) -> list[EdgePair]:
-        """Boundary pairs: the gluings with a nonzero translation."""
+        """Boundary pairs: the gluings with a nonzero translation, in discovery order."""
         return [e for e in self.edges if e.period is not None]
 
     @property
@@ -652,21 +652,32 @@ def channel_exists(epp: EPP, vector) -> bool:
     Such an orbit, of direction u and length |vector|, crosses a boundary
     side.  Test first: march one orbit from the middle of each boundary side
     not parallel to u, in the image u enters; any orbit that closes proves
-    the channel.  Only when none closes, cut: from every corner sector that
-    -u enters, march a separatrix backward for |vector| (2g-2+V of them at
-    most, V the number of vertex classes) and cut the sides it crosses.
-    Between two cuts every orbit runs into no corner and follows the same
-    path, so all of them close or none does.  Then test one orbit from the
-    middle of each piece, skipping the piece that holds a side's middle when
-    the first march from there ran into no corner: it tested that piece.
+    the channel.  The sides whose crossing translation is +-vector (the
+    period's own pairs) go first, then the rest in discovery order: on a
+    long period an orbit from one of its own pairs usually closes at once.
+    The order cannot change the verdict, since a yes needs any one closing
+    march and a no tests every piece.  Only when none closes, cut: from
+    every corner sector that -u enters, march a separatrix backward for
+    |vector| (2g-2+V of them at most, V the number of vertex classes) and
+    cut the sides it crosses.  Between two cuts every orbit runs into no
+    corner and follows the same path, so all of them close or none does.
+    Then test one orbit from the middle of each piece, skipping the piece
+    that holds a side's middle when the first march from there ran into no
+    corner: it tested that piece.
     """
     f = epp.polygon.frame
     tgt = f.to_complex(vector)
     length = abs(tgt)
     u = tgt / length
     angles, n = epp.polygon.angles, epp.polygon.n
+    tol = _TOL * max(1.0, epp._scale)
+
+    def foreign(e: EdgePair) -> bool:
+        t = epp._gluing_float[(e.a, e.side)][1]
+        return min(abs(t - tgt), abs(t + tgt)) > tol
+
     sides = []  # (pair, image u enters, side ends, the middle's piece is tested)
-    for e in epp.edge_pairs:
+    for e in sorted(epp.edge_pairs, key=foreign):
         verts = epp._verts_float[e.a - 1]
         d = verts[(e.side + 1) % n] - verts[e.side]
         cross = ((d / abs(d)).conjugate() * u).imag

@@ -368,3 +368,136 @@ def test_inverse_times_self_is_one(triple):
     a, _, _ = triple
     if a:
         assert a * a.inverse() == 1
+
+
+def test_element_drops_zero_coefficients():
+    f = CycloField(12)
+    z = f.element({(0, 0): Fraction(0)})
+    assert z.is_zero() and z == f.zero() and repr(z) == "Cyclo(0)"
+    half = f.element({(1, 0): Fraction(2, 4), (0, 1): 0, (0, 0): Fraction(-3, 6)})
+    assert half == f.zeta(3) / 2 - Fraction(1, 2)
+    assert list(half.coeffs.items()) == [((1, 0), Fraction(1, 2)), ((0, 0), Fraction(-1, 2))]
+    assert (half.num, half.den) == ({(1, 0): 1, (0, 0): -1}, 2)
+
+
+# Fraction-dict arithmetic as it stood before the integer-numerator storage:
+# one Fraction per coefficient, the same loops and the same insertion order.
+# A reference for every operation's coefficient items, hash and complex value.
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, Fraction(0)) + v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def ref_neg(a):
+    return {k: -v for k, v in a.items()}
+
+
+def ref_mul(f, a, b):
+    return dict(_accumulate(f, (
+        (tuple((x + y) % q for x, y, q in zip(ka, kb, f.moduli)), va * vb)
+        for ka, va in a.items() for kb, vb in b.items()
+    )))
+
+
+def ref_div(a, r):
+    inv = Fraction(1, 1) / Fraction(r)
+    return {k: v * inv for k, v in a.items()}
+
+
+def ref_shift(f, a, j):
+    kj = f._raw_key(j % f.order)
+    return dict(_accumulate(f, (
+        (tuple((x + y) % q for x, y, q in zip(ka, kj, f.moduli)), va) for ka, va in a.items()
+    )))
+
+
+def ref_galois(f, a, k):
+    return dict(_accumulate(f, (
+        (tuple((x * k) % q for x, q in zip(ka, f.moduli)), va) for ka, va in a.items()
+    )))
+
+
+def ref_inverse(f, x):
+    conj = ref_galois(f, x, -1)
+    real = x == conj
+    y = x if real else ref_mul(f, x, conj)
+    p = {f.zero_key: Fraction(1)}
+    for k in range(2, (f.order + 1) // 2):
+        if math.gcd(k, f.order) == 1:
+            p = ref_mul(f, p, ref_galois(f, y, k))
+    inv = ref_div(p, ref_mul(f, y, p)[f.zero_key])
+    if not real:
+        inv = ref_mul(f, inv, conj)
+    return dict(sorted(inv.items()))
+
+
+def assert_matches_reference(x, ref):
+    f = x.field
+    assert list(x.coeffs.items()) == list(ref.items())
+    assert x.den > 0 and math.gcd(x.den, *x.num.values()) == 1
+    assert all(type(v) is int and v for v in x.num.values())
+    assert hash(x) == hash(frozenset(ref.items()))
+    want = sum((float(v) * f._monomial_value(k) for k, v in ref.items()), complex(0))
+    got = complex(x)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+KERNEL_ORDERS = [1, 3, 4, 8, 9, 12, 20, 24, 28, 36, 40, 60, 84]
+
+
+@pytest.mark.parametrize("m", KERNEL_ORDERS)
+def test_kernel_matches_fraction_reference(m):
+    f = CycloField(m)
+    rng = random.Random(1000 + m)
+
+    def random_coeffs():
+        # sparse or dense, small or wide denominators, sometimes rational
+        terms = rng.randrange(0, 2 * f.degree + 1)
+        keys = [tuple(rng.randrange(ph) for ph in f.phis) for _ in range(terms)]
+        if rng.random() < 0.15:
+            keys = [f.zero_key] * len(keys)
+        dens = rng.choice(((1,), (1, 2), (3, 6, 9), tuple(range(1, 60))))
+        return {k: Fraction(rng.randrange(-40, 41), rng.choice(dens)) for k in keys}
+
+    for _ in range(12):
+        ca, cb = random_coeffs(), random_coeffs()
+        a, b = f.element(ca), f.element(cb)
+        ra, rb = {k: v for k, v in ca.items() if v}, {k: v for k, v in cb.items() if v}
+        assert_matches_reference(a, ra)
+        r = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 30), rng.randrange(1, 30))
+        j = rng.randrange(-2 * m, 2 * m)
+        k = rng.choice([k for k in range(-m, m + 1) if math.gcd(k, m) == 1])
+        cases = [
+            (a + b, ref_add(ra, rb)),
+            (a - b, ref_add(ra, ref_neg(rb))),
+            (b - a, ref_add(rb, ref_neg(ra))),
+            (a + a, ref_add(ra, ra)),
+            (a - a, {}),
+            (-a, ref_neg(ra)),
+            (a * b, ref_mul(f, ra, rb)),
+            (a / r, ref_div(ra, r)),
+            (a * r, ref_mul(f, ra, {f.zero_key: r})),
+            (a + r, ref_add(ra, {f.zero_key: r})),
+            (a.shift(j), ref_shift(f, ra, j)),
+            (a._galois(k), ref_galois(f, ra, k)),
+            (a.conj(), ref_galois(f, ra, -1)),
+        ]
+        # a chain: every result feeds the next operation
+        x, rx = a, ra
+        for step in range(6):
+            x, rx = (x * b + a / r).shift(j) - x, ref_add(
+                ref_shift(f, ref_add(ref_mul(f, rx, rb), ref_div(ra, r)), j), ref_neg(rx)
+            )
+            cases.append((x, rx))
+        if a and f.degree <= 12:
+            cases.append((a.inverse(), ref_inverse(f, ra)))
+        for got, ref in cases:
+            assert_matches_reference(got, ref)

@@ -648,6 +648,23 @@ def test_channel_marches_at_most_one_separatrix_per_sector(monkeypatch):
     assert 0 < closed_at_middle < len(epp.periods)
 
 
+def test_long_period_is_tested_from_its_own_pairs_first(monkeypatch):
+    # 500 images: the longest boundary translation closes at the first
+    # middle march, from one of its own pairs, after 250 crossings; in
+    # discovery order 241 middle marches of other pairs came before it
+    epp = build_epp(_right_triangle(1, 250))
+    f = epp.polygon.frame
+    v = max((e.period.vector for e in epp.edge_pairs), key=lambda v: abs(f.to_complex(v)))
+    starts = _separatrix_count(monkeypatch)
+    assert channel_exists(epp, v)
+    assert starts == [False]
+
+
+def test_edge_pairs_are_computed_once():
+    epp = build_epp(_right_triangle(1, 24))
+    assert epp.edge_pairs is epp.edge_pairs
+
+
 def test_march_without_exit_raises():
     # a march that cannot leave its image must not read as "no channel"
     epp = build_epp(square())
