@@ -116,6 +116,13 @@ def _fraction_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
+def _positive_fraction_flag(text: str) -> Fraction:
+    x = _fraction_flag(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
+    return x
+
+
 def _finite_flag(text: str) -> float:
     try:
         x = float(text)
@@ -277,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rel-tol",
-        type=_fraction_flag,
+        type=_positive_fraction_flag,
         default=Fraction(1, 50),
         help="match tolerance, decimal or fraction (default 0.02)",
     )
@@ -366,7 +373,7 @@ def cmd_unfold(ns: argparse.Namespace) -> int:
     epp = build_epp(polygon)
     basis = period_basis(epp)
     lines = [epp.dump(), "period basis:"]
-    lines += (_period_line(polygon.frame, idx, per) for idx, per in enumerate(basis))
+    lines += (_period_line(idx, per) for idx, per in enumerate(basis))
     _emit("\n".join(lines) + "\n", ns.out)
     return 0
 

@@ -8,9 +8,11 @@ if its coefficient dict is empty — which is what makes exact geometric
 predicates (closure, collinearity, rationality of period ratios) decidable.
 
 A planar vector is represented by a single field element z = x + i*y, so the
-whole 2D geometry of the package reduces to field arithmetic.  The field
-order used downstream is always M = 4N, which keeps i = zeta^{M/4} and all
-side directions e^{i*pi*j/N} = zeta^{2j} exactly representable.
+whole 2D geometry of the package reduces to field arithmetic; elements speak
+Python's complex protocol (`complex(z)`, `z.conjugate()`, `z.real`, `z.imag`),
+so that geometry runs unchanged on Python complex numbers.  The field order
+used downstream is always M = 4N, which keeps i = zeta^{M/4} and all side
+directions e^{i*pi*j/N} = zeta^{2j} exactly representable.
 
 An element stores integer numerators (basis monomial -> nonzero int) over one
 positive int denominator, normalized so that gcd(den, *numerators) == 1.
@@ -313,18 +315,20 @@ class Cyclo:
             self.den,
         )
 
-    def conj(self) -> "Cyclo":
+    def conjugate(self) -> "Cyclo":
         """Complex conjugation: zeta -> zeta^(-1) componentwise."""
         return self._galois(-1)
 
-    def re(self) -> "Cyclo":
-        return (self + self.conj()) / 2
+    @property
+    def real(self) -> "Cyclo":
+        return (self + self.conjugate()) / 2
 
-    def im(self) -> "Cyclo":
+    @property
+    def imag(self) -> "Cyclo":
         # (z - conj z)/2 = i * Im z; multiply by -i = zeta^(-M/4)
         if self.field.order % 4:
-            raise OutOfRange("im() requires 4 | M")
-        return ((self - self.conj()) / 2).shift(-(self.field.order // 4))
+            raise OutOfRange("imag requires 4 | M")
+        return ((self - self.conjugate()) / 2).shift(-(self.field.order // 4))
 
     # -- predicates and conversions -----------------------------------------
 
@@ -367,7 +371,7 @@ class Cyclo:
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
         fld = self.field
-        conj = self.conj()
+        conj = self.conjugate()
         real = self == conj
         y = self if real else self * conj
         p = fld.one()

@@ -6,10 +6,13 @@ denominators).  The interior angle (p_k/q_k)*pi sits at the END vertex of
 side k, and the traversal is counterclockwise, so the direction indices obey
 j_{k+1} = j_k + N - p_k*(N/q_k)  (mod 2N).
 
-Planar vectors are carried as single complex-like scalars z = x + i*y: exact
-mode stores them in the cyclotomic field Q(zeta_{4N}) (decidable equality,
-exact closure tests), float mode in a Python complex.  The frame object picks
-the representation and mediates the handful of mode-dependent predicates.
+Planar vectors are carried as single complex-like scalars z = x + i*y: in
+the cyclotomic field Q(zeta_{4N}) while phi(4N) <= EXACT_DEGREE_LIMIT
+(`ExactFrame`: decidable equality, exact closure tests), else in a Python
+complex (`FloatFrame`: predicates tolerant to 1e-9 of the length scale).
+Both speak Python's complex protocol, so callers read `z.real`, `float(r)`
+or `z.conjugate()` directly, `_Frame` holds the shared algebra once, and a
+frame keeps only what differs with the number type.
 """
 
 from __future__ import annotations
@@ -115,7 +118,33 @@ class RationalAngle:
         return f"{self.p}/{self.q}"
 
 
-class ExactFrame:
+class _Frame:
+    """The vector algebra of both frames, written once over Python's complex protocol.
+
+    A subclass sets `N` and `_i` (the vector i) and adds `unit`, `scalar`,
+    `zero`, `rotate`, `is_zero`, `rational_value`, `_length` and `positive`.
+    """
+
+    def from_xy(self, x, y):
+        return self.scalar(x) + self._i * self.scalar(y)
+
+    def cross(self, u, v):
+        return (u.conjugate() * v).imag
+
+    def dot(self, u, v):
+        return (u.conjugate() * v).real
+
+    def to_complex(self, z) -> complex:
+        return complex(z)
+
+    def length(self, value):
+        """`value` as a side length of this frame; a bool or None is a TypeError."""
+        if isinstance(value, bool) or value is None:
+            raise TypeError(f"invalid side length {value!r}")
+        return self._length(value)
+
+
+class ExactFrame(_Frame):
     """Vector arithmetic in Q(zeta_{4N}); all predicates are exact."""
 
     exact = True
@@ -129,9 +158,6 @@ class ExactFrame:
         """The unit vector e^{i pi j / N}."""
         return self.field.zeta((2 * j) % (4 * self.N))
 
-    def from_xy(self, x, y):
-        return self.scalar(x) + self._i * self.scalar(y)
-
     def scalar(self, r):
         if isinstance(r, Cyclo):
             if r.field is not self.field:
@@ -142,43 +168,40 @@ class ExactFrame:
     def zero(self):
         return self.field.zero()
 
-    def conj(self, z):
-        return z.conj()
-
-    def re(self, z):
-        return z.re()
-
-    def im(self, z):
-        return z.im()
-
     def rotate(self, z, j: int):
         """Rotate by j*pi/N."""
         return z.shift(2 * j)
 
-    def cross(self, u, v):
-        return (u.conj() * v).im()
-
-    def dot(self, u, v):
-        return (u.conj() * v).re()
-
     def is_zero(self, z, scale: float = 1.0) -> bool:
         return z.is_zero()
-
-    def to_complex(self, z) -> complex:
-        return complex(z)
-
-    def real_to_float(self, r) -> float:
-        return float(r)
 
     def rational_value(self, r) -> Fraction | None:
         """Fraction value of a real scalar if it is rational, else None."""
         return r.as_fraction() if r.is_rational() else None
 
+    def _length(self, value):
+        """A real field scalar as given, a rational as an exact Fraction; a float is refused."""
+        if isinstance(value, Cyclo):
+            return value
+        if isinstance(value, float):
+            raise TypeError(
+                "float lengths are not allowed in exact mode; pass a Fraction "
+                "(or a string like '3/2' in the polygon file)"
+            )
+        return Fraction(value)
 
-class FloatFrame:
+    def positive(self, r) -> bool:
+        """A Fraction's sign exactly; a field scalar's once it is exactly nonzero."""
+        if isinstance(r, Fraction):
+            return r > 0
+        return not r.is_zero() and float(r) > 0
+
+
+class FloatFrame(_Frame):
     """Double-precision twin of ExactFrame: same surface, tolerant predicates."""
 
     exact = False
+    _i = 1j
 
     def __init__(self, n_lcm: int):
         self.N = n_lcm
@@ -187,44 +210,26 @@ class FloatFrame:
     def unit(self, j: int) -> complex:
         return self._units[j % (2 * self.N)]
 
-    def from_xy(self, x, y) -> complex:
-        return complex(float(x), float(y))
-
     def scalar(self, r) -> float:
         return float(r)
 
     def zero(self) -> complex:
         return 0j
 
-    def conj(self, z: complex) -> complex:
-        return z.conjugate()
-
-    def re(self, z: complex) -> float:
-        return z.real
-
-    def im(self, z: complex) -> float:
-        return z.imag
-
     def rotate(self, z: complex, j: int) -> complex:
         return z * self.unit(j)
-
-    def cross(self, u: complex, v: complex) -> float:
-        return (u.conjugate() * v).imag
-
-    def dot(self, u: complex, v: complex) -> float:
-        return (u.conjugate() * v).real
 
     def is_zero(self, z, scale: float = 1.0) -> bool:
         return abs(z) <= _FLOAT_TOL * max(1.0, scale)
 
-    def to_complex(self, z) -> complex:
-        return complex(z)
-
-    def real_to_float(self, r) -> float:
-        return float(r)
-
     def rational_value(self, r: float) -> Fraction | None:
         return as_rational(float(r))
+
+    def _length(self, value) -> float:
+        return float(value)
+
+    def positive(self, r: float) -> bool:
+        return r > 1e-12
 
 
 def make_frame(angles: list[RationalAngle]):
@@ -254,13 +259,10 @@ class Polygon:
         return self.frame.N
 
     def vertices_float(self) -> list[complex]:
-        return [self.frame.to_complex(v) for v in self.verts]
-
-    def side_length_float(self, k: int) -> float:
-        return self.frame.real_to_float(self.lengths[k])
+        return [complex(v) for v in self.verts]
 
     def perimeter_float(self) -> float:
-        return sum(self.side_length_float(k) for k in range(self.n))
+        return sum(float(v) for v in self.lengths)
 
     def angle_sum(self) -> Fraction:
         return sum((a.frac for a in self.angles), Fraction(0))
@@ -276,31 +278,6 @@ def _direction_indices(angles: list[RationalAngle], n_lcm: int) -> list[int]:
         js.append(j % (2 * n_lcm))
         j += n_lcm - a.p * (n_lcm // a.q)
     return js
-
-
-def _coerce_length(frame, value):
-    if isinstance(value, bool) or value is None:
-        raise TypeError(f"invalid side length {value!r}")
-    if frame.exact:
-        if isinstance(value, Cyclo):
-            return value
-        if isinstance(value, float):
-            raise TypeError(
-                "float lengths are not allowed in exact mode; pass a Fraction "
-                "(or a string like '3/2' in the polygon file)"
-            )
-        return Fraction(value)
-    return float(value)
-
-
-def _length_positive(frame, value) -> bool:
-    if isinstance(value, Fraction):
-        return value > 0
-    if isinstance(value, Cyclo):
-        if value.is_zero():
-            return False
-        return float(value) > 0
-    return value > 1e-12
 
 
 def _seg_distance(a: complex, b: complex, c: complex, d: complex) -> float:
@@ -357,19 +334,19 @@ def validate_polygon(angles, lengths, name: str | None = None) -> Polygon:
             f"interior angles sum to {total} pi, expected {n - 2} pi"
         )
     frame = make_frame(ra)
-    ls = [_coerce_length(frame, v) for v in lengths]
+    ls = [frame.length(v) for v in lengths]
     for k, v in enumerate(ls):
-        if not _length_positive(frame, v):
+        if not frame.positive(v):
             raise NonpositiveLength(f"side {k} has nonpositive length")
     dirs = _direction_indices(ra, frame.N)
 
     verts = [frame.zero()]
     for k in range(n):
         verts.append(verts[-1] + frame.unit(dirs[k]) * ls[k])
-    scale = sum(frame.real_to_float(v) for v in ls)
+    scale = sum(float(v) for v in ls)
     if not frame.is_zero(verts[-1], scale=scale):
         raise ClosureViolation(
-            f"side chain misses its start by {abs(frame.to_complex(verts[-1])):.3g}"
+            f"side chain misses its start by {abs(complex(verts[-1])):.3g}"
         )
     verts = verts[:-1]
 
@@ -415,8 +392,8 @@ def solve_closure(angles, fixed_lengths) -> list:
     for k in range(n):
         if fixed_lengths[k] is None:
             continue
-        lk = _coerce_length(frame, fixed_lengths[k])
-        if not _length_positive(frame, lk):
+        lk = frame.length(fixed_lengths[k])
+        if not frame.positive(lk):
             raise NonpositiveLength(f"side {k} has nonpositive length")
         rhs = rhs + frame.unit(dirs[k]) * lk
 
@@ -432,7 +409,7 @@ def solve_closure(angles, fixed_lengths) -> list:
     t2 = frame.cross(u1, rhs) / det * -1
     out = list(fixed_lengths)
     for idx, t in ((i1, t1), (i2, t2)):
-        if not _length_positive(frame, t):
+        if not frame.positive(t):
             raise NonpositiveLength(f"solved length for side {idx} is not positive")
         out[idx] = t
     return out

@@ -33,17 +33,17 @@ __all__ = [
 ]
 
 
-def _norm(frame, v) -> float:
-    return abs(frame.to_complex(v))
+def _norm(v) -> float:
+    return abs(complex(v))
 
 
 def _independent(frame, u, v) -> bool:
-    return not frame.is_zero(frame.cross(u, v), scale=_norm(frame, u) * _norm(frame, v))
+    return not frame.is_zero(frame.cross(u, v), scale=_norm(u) * _norm(v))
 
 
-def _period_line(frame, index: int, period: Period, role: str = "") -> str:
+def _period_line(index: int, period: Period, role: str = "") -> str:
     """The `  P<index+1>: (x, y) kind` line of a printed period list."""
-    z = frame.to_complex(period.vector)
+    z = complex(period.vector)
     kind = f" {period.kind}" if period.kind else ""
     return f"  P{index + 1}: ({z.real:.12g}, {z.imag:.12g}){kind}{role}"
 
@@ -71,8 +71,7 @@ class RealRelations:
 
     @property
     def coeffs_float(self) -> list[tuple[float, float]]:
-        f = self.frame
-        return [(f.real_to_float(a), f.real_to_float(b)) for a, b in self.coeffs]
+        return [(float(a), float(b)) for a, b in self.coeffs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,12 +147,11 @@ class PeriodLattice:
 
     def report(self) -> str:
         """Human-readable relation table for terminal output."""
-        f = self.frame
         i, j = self.relations.pair_indexes
         lines = [f"periods: {len(self.basis)} (genus {self.genus})"]
         for idx, per in enumerate(self.basis):
             role = " [D1]" if idx == i else (" [D2]" if idx == j else "")
-            lines.append(_period_line(f, idx, per, role))
+            lines.append(_period_line(idx, per, role))
         if self.relations.coeffs:
             lines.append("relation coefficients over (D1, D2):")
             for pos, (a, b) in enumerate(self.relations.coeffs_float):
@@ -183,7 +181,7 @@ def default_pair(frame, basis: list[Period] | tuple[Period, ...]) -> tuple[int, 
         raise DegeneratePair("need at least two periods to choose a pair")
 
     def key(idx: int):
-        z = frame.to_complex(basis[idx].vector)
+        z = complex(basis[idx].vector)
         return (round(abs(z), 9), z.real, z.imag)
 
     order = sorted(range(len(basis)), key=key)
@@ -206,7 +204,7 @@ def _reduce_unit(frame, a):
     if r is not None:
         shift = math.floor(r)
         return a - frame.scalar(shift), shift
-    shift = math.floor(frame.real_to_float(a))
+    shift = math.floor(float(a))
     return a - frame.scalar(shift), shift
 
 
@@ -231,7 +229,7 @@ def real_relations(
     d1 = basis[i].vector
     d2 = basis[j].vector
     det = frame.cross(d1, d2)
-    if frame.is_zero(det, scale=_norm(frame, d1) * _norm(frame, d2)):
+    if frame.is_zero(det, scale=_norm(d1) * _norm(d2)):
         raise DegeneratePair("chosen pair is collinear")
 
     members: list[Period] = []
@@ -349,7 +347,7 @@ def rationalize_relations(relations, max_denominator: int):
             for a in (a1, a2):
                 r = frame.rational_value(a)
                 if r is None:
-                    r = best_rational(frame.real_to_float(a), max_denominator)
+                    r = best_rational(float(a), max_denominator)
                     approximated = True
                 row.append(r)
             fracs.append((row[0], row[1]))

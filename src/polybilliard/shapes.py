@@ -78,7 +78,7 @@ def broken_parallelogram() -> Polygon:
     angles = ["2/3", "1/2", "3/2", "1/2", "1/2", "1/3"]
     # sides 2, 2, sqrt(3)/2, 1, sqrt(3)/2, 4; the sqrt(3)/2 pair is parallel,
     # so the closure system cannot solve for it — pass it exactly instead
-    cos30 = CycloField(24).zeta(2).re()  # cos(pi/6), N = lcm of denominators = 6
+    cos30 = CycloField(24).zeta(2).real  # cos(pi/6), N = lcm of denominators = 6
     return validate_polygon(
         angles, [2, 2, cos30, 1, cos30, 4], name="broken parallelogram"
     )

@@ -56,12 +56,12 @@ _TOL = 1e-9
 
 
 def _fmt_vec(f, v) -> str:
-    z = f.to_complex(v)
+    z = complex(v)
     re, im = z.real, z.imag
     if f.exact:  # snap float dust off exactly-zero components
-        if f.re(v).is_zero():
+        if v.real.is_zero():
             re = 0.0
-        if f.im(v).is_zero():
+        if v.imag.is_zero():
             im = 0.0
     return f"({re:.12g},{im:.12g})"
 
@@ -83,7 +83,7 @@ class Isometry:
         return cls(False, 0, frame.zero())
 
     def apply(self, frame, z):
-        w = frame.conj(z) if self.reflecting else z
+        w = z.conjugate() if self.reflecting else z
         return frame.rotate(w, self.rotation) + self.translation
 
     def compose(self, other: "Isometry", frame) -> "Isometry":
@@ -117,7 +117,7 @@ class PolygonImage:
 
     def vertices_float(self) -> list[complex]:
         f = self.polygon.frame
-        return [f.to_complex(self.iso.apply(f, v)) for v in self.polygon.verts]
+        return [complex(self.iso.apply(f, v)) for v in self.polygon.verts]
 
     def side_direction(self, s: int) -> int:
         return self.iso.transport(self.polygon.dirs[s], self.polygon.frame)
@@ -172,10 +172,6 @@ class EPP:
     def edge_pairs(self) -> list[EdgePair]:
         """Boundary pairs: the gluings with a nonzero translation, in discovery order."""
         return [e for e in self.edges if e.period is not None]
-
-    @property
-    def interior_edges(self) -> list[EdgePair]:
-        return [e for e in self.edges if e.period is None]
 
     @cached_property
     def periods(self) -> list[Period]:
@@ -240,8 +236,7 @@ class EPP:
     @cached_property
     def _gluing_float(self) -> dict:
         """`gluing` with the crossing translations as floats."""
-        f = self.polygon.frame
-        return {key: (k, f.to_complex(t)) for key, (k, t) in self.gluing.items()}
+        return {key: (k, complex(t)) for key, (k, t) in self.gluing.items()}
 
     @cached_property
     def _scale(self) -> float:
@@ -277,7 +272,7 @@ def _side_reflection(image: PolygonImage, s: int) -> Isometry:
     d = image.side_direction(s)
     p0 = image.iso.apply(f, poly.verts[s])
     r = (2 * d) % (2 * f.N)
-    return Isometry(True, r, p0 - f.rotate(f.conj(p0), r))
+    return Isometry(True, r, p0 - f.rotate(p0.conjugate(), r))
 
 
 def reflect_image(image: PolygonImage, edge_id: int) -> PolygonImage:
@@ -326,8 +321,8 @@ def genus(polygon: Polygon) -> int:
 
 def _half_plane(frame, v):
     """v or -v, whichever has re > 0 (tie: im > 0)."""
-    z = frame.to_complex(v)
-    re = 0.0 if frame.is_zero(frame.re(v), abs(z)) else z.real
+    z = complex(v)
+    re = 0.0 if frame.is_zero(v.real, abs(z)) else z.real
     if re > 0:
         return v
     if re < 0:
@@ -536,7 +531,7 @@ def period_basis(epp: EPP) -> list[Period]:
         if e.period is None:
             candidates.append(((1, 0.0, cid), cid))
         else:
-            norm = abs(f.to_complex(e.translation))
+            norm = abs(complex(e.translation))
             candidates.append(((0, round(norm, 12), cid), cid))
     candidates.sort(key=lambda c: c[0])
     ech = IntegerEchelon(2 * g)
@@ -578,7 +573,7 @@ def period_basis(epp: EPP) -> list[Period]:
         v = _half_plane(f, vec)
         simple = next((p for p in epp.periods if f.is_zero(v - p.vector, scale)), None)
         kind = "compound" if simple is None else simple.kind
-        z = f.to_complex(v)
+        z = complex(v)
         periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), Period(v, kind)))
     periods.sort(key=lambda t: (t[0], t[1]))
     return [p for _n, _a, p in periods]
@@ -665,8 +660,7 @@ def channel_exists(epp: EPP, vector) -> bool:
     that holds a side's middle when the first march from there ran into no
     corner: it tested that piece.
     """
-    f = epp.polygon.frame
-    tgt = f.to_complex(vector)
+    tgt = complex(vector)
     length = abs(tgt)
     u = tgt / length
     angles, n = epp.polygon.angles, epp.polygon.n
@@ -719,10 +713,9 @@ def find_pocs(epp: EPP):
     is decided by `channel_exists` at most once per pattern, whichever of
     `find_pocs`, `period_basis` and `EPP.dump` asks first.
     """
-    f = epp.polygon.frame
     entries = []
-    for p in sorted(epp.periods, key=lambda p: round(abs(f.to_complex(p.vector)), 12)):
+    for p in sorted(epp.periods, key=lambda p: round(abs(complex(p.vector)), 12)):
         if p.kind == "simple-internal":
-            z = f.to_complex(p.vector)
+            z = complex(p.vector)
             entries.append((math.atan2(z.imag, z.real) % math.pi, p))
     return entries

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import polybilliard
 from polybilliard import cli, shapes
 from polybilliard.cli import run
+from polybilliard.exactgeom import polygon_from_spec
 
 POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 # the directory holding the imported package, from src/ or from an install
@@ -152,7 +154,20 @@ UNFOLD_ANALYZE_SHA256 = {
         "83b64e7ad37e1ae5b02df1e23a34896c879e67213baa52605ecffd8e016248d7"),
     "rectangle": ("d759d4b0d99aac3a66c9bc84aa17207630b7fd9c304ce0c237d0aead7a96c863",
         "d7eb7eaab13bc5c2eeabc636505b23ad934997606b388871e8f18dbd48b430e7"),
+    # float frames (phi(4N) = 72 and 80 exceed EXACT_DEGREE_LIMIT), recorded
+    # before the two frames shared one vector algebra
+    "triangle_1_38": ("647012226777f18cfad79d5a9a7a04006807768294ff13ebb41a572bf0e32997",
+        "ddb3da3e2be942b2bf3b5d8b012f29f7f2b3375b043ecf62d3dbbbb6e8207782"),
+    "triangle_3_44": ("c729da596170a1b4aae84fd331cc0e68d98fa1bfb335509bbdde6b5d79ff03db",
+        "d4caa1aeb65d89acf7d7d57f79fb3abe846f7192f0af9b0be842e107bdcd90b4"),
 }
+def _right_triangle(a: int, n: int):
+    """The right triangle with angles (a/n, 1/2, 1/2 - a/n) pi and a unit first side."""
+    angles = (Fraction(a, n), Fraction(1, 2), Fraction(1, 2) - Fraction(a, n))
+    sides = [{"angle": str(angles[0]), "length": "1"}] + [{"angle": str(x)} for x in angles[1:]]
+    return polygon_from_spec({"sides": sides})
+
+
 SHAPES = {
     "square": shapes.square,
     "l_shape": shapes.l_shape,
@@ -161,6 +176,8 @@ SHAPES = {
     "isosceles_pi5": shapes.isosceles_pi5,
     "broken_parallelogram": shapes.broken_parallelogram,
     "rectangle": lambda: shapes.rectangle(3, 2),
+    "triangle_1_38": lambda: _right_triangle(1, 38),
+    "triangle_3_44": lambda: _right_triangle(3, 44),
 }
 
 
@@ -500,6 +517,9 @@ def test_rationalize_small_cap(capsys):
         ("swf", "square.json", "--tol", "nan"),
         ("swf", "square.json", "--tol", "0"),
         ("swf", "square.json", "--tol", "-1"),
+        ("verify", "square.json", "--rel-tol", "-1"),
+        ("verify", "square.json", "--rel-tol", "0"),
+        ("verify", "square.json", "--rel-tol", "-0.5"),
         ("swf", "square.json", "--edge-samples", "0"),
         ("quantize", "square.json", "--max-ratio", "-1"),
         ("rationalize", "inf"),

@@ -84,7 +84,7 @@ def test_i_and_quarter_turns():
 def test_sqrt2_in_q_zeta8():
     f = CycloField(8)
     z = f.zeta()
-    root2 = z + z.conj()  # 2 cos(pi/4)
+    root2 = z + z.conjugate()  # 2 cos(pi/4)
     assert complex(root2) == pytest.approx(math.sqrt(2))
     assert (root2 * root2) == f.rational(2)
     assert not root2.is_rational()
@@ -93,7 +93,7 @@ def test_sqrt2_in_q_zeta8():
 def test_golden_ratio_in_q_zeta20():
     # 2 cos(pi/5) = zeta_20^2 + conj is the golden ratio: x^2 - x - 1 = 0
     f = CycloField(20)
-    x = f.zeta(2) + f.zeta(2).conj()
+    x = f.zeta(2) + f.zeta(2).conjugate()
     assert (x * x - x - f.one()).is_zero()
     assert complex(x) == pytest.approx((1 + math.sqrt(5)) / 2)
 
@@ -102,17 +102,17 @@ def test_conj_re_im():
     f = CycloField(12)
     z = f.zeta(1) * Fraction(3, 7) + f.zeta(5) - f.rational(Fraction(1, 2))
     zc = complex(z)
-    assert complex(z.conj()) == pytest.approx(zc.conjugate())
-    assert complex(z.re()) == pytest.approx(zc.real)
-    assert complex(z.im()) == pytest.approx(zc.imag)
-    assert (z.re() + f.i() * z.im()) == z
-    assert z.re().conj() == z.re()  # real parts are self-conjugate
+    assert complex(z.conjugate()) == pytest.approx(zc.conjugate())
+    assert complex(z.real) == pytest.approx(zc.real)
+    assert complex(z.imag) == pytest.approx(zc.imag)
+    assert (z.real + f.i() * z.imag) == z
+    assert z.real.conjugate() == z.real  # real parts are self-conjugate
 
 
 def test_im_requires_divisible_by_four():
     f = CycloField(6)
     with pytest.raises(OutOfRange):
-        f.zeta().im()
+        f.zeta().imag
 
 
 def test_shift_is_rotation():
@@ -211,8 +211,8 @@ def test_ring_axioms_exact(pair):
     assert (a + b) - b == a
     assert a * b == b * a
     assert a * (b + b) == a * b + a * b
-    assert a.conj().conj() == a
-    assert (a * b).conj() == a.conj() * b.conj()
+    assert a.conjugate().conjugate() == a
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
 @settings(max_examples=200, deadline=None)
@@ -221,7 +221,7 @@ def test_canonical_zero_is_float_zero(pair):
     a, _ = pair
     if a.is_zero():
         assert abs(complex(a)) < 1e-12
-    nrm = a * a.conj()
+    nrm = a * a.conjugate()
     assert complex(nrm).imag == pytest.approx(0.0, abs=1e-12)
     assert complex(nrm).real >= -1e-12
 
@@ -297,7 +297,7 @@ def test_collect_keeps_term_order(triple):
     assert list(f.zeta(j).coeffs.items()) == oracle_zeta(f, j)
     assert list((a * b).coeffs.items()) == oracle_mul(a, b)
     assert list(a.shift(j).coeffs.items()) == oracle_shift(a, j)
-    assert list(a.conj().coeffs.items()) == oracle_conj(a)
+    assert list(a.conjugate().coeffs.items()) == oracle_conj(a)
 
 
 # The inverse as it was solved before the norm identity: the matrix of
@@ -355,9 +355,9 @@ def test_inverse_matches_gauss_jordan(m):
 
     u, v = side_chain(), side_chain()
     r = random_element(3 if f.degree <= 32 else 1)
-    cases = [frame.cross(u, v), frame.dot(u, v), u.conj() * v, r, r + r.conj()]
+    cases = [frame.cross(u, v), frame.dot(u, v), u.conjugate() * v, r, r + r.conjugate()]
     cases = [x for x in cases if x]
-    assert any(x == x.conj() for x in cases) and any(x != x.conj() for x in cases)
+    assert any(x == x.conjugate() for x in cases) and any(x != x.conjugate() for x in cases)
     for x in cases:
         assert list(x.inverse().coeffs.items()) == gauss_jordan_inverse(x), x
 
@@ -488,7 +488,7 @@ def test_kernel_matches_fraction_reference(m):
             (a + r, ref_add(ra, {f.zero_key: r})),
             (a.shift(j), ref_shift(f, ra, j)),
             (a._galois(k), ref_galois(f, ra, k)),
-            (a.conj(), ref_galois(f, ra, -1)),
+            (a.conjugate(), ref_galois(f, ra, -1)),
         ]
         # a chain: every result feeds the next operation
         x, rx = a, ra

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polybilliard import shapes
 from polybilliard.errors import (
@@ -324,3 +326,40 @@ def test_frame_cross_dot():
     assert ef.cross(u, v).as_fraction() == Fraction(3, 2)
     assert ef.dot(u, v).as_fraction() == 0
     assert ef.rational_value(ef.cross(u, v)) == Fraction(3, 2)
+
+
+_COORDS = st.fractions(min_value=-10, max_value=10, max_denominator=50)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from((2, 3, 5, 6, 12)),
+    xy=st.lists(_COORDS, min_size=4, max_size=4),
+    js=st.lists(st.integers(-50, 50), min_size=2, max_size=2),
+)
+def test_frames_agree_on_shared_algebra(n, xy, js):
+    ef, ff = ExactFrame(n), FloatFrame(n)
+    x1, y1, x2, y2 = xy
+    eu, fu = ef.from_xy(x1, y1), ff.from_xy(x1, y1)
+    ev = ef.rotate(ef.from_xy(x2, y2), js[0]) + ef.unit(js[1])
+    fv = ff.rotate(ff.from_xy(x2, y2), js[0]) + ff.unit(js[1])
+    scale = max(1.0, abs(complex(fu)) * abs(complex(fv)))
+    for exact, fl in ((eu, fu), (ev, fv), (ef.cross(eu, ev), ff.cross(fu, fv)),
+                      (ef.dot(eu, ev), ff.dot(fu, fv))):
+        assert abs(complex(exact) - complex(fl)) <= 1e-12 * scale
+
+
+def test_frame_length_rules():
+    ef, ff = ExactFrame(4), FloatFrame(4)
+    for frame in (ef, ff):
+        for bad in (True, None):
+            with pytest.raises(TypeError):
+                frame.length(bad)
+    with pytest.raises(TypeError):
+        ef.length(1.5)
+    assert ef.length("3/2") == Fraction(3, 2) and ff.length(Fraction(3, 2)) == 1.5
+    root2 = ef.unit(1) + ef.unit(-1)  # sqrt(2), a real field scalar
+    assert ef.length(root2) is root2
+    assert ef.positive(root2) and not ef.positive(-root2) and not ef.positive(ef.zero())
+    assert ef.positive(Fraction(1, 10**400)) and not ef.positive(Fraction(0))
+    assert ff.positive(1e-11) and not ff.positive(1e-13)

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 from polybilliard import shapes
+from polybilliard.exactgeom import EXACT_DEGREE_LIMIT
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -19,3 +20,10 @@ def test_readme_lists_every_shape():
     line = README[README.index("`polybilliard.shapes` provides"):].split("\n\n")[0]
     named = set(re.findall(r"`(\w+)\(", line))
     assert named == set(shapes.__all__)
+
+
+def test_readme_states_the_exact_degree_limit():
+    section = README[README.index("### Exact and float frames"):].split("\n\n")[1]
+    stated = {int(n) for n in re.findall(r"φ\(4N\) [≤>] (\d+)", section)}
+    assert stated == {EXACT_DEGREE_LIMIT}
+    assert "(heuristic float verdict)" in section
