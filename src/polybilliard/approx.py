@@ -18,22 +18,31 @@ from .errors import OutOfRange
 __all__ = ["convergents", "best_rational", "as_rational"]
 
 
-def convergents(x: Fraction) -> Iterator[Fraction]:
+def _terms(x) -> Iterator[tuple[int, int]]:
+    """(h, k) of each continued-fraction convergent h/k of x, in order.
+
+    x is a float, Fraction or int; its partial quotients come from Euclid's
+    divmod on the integer ratio p/q = x, so no Fraction is formed.
+    """
+    p, q = x.as_integer_ratio()
+    h_prev, h, k_prev, k = 0, 1, 1, 0
+    while True:
+        a, r = divmod(p, q)
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+        yield h, k
+        if r == 0:
+            return
+        p, q = q, r
+
+
+def convergents(x: float | Fraction) -> Iterator[Fraction]:
     """Yield the continued-fraction convergents of an exact rational x.
 
     The sequence ends with x itself (every float is exactly rational, so
-    feeding `Fraction(some_float)` terminates).
+    feeding a float terminates).
     """
-    h_prev, k_prev = 1, 0
-    h, k = int(x // 1), 1
-    yield Fraction(h, k)
-    rem = x - (x // 1)
-    while rem != 0:
-        x = 1 / rem
-        a = int(x // 1)
-        rem = x - a
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
+    for h, k in _terms(x):
         yield Fraction(h, k)
 
 
@@ -44,13 +53,12 @@ def best_rational(x: float | Fraction, max_den: int) -> Fraction:
     """
     if max_den < 1:
         raise OutOfRange(f"max_den must be >= 1, got {max_den}")
-    xq = Fraction(x)
-    best = Fraction(int(xq // 1))
-    for c in convergents(xq):
-        if c.denominator > max_den:
+    best = None
+    for h, k in _terms(x):
+        if k > max_den:
             break
-        best = c
-    return best
+        best = h, k
+    return Fraction(*best)
 
 
 def as_rational(x: float, max_den: int = 10**6, rel_tol: float = 1e-9) -> Fraction | None:
@@ -62,13 +70,16 @@ def as_rational(x: float, max_den: int = 10**6, rel_tol: float = 1e-9) -> Fracti
     huge next partial quotient, the signature of a true rational observed
     through floating-point noise.  Genuine irrationals (sqrt(2), pi, the
     golden ratio) keep moderate partial quotients and are rejected.
+
+    Both bounds are tested in integers: with x = P/Q exactly, the error of
+    h/k is |P*k - h*Q| / (Q*k).
     """
-    xq = Fraction(x)
-    scale = max(1.0, abs(x))
-    for c in convergents(xq):
-        if c.denominator > max_den:
+    big_p, big_q = x.as_integer_ratio()
+    tol_n, tol_d = (rel_tol * max(1.0, abs(x))).as_integer_ratio()
+    for h, k in _terms(x):
+        if k > max_den:
             break
-        err = abs(xq - c)
-        if err <= rel_tol * scale and err * c.denominator**2 <= Fraction(1, 1000):
-            return c
+        e = abs(big_p * k - h * big_q)
+        if e * tol_d <= tol_n * big_q * k and 1000 * e * k <= big_q:
+            return Fraction(h, k)
     return None

@@ -109,6 +109,12 @@ _KIND_NAMES = {
 # flag parsing helpers
 
 
+# argparse reads a word with a leading minus as a flag unless it looks like a
+# negative decimal; a subparser given this matcher lets a negative fraction
+# such as -1/2 through as a value
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 def _fraction_flag(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -269,10 +275,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="finite-difference spectrum against the closed form"
     )
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("polygon")
     p.add_argument(
         "--spacing",
-        type=_fraction_flag,
+        type=_positive_fraction_flag,
         default=Fraction(1, 64),
         help="grid spacing, a fraction like 1/64 (default 1/64)",
     )
@@ -315,9 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the match CSV to a file instead of stdout")
 
     p = sub.add_parser("rationalize", help="best fraction under a denominator cap")
-    # argparse reads a word with a leading minus as a flag unless it looks
-    # like a negative decimal; let a negative fraction such as -1/2 through
-    p._negative_number_matcher = re.compile(r"^-\.?\d")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("value", help="a decimal or fraction, e.g. 1.41421356237 or 99/70")
     p.add_argument(
         "--max-denominator",

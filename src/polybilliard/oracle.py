@@ -235,8 +235,10 @@ def fd_eigenvalues(domain: GridDomain, count: int) -> np.ndarray:
     sym = scipy.sparse.diags(scale) @ stiffness @ scipy.sparse.diags(scale)
     sym = sym / (2.0 * domain.h * domain.h)
     if n <= _DENSE_LIMIT:
+        # LAPACK reads a Fortran-ordered array in place, so eigh makes no copy
         vals = scipy.linalg.eigh(
-            sym.toarray(), eigvals_only=True, subset_by_index=(0, count - 1)
+            sym.toarray(order="F"), eigvals_only=True, subset_by_index=(0, count - 1),
+            overwrite_a=True, check_finite=False,
         )
         return np.asarray(vals)
     v0 = np.full(n, 1.0 / math.sqrt(n))

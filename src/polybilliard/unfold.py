@@ -15,12 +15,14 @@ spanning tree of the faces and a spanning co-tree of the vertices leave
 exactly 2g edge classes over, whose crossing cycles are a Z-basis of the
 surface's homology; `period_basis` picks 2g short cycles against that basis
 and returns their translation vectors.  Boundary pairs with equal
-translations share one simple period (`EPP.periods`).  On first use the
-pattern decides, once per distinct period, whether a channel of parallel
-periodic orbits runs along it (`channel_exists`: test one orbit from the
-middle of each boundary side, and only if none closes, cut the sides at the
-separatrices of that direction and test one orbit per piece); `find_pocs`
-lists those that do.
+translations share one simple period (`EPP.periods`).  The pattern decides,
+once per distinct period and only when a reader asks for its kind, whether a
+channel of parallel periodic orbits runs along it (`channel_exists`: test one
+orbit from the middle of each boundary side, and only if none closes, cut the
+sides at the separatrices of that direction and test one orbit per piece).
+`period_basis` asks for the kinds of the simple periods its basis vectors
+equal; `EPP.periods`, `EPP.dump` and `find_pocs` ask for every kind, and
+`find_pocs` lists the periods that have a channel.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 
 from .errors import NonIntegerGenus, OrbitExplosion, RankMismatch
@@ -177,26 +180,54 @@ class EPP:
     def periods(self) -> list[Period]:
         """Distinct simple periods in discovery order, each with its kind.
 
-        Boundary pairs whose half-plane translations are equal share one
-        period, represented by the first pair found.  Its kind comes from one
-        `channel_exists` call, made on first use of the pattern's periods.
+        Reading them decides every kind: one `channel_exists` call for each
+        distinct period whose kind no reader has asked for yet (`_period`).
         """
-        return list(dict.fromkeys(self._period_of.values()))
+        return [self._period(i) for i in range(len(self._groups))]
 
     @cached_property
     def _period_of(self) -> dict[EdgePair, Period]:
         """Boundary pair -> the classified period of its group of equal translations."""
-        f = self.polygon.frame
-        out: dict[EdgePair, Period] = {}
-        distinct: list[Period] = []
+        return {e: self._period(i) for i, group in enumerate(self._groups) for e in group}
+
+    @cached_property
+    def _groups(self) -> list[list[EdgePair]]:
+        """Boundary pairs grouped by equal half-plane translation, in discovery order.
+
+        The first pair of a group represents it: its vector is the group's
+        simple period.
+        """
+        f, scale = self.polygon.frame, self._scale
+        groups: list[list[EdgePair]] = []
         for e in self.edge_pairs:
             v = e.period.vector
-            p = next((q for q in distinct if f.is_zero(v - q.vector, self._scale)), None)
-            if p is None:
-                p = Period(v, "simple-internal" if channel_exists(self, v) else "structural")
-                distinct.append(p)
-            out[e] = p
-        return out
+            group = next(
+                (g for g in groups if f.is_zero(v - g[0].period.vector, scale)), None
+            )
+            if group is None:
+                groups.append([e])
+            else:
+                group.append(e)
+        return groups
+
+    @cached_property
+    def _groups_float(self) -> list[complex]:
+        """Each group's period vector as a float."""
+        return [complex(g[0].period.vector) for g in self._groups]
+
+    @cached_property
+    def _kinds(self) -> dict[int, Period]:
+        """Group index -> its classified period, for the groups asked for so far."""
+        return {}
+
+    def _period(self, i: int) -> Period:
+        """The classified period of group i, deciding its channel on first request."""
+        p = self._kinds.get(i)
+        if p is None:
+            v = self._groups[i][0].period.vector
+            p = Period(v, "simple-internal" if channel_exists(self, v) else "structural")
+            self._kinds[i] = p
+        return p
 
     @cached_property
     def face_tree(self) -> dict[int, tuple[int, int] | None]:
@@ -246,6 +277,16 @@ class EPP:
     @cached_property
     def _verts_float(self) -> list[list[complex]]:
         return [img.vertices_float() for img in self.images]
+
+    @cached_property
+    def _sides_float(self) -> list[list[tuple[complex, complex, float]]]:
+        """Per image, each side's (start corner, side vector, length) as floats."""
+        out = []
+        for verts in self._verts_float:
+            n = len(verts)
+            sides = [(verts[t], verts[(t + 1) % n] - verts[t]) for t in range(n)]
+            out.append([(a, d, abs(d)) for a, d in sides])
+        return out
 
     def dump(self) -> str:
         f = self.polygon.frame
@@ -338,8 +379,9 @@ def build_epp(polygon: Polygon) -> EPP:
     their orientations agree, so orientation-dedup yields the 2C-image
     elementary pattern deterministically.
 
-    Only unfolds: no channel is decided here.  The boundary pairs are grouped
-    into simple periods and classified on first use of `EPP.periods`.
+    Only unfolds: no channel is decided here.  The pattern groups its
+    boundary pairs into simple periods on first use, and decides a period's
+    kind when a reader asks for it (`EPP.periods`).
     """
     f = polygon.frame
     n = polygon.n
@@ -516,6 +558,10 @@ def period_basis(epp: EPP) -> list[Period]:
     Hermite normal form of the homology lattice over those cycles, taken in
     integers as that of d * Z^2g * A^-1 (`hnf_inverse`) divided by d.
 
+    A basis vector equal to a simple period takes that period's kind, and
+    only those periods' channels are decided; any other vector is
+    "compound".
+
     Note the returned *vectors* need not be integer-independent in the plane:
     whenever period ratios are rational the plane vectors satisfy integer
     relations, and the independence statement lives on the surface cycles.
@@ -571,8 +617,11 @@ def period_basis(epp: EPP) -> list[Period]:
     periods = []
     for vec in vectors:
         v = _half_plane(f, vec)
-        simple = next((p for p in epp.periods if f.is_zero(v - p.vector, scale)), None)
-        kind = "compound" if simple is None else simple.kind
+        group = next(
+            (i for i, g in enumerate(epp._groups) if f.is_zero(v - g[0].period.vector, scale)),
+            None,
+        )
+        kind = "compound" if group is None else epp._period(group).kind
         z = complex(v)
         periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), Period(v, kind)))
     periods.sort(key=lambda t: (t[0], t[1]))
@@ -597,20 +646,19 @@ def _march(epp: EPP, face: int, z: complex, u: complex, length: float):
     """
     tol = _TOL * max(1.0, epp._scale)
     uc = u.conjugate()
+    sides, gluing = epp._sides_float, epp._gluing_float
     crossings = []
     while True:
-        verts = epp._verts_float[face - 1]
-        n = len(verts)
         best = None
-        for t in range(n):
-            w, d = verts[t] - z, verts[(t + 1) % n] - verts[t]
+        for t, (a, d, side_len) in enumerate(sides[face - 1]):
             denom = (uc * d).imag
             if abs(denom) < 1e-13:
                 continue
-            s_hit = (w.conjugate() * d).imag / denom
-            r_hit = (w.conjugate() * u).imag / denom
+            wc = (a - z).conjugate()
+            s_hit = (wc * d).imag / denom
+            r_hit = (wc * u).imag / denom
             if s_hit > tol and -_TOL <= r_hit <= 1 + _TOL and (best is None or s_hit < best[0]):
-                best = (s_hit, t, r_hit, abs(d))
+                best = (s_hit, t, r_hit, side_len)
         if best is None:
             raise RuntimeError(f"march from {z:.12g} finds no exit from image {face}")
         s_hit, side, r, side_len = best
@@ -619,7 +667,7 @@ def _march(epp: EPP, face: int, z: complex, u: complex, length: float):
         if min(r, 1 - r) * side_len < tol:
             return crossings, None
         crossings.append((face, side, r))
-        face, t_cross = epp._gluing_float[(face, side)]
+        face, t_cross = gluing[(face, side)]
         z = z + s_hit * u - t_cross
         length -= s_hit
 
@@ -647,9 +695,9 @@ def channel_exists(epp: EPP, vector) -> bool:
     Such an orbit, of direction u and length |vector|, crosses a boundary
     side.  Test first: march one orbit from the middle of each boundary side
     not parallel to u, in the image u enters; any orbit that closes proves
-    the channel.  The sides whose crossing translation is +-vector (the
-    period's own pairs) go first, then the rest in discovery order: on a
-    long period an orbit from one of its own pairs usually closes at once.
+    the channel.  The period's own pairs, the group of boundary pairs whose
+    translation is +-vector, go first, then the rest in discovery order: on
+    a long period an orbit from one of its own pairs usually closes at once.
     The order cannot change the verdict, since a yes needs any one closing
     march and a no tests every piece.  Only when none closes, cut: from
     every corner sector that -u enters, march a separatrix backward for
@@ -666,25 +714,24 @@ def channel_exists(epp: EPP, vector) -> bool:
     angles, n = epp.polygon.angles, epp.polygon.n
     tol = _TOL * max(1.0, epp._scale)
 
-    def foreign(e: EdgePair) -> bool:
-        t = epp._gluing_float[(e.a, e.side)][1]
-        return min(abs(t - tgt), abs(t + tgt)) > tol
-
-    sides = []  # (pair, image u enters, side ends, the middle's piece is tested)
-    for e in sorted(epp.edge_pairs, key=foreign):
-        verts = epp._verts_float[e.a - 1]
-        d = verts[(e.side + 1) % n] - verts[e.side]
-        cross = ((d / abs(d)).conjugate() * u).imag
+    own = next(
+        (g for g, z in zip(epp._groups, epp._groups_float)
+         if min(abs(z - tgt), abs(z + tgt)) <= tol),
+        [],
+    )
+    sides = []  # (pair, image u enters, its start corner and side vector, middle's piece tested)
+    for e in chain(own, (e for e in epp.edge_pairs if e not in own)):
+        _a, d, side_len = epp._sides_float[e.a - 1][e.side]
+        cross = ((d / side_len).conjugate() * u).imag
         if abs(cross) <= _TOL:
             continue  # parallel to the orbits: none crosses it
         # image a lies left of its side, or right when it is reflecting
         face = e.a if (cross > 0) != epp.image(e.a).iso.reflecting else e.b
-        verts = epp._verts_float[face - 1]
-        a, b = verts[e.side], verts[(e.side + 1) % n]
-        middle = _closes(epp, face, a + (b - a) * 0.5, u, length, vector)
+        a, d, _len = epp._sides_float[face - 1][e.side]
+        middle = _closes(epp, face, a + d * 0.5, u, length, vector)
         if middle:
             return True
-        sides.append((e, face, a, b, middle is False))
+        sides.append((e, face, a, d, middle is False))
     cuts = defaultdict(list)  # (image, side) -> positions of its cuts
     for k, verts in enumerate(epp._verts_float, 1):
         reflecting = epp.image(k).iso.reflecting
@@ -694,12 +741,12 @@ def channel_exists(epp: EPP, vector) -> bool:
             if _TOL < cmath.phase(-u / start) % (2 * math.pi) < angles[i - 1].radians() - _TOL:
                 for face, side, r in _march(epp, k, z, -u, length)[0]:
                     cuts[(face, side)].append(r)
-    for e, face, a, b, tested in sides:
+    for e, face, a, d, tested in sides:
         rs = sorted([0.0, 1.0, *cuts[(e.a, e.side)], *cuts[(e.b, e.side)]])
         for r0, r1 in zip(rs, rs[1:]):
             if tested and r0 < 0.5 < r1:
                 continue
-            if _closes(epp, face, a + (b - a) * ((r0 + r1) / 2), u, length, vector):
+            if _closes(epp, face, a + d * ((r0 + r1) / 2), u, length, vector):
                 return True
     return False
 
@@ -709,9 +756,10 @@ def find_pocs(epp: EPP):
 
     Returns (direction, Period) pairs, direction in [0, pi): the distinct
     periods of `epp.periods` whose kind is "simple-internal", ordered by
-    length.  The kinds are the pattern's own: each distinct period's channel
-    is decided by `channel_exists` at most once per pattern, whichever of
-    `find_pocs`, `period_basis` and `EPP.dump` asks first.
+    length.  It reads every kind.  The kinds are the pattern's own: each
+    distinct period's channel is decided by `channel_exists` at most once
+    per pattern, whichever of `find_pocs`, `period_basis` and `EPP.dump`
+    asks for it first.
     """
     entries = []
     for p in sorted(epp.periods, key=lambda p: round(abs(complex(p.vector)), 12)):

@@ -520,6 +520,8 @@ def test_rationalize_small_cap(capsys):
         ("verify", "square.json", "--rel-tol", "-1"),
         ("verify", "square.json", "--rel-tol", "0"),
         ("verify", "square.json", "--rel-tol", "-0.5"),
+        ("verify", "square.json", "--rel-tol", "-1/99"),
+        ("verify", "square.json", "--spacing", "-1/64"),
         ("swf", "square.json", "--edge-samples", "0"),
         ("quantize", "square.json", "--max-ratio", "-1"),
         ("rationalize", "inf"),
@@ -537,6 +539,7 @@ def test_non_finite_value_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "error" in err
+    assert repr(argv[-1]) in err  # the message names the refused value
     assert list(tmp_path.iterdir()) == []
 
 

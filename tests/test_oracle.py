@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
+from polybilliard import oracle
 from polybilliard.errors import OutOfRange, TooCoarse
 from polybilliard.oracle import (
     compare_spectra,
@@ -93,6 +96,19 @@ def test_square_dirichlet_levels():
 def test_square_richardson_order():
     es = [fd_eigenvalues(rasterize(square(), h), 1)[0] for h in (1 / 16, 1 / 32, 1 / 64)]
     assert richardson_order(*es) >= 1.8
+
+
+def test_dense_branch_equals_copying_eigh_bitwise():
+    # the dense branch lets LAPACK overwrite a Fortran-ordered matrix; the
+    # call it replaced, on a C-ordered copy, must give the same bits
+    dom = rasterize(l_shape(1, 1, 2, 2), 1 / 32)
+    assert dom.interior_count <= oracle._DENSE_LIMIT
+    stiffness, masses = oracle._assemble(dom)
+    scale = 1.0 / np.sqrt(masses)
+    sym = scipy.sparse.diags(scale) @ stiffness @ scipy.sparse.diags(scale)
+    sym = sym / (2.0 * dom.h * dom.h)
+    old = scipy.linalg.eigh(sym.toarray(), eigvals_only=True, subset_by_index=(0, 11))
+    assert fd_eigenvalues(dom, 12).tobytes() == np.asarray(old).tobytes()
 
 
 def test_sparse_path_agrees_and_is_deterministic():

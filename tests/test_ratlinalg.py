@@ -181,6 +181,77 @@ def test_as_rational_rejects_irrationals():
     assert as_rational((1 + math.sqrt(5)) / 2) is None
 
 
+# the Fraction-arithmetic walks that the integer ones replaced, kept as oracles
+def ref_convergents(x: Fraction):
+    h_prev, k_prev = 1, 0
+    h, k = int(x // 1), 1
+    yield Fraction(h, k)
+    rem = x - (x // 1)
+    while rem != 0:
+        x = 1 / rem
+        a = int(x // 1)
+        rem = x - a
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+        yield Fraction(h, k)
+
+
+def ref_best_rational(x, max_den: int) -> Fraction:
+    xq = Fraction(x)
+    best = Fraction(int(xq // 1))
+    for c in ref_convergents(xq):
+        if c.denominator > max_den:
+            break
+        best = c
+    return best
+
+
+def ref_as_rational(x: float, max_den: int = 10**6, rel_tol: float = 1e-9):
+    xq = Fraction(x)
+    scale = max(1.0, abs(x))
+    for c in ref_convergents(xq):
+        if c.denominator > max_den:
+            break
+        err = abs(xq - c)
+        if err <= rel_tol * scale and err * c.denominator**2 <= Fraction(1, 1000):
+            return c
+    return None
+
+
+_NEAR_RATIONAL = st.builds(
+    lambda p, q, noise: p / q * (1 + noise),
+    st.integers(-10**6, 10**6),
+    st.integers(1, 10**6),
+    st.sampled_from([0.0, 1e-16, -2e-15, 3e-13, -1e-10, 1e-7]),
+)
+_SURD = st.builds(
+    lambda n, s: math.sqrt(n) * s,
+    st.integers(2, 10**6),
+    st.sampled_from([1, -1, 1 / 3, 1e-6, 1e6]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.one_of(
+        _NEAR_RATIONAL,
+        _SURD,
+        st.integers(-10**12, 10**12).map(float),
+        st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False),
+    ),
+    max_den=st.sampled_from([1, 2, 7, 100, 10**6, 10**9]),
+    rel_tol=st.sampled_from([1e-9, 1e-6, 0.0]),
+)
+def test_integer_continued_fractions_match_fraction_walks(x, max_den, rel_tol):
+    got = as_rational(x, max_den, rel_tol)
+    assert got == ref_as_rational(x, max_den, rel_tol)
+    assert got is None or type(got) is Fraction
+    got = best_rational(x, max_den)
+    assert got == ref_best_rational(x, max_den) and type(got) is Fraction
+    assert list(convergents(Fraction(x))) == list(ref_convergents(Fraction(x)))
+    assert list(convergents(x)) == list(ref_convergents(Fraction(x)))
+
+
 # --- hnf_rows ---------------------------------------------------------------
 
 def test_hnf_rows_fixed_cases():

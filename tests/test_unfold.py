@@ -504,6 +504,24 @@ def test_channel_work_is_shared_across_readers(monkeypatch):
     assert "[None]" not in text
 
 
+def test_period_basis_decides_only_the_kinds_it_reads(monkeypatch):
+    # the basis periods match some of the groups of equal boundary
+    # translations; only those groups' channels are decided
+    calls = _count_channel_tests(monkeypatch)
+    epp = build_epp(broken_parallelogram())
+    basis = period_basis(epp)
+    asked = len(calls)
+    # reading every kind afterwards decides the rest, each once
+    periods = epp.periods
+    assert 0 < asked < len(periods) == len(calls)
+    # and agrees with a pattern that decided every kind before its basis
+    fresh = build_epp(broken_parallelogram())
+    assert [p.kind for p in periods] == [p.kind for p in fresh.periods]
+    assert [(repr(p.vector), p.kind) for p in basis] == [
+        (repr(p.vector), p.kind) for p in period_basis(fresh)
+    ]
+
+
 def test_find_pocs_unclassified_traces_each_period_once(monkeypatch):
     p = isosceles_pi5()
     expected = [(d, repr(per.vector)) for d, per in find_pocs(build_epp(p))]
