@@ -62,7 +62,6 @@ class RealRelations:
     frame: object
     d1: object
     d2: object
-    pair: tuple[Period, Period]
     pair_indexes: tuple[int, int]
     members: tuple[Period, ...]
     member_indexes: tuple[int, ...]
@@ -252,7 +251,6 @@ def real_relations(
         frame=frame,
         d1=d1,
         d2=d2,
-        pair=(basis[i], basis[j]),
         pair_indexes=(i, j),
         members=tuple(members),
         member_indexes=tuple(member_indexes),

@@ -78,12 +78,10 @@ class GridDomain:
     """
 
     h: float
-    origin: tuple[int, int]
     mask: np.ndarray
     quadrants: np.ndarray
     dirichlet_flux: np.ndarray
     bc: tuple[str, ...]
-    polygon: object
 
     @property
     def interior_count(self) -> int:
@@ -155,23 +153,13 @@ def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
         for sx, ox in ((0, -0.5), (1, 0.5)):
             quadrants[sy, sx] = _point_in_polygon(px + ox * h, py + oy * h, verts)
 
-    domain = GridDomain(
-        h=h,
-        origin=(i0, j0),
-        mask=mask,
-        quadrants=quadrants,
-        dirichlet_flux=np.zeros(px.shape),
-        bc=bc,
-        polygon=polygon,
-    )
-
     # accumulate flux toward Dirichlet-pinned missing neighbours; other
     # missing links are Neumann (zero flux) and simply dropped.  Dirichlet
     # faces always act at full strength: a wall cutting closer than h/2 to
     # the node column must not fade out of the operator.
     pad_mask = np.pad(mask, 1, constant_values=False)
     pad_dir = np.pad(touches_dirichlet & ~mask, 1, constant_values=False)
-    dflux = domain.dirichlet_flux
+    dflux = np.zeros(px.shape)
     for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
         nb_mask = pad_mask[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
         nb_dir = pad_dir[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
@@ -187,7 +175,7 @@ def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
             nearest = np.argmin(_edge_distances(mx, my, verts), axis=-1)
             is_d = np.array([bc[s] == DIRICHLET for s in nearest], dtype=float)
             dflux[open_face] += is_d
-    return domain
+    return GridDomain(h=h, mask=mask, quadrants=quadrants, dirichlet_flux=dflux, bc=bc)
 
 
 # --------------------------------------------------------------------------

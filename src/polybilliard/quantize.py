@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ConstraintViolation,
@@ -67,10 +68,6 @@ class QuantizedMomentum:
     def energy(self) -> float:
         return 0.5 * abs(self.vector) ** 2
 
-    @property
-    def xy(self) -> tuple[float, float]:
-        return (self.vector.real, self.vector.imag)
-
 
 @dataclass(frozen=True, eq=False)
 class PeriodicSkeletonData:
@@ -79,16 +76,47 @@ class PeriodicSkeletonData:
     Present when C2*(D2.D1) = k*C1*|D2|^2 for an integer k; the skeleton runs
     along the pair's second period (`direction_index` into the lattice basis)
     and `alpha` is the angle between the pair periods.
+
+    The skeleton's momenta are built only through its methods, which share
+    the floats |D1|*sin(alpha), |D2|^2 and the transverse unit 1j*D2/|D2|,
+    each computed once.
     """
 
     k: int
     alpha: float
     direction_index: int
-    pair_indexes: tuple[int, int]
     c1: int
     c2: int
     d1: complex
     d2: complex
+
+    @cached_property
+    def t_den(self) -> float:
+        return abs(self.d1) * math.sin(self.alpha)
+
+    @cached_property
+    def d2_sq(self) -> float:
+        return abs(self.d2) ** 2
+
+    @cached_property
+    def transverse(self) -> complex:
+        return 1j * (self.d2 / abs(self.d2))  # the local x-axis, perpendicular to the rays
+
+    def transverse_t(self, m: int) -> float:
+        """sqrt(2*E_0m), from sqrt(2*E_0m)*D1*sin(alpha) = 2*pi*m*C1."""
+        return 2 * math.pi * m * self.c1 / self.t_den
+
+    def periodic(self, n: int) -> complex:
+        """The momentum along D2 whose wavelength fits C2*n times into D2."""
+        return (2 * math.pi * n * self.c2 / self.d2_sq) * self.d2
+
+    def quantum(
+        self, t: float, base: complex, max_ratio: float
+    ) -> tuple[complex, float, str | None]:
+        """Vector, transverse/longitudinal ratio and flag of the quantum state
+        with transverse part t over the periodic momentum base."""
+        ratio = t / abs(base)
+        return t * self.transverse + base, ratio, ("eq21c-ratio" if ratio > max_ratio else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,49 +231,8 @@ def periodic_skeleton_check(
     cosang = (z1.conjugate() * z2).real / (abs(z1) * abs(z2))
     alpha = math.acos(max(-1.0, min(1.0, cosang)))
     return PeriodicSkeletonData(
-        k=int(r),
-        alpha=alpha,
-        direction_index=j,
-        pair_indexes=(i, j),
-        c1=c1,
-        c2=c2,
-        d1=z1,
-        d2=z2,
+        k=int(r), alpha=alpha, direction_index=j, c1=c1, c2=c2, d1=z1, d2=z2
     )
-
-
-class _SkeletonFloats:
-    """The floats that the momenta of one periodic skeleton share, computed
-    once: |D1|*sin(alpha), |D2|^2 and the transverse unit 1j*D2/|D2|.
-
-    `momentum_periodic`, `quantum_momentum` and `spectrum` all build their
-    vectors through these methods, so each float expression lives here only.
-    """
-
-    __slots__ = ("data", "t_den", "d2_sq", "transverse")
-
-    def __init__(self, data: PeriodicSkeletonData):
-        self.data = data
-        self.t_den = abs(data.d1) * math.sin(data.alpha)
-        self.d2_sq = abs(data.d2) ** 2
-        # the local x-axis, perpendicular to the rays
-        self.transverse = 1j * (data.d2 / abs(data.d2))
-
-    def transverse_t(self, m: int) -> float:
-        """sqrt(2*E_0m), from sqrt(2*E_0m)*D1*sin(alpha) = 2*pi*m*C1."""
-        return 2 * math.pi * m * self.data.c1 / self.t_den
-
-    def periodic(self, n: int) -> complex:
-        """The momentum along D2 whose wavelength fits C2*n times into D2."""
-        return (2 * math.pi * n * self.data.c2 / self.d2_sq) * self.data.d2
-
-    def quantum(
-        self, t: float, base: complex, max_ratio: float
-    ) -> tuple[complex, float, str | None]:
-        """Vector, transverse/longitudinal ratio and flag of the quantum state
-        with transverse part t over the periodic momentum base."""
-        ratio = t / abs(base)
-        return t * self.transverse + base, ratio, ("eq21c-ratio" if ratio > max_ratio else None)
 
 
 def momentum_periodic(
@@ -267,7 +254,7 @@ def momentum_periodic(
     if n == 0:
         raise OutOfRange("periodic skeleton label n must be nonzero")
     if along is None:
-        p = _SkeletonFloats(data).periodic(n)
+        p = data.periodic(n)
     else:
         f = lattice.frame
         v = along.vector
@@ -315,8 +302,7 @@ def quantum_momentum(
     if m == 0 and not has_aperiodic_bundle:
         raise OutOfRange("an all-channel skeleton has no m = 0 state")
     base = momentum_periodic(lattice, data, n)
-    floats = _SkeletonFloats(data)
-    vector, ratio, flag = floats.quantum(floats.transverse_t(m), base.vector, max_ratio)
+    vector, ratio, flag = data.quantum(data.transverse_t(m), base.vector, max_ratio)
     if flag:
         warnings.warn(
             ConstraintViolation(
@@ -382,15 +368,14 @@ def spectrum(
     if QUANTUM in kinds:
         data = periodic_skeleton_check(lattice)
         if data is not None:
-            floats = _SkeletonFloats(data)
             m = 1
             while True:
-                t = floats.transverse_t(m)
+                t = data.transverse_t(m)
                 if 0.5 * t * t > e_max:
                     break
                 n = 1
                 while True:
-                    vector, _ratio, flag = floats.quantum(t, floats.periodic(n), max_ratio)
+                    vector, _ratio, flag = data.quantum(t, data.periodic(n), max_ratio)
                     e = 0.5 * abs(vector) ** 2
                     if e > e_max * (1 + _REL_TOL):
                         break

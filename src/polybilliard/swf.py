@@ -11,12 +11,16 @@ pattern crosses them an even number of times (`enumerate_prescriptions`).
 The sum solves the Helmholtz equation exactly — all component momenta share
 one norm — so verification amounts to boundary residuals and bookkeeping, not
 PDE solving.
+
+An `SWF` is one of four read-outs of that sum: its two sign branches (+1 and
+-1, complex conjugates of each other) or its two real combinations ("cos" and
+"sin", the real and imaginary parts of the +1 branch).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +39,6 @@ __all__ = [
     "SignPrescription",
     "PlaneWaveTerm",
     "SWF",
-    "RealSWF",
     "BoundaryReport",
     "HelmholtzReport",
     "enumerate_prescriptions",
@@ -86,29 +89,18 @@ class PlaneWaveTerm:
 
 @dataclass(frozen=True, eq=False)
 class SWF:
-    """One sign branch of the coherent image sum.
+    """One read-out of the image sum S_s(z) = sum_k eta_k exp(s*i*(alpha_k + p_k . z)).
 
-    value(z) = amplitude * sum_k eta_k exp(branch * i * (alpha_k + p_k . z)).
-    The two branches compiled together are complex conjugates of each other.
+    `readout` +1 or -1 selects the sign branch S_s (S_-1 is the conjugate of
+    S_+1); "cos" and "sin" select Re S_+1 and Im S_+1, the branches' mean and
+    their difference over 2i.  `degenerate` marks a real read-out that
+    vanishes identically (`real_combinations`).
     """
 
     terms: tuple[PlaneWaveTerm, ...]
     energy: float
-    branch: int
+    readout: int | str  # +1 | -1 | "cos" | "sin"
     polygon: Polygon = field(repr=False)
-    amplitude: float = 1.0
-
-
-@dataclass(frozen=True, eq=False)
-class RealSWF:
-    """A real combination of the two branches: cos-mode is their mean,
-    sin-mode their difference over 2i."""
-
-    terms: tuple[PlaneWaveTerm, ...]
-    energy: float
-    mode: str  # "cos" | "sin"
-    polygon: Polygon = field(repr=False)
-    amplitude: float = 1.0
     degenerate: bool = False
 
 
@@ -190,10 +182,8 @@ def compile_swf(
     terms = []
     for img, eta in zip(epp.images, prescription.eta):
         iso = img.iso
-        omega = complex(
-            math.cos(math.pi * iso.rotation / f.N),
-            math.sin(math.pi * iso.rotation / f.N),
-        )
+        angle = math.pi * iso.rotation / f.N
+        omega = complex(math.cos(angle), math.sin(angle))
         t = f.to_complex(iso.translation)
         pk = p.conjugate() * omega if iso.reflecting else p * omega.conjugate()
         alpha = (p.conjugate() * t).real
@@ -201,8 +191,8 @@ def compile_swf(
     terms = tuple(terms)
     energy = 0.5 * abs(p) ** 2
     return (
-        SWF(terms=terms, energy=energy, branch=+1, polygon=epp.polygon),
-        SWF(terms=terms, energy=energy, branch=-1, polygon=epp.polygon),
+        SWF(terms=terms, energy=energy, readout=+1, polygon=epp.polygon),
+        SWF(terms=terms, energy=energy, readout=-1, polygon=epp.polygon),
     )
 
 
@@ -216,40 +206,39 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def evaluate(swf, points):
+def _term_waves(swf: SWF, points):
+    """Each term's momentum p_k and wave eta_k exp(s*i*(alpha_k + p_k . z)),
+    s = -1 only for the -1 read-out.  The sign stays in the exponent:
+    conjugating the +1 waves would flip the sign of exact zeros."""
+    pts = _as_points(points)
+    x, y = pts.real, pts.imag
+    s = -1 if swf.readout == -1 else 1
+    for term in swf.terms:
+        yield term.p, term.eta * np.exp(1j * s * (term.alpha + term.p.real * x + term.p.imag * y))
+
+
+def _read(swf: SWF, total: np.ndarray) -> np.ndarray:
+    if swf.readout == "cos":
+        return total.real
+    if swf.readout == "sin":
+        return total.imag
+    return total
+
+
+def evaluate(swf: SWF, points) -> np.ndarray:
     """Values of the wave function at the given points (complex or (x, y))."""
-    pts = _as_points(points)
-    x, y = pts.real, pts.imag
-    total = np.zeros(pts.shape, dtype=complex if isinstance(swf, SWF) else float)
-    for term in swf.terms:
-        phase = term.alpha + term.p.real * x + term.p.imag * y
-        if isinstance(swf, SWF):
-            total = total + term.eta * np.exp(1j * swf.branch * phase)
-        elif swf.mode == "cos":
-            total = total + term.eta * np.cos(phase)
-        else:
-            total = total + term.eta * np.sin(phase)
-    return swf.amplitude * total
+    return _read(swf, sum(wave for _p, wave in _term_waves(swf, points)))
 
 
-def _gradient(swf, points) -> tuple[np.ndarray, np.ndarray]:
+def _gradient(swf: SWF, points) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient (dPsi/dx, dPsi/dy) of the plane-wave sum."""
-    pts = _as_points(points)
-    x, y = pts.real, pts.imag
-    cplx = isinstance(swf, SWF)
-    gx = np.zeros(pts.shape, dtype=complex if cplx else float)
-    gy = np.zeros_like(gx)
-    for term in swf.terms:
-        phase = term.alpha + term.p.real * x + term.p.imag * y
-        if cplx:
-            d = term.eta * 1j * swf.branch * np.exp(1j * swf.branch * phase)
-        elif swf.mode == "cos":
-            d = -term.eta * np.sin(phase)
-        else:
-            d = term.eta * np.cos(phase)
-        gx = gx + term.p.real * d
-        gy = gy + term.p.imag * d
-    return swf.amplitude * gx, swf.amplitude * gy
+    ds = 1j * (-1 if swf.readout == -1 else 1)
+    gx = gy = 0j
+    for p, wave in _term_waves(swf, points):
+        d = ds * wave
+        gx = gx + p.real * d
+        gy = gy + p.imag * d
+    return _read(swf, gx), _read(swf, gy)
 
 
 def _point_in_polygon(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -281,9 +270,9 @@ def _interior_points(polygon: Polygon, count: int, seed: int) -> np.ndarray:
     return pts[:count]
 
 
-def real_combinations(swf_pair: tuple[SWF, SWF]) -> tuple[RealSWF, RealSWF]:
-    """The two real functions: branch mean (cos-mode) and difference over 2i
-    (sin-mode).
+def real_combinations(swf_pair: tuple[SWF, SWF]) -> tuple[SWF, SWF]:
+    """The two real read-outs of the +1 sum: its real part (cos, the
+    branches' mean) and its imaginary part (sin, their difference over 2i).
 
     When the branches are already proportional one of the combinations
     vanishes identically; that one is returned with its degenerate flag set.
@@ -291,39 +280,18 @@ def real_combinations(swf_pair: tuple[SWF, SWF]) -> tuple[RealSWF, RealSWF]:
     nothing to keep and DegenerateCombination is raised.
     """
     plus, minus = swf_pair
-    if plus.branch != +1 or minus.branch != -1 or plus.terms is not minus.terms:
+    if plus.readout != +1 or minus.readout != -1 or plus.terms is not minus.terms:
         raise ValueError("expected the ± pair produced by compile_swf")
-    cos_f = RealSWF(
-        terms=plus.terms, energy=plus.energy, mode="cos", polygon=plus.polygon
-    )
-    sin_f = RealSWF(
-        terms=plus.terms, energy=plus.energy, mode="sin", polygon=plus.polygon
-    )
-    probe = _interior_points(plus.polygon, 64, seed=12345)
-    vc = np.max(np.abs(evaluate(cos_f, probe)))
-    vs = np.max(np.abs(evaluate(sin_f, probe)))
+    probe = evaluate(plus, _interior_points(plus.polygon, 64, seed=12345))
+    vc, vs = float(np.max(np.abs(probe.real))), float(np.max(np.abs(probe.imag)))
     scale = 2 * len(plus.terms)
     if vc <= 1e-10 * scale and vs <= 1e-10 * scale:
         raise DegenerateCombination(
             "both real combinations vanish identically for this momentum"
         )
-    if vc <= 1e-10 * max(vs, 1e-30):
-        cos_f = RealSWF(
-            terms=cos_f.terms,
-            energy=cos_f.energy,
-            mode="cos",
-            polygon=cos_f.polygon,
-            degenerate=True,
-        )
-    elif vs <= 1e-10 * max(vc, 1e-30):
-        sin_f = RealSWF(
-            terms=sin_f.terms,
-            energy=sin_f.energy,
-            mode="sin",
-            polygon=sin_f.polygon,
-            degenerate=True,
-        )
-    return cos_f, sin_f
+    cos_f = replace(plus, readout="cos", degenerate=vc <= 1e-10 * max(vs, 1e-30))
+    sin_flat = not cos_f.degenerate and vs <= 1e-10 * max(vc, 1e-30)
+    return cos_f, replace(plus, readout="sin", degenerate=sin_flat)
 
 
 def verify_boundary(

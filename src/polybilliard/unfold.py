@@ -591,16 +591,15 @@ def period_basis(epp: EPP) -> list[Period]:
     # lattice Z^2g is generated by the rows of A^-1 = (d * A^-1) / d.
     d = ech.det
     hermite = hnf_inverse([coords[cid] for cid in accepted], d)
-    out_coords = [[Fraction(h, d) for h in row] for row in hermite]
 
-    def holonomy_of(cvec) -> object:
+    def holonomy_of(row: list[int]) -> object:
         vec = f.zero()
-        for c, cid in zip(cvec, accepted):
-            if c:
-                vec = vec + epp.edges[cid].translation * c
+        for h, cid in zip(row, accepted):
+            if h:
+                vec = vec + epp.edges[cid].translation * Fraction(h, d)
         return vec
 
-    vectors = [holonomy_of(c) for c in out_coords]
+    vectors = [holonomy_of(row) for row in hermite]
     scale = poly.perimeter_float()
     nonzero = next(
         (j for j, v in enumerate(vectors) if not f.is_zero(v, scale)), None
@@ -609,10 +608,8 @@ def period_basis(epp: EPP) -> list[Period]:
         raise RankMismatch("all basis periods have zero translation")
     for j, v in enumerate(vectors):
         if f.is_zero(v, scale):
-            out_coords[j] = [
-                a + b for a, b in zip(out_coords[j], out_coords[nonzero])
-            ]
-            vectors[j] = holonomy_of(out_coords[j])
+            hermite[j] = [a + b for a, b in zip(hermite[j], hermite[nonzero])]
+            vectors[j] = holonomy_of(hermite[j])
 
     periods = []
     for vec in vectors:

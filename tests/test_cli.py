@@ -643,3 +643,33 @@ def test_thread_cap_set_before_numpy_loads():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 ['1']"
+
+
+# Runs every command that needs no numerics in one interpreter, its output
+# discarded, then reports the exit codes and whether numpy got loaded.
+_NO_NUMPY_PROBE = """
+import contextlib, io, sys
+from polybilliard import cli
+
+polygons = sys.argv[1]
+commands = (
+    ["analyze", polygons + "/broken_rectangle.json"],
+    ["unfold", polygons + "/equilateral.json"],
+    ["quantize", polygons + "/square.json", "--kinds", "aperiodic,periodic,quantum"],
+    ["rationalize", "1.4142135623730951"],
+)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.run(argv) for argv in commands]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_commands_without_numerics_never_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE, str(POLYGONS)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"

@@ -6,6 +6,7 @@ import cmath
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -37,8 +38,8 @@ from polybilliard.swf import (
     DIRICHLET,
     NEUMANN,
     PlaneWaveTerm,
-    RealSWF,
     SWF,
+    _gradient,
     _point_in_polygon,
     compile_swf,
     enumerate_prescriptions,
@@ -267,7 +268,7 @@ def test_affine_form_matches_image_coordinates():
             rng = np.random.default_rng(11)
             raw = rng.uniform(0.1, 0.4, (1000, 2)) @ np.array([1, 1j])
             for swf in pair:
-                direct = direct_image_sum(epp, pres, q.vector, swf.branch, raw)
+                direct = direct_image_sum(epp, pres, q.vector, swf.readout, raw)
                 assert np.max(np.abs(evaluate(swf, raw) - direct)) < 1e-12 * len(
                     epp.images
                 )
@@ -325,7 +326,7 @@ def test_helmholtz_report_and_mismatch():
             PlaneWaveTerm(eta=1, alpha=0.0, p=complex(2.0, 0.0)),
         ),
         energy=0.5,
-        branch=1,
+        readout=1,
         polygon=poly,
     )
     with pytest.raises(MomentumMismatch):
@@ -345,7 +346,7 @@ def test_boundary_negative_control():
             for t in plus.terms
         ),
         energy=plus.energy * 1.03**2,
-        branch=1,
+        readout=1,
         polygon=poly,
     )
     bad = verify_boundary(off, poly, pres, samples_per_edge=200)
@@ -733,6 +734,74 @@ def test_grid_bytes_match_row_sampler_on_shapes(name, size):
     for wave in wave_family(GRID_SHAPES[name](), (2, 3)):
         assert grid_csv(wave, *size) == row_grid_csv(wave, *size)
         assert grid_pgm(wave, *size) == row_grid_pgm(wave, *size)
+
+
+def ref_evaluate(swf, points):
+    """The four-way evaluation that one loop over the terms replaced: a
+    complex sum for the sign branches, cosines or sines for the real ones."""
+    pts = np.asarray(points)
+    x, y = pts.real, pts.imag
+    cplx = swf.readout in (1, -1)
+    total = np.zeros(pts.shape, dtype=complex if cplx else float)
+    for term in swf.terms:
+        phase = term.alpha + term.p.real * x + term.p.imag * y
+        if cplx:
+            total = total + term.eta * np.exp(1j * swf.readout * phase)
+        elif swf.readout == "cos":
+            total = total + term.eta * np.cos(phase)
+        else:
+            total = total + term.eta * np.sin(phase)
+    return 1.0 * total  # the unit amplitude factor it carried
+
+
+def ref_gradient(swf, points):
+    """The four-way analytic gradient that one loop over the terms replaced."""
+    pts = np.asarray(points)
+    x, y = pts.real, pts.imag
+    cplx = swf.readout in (1, -1)
+    gx = np.zeros(pts.shape, dtype=complex if cplx else float)
+    gy = np.zeros_like(gx)
+    for term in swf.terms:
+        phase = term.alpha + term.p.real * x + term.p.imag * y
+        if cplx:
+            d = term.eta * 1j * swf.readout * np.exp(1j * swf.readout * phase)
+        elif swf.readout == "cos":
+            d = -term.eta * np.sin(phase)
+        else:
+            d = term.eta * np.cos(phase)
+        gx = gx + term.p.real * d
+        gy = gy + term.p.imag * d
+    return 1.0 * gx, 1.0 * gy
+
+
+def readout_points(poly):
+    """The 80x60 and 37x91 bounding grids and `verify_boundary`'s default
+    edge samples."""
+    verts = np.asarray(poly.vertices_float())
+    grids = []
+    for width, height in ((80, 60), (37, 91)):
+        gx = np.linspace(verts.real.min(), verts.real.max(), width)
+        gy = np.linspace(verts.imag.min(), verts.imag.max(), height)
+        grids.append(gx + 1j * gy[:, None])
+    ts = (np.arange(1000) + 0.5) / 1000
+    edges = [a + ts * (b - a) for a, b in zip(verts, np.roll(verts, -1))]
+    return [*grids, np.concatenate(edges)]
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SHAPES))
+def test_readouts_match_four_way_formulas_bitwise(name):
+    # bytes, not values: a -1 read-out taken as the conjugate of the +1 sum
+    # agrees in value but writes -0 for the exact zeros of a Dirichlet side
+    poly = GRID_SHAPES[name]()
+    points = readout_points(poly)
+    for wave in wave_family(poly, (2, 3)):
+        for readout in (1, -1, "cos", "sin"):
+            w = replace(wave, readout=readout)
+            for pts in points:
+                got = (evaluate(w, pts), *_gradient(w, pts))
+                want = (ref_evaluate(w, pts), *ref_gradient(w, pts))
+                for g, r in zip(got, want):
+                    assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
 
 
 GRID_SIDES = st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=6)
