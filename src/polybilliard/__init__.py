@@ -85,7 +85,6 @@ _EXPORTS = {
     "evaluate": "swf",
     "grid_csv": "swf",
     "grid_pgm": "swf",
-    "l2_norm": "swf",
     "real_combinations": "swf",
     "symmetry_probe": "swf",
     "verify_boundary": "swf",

@@ -395,7 +395,7 @@ class Cyclo:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self.coeffs.items()))
+            self._hash = hash((self.den, frozenset(self.num.items())))
         return self._hash
 
     def __repr__(self) -> str:

@@ -122,7 +122,8 @@ class _Frame:
     """The vector algebra of both frames, written once over Python's complex protocol.
 
     A subclass sets `N` and `_i` (the vector i) and adds `unit`, `scalar`,
-    `zero`, `rotate`, `is_zero`, `rational_value`, `_length` and `positive`.
+    `zero`, `rotate`, `is_zero`, the index keys `index_key` and
+    `probe_keys`, `rational_value`, `_length` and `positive`.
     """
 
     def from_xy(self, x, y):
@@ -175,6 +176,14 @@ class ExactFrame(_Frame):
     def is_zero(self, z, scale: float = 1.0) -> bool:
         return z.is_zero()
 
+    def index_key(self, z, scale: float = 1.0):
+        """Key of z in a hash index of vectors: z itself, which is normalized."""
+        return z
+
+    def probe_keys(self, z, scale: float = 1.0):
+        """The keys of every vector w with `is_zero(z - w)`: z's own."""
+        return (z,)
+
     def rational_value(self, r) -> Fraction | None:
         """Fraction value of a real scalar if it is rational, else None."""
         return r.as_fraction() if r.is_rational() else None
@@ -221,6 +230,21 @@ class FloatFrame(_Frame):
 
     def is_zero(self, z, scale: float = 1.0) -> bool:
         return abs(z) <= _FLOAT_TOL * max(1.0, scale)
+
+    def index_key(self, z: complex, scale: float = 1.0) -> tuple[int, int]:
+        """Key of z in a hash index of vectors: its grid cell.
+
+        The cells have side twice the `is_zero` radius, so that rounding at
+        a cell border cannot put two vectors within the radius two cells
+        apart.
+        """
+        side = 2 * _FLOAT_TOL * max(1.0, scale)
+        return math.floor(z.real / side), math.floor(z.imag / side)
+
+    def probe_keys(self, z: complex, scale: float = 1.0) -> list[tuple[int, int]]:
+        """The keys of every vector w with `is_zero(z - w)`: z's cell and its 8 neighbours."""
+        x, y = self.index_key(z, scale)
+        return [(x + i, y + j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
 
     def rational_value(self, r: float) -> Fraction | None:
         return as_rational(float(r))

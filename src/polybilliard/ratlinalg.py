@@ -1,18 +1,19 @@
 """Small exact linear-algebra helpers over the integers.
 
 Everything here is deliberately tiny and dependency-free: a sparse
-fraction-free echelon over Z for rank and determinant bookkeeping, and
-Hermite normal forms of integer lattices.
+fraction-free echelon over Z for rank and determinant bookkeeping, and the
+Hermite normal form of the lattice d * Z^n * A^-1, computed over sparse rows
+modulo d with a per-column index of the rows nonzero there.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 
 __all__ = [
     "IntegerEchelon",
-    "hnf_rows",
     "hnf_inverse",
 ]
 
@@ -57,38 +58,6 @@ class IntegerEchelon:
         return True
 
 
-def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Hermite basis (row style) of the integer lattice generated by ``rows``.
-
-    Output rows are in echelon order with positive pivots and the entries
-    above each pivot reduced into [0, pivot).
-    """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    r = 0
-    for c in range(len(work[0])):
-        live = [i for i in range(r, len(work)) if work[i][c]]
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(work[i][c]))
-            i0 = live[0]
-            for i in live[1:]:
-                q = work[i][c] // work[i0][c]
-                work[i] = [x - q * y for x, y in zip(work[i], work[i0])]
-            live = [i for i in live if work[i][c]]
-        if not live:
-            continue
-        work[r], work[live[0]] = work[live[0]], work[r]
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-        for i in range(r):
-            q = work[i][c] // work[r][c]
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return work[:r]
-
-
 def hnf_inverse(a: list[list[int]], d: int) -> list[list[int]]:
     """Hermite basis of d * Z^n * A^-1, for a nonsingular n x n integer matrix A.
 
@@ -96,8 +65,72 @@ def hnf_inverse(a: list[list[int]], d: int) -> list[list[int]]:
     [[A | I], [d*I | 0]] generate the pairs (x*A + d*y, x); those with a zero
     left half are x in d * Z^n * A^-1, and their Hermite basis is the rows of
     the stacked Hermite form with a zero left half (Cohen 1993, section 2.4).
+    That lattice holds d * Z^n, so the stacked one holds d times every unit
+    row: those 2n rows stay implicit and every entry is kept modulo d
+    (Domich, Kannan & Trotter 1987; Cohen 1993, Alg. 2.4.8).
+
+    Columns are cleared left to right over sparse rows, through an index of
+    the rows nonzero in each column.  A column's rows reduce to one row R,
+    which meets the implicit row d*e_c: with g = gcd(R_c, d) and u*R_c = g
+    mod d, the pair becomes the pivot row u*R + v*d*e_c (entry g) and
+    (d/g)*R (entry 0 mod d), a unimodular step.  A left half pivot row is
+    dropped, a right half one is an output row, reduced into the rows
+    above it.  The output has positive pivots with the entries above each
+    pivot in [0, pivot): the Hermite form, which is unique.
     """
-    n = len(a)
-    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    rows += [[d * (i == j) for j in range(n)] + [0] * n for i in range(n)]
-    return [r[n:] for r in hnf_rows(rows) if not any(r[:n])]
+    n, d = len(a), int(d)
+    # row i < n starts as row i of [A | I]; row n + c is the output row of pivot column c
+    rows: dict[int, dict[int, int]] = {}
+    where: dict[int, set[int]] = defaultdict(set)  # column -> rows nonzero there
+
+    def put(i: int, row: dict[int, int]) -> None:
+        old = rows.pop(i, {})
+        for c in old.keys() - row.keys():
+            where[c].discard(i)
+        for c in row.keys() - old.keys():
+            where[c].add(i)
+        if row:
+            rows[i] = row
+
+    def minus(i: int, q: int, p: dict[int, int]) -> None:
+        """Row i minus q times row p, modulo d in the columns of p."""
+        row = dict(rows[i])
+        for c, x in p.items():
+            if s := (row.get(c, 0) - q * x) % d:
+                row[c] = s
+            else:
+                row.pop(c, None)
+        put(i, row)
+
+    for i, r in enumerate(a):
+        row = {c: s for c, x in enumerate(r) if x and (s := x % d)}
+        if d > 1:
+            row[n + i] = 1
+        put(i, row)
+    for c in range(2 * n):
+        live = [i for i in where[c] if i < n]
+        while len(live) > 1:
+            p = min(live, key=lambda i: rows[i][c])
+            for i in live:
+                if i != p:
+                    minus(i, rows[i][c] // rows[p][c], rows[p])
+            live = [i for i in live if i in rows and c in rows[i]]
+        if live:
+            r = rows[live[0]]
+            g = gcd(r[c], d)
+            u = pow(r[c] // g, -1, d // g)  # u * R_c = g mod d
+            pivot = {k: s for k, x in r.items() if k != c and (s := u * x % d)}
+            put(live[0], {k: s for k, x in r.items() if k != c and (s := d // g * x % d)})
+        else:
+            g, pivot = d, {}
+        if c < n:
+            continue
+        pivot[c] = g
+        for i in [i for i in where[c] if i >= n and rows[i][c] >= g]:
+            minus(i, rows[i][c] // g, pivot)
+        put(n + c, pivot)
+    out = [[0] * n for _ in range(n)]
+    for row, i in zip(out, range(2 * n, 3 * n)):
+        for c, x in rows[i].items():
+            row[c - n] = x
+    return out

@@ -48,7 +48,6 @@ __all__ = [
     "verify_boundary",
     "verify_helmholtz",
     "symmetry_probe",
-    "l2_norm",
     "grid_csv",
     "grid_pgm",
 ]
@@ -395,68 +394,6 @@ def symmetry_probe(swf, symmetry, samples: int = 200, tol: float = 1e-9) -> str:
     if float(np.max(np.abs(v1 + v0))) <= tol * amp:
         return "odd"
     return "none"
-
-
-def _triangulate(verts: list[complex]) -> list[tuple[complex, complex, complex]]:
-    """Ear clipping; fine for the small, simple polygons used here."""
-    left = list(verts)
-    area2 = sum(
-        (left[i].real * left[(i + 1) % len(left)].imag)
-        - (left[(i + 1) % len(left)].real * left[i].imag)
-        for i in range(len(left))
-    )
-    if area2 < 0:
-        left.reverse()
-    tris = []
-    guard = 0
-    while len(left) > 3 and guard < 10000:
-        guard += 1
-        n = len(left)
-        for i in range(n):
-            a, b, c = left[(i - 1) % n], left[i], left[(i + 1) % n]
-            cross = (b - a).real * (c - b).imag - (b - a).imag * (c - b).real
-            if cross <= 1e-15:
-                continue
-            ear = True
-            for z in left:
-                if z in (a, b, c):
-                    continue
-                # barycentric containment test
-                d0, d1, d2 = b - a, c - a, z - a
-                den = d0.real * d1.imag - d0.imag * d1.real
-                u = (d2.real * d1.imag - d2.imag * d1.real) / den
-                w = (d0.real * d2.imag - d0.imag * d2.real) / den
-                if u > -1e-12 and w > -1e-12 and u + w < 1 + 1e-12:
-                    ear = False
-                    break
-            if ear:
-                tris.append((a, b, c))
-                del left[i]
-                break
-        else:  # pragma: no cover - non-simple polygon
-            break
-    tris.append(tuple(left))
-    return tris
-
-
-def l2_norm(swf) -> float:
-    """L2 norm over the polygon by Gauss-Legendre quadrature on a
-    triangulation (16 points per triangle). Intended for plotting scales."""
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    nodes = 0.5 * (nodes + 1)
-    weights = 0.5 * weights
-    total = 0.0
-    for a, b, c in _triangulate(swf.polygon.vertices_float()):
-        area2 = abs(
-            (b - a).real * (c - a).imag - (b - a).imag * (c - a).real
-        )
-        for iu, u in enumerate(nodes):
-            for iv, v in enumerate(nodes):
-                # collapsed-square map of the unit triangle
-                z = a + u * (b - a) + v * (1 - u) * (c - a)
-                w = weights[iu] * weights[iv] * (1 - u) * area2
-                total += w * float(np.abs(evaluate(swf, np.array([z])))[0]) ** 2
-    return math.sqrt(total)
 
 
 @lru_cache(maxsize=1)

@@ -14,15 +14,23 @@ images, its edges the edge classes and its vertices the glued corners.  A
 spanning tree of the faces and a spanning co-tree of the vertices leave
 exactly 2g edge classes over, whose crossing cycles are a Z-basis of the
 surface's homology; `period_basis` picks 2g short cycles against that basis
-and returns their translation vectors.  Boundary pairs with equal
-translations share one simple period (`EPP.periods`).  The pattern decides,
-once per distinct period and only when a reader asks for its kind, whether a
-channel of parallel periodic orbits runs along it (`channel_exists`: test one
-orbit from the middle of each boundary side, and only if none closes, cut the
-sides at the separatrices of that direction and test one orbit per piece).
-`period_basis` asks for the kinds of the simple periods its basis vectors
-equal; `EPP.periods`, `EPP.dump` and `find_pocs` ask for every kind, and
-`find_pocs` lists the periods that have a channel.
+and returns their translation vectors.
+
+Boundary pairs with equal translations share one simple period
+(`EPP.periods`).  One index finds a vector's group, for the grouping itself,
+for `period_basis` and for `channel_exists`: an exact frame keys it by the
+normalized field element, a float frame by a grid cell a little wider than
+the `is_zero` radius, and a lookup probes the cells around the vector
+(`frame.index_key`, `frame.probe_keys`), so it finds the group a scan of
+every group would.  The pattern decides, once per distinct period and only
+when a reader asks for its kind, whether a channel of parallel periodic
+orbits runs along it (`channel_exists`: test one orbit from the middle of
+each boundary side, and only if none closes, cut the sides at the
+separatrices of that direction and test one orbit per piece, skipping the
+pieces an orbit already tested runs through).  `period_basis` asks for the
+kinds of the simple periods its basis vectors equal; `EPP.periods`,
+`EPP.dump` and `find_pocs` ask for every kind, and `find_pocs` lists the
+periods that have a channel.
 """
 
 from __future__ import annotations
@@ -118,13 +126,6 @@ class PolygonImage:
         """0 for even (orientation-preserving), 1 for odd; equals the reflecting flag."""
         return 1 if self.iso.reflecting else 0
 
-    def vertices_float(self) -> list[complex]:
-        f = self.polygon.frame
-        return [complex(self.iso.apply(f, v)) for v in self.polygon.verts]
-
-    def side_direction(self, s: int) -> int:
-        return self.iso.transport(self.polygon.dirs[s], self.polygon.frame)
-
 
 @dataclass(frozen=True, eq=False)
 class Period:
@@ -195,25 +196,48 @@ class EPP:
         """Boundary pairs grouped by equal half-plane translation, in discovery order.
 
         The first pair of a group represents it: its vector is the group's
-        simple period.
+        simple period.  A pair joins the first group whose vector its own
+        equals (`frame.is_zero` of the difference), found through `_index`.
         """
         f, scale = self.polygon.frame, self._scale
         groups: list[list[EdgePair]] = []
         for e in self.edge_pairs:
             v = e.period.vector
-            group = next(
-                (g for g in groups if f.is_zero(v - g[0].period.vector, scale)), None
-            )
-            if group is None:
+            i = self._group_of(v, groups)
+            if i is None:
+                self._index.setdefault(f.index_key(v, scale), []).append(len(groups))
                 groups.append([e])
             else:
-                group.append(e)
+                groups[i].append(e)
         return groups
 
     @cached_property
-    def _groups_float(self) -> list[complex]:
-        """Each group's period vector as a float."""
-        return [complex(g[0].period.vector) for g in self._groups]
+    def _index(self) -> dict[object, list[int]]:
+        """`frame.index_key` of a group's vector -> the indices of the groups there.
+
+        `_groups` fills it.  An exact frame keys a vector by itself, a float
+        frame by its grid cell.
+        """
+        return {}
+
+    def _group_of(self, v, groups: list[list[EdgePair]] | None = None) -> int | None:
+        """Index of the first group whose vector equals v, or None.
+
+        Only the groups at v's `frame.probe_keys` can pass `frame.is_zero`, so
+        the lowest index that passes there is the first match of a scan over
+        every group.
+        """
+        f, scale = self.polygon.frame, self._scale
+        groups = self._groups if groups is None else groups
+        found = None
+        for key in f.probe_keys(v, scale):
+            for i in self._index.get(key, ()):
+                if found is not None and i >= found:
+                    break
+                if f.is_zero(v - groups[i][0].period.vector, scale):
+                    found = i
+                    break
+        return found
 
     @cached_property
     def _kinds(self) -> dict[int, Period]:
@@ -276,7 +300,16 @@ class EPP:
 
     @cached_property
     def _verts_float(self) -> list[list[complex]]:
-        return [img.vertices_float() for img in self.images]
+        """Per image, its corners: the isometry applied in floats to the polygon's float corners."""
+        f = self.polygon.frame
+        units = [complex(f.unit(j)) for j in range(2 * f.N)]
+        verts = self.polygon.vertices_float()
+        mirrored = [z.conjugate() for z in verts]
+        out = []
+        for img in self.images:
+            w, t = units[img.iso.rotation], complex(img.iso.translation)
+            out.append([w * z + t for z in (mirrored if img.iso.reflecting else verts)])
+        return out
 
     @cached_property
     def _sides_float(self) -> list[list[tuple[complex, complex, float]]]:
@@ -306,14 +339,17 @@ class EPP:
         return "\n".join(lines)
 
 
-def _side_reflection(image: PolygonImage, s: int) -> Isometry:
-    """Reflection of the plane across the line containing side s of the image."""
-    poly = image.polygon
-    f = poly.frame
-    d = image.side_direction(s)
-    p0 = image.iso.apply(f, poly.verts[s])
-    r = (2 * d) % (2 * f.N)
-    return Isometry(True, r, p0 - f.rotate(p0.conjugate(), r))
+def _mirror(iso: Isometry, polygon: Polygon, s: int) -> Isometry:
+    """The isometry of the mirror copy, across its side s, of the image placed by iso.
+
+    That is the reflection across the line of the image's side s, through
+    its corner p0 = iso(vertex s), composed after iso.
+    """
+    f = polygon.frame
+    r = 2 * iso.transport(polygon.dirs[s], f) % (2 * f.N)
+    p0 = iso.apply(f, polygon.verts[s])
+    t = f.rotate(iso.translation.conjugate(), r) + (p0 - f.rotate(p0.conjugate(), r))
+    return Isometry(not iso.reflecting, (r - iso.rotation) % (2 * f.N), t)
 
 
 def reflect_image(image: PolygonImage, edge_id: int) -> PolygonImage:
@@ -321,8 +357,7 @@ def reflect_image(image: PolygonImage, edge_id: int) -> PolygonImage:
     poly = image.polygon
     if not 0 <= edge_id < poly.n:
         raise ValueError(f"edge {edge_id} out of range for an {poly.n}-gon")
-    refl = _side_reflection(image, edge_id)
-    return PolygonImage(0, refl.compose(image.iso, poly.frame), poly)
+    return PolygonImage(0, _mirror(image.iso, poly, edge_id), poly)
 
 
 def unfold_vertex(polygon: Polygon, vertex_index: int) -> list[PolygonImage]:
@@ -388,44 +423,42 @@ def build_epp(polygon: Polygon) -> EPP:
     cap = 16 * f.N
     scale = polygon.perimeter_float()
     images = [PolygonImage(1, Isometry.identity(f), polygon)]
-    by_orient: dict[tuple[bool, int], int] = {(False, 0): 1}
-    glued: set[tuple[int, int]] = set()
+    by_orient: dict[tuple[bool, int], int] = {(False, 0): 0}  # -> index in images
+    glued = [False] * n  # slot k*n + s: side s of images[k]
     edges: list[EdgePair] = []
-    queue: deque[tuple[int, int]] = deque((1, s) for s in range(n))
+    queue = deque(range(n))  # slots
     while queue:
-        k, s = queue.popleft()
-        if (k, s) in glued:
+        slot = queue.popleft()
+        if glued[slot]:
             continue
-        img = images[k - 1]
-        cand = _side_reflection(img, s).compose(img.iso, f)
+        k, s = divmod(slot, n)
+        cand = _mirror(images[k].iso, polygon, s)
         other = by_orient.get((cand.reflecting, cand.rotation))
         if other is None:
             if len(images) >= cap:
                 raise OrbitExplosion(
                     f"more than {cap} images; the orientation dedup must be broken"
                 )
-            k2 = len(images) + 1
-            images.append(PolygonImage(k2, cand, polygon))
-            by_orient[(cand.reflecting, cand.rotation)] = k2
-            edges.append(EdgePair(k, k2, s, f.zero(), None))
-            glued.add((k, s))
-            glued.add((k2, s))
-            queue.extend((k2, s2) for s2 in range(n))
+            other = len(images)
+            images.append(PolygonImage(other + 1, cand, polygon))
+            by_orient[(cand.reflecting, cand.rotation)] = other
+            edges.append(EdgePair(k + 1, other + 1, s, f.zero(), None))
+            glued += [False] * n
+            queue.extend(range(other * n, other * n + n))
         else:
-            if (other, s) in glued:
+            if glued[other * n + s]:
                 raise RuntimeError("edge pairing inconsistency: slot glued twice")
-            t = cand.translation - images[other - 1].iso.translation
+            t = cand.translation - images[other].iso.translation
             if f.is_zero(t, scale):
-                edges.append(EdgePair(k, other, s, f.zero(), None))
+                edges.append(EdgePair(k + 1, other + 1, s, f.zero(), None))
             else:
-                edges.append(EdgePair(k, other, s, t, Period(_half_plane(f, t), None)))
-            glued.add((k, s))
-            glued.add((other, s))
+                edges.append(EdgePair(k + 1, other + 1, s, t, Period(_half_plane(f, t), None)))
+        glued[slot] = glued[other * n + s] = True
     if len(images) != 2 * f.N:
         raise RuntimeError(
             f"unfolding closed with {len(images)} images, expected {2 * f.N}"
         )
-    if len(edges) != n * f.N or len(glued) != 2 * n * f.N:
+    if len(edges) != n * f.N or not all(glued):
         raise RuntimeError("edge pairing incomplete after BFS closure")
     return EPP(polygon, images, edges, f.N)
 
@@ -614,10 +647,7 @@ def period_basis(epp: EPP) -> list[Period]:
     periods = []
     for vec in vectors:
         v = _half_plane(f, vec)
-        group = next(
-            (i for i, g in enumerate(epp._groups) if f.is_zero(v - g[0].period.vector, scale)),
-            None,
-        )
+        group = epp._group_of(v)
         kind = "compound" if group is None else epp._period(group).kind
         z = complex(v)
         periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), Period(v, kind)))
@@ -669,21 +699,27 @@ def _march(epp: EPP, face: int, z: complex, u: complex, length: float):
         length -= s_hit
 
 
-def _closes(epp: EPP, face: int, z: complex, u: complex, length: float, vector):
-    """March the orbit of `vector` from z on a side of image `face`.
+def _closes(epp: EPP, face: int, side: int, r: float, u: complex, length: float, vector, missed):
+    """March the orbit of `vector` from position r along side `side` of image `face`.
 
     True when it closes: it ends in `face` with an accumulated translation
     exactly equal to `vector`.  False when it ends in an image without
-    closing, None when it runs into a corner.
+    closing; its start and every crossing then go into `missed`, as
+    (image, side) -> positions.  None when it runs into a corner.
     """
-    crossings, end = _march(epp, face, z, u, length)
+    a, d, _len = epp._sides_float[face - 1][side]
+    crossings, end = _march(epp, face, a + d * r, u, length)
     if end is None:
         return None
-    if end != face:
-        return False
-    f = epp.polygon.frame
-    offset = sum((epp.gluing[(fc, s)][1] for fc, s, _r in crossings), f.zero())
-    return f.is_zero(offset - vector, epp._scale)
+    if end == face:
+        f = epp.polygon.frame
+        offset = sum((epp.gluing[(fc, s)][1] for fc, s, _r in crossings), f.zero())
+        if f.is_zero(offset - vector, epp._scale):
+            return True
+    missed[(face, side)].append(r)
+    for fc, s, rc in crossings:
+        missed[(fc, s)].append(rc)
+    return False
 
 
 def channel_exists(epp: EPP, vector) -> bool:
@@ -693,30 +729,33 @@ def channel_exists(epp: EPP, vector) -> bool:
     side.  Test first: march one orbit from the middle of each boundary side
     not parallel to u, in the image u enters; any orbit that closes proves
     the channel.  The period's own pairs, the group of boundary pairs whose
-    translation is +-vector, go first, then the rest in discovery order: on
-    a long period an orbit from one of its own pairs usually closes at once.
-    The order cannot change the verdict, since a yes needs any one closing
-    march and a no tests every piece.  Only when none closes, cut: from
-    every corner sector that -u enters, march a separatrix backward for
-    |vector| (2g-2+V of them at most, V the number of vertex classes) and
-    cut the sides it crosses.  Between two cuts every orbit runs into no
-    corner and follows the same path, so all of them close or none does.
-    Then test one orbit from the middle of each piece, skipping the piece
-    that holds a side's middle when the first march from there ran into no
-    corner: it tested that piece.
+    translation is +-vector (`EPP._group_of`), go first, then the rest in
+    discovery order: on a long period an orbit from one of its own pairs
+    usually closes at once.  The order cannot change the verdict, since a
+    yes needs any one closing march and a no tests every piece.  Only when
+    none closes, cut: from every corner sector that -u enters, march a
+    separatrix backward for |vector| (2g-2+V of them at most, V the number
+    of vertex classes) and cut the sides it crosses.  Between two cuts
+    every orbit runs into no corner and follows the same path, so all of
+    them close or none does.  Then test one orbit from the middle of each
+    piece.
+
+    One "no" per orbit: a march that neither closes nor runs into a corner
+    records where it started and every side it crossed.  If some point of
+    its orbit closed, the orbit would be periodic and that march would have
+    closed too, so a piece that strictly holds a recorded position, by more
+    than `_TOL`, is a "no" without a march of its own.  A march that ran
+    into a corner records nothing: it lies on a separatrix.
     """
     tgt = complex(vector)
     length = abs(tgt)
     u = tgt / length
     angles, n = epp.polygon.angles, epp.polygon.n
-    tol = _TOL * max(1.0, epp._scale)
 
-    own = next(
-        (g for g, z in zip(epp._groups, epp._groups_float)
-         if min(abs(z - tgt), abs(z + tgt)) <= tol),
-        [],
-    )
-    sides = []  # (pair, image u enters, its start corner and side vector, middle's piece tested)
+    group = epp._group_of(_half_plane(epp.polygon.frame, vector))
+    own = [] if group is None else epp._groups[group]
+    missed = defaultdict(list)  # (image, side) -> positions a march that did not close crossed
+    sides = []  # (pair, image u enters)
     for e in chain(own, (e for e in epp.edge_pairs if e not in own)):
         _a, d, side_len = epp._sides_float[e.a - 1][e.side]
         cross = ((d / side_len).conjugate() * u).imag
@@ -724,11 +763,9 @@ def channel_exists(epp: EPP, vector) -> bool:
             continue  # parallel to the orbits: none crosses it
         # image a lies left of its side, or right when it is reflecting
         face = e.a if (cross > 0) != epp.image(e.a).iso.reflecting else e.b
-        a, d, _len = epp._sides_float[face - 1][e.side]
-        middle = _closes(epp, face, a + d * 0.5, u, length, vector)
-        if middle:
+        if _closes(epp, face, e.side, 0.5, u, length, vector, missed):
             return True
-        sides.append((e, face, a, d, middle is False))
+        sides.append((e, face))
     cuts = defaultdict(list)  # (image, side) -> positions of its cuts
     for k, verts in enumerate(epp._verts_float, 1):
         reflecting = epp.image(k).iso.reflecting
@@ -738,12 +775,13 @@ def channel_exists(epp: EPP, vector) -> bool:
             if _TOL < cmath.phase(-u / start) % (2 * math.pi) < angles[i - 1].radians() - _TOL:
                 for face, side, r in _march(epp, k, z, -u, length)[0]:
                     cuts[(face, side)].append(r)
-    for e, face, a, d, tested in sides:
+    for e, face in sides:
         rs = sorted([0.0, 1.0, *cuts[(e.a, e.side)], *cuts[(e.b, e.side)]])
         for r0, r1 in zip(rs, rs[1:]):
-            if tested and r0 < 0.5 < r1:
+            if any(r0 + _TOL < r < r1 - _TOL
+                   for r in chain(missed[(e.a, e.side)], missed[(e.b, e.side)])):
                 continue
-            if _closes(epp, face, a + d * ((r0 + r1) / 2), u, length, vector):
+            if _closes(epp, face, e.side, (r0 + r1) / 2, u, length, vector, missed):
                 return True
     return False
 

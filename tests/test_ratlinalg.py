@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from polybilliard.approx import as_rational, best_rational, convergents
 from polybilliard.errors import OutOfRange
-from polybilliard.ratlinalg import IntegerEchelon, hnf_inverse, hnf_rows
+from polybilliard.ratlinalg import IntegerEchelon, hnf_inverse
 
 
 # --- IntegerEchelon ---------------------------------------------------------
@@ -250,6 +250,73 @@ def test_integer_continued_fractions_match_fraction_walks(x, max_den, rel_tol):
     assert got == ref_best_rational(x, max_den) and type(got) is Fraction
     assert list(convergents(Fraction(x))) == list(ref_convergents(Fraction(x)))
     assert list(convergents(x)) == list(ref_convergents(Fraction(x)))
+
+
+# --- hnf_rows: the dense Hermite form, the oracle of hnf_inverse --------------
+
+def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Hermite basis (row style) of the integer lattice generated by ``rows``.
+
+    Output rows are in echelon order with positive pivots and the entries
+    above each pivot reduced into [0, pivot).
+    """
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return []
+    r = 0
+    for c in range(len(work[0])):
+        live = [i for i in range(r, len(work)) if work[i][c]]
+        while len(live) > 1:
+            live.sort(key=lambda i: abs(work[i][c]))
+            i0 = live[0]
+            for i in live[1:]:
+                q = work[i][c] // work[i0][c]
+                work[i] = [x - q * y for x, y in zip(work[i], work[i0])]
+            live = [i for i in live if work[i][c]]
+        if not live:
+            continue
+        work[r], work[live[0]] = work[live[0]], work[r]
+        if work[r][c] < 0:
+            work[r] = [-x for x in work[r]]
+        for i in range(r):
+            q = work[i][c] // work[r][c]
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return work[:r]
+
+
+def dense_hnf_inverse(a: list[list[int]], d: int) -> list[list[int]]:
+    """hnf_inverse as the dense Hermite form of [[A | I], [d*I | 0]]."""
+    n = len(a)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    rows += [[d * (i == j) for j in range(n)] + [0] * n for i in range(n)]
+    return [r[n:] for r in hnf_rows(rows) if not any(r[:n])]
+
+
+def test_sparse_hnf_inverse_matches_dense_route():
+    """Random nonsingular matrices, sparse and dense, with d = |det A| and
+    with multiples of it: the modular sparse form equals the dense one."""
+    rng = random.Random(31)
+    seen = {"d > 1": 0, "d = 1": 0, "multiple": 0}
+    for trial in range(400):
+        n = rng.randrange(1, 9)
+        fill = rng.choice((0.2, 0.5, 1.0))
+        a = [[rng.randrange(-5, 6) if rng.random() < fill else 0 for _ in range(n)]
+             for _ in range(n)]
+        if trial % 4 == 0:  # unimodular: the identity under row operations
+            a = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(3 * n):
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if i != j:
+                    a[i] = [x + rng.choice((-2, -1, 1, 3)) * y for x, y in zip(a[i], a[j])]
+        det = _fraction_det(a)
+        if not det:
+            continue
+        d = int(det) * rng.choice((1, 1, 1, 2, 3, 12))
+        seen["multiple" if d != det else "d > 1" if d > 1 else "d = 1"] += 1
+        assert hnf_inverse(a, d) == dense_hnf_inverse(a, d), (a, d)
+    assert min(seen.values()) > 10, seen
 
 
 # --- hnf_rows ---------------------------------------------------------------

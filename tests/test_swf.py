@@ -46,7 +46,6 @@ from polybilliard.swf import (
     evaluate,
     grid_csv,
     grid_pgm,
-    l2_norm,
     real_combinations,
     symmetry_probe,
     verify_boundary,
@@ -584,16 +583,7 @@ def test_evaluate_accepts_xy_pairs():
     assert a[0] == pytest.approx(b[0], abs=1e-15)
 
 
-# ------------------------------------------------------------ export/quad
-
-def test_l2_norm_square_ground():
-    poly, epp, q = square_ground()
-    pres = enumerate_prescriptions(epp)[0]
-    live = surviving(real_combinations(compile_swf(epp, pres, q)))
-    # amplitude 4 on sin*sin gives L2 norm sqrt(16/4) = 2; the fixed
-    # 16-point rule per triangle is plotting-grade, not spectral
-    assert l2_norm(live) == pytest.approx(2.0, rel=2e-2)
-
+# ----------------------------------------------------------------- export
 
 def test_grid_exports():
     poly = l_shape(1, 1, 2, 2)

@@ -29,7 +29,9 @@ from polybilliard.shapes import (
 from polybilliard.exactgeom import load_polygon, solve_closure, validate_polygon
 from polybilliard.unfold import (
     EPP,
+    EdgePair,
     Isometry,
+    Period,
     PolygonImage,
     build_epp,
     channel_exists,
@@ -665,6 +667,63 @@ def test_channel_marches_at_most_one_separatrix_per_sector(monkeypatch):
             assert sum(starts) == 0
             closed_at_middle += 1
     assert 0 < closed_at_middle < len(epp.periods)
+
+
+def test_no_verdict_marches_once_per_orbit(monkeypatch):
+    # the longest structural period of the broken parallelogram: 22 side
+    # middles and 24 separatrices, then one march for each of the 34 cut
+    # pieces that no failed march crossed; 138 marches when each of 92
+    # pieces took its own
+    p = broken_parallelogram()
+    epp = build_epp(p)
+    per = max((q for q in epp.periods if q.kind == "structural"),
+              key=lambda q: abs(_vec(p.frame, q.vector)))
+    starts = _separatrix_count(monkeypatch)
+    assert not channel_exists(epp, per.vector)
+    assert sum(starts) == 24
+    assert len(starts) == 80
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=12),
+    offsets=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.5, 1.0, -1.0, 0.999999, 1.000001, 2.0, -0.5, 1e-7]),
+            st.sampled_from([0.0, 0.5, 1.0, -1.0, 0.999999, 1.000001, 2.0, -0.5, 1e-7]),
+            st.sampled_from([-2, -1, 0, 1, 2]),
+        ),
+        min_size=12, max_size=12,
+    ),
+    base=st.sampled_from([0j, 1 + 1j, -2.5 + 0.75j, 1e3 - 1e3j]),
+)
+def test_float_period_index_matches_linear_scan(cells, offsets, base):
+    # vectors on the borders of cells of side r and 2r, r the is_zero
+    # radius, a few ulps either side, and within r of one another
+    p = _right_triangle(1, 38)
+    f = p.frame
+    assert not f.exact
+    scale = p.perimeter_float()
+    r = 1e-9 * max(1.0, scale)
+    vectors = []
+    for (i, j), (dx, dy, ulps) in zip(cells, offsets):
+        x = base.real + (i + dx) * r
+        y = base.imag + (j + dy) * r
+        vectors.append(complex(x + ulps * math.ulp(x), y - ulps * math.ulp(y)))
+    pairs = [EdgePair(1, 1, 0, v, Period(v)) for v in vectors]
+    epp = EPP(p, [], pairs, 1)
+    scan: list[list[int]] = []
+    for k, v in enumerate(vectors):
+        g = next((g for g in scan if f.is_zero(v - vectors[g[0]], scale)), None)
+        if g is None:
+            scan.append([k])
+        else:
+            g.append(k)
+    assert [[pairs.index(e) for e in g] for g in epp._groups] == scan
+    for (dx, dy, _u) in offsets:
+        w = vectors[0] + complex(dx, dy) * r
+        want = next((i for i, g in enumerate(scan) if f.is_zero(w - vectors[g[0]], scale)), None)
+        assert epp._group_of(w) == want
 
 
 def test_long_period_is_tested_from_its_own_pairs_first(monkeypatch):
