@@ -96,7 +96,6 @@ _EXPORTS = {
     "perturbation_study": "oracle",
     "rasterize": "oracle",
     "richardson_order": "oracle",
-    "verify_deformation": "oracle",
 }
 
 __all__ = ["__version__", *_EXPORTS]

@@ -8,8 +8,9 @@ stable contract scripts can rely on:
   2  input error (unreadable file, bad JSON, closure failure, bad flags)
   3  the billiard is not doubly rational and no --rationalize cap was given
   4  sign-prescription id out of range
-  5  verification failure (spectra out of tolerance, boundary/Helmholtz check)
-     or an FD eigensolver that did not converge
+  5  verification failure (spectra out of tolerance, boundary/Helmholtz check,
+     a deformation study whose eta does not fall strictly with epsilon) or an
+     FD eigensolver that did not converge
 
 The only environment influence is ``POLYBILLIARD_THREADS=N``, which caps the
 BLAS/OpenMP thread pools of both finite-difference eigensolvers, dense and
@@ -191,8 +192,11 @@ def _kinds_flag(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _study_flag(text: str) -> tuple[float, ...]:
-    return tuple(float(_fraction_flag(part)) for part in text.split(","))
+def _study_flag(text: str) -> tuple[Fraction, ...]:
+    sizes = tuple(_fraction_flag(part) for part in text.split(","))
+    if any(e < 0 for e in sizes):
+        raise argparse.ArgumentTypeError(f"not a nonnegative size: {text!r}")
+    return sizes
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--study-count",
-        type=int,
+        type=_positive_int_flag,
         default=10,
         help="levels tracked by the deformation study (default 10)",
     )
@@ -508,6 +512,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.against is not None:
         _, _, _, other = _load_lattice(ns.against)
         numerical = _axis_product_levels(other, ns.e_max, ns.bc)
+        if not numerical:
+            raise OutOfRange(
+                f"{ns.against} has no closed-form level up to --e-max {ns.e_max:g}"
+            )
     else:
         domain = rasterize(polygon, spacing, bc_map=ns.bc)
         numerical = fd_eigenvalues(domain, ns.count)
@@ -519,6 +527,11 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             "or --e-max"
         )
     report = compare_spectra(sem, numerical, rel_tol)
+    # run the study before printing anything, so that a size it rejects
+    # leaves stdout empty
+    study = None
+    if ns.study is not None:
+        study = perturbation_study(polygon, ns.study, count=ns.study_count, h=spacing)
     _emit(report_csv(report), ns.out)
     verdict = "PASS" if report.passed else "FAIL"
     print(
@@ -530,8 +543,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     )
     ok = report.passed
 
-    if ns.study is not None:
-        study = perturbation_study(polygon, ns.study, count=ns.study_count, h=spacing)
+    if study is not None:
         sys.stdout.write(study_csv(study))
         bounds_ok = all(row.bounds.passed for row in study.rows)
         print(f"deformation bounds: {'PASS' if bounds_ok else 'FAIL'}")

@@ -15,6 +15,11 @@ straight sides while keeping the generalized problem symmetric.
 Energies follow the package convention E = |p|^2 / 2, so the solver returns
 eigenvalues of -(1/2)*Laplacian and numbers compare directly with the
 closed-form spectra elsewhere in the package.
+
+The deformation study squeezes a broken rectangle's bottom bay by a
+piecewise linear shift whose bounds are known in closed form, so
+`deform_domain` returns them as exact Fractions instead of sampling them;
+corners and sizes are exact Fractions throughout, never rounded guesses.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -301,160 +306,118 @@ def report_csv(report: MatchReport) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class DeformationMap:
-    """Piecewise shift (x, y) -> (x + g, y + h) squeezing the bottom bay."""
+class DeformationBounds:
+    """Exact sup norms of the bay squeeze's shift g and its gradient.
 
-    g: Callable[[float, float], float]
-    h: Callable[[float, float], float]
-    epsilon: float
-    corners: tuple[Fraction, Fraction, Fraction, Fraction]
-    x3: Fraction
+    The squeeze moves (x, y) to (x + g, y): g = 0 left of the reflex corner
+    x1, and on the bottom strip 0 <= y <= y1 it ramps linearly from 0 at x1 to
+    -(x2 - x3) at the right wall.  So sup|g| = x2 - x3, sup|grad g| =
+    (x2 - x3)/(x2 - x1), the vertical shift is 0, and epsilon, the size of
+    the deformation, is the larger of the two sups.
+    """
+
+    sup_g: Fraction
+    sup_dg: Fraction
+    epsilon: Fraction
+
+    @property
+    def passed(self) -> bool:
+        """Both sups within epsilon, which holds by construction."""
+        return max(self.sup_g, self.sup_dg) <= self.epsilon
 
 
 @dataclass(frozen=True, eq=False)
-class DeformationBounds:
-    sup_g: float
-    sup_h: float
-    sup_dg: float
-    sup_dh: float
-    epsilon: float
-    passed: bool
+class DeformationMap:
+    """The squeeze of a broken rectangle's right wall to x = x3."""
+
+    x3: Fraction
+    bounds: DeformationBounds
+
+
+_LSHAPE_ANGLES = tuple(Fraction(k, 2) for k in (1, 1, 3, 1, 1, 1))
 
 
 def _lshape_corners(polygon) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    verts = _vertex_array(polygon)
-    if len(verts) != 6:
+    """Corners x1, y1, x2, y2 of a broken rectangle, read exactly.
+
+    The angles of `shapes.l_shape` fix its vertex order from the origin and
+    force N = 2, an exact frame, so each corner is a field element whose
+    rational value is exact; an irrational corner is refused, not rounded.
+    """
+    if tuple(a.frac for a in polygon.angles) != _LSHAPE_ANGLES:
         raise OutOfRange("deformation expects a single-bay broken rectangle")
-    as_frac = [
-        (Fraction(v.real).limit_denominator(10**6),
-         Fraction(v.imag).limit_denominator(10**6))
-        for v in verts
-    ]
-    x2, y1 = as_frac[1][0], as_frac[2][1]
-    x1, y2 = as_frac[3][0], as_frac[4][1]
-    expect = [(0, 0), (x2, 0), (x2, y1), (x1, y1), (x1, y2), (0, y2)]
-    if as_frac != [(Fraction(a), Fraction(b)) for a, b in expect]:
-        raise OutOfRange("vertices do not trace a broken rectangle")
-    return x1, y1, x2, y2
+    v = polygon.verts
+    corners = tuple(
+        polygon.frame.rational_value(c)
+        for c in (v[3].real, v[2].imag, v[1].real, v[4].imag)
+    )
+    if None in corners:
+        raise OutOfRange("the broken rectangle has an irrational corner")
+    return corners
 
 
 def deform_domain(polygon, x3) -> tuple[object, DeformationMap]:
     """Shrink the bottom side of a broken rectangle from x2 to x3.
 
-    Returns the deformed polygon together with the piecewise map carrying
-    the original onto it: identity left of x1, a linear ramp on the bottom
-    strip, and no vertical displacement anywhere.
+    Returns the deformed polygon together with the map carrying the
+    original onto it, whose bounds are exact (see `DeformationBounds`).
+    `x3` is taken as `Fraction(x3)`, so a float means its exact binary value.
     """
     x1, y1, x2, y2 = _lshape_corners(polygon)
-    x3 = Fraction(x3).limit_denominator(10**12)
+    x3 = Fraction(x3)
     if not (x1 < x3 <= x2):
         raise OutOfRange(f"x3 must lie in ({x1}, {x2}]")
     shrink = x2 - x3
-    span = x2 - x1
-    eps = float(shrink) if span > 1 else float(shrink / span)
-    fx1, fy1, fx2 = float(x1), float(y1), float(x2)
-    ramp = float(shrink / span)
-
-    def g(x: float, y: float) -> float:
-        if x <= fx1 or y > fy1 + _TOL:
-            return 0.0
-        return -(min(x, fx2) - fx1) * ramp
-
-    deformed = l_shape(x1, y1, x3, y2)
-    dmap = DeformationMap(
-        g=g, h=lambda x, y: 0.0, epsilon=eps, corners=(x1, y1, x2, y2), x3=x3
-    )
-    return deformed, dmap
-
-
-def verify_deformation(dmap: DeformationMap, samples: int = 40) -> DeformationBounds:
-    """Sample the Def-style bounds |g|, |h|, |g'|, |h'| <= epsilon on a grid.
-
-    The ramp saturates its derivative bound exactly, so the check accepts
-    equality up to roundoff.
-    """
-    x1, y1, x2, _ = (float(c) for c in dmap.corners)
-    xs = np.linspace(0.0, x2, samples, endpoint=False) + x2 / (2 * samples)
-    ys = np.linspace(0.0, y1, samples, endpoint=False) + y1 / (2 * samples)
-    delta = min(x2, y1) / (8 * samples)
-    sup_g = sup_h = sup_dg = sup_dh = 0.0
-    for x in xs:
-        for y in ys:
-            sup_g = max(sup_g, abs(dmap.g(x, y)))
-            sup_h = max(sup_h, abs(dmap.h(x, y)))
-            sup_dg = max(
-                sup_dg,
-                abs(dmap.g(x + delta, y) - dmap.g(x - delta, y)) / (2 * delta),
-                abs(dmap.g(x, y + delta) - dmap.g(x, y - delta)) / (2 * delta),
-            )
-            sup_dh = max(
-                sup_dh,
-                abs(dmap.h(x + delta, y) - dmap.h(x - delta, y)) / (2 * delta),
-                abs(dmap.h(x, y + delta) - dmap.h(x, y - delta)) / (2 * delta),
-            )
-    slack = dmap.epsilon * 1e-12 + 1e-15
-    passed = all(
-        s <= dmap.epsilon + slack for s in (sup_g, sup_h, sup_dg, sup_dh)
-    )
-    return DeformationBounds(sup_g, sup_h, sup_dg, sup_dh, dmap.epsilon, passed)
+    slope = shrink / (x2 - x1)
+    bounds = DeformationBounds(sup_g=shrink, sup_dg=slope, epsilon=max(shrink, slope))
+    return l_shape(x1, y1, x3, y2), DeformationMap(x3=x3, bounds=bounds)
 
 
 @dataclass(frozen=True, eq=False)
 class StudyRow:
-    epsilon: float
+    epsilon: Fraction
     x3: Fraction
     eta: float
     bounds: DeformationBounds
-    levels: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class PerturbationStudy:
     base_levels: np.ndarray
     rows: tuple[StudyRow, ...]
-    count: int
-    h: float
     monotone: bool
 
 
 def perturbation_study(
-    polygon, epsilons: Sequence[float], count: int, h: float = 1.0 / 128
+    polygon, epsilons: Sequence, count: int, h: float = 1.0 / 128
 ) -> PerturbationStudy:
     """Eigenvalue drift against deformation size for a broken rectangle.
 
-    For each epsilon the bottom side is shrunk accordingly, both domains are
-    solved with Dirichlet conditions at the same spacing, and eta is the
-    worst relative drift over the first ``count`` respectively ordered
-    levels.  Epsilons must decrease strictly so the monotone-trend flag is
-    meaningful.
+    Each epsilon, taken as `Fraction(epsilon)`, shrinks the bottom side so
+    that the squeeze's bounds come out at exactly that epsilon.  Every
+    deformed polygon is built before the first solve, so a size out of range
+    fails before any solver work.  Both domains are then solved with
+    Dirichlet conditions at the same spacing, and eta is the worst relative
+    drift over the first ``count`` respectively ordered levels.  Epsilons
+    must decrease strictly so the monotone-trend flag is meaningful.
     """
-    eps_list = [float(e) for e in epsilons]
+    eps_list = [Fraction(e) for e in epsilons]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise OutOfRange("epsilons must be strictly decreasing")
     x1, _, x2, _ = _lshape_corners(polygon)
-    span = x2 - x1
+    # a squeeze by s has epsilon = max(s, s/span), so s = epsilon*min(1, span)
+    scale = min(x2 - x1, 1)
+    deformed = [deform_domain(polygon, x2 - eps * scale) for eps in eps_list]
     base = fd_eigenvalues(rasterize(polygon, h), count)
     rows = []
-    for eps in eps_list:
-        shrink = Fraction(eps).limit_denominator(10**6) * (1 if span > 1 else span)
-        deformed, dmap = deform_domain(polygon, x2 - shrink)
-        levels = fd_eigenvalues(rasterize(deformed, h), count)
+    for eps, (poly, dmap) in zip(eps_list, deformed):
+        levels = fd_eigenvalues(rasterize(poly, h), count)
         eta = float(np.max(np.abs(levels / base - 1.0)))
-        rows.append(
-            StudyRow(
-                epsilon=eps,
-                x3=dmap.x3,
-                eta=eta,
-                bounds=verify_deformation(dmap),
-                levels=levels,
-            )
-        )
+        rows.append(StudyRow(epsilon=eps, x3=dmap.x3, eta=eta, bounds=dmap.bounds))
     etas = [r.eta for r in rows]
     return PerturbationStudy(
         base_levels=base,
         rows=tuple(rows),
-        count=count,
-        h=h,
         monotone=all(b < a for a, b in zip(etas, etas[1:])),
     )
 
@@ -462,5 +425,6 @@ def perturbation_study(
 def study_csv(study: PerturbationStudy) -> str:
     lines = ["epsilon,eta"]
     for row in study.rows:
-        lines.append(f"{row.epsilon:.12g},{row.eta:.12g}")
+        # float: Fraction does not take the :g format before Python 3.12
+        lines.append(f"{float(row.epsilon):.12g},{row.eta:.12g}")
     return "\n".join(lines) + "\n"

@@ -481,6 +481,67 @@ def test_verify_with_study(capsys):
     assert "eta strictly decreasing with epsilon: yes" in out
 
 
+STUDY_ARGV = (
+    "verify",
+    str(POLYGONS / "broken_rectangle.json"),
+    "--spacing",
+    "1/16",
+    "--count",
+    "8",
+    "--e-max",
+    "25",
+    "--study",
+    "1/10,1/20",
+    "--study-count",
+    "4",
+)
+
+STUDY_STDOUT = (
+    "level_index,numerical_e,semiclassical_e,rel_error\n"
+    "2,9.83793643355,9.86960440109,0.00320863595505\n"
+    "spectrum match: 1 levels, max_rel_err=3.209e-03, mean_rel_err=3.209e-03, "
+    "unmatched=0.875, tol=0.02 PASS\n"
+    "epsilon,eta\n"
+    "0.1,0.022741255222\n"
+    "0.05,0.00101191226477\n"
+    "deformation bounds: PASS\n"
+    "eta strictly decreasing with epsilon: yes\n"
+)
+
+
+def test_verify_with_study_stdout_is_pinned(capsys):
+    code, out, _ = invoke(capsys, *STUDY_ARGV)
+    assert code == 0
+    assert out == STUDY_STDOUT
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--study-count", "0"),
+        ("--study", "-1/10"),
+        ("--study", "1/10,-1/20"),
+        # a size the squeeze cannot make: the bay is only 1 wide
+        ("--study", "2"),
+    ],
+)
+def test_verify_bad_study_leaves_stdout_empty(capsys, flags):
+    code, out, _ = invoke(capsys, *STUDY_ARGV, *flags)
+    assert code == 2
+    assert out == ""
+
+
+def test_verify_against_billiard_without_levels(capsys):
+    # the unit square's lowest level is pi^2 > 5
+    square = str(POLYGONS / "square.json")
+    code, out, err = invoke(
+        capsys, "verify", square, "--against", square, "--e-max", "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "no closed-form level" in err
+
+
 # --------------------------------------------------------------------------
 # rationalize
 

@@ -11,7 +11,9 @@ import scipy.linalg
 import scipy.sparse
 
 from polybilliard import oracle
+from polybilliard.cyclo import CycloField
 from polybilliard.errors import OutOfRange, TooCoarse
+from polybilliard.exactgeom import validate_polygon
 from polybilliard.oracle import (
     compare_spectra,
     deform_domain,
@@ -21,7 +23,6 @@ from polybilliard.oracle import (
     report_csv,
     richardson_order,
     study_csv,
-    verify_deformation,
 )
 from polybilliard.shapes import l_shape, rectangle, square
 from polybilliard.swf import DIRICHLET, NEUMANN
@@ -217,25 +218,82 @@ def test_report_csv_format():
 def test_deform_identity():
     base = l_shape(1, 1, 2, 2)
     poly, dmap = deform_domain(base, 2)
-    assert dmap.epsilon == 0.0
+    assert dmap.bounds.epsilon == 0
     assert poly.vertices_float() == base.vertices_float()
-    assert dmap.g(1.7, 0.3) == 0.0
-    assert verify_deformation(dmap).passed
+    assert dmap.bounds.passed
 
 
 def test_deform_ramp_values():
     _, dmap = deform_domain(l_shape(1, 1, 2, 2), Fraction(19, 10))
-    assert dmap.epsilon == pytest.approx(0.1)
-    # right wall moves to x3, left half stays put
-    assert dmap.g(2.0, 0.5) == pytest.approx(-0.1)
-    assert dmap.g(0.5, 0.5) == 0.0
-    assert dmap.g(1.5, 0.5) == pytest.approx(-0.05)
-    # above the bay floor nothing moves
-    assert dmap.g(0.9, 1.5) == 0.0
-    bounds = verify_deformation(dmap)
+    # the right wall moves by 1/10 over a ramp of width 1
+    bounds = dmap.bounds
+    assert bounds.sup_g == bounds.sup_dg == bounds.epsilon == Fraction(1, 10)
     assert bounds.passed
-    assert bounds.sup_g <= dmap.epsilon
-    assert bounds.sup_dg <= dmap.epsilon * (1 + 1e-9)
+
+
+def _exact_vertices(polygon):
+    rational = polygon.frame.rational_value
+    return [(rational(v.real), rational(v.imag)) for v in polygon.verts]
+
+
+@pytest.mark.parametrize(
+    "corners, x3",
+    [
+        # span x2 - x1 = 1/2 < 1: the slope bound is the larger one
+        ((1, 1, Fraction(3, 2), 2), Fraction(7, 5)),
+        # span 3/2 > 1: the shift bound is the larger one
+        ((Fraction(1, 2), 1, 2, 2), Fraction(19, 10)),
+    ],
+)
+def test_deform_bounds_are_the_exact_vertex_shift(corners, x3):
+    base = l_shape(*corners)
+    poly, dmap = deform_domain(base, x3)
+    moves = [
+        (a[0] - b[0], a[1] - b[1])
+        for a, b in zip(_exact_vertices(base), _exact_vertices(poly))
+    ]
+    # the shift is linear between corners, so its sup is a vertex shift
+    assert all(dy == 0 for _, dy in moves)
+    sup_g = max(abs(dx) for dx, _ in moves)
+    x1, x2 = Fraction(corners[0]), Fraction(corners[2])
+    bounds = dmap.bounds
+    assert bounds.sup_g == sup_g == x2 - x3
+    assert bounds.sup_dg == sup_g / (x2 - x1)
+    assert bounds.epsilon == max(bounds.sup_g, bounds.sup_dg)
+    assert all(
+        type(b) is Fraction for b in (bounds.sup_g, bounds.sup_dg, bounds.epsilon)
+    )
+    assert bounds.passed
+
+
+def test_deform_reads_a_corner_near_an_integer_exactly():
+    x2 = 1 + Fraction(1, 10**7)
+    x3 = 1 + Fraction(1, 2 * 10**7)
+    poly, dmap = deform_domain(l_shape(1, 1, x2, 2), x3)
+    assert dmap.x3 == x3
+    assert dmap.bounds.sup_g == x2 - x3
+    assert _exact_vertices(poly)[1] == (x3, 0)
+
+
+def test_deform_keeps_an_exact_corner_unrounded():
+    x1 = Fraction(1, 3) + Fraction(1, 10**8)
+    poly, dmap = deform_domain(l_shape(x1, 1, 2, 2), Fraction(19, 10))
+    assert _exact_vertices(poly)[3] == (x1, 1)
+    assert dmap.bounds.sup_dg == Fraction(1, 10) / (2 - x1)
+
+
+def test_deform_takes_a_float_at_its_binary_value():
+    _, dmap = deform_domain(l_shape(1, 1, 2, 2), 1.9)
+    assert dmap.x3 == Fraction(1.9) != Fraction(19, 10)
+
+
+def test_deform_refuses_an_irrational_corner():
+    root2 = CycloField(8).zeta(1).real * 2  # sqrt(2)
+    poly = validate_polygon(
+        ["1/2", "1/2", "3/2", "1/2", "1/2", "1/2"], [root2, 1, root2 - 1, 1, 1, 2]
+    )
+    with pytest.raises(OutOfRange, match="irrational"):
+        deform_domain(poly, Fraction(13, 10))
 
 
 def test_deform_rejects_bad_inputs():
@@ -264,6 +322,38 @@ def test_perturbation_study_trend_and_zero():
     assert etas[-1] == 0.0  # identity deformation reproduces the base grid
     assert all(r.bounds.passed for r in study.rows)
     assert len(study.base_levels) == 5
+
+
+def test_study_size_is_exact():
+    # 1/1000003 has a denominator above 10**6: the squeeze is by exactly that
+    study = perturbation_study(
+        l_shape(1, 1, 2, 2), [Fraction(1, 1000003)], count=2, h=1 / 16
+    )
+    (row,) = study.rows
+    assert row.epsilon == Fraction(1, 1000003)
+    assert row.x3 == 2 - Fraction(1, 1000003)
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [(1, 1, Fraction(3, 2), 2), (1, 1, 2, 2), (Fraction(1, 2), 1, 2, 2)],
+)
+def test_study_rows_carry_their_exact_epsilon(corners):
+    study = perturbation_study(
+        l_shape(*corners), [Fraction(1, 10), Fraction(1, 20)], count=2, h=1 / 20
+    )
+    for row in study.rows:
+        assert row.bounds.epsilon == row.epsilon
+        assert row.bounds.passed
+
+
+def test_study_rejects_a_size_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the sizes were checked")
+
+    monkeypatch.setattr(oracle, "fd_eigenvalues", no_solve)
+    with pytest.raises(OutOfRange):
+        perturbation_study(l_shape(1, 1, 2, 2), [5, Fraction(1, 10)], count=2)
 
 
 def test_perturbation_study_requires_decreasing():
