@@ -315,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--study",
         type=_study_flag,
         metavar="E1,E2,...",
-        help="also run the deformation study at these strictly decreasing sizes",
+        help="also run the Dirichlet deformation study at these strictly decreasing sizes",
     )
     p.add_argument(
         "--study-count",
@@ -497,6 +497,8 @@ def _axis_product_levels(lat: PeriodLattice, e_max: float, bc: str) -> list[floa
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    if ns.study is not None and ns.bc != DIRICHLET:
+        raise OutOfRange(f"--study solves Dirichlet walls only, not --bc {ns.bc}")
     _bind("oracle")
     polygon, _, _, lat = _load_lattice(ns.polygon)
     if not lat.doubly_rational:
@@ -509,18 +511,20 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     # float: Fraction does not take the :g format before Python 3.12
     spacing, rel_tol = float(ns.spacing), float(ns.rel_tol)
     sem = _axis_product_levels(lat, ns.e_max, ns.bc)
-    if ns.against is not None:
-        _, _, _, other = _load_lattice(ns.against)
-        numerical = _axis_product_levels(other, ns.e_max, ns.bc)
-        if not numerical:
-            raise OutOfRange(
-                f"{ns.against} has no closed-form level up to --e-max {ns.e_max:g}"
-            )
-    else:
-        domain = rasterize(polygon, spacing, bc_map=ns.bc)
-        numerical = fd_eigenvalues(domain, ns.count)
-    ceiling = float(numerical[-1]) / (1 + rel_tol)
-    sem = [e for e in sem if e <= ceiling]
+    # no closed-form level up to --e-max leaves none below any solver's reach
+    if sem:
+        if ns.against is not None:
+            _, _, _, other = _load_lattice(ns.against)
+            numerical = _axis_product_levels(other, ns.e_max, ns.bc)
+            if not numerical:
+                raise OutOfRange(
+                    f"{ns.against} has no closed-form level up to --e-max {ns.e_max:g}"
+                )
+        else:
+            domain = rasterize(polygon, spacing, bc_map=ns.bc)
+            numerical = fd_eigenvalues(domain, ns.count)
+        ceiling = float(numerical[-1]) / (1 + rel_tol)
+        sem = [e for e in sem if e <= ceiling]
     if not sem:
         raise OutOfRange(
             "no closed-form level below the numerical reach; raise --count "

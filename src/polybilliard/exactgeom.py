@@ -123,7 +123,7 @@ class _Frame:
 
     A subclass sets `N` and `_i` (the vector i) and adds `unit`, `scalar`,
     `zero`, `rotate`, `is_zero`, the index keys `index_key` and
-    `probe_keys`, `rational_value`, `_length` and `positive`.
+    `probe_keys`, `quotient`, `rational_value`, `_length` and `positive`.
     """
 
     def from_xy(self, x, y):
@@ -184,8 +184,23 @@ class ExactFrame(_Frame):
         """The keys of every vector w with `is_zero(z - w)`: z's own."""
         return (z,)
 
+    def quotient(self, num, den) -> Fraction | float:
+        """num / den for real scalars, den nonzero, decided without inverting den.
+
+        The exact Fraction r when num == r*den, read from one coefficient of
+        den and checked exactly; otherwise the quotient is irrational, and
+        this returns its float.
+        """
+        key, d = next(iter(den.num.items()))
+        r = Fraction(num.num.get(key, 0) * den.den, num.den * d)
+        if num == den * r:
+            return r
+        return float(num) / float(den)
+
     def rational_value(self, r) -> Fraction | None:
-        """Fraction value of a real scalar if it is rational, else None."""
+        """Fraction value of a real scalar or a `quotient` if it is rational, else None."""
+        if not isinstance(r, Cyclo):
+            return r if isinstance(r, Fraction) else None
         return r.as_fraction() if r.is_rational() else None
 
     def _length(self, value):
@@ -245,6 +260,10 @@ class FloatFrame(_Frame):
         """The keys of every vector w with `is_zero(z - w)`: z's cell and its 8 neighbours."""
         x, y = self.index_key(z, scale)
         return [(x + i, y + j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+
+    def quotient(self, num: float, den: float) -> float:
+        """num / den; `rational_value` then decides its rationality heuristically."""
+        return num / den
 
     def rational_value(self, r: float) -> Fraction | None:
         return as_rational(float(r))

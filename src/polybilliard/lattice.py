@@ -2,10 +2,11 @@
 
 A pattern's 2g periods live in a 2-dimensional real plane, so any two
 independent ones serve as a reference pair and every other period is a real
-combination of them.  This module computes those relation coefficients
-exactly, decides whether they are all rational (the doubly-rational case,
-where the periods generate a genuine plane lattice with generators D1/C1 and
-D2/C2), reduces arbitrary lattice vectors to integer generator coordinates,
+combination of them.  This module computes those relation coefficients as
+`frame.quotient`s (exact in exact frames, without dividing field elements),
+decides whether they are all rational (the doubly-rational case, where the
+periods generate a genuine plane lattice with generators D1/C1 and D2/C2),
+reduces arbitrary lattice vectors to integer generator coordinates,
 and — for irrational relation sets — replaces coefficients by best rational
 approximants under a denominator cap.
 """
@@ -50,18 +51,20 @@ def _period_line(index: int, period: Period, role: str = "") -> str:
 
 @dataclass(frozen=True, eq=False)
 class RealRelations:
-    """Exact relation coefficients of the remaining periods over a chosen pair.
+    """Relation coefficients of the remaining periods over a chosen pair.
 
     Each non-pair basis period D_k, after subtracting an integer combination
-    ``shifts[k]`` of the pair, equals ``coeffs[k][0]*d1 + coeffs[k][1]*d2``
-    exactly.  A rational coefficient lies in [0, 1), any other in [0, 1] up
-    to float rounding (`_reduce_unit`).  Scalars are frame-typed:
-    exact field elements in exact mode, floats otherwise.
+    ``shifts[k]`` of the pair, equals ``coeffs[k][0]*d1 + coeffs[k][1]*d2``.
+    In an exact frame a rational coefficient is an exact Fraction in [0, 1);
+    an irrational one is its float.  In a float frame every coefficient is a
+    float, which `frame.rational_value` calls rational or not.  ``det`` is
+    cross(d1, d2), nonzero.
     """
 
     frame: object
     d1: object
     d2: object
+    det: object
     pair_indexes: tuple[int, int]
     members: tuple[Period, ...]
     member_indexes: tuple[int, ...]
@@ -191,20 +194,15 @@ def default_pair(frame, basis: list[Period] | tuple[Period, ...]) -> tuple[int, 
     raise DegeneratePair("all basis periods are collinear")
 
 
-def _reduce_unit(frame, a):
-    """Split a real scalar into (reduced, shift) with reduced = a - shift.
+def _coordinates(frame, d1, d2, det, v):
+    """(x, y) with v = x*d1 + y*d2, each a `frame.quotient` over det = cross(d1, d2)."""
+    return frame.quotient(frame.cross(v, d2), det), frame.quotient(frame.cross(d1, v), det)
 
-    When `frame.rational_value` finds a rational value, the shift is its
-    floor and the reduced scalar lies in [0, 1) (up to float rounding in a
-    float frame).  Otherwise the shift is the floor of the float value, and
-    the reduced scalar lies in [0, 1] up to float rounding.
-    """
+
+def _floor(frame, a) -> int:
+    """The floor of a coefficient's rational value when it has one, else its own."""
     r = frame.rational_value(a)
-    if r is not None:
-        shift = math.floor(r)
-        return a - frame.scalar(shift), shift
-    shift = math.floor(float(a))
-    return a - frame.scalar(shift), shift
+    return math.floor(a if r is None else r)
 
 
 def real_relations(
@@ -212,91 +210,84 @@ def real_relations(
     basis: list[Period] | tuple[Period, ...],
     pair_choice: tuple[int, int] | None = None,
 ) -> RealRelations:
-    """Express every non-pair basis period over the chosen pair, exactly.
+    """Express every non-pair basis period over the chosen pair.
 
     ``pair_choice`` indexes two real-independent basis periods (defaults to
-    the shortest independent pair).  Coefficients are reduced by subtracting
+    the shortest independent pair).  Each coefficient is a `frame.quotient`,
+    so an exact frame decides its rationality once, exactly and without
+    dividing field elements.  Coefficients are reduced by subtracting
     integer multiples of the pair, which only moves each period by lattice
-    translations: into [0, 1) for a rational coefficient, and into [0, 1] up
-    to float rounding otherwise (`_reduce_unit`).
+    translations: the shift is the floor of the coefficient's rational
+    value when it has one, else of the coefficient.
     """
     if pair_choice is None:
         pair_choice = default_pair(frame, basis)
     i, j = pair_choice
     if i == j or not (0 <= i < len(basis)) or not (0 <= j < len(basis)):
         raise ValueError(f"pair_choice {pair_choice} does not index two distinct periods")
-    d1 = basis[i].vector
-    d2 = basis[j].vector
+    d1, d2 = basis[i].vector, basis[j].vector
     det = frame.cross(d1, d2)
     if frame.is_zero(det, scale=_norm(d1) * _norm(d2)):
         raise DegeneratePair("chosen pair is collinear")
 
-    members: list[Period] = []
-    member_indexes: list[int] = []
-    coeffs: list[tuple[object, object]] = []
-    shifts: list[tuple[int, int]] = []
-    for k, per in enumerate(basis):
-        if k == i or k == j:
-            continue
-        v = per.vector
-        a1 = frame.cross(v, d2) / det
-        a2 = frame.cross(d1, v) / det
-        a1, s1 = _reduce_unit(frame, a1)
-        a2, s2 = _reduce_unit(frame, a2)
-        members.append(per)
-        member_indexes.append(k)
-        coeffs.append((a1, a2))
-        shifts.append((s1, s2))
+    member_indexes = tuple(k for k in range(len(basis)) if k not in (i, j))
+    coords = [_coordinates(frame, d1, d2, det, basis[k].vector) for k in member_indexes]
+    shifts = tuple((_floor(frame, x), _floor(frame, y)) for x, y in coords)
     return RealRelations(
         frame=frame,
         d1=d1,
         d2=d2,
+        det=det,
         pair_indexes=(i, j),
-        members=tuple(members),
-        member_indexes=tuple(member_indexes),
-        coeffs=tuple(coeffs),
-        shifts=tuple(shifts),
+        members=tuple(basis[k] for k in member_indexes),
+        member_indexes=member_indexes,
+        coeffs=tuple((x - s1, y - s2) for (x, y), (s1, s2) in zip(coords, shifts)),
+        shifts=shifts,
+    )
+
+
+def _rational_table(relations: RealRelations, max_denominator: int | None = None):
+    """The relation table as Fractions, reading each coefficient's verdict.
+
+    An irrational coefficient is replaced by its best rational approximant
+    under ``max_denominator``; without a cap it leaves no table (None).  The
+    table is heuristic when a float frame decided it or a coefficient was
+    approximated.
+    """
+    frame = relations.frame
+    flat: list[Fraction] = []
+    approximated = False
+    for a in (a for row in relations.coeffs for a in row):
+        r = frame.rational_value(a)
+        if r is None:
+            if max_denominator is None:
+                return None
+            r, approximated = best_rational(float(a), max_denominator), True
+        flat.append(r)
+    fracs = tuple(zip(flat[::2], flat[1::2]))
+    c1 = math.lcm(1, *(f1.denominator for f1, _ in fracs))
+    c2 = math.lcm(1, *(f2.denominator for _, f2 in fracs))
+    return RationalRelations(
+        relations=relations,
+        fracs=fracs,
+        c1=c1,
+        c2=c2,
+        n1=tuple(c1 // f1.denominator for f1, _ in fracs),
+        n2=tuple(c2 // f2.denominator for _, f2 in fracs),
+        heuristic=approximated or not frame.exact,
     )
 
 
 def detect_drpb(relations: RealRelations) -> RationalRelations | None:
     """Return the rational relation table, or None if any coefficient is irrational.
 
-    In exact mode the verdict is exact.  In float mode it relies on
-    continued-fraction stabilization (denominator <= 10^6, relative residual
-    < 1e-9) and the result carries ``heuristic=True``.
+    This is `rationalize_relations` with no approximation allowed.  In an
+    exact frame the verdict is the exact one `real_relations` reached.  In a
+    float frame it relies on continued-fraction stabilization (denominator
+    <= 10^6, relative residual < 1e-9) and the result carries
+    ``heuristic=True``.
     """
-    frame = relations.frame
-    fracs: list[tuple[Fraction, Fraction]] = []
-    for a1, a2 in relations.coeffs:
-        r1 = frame.rational_value(a1)
-        if r1 is None:
-            return None
-        r2 = frame.rational_value(a2)
-        if r2 is None:
-            return None
-        fracs.append((r1, r2))
-    return _rational_from_fracs(relations, fracs, heuristic=not frame.exact)
-
-
-def _rational_from_fracs(
-    relations: RealRelations,
-    fracs: list[tuple[Fraction, Fraction]],
-    heuristic: bool,
-) -> RationalRelations:
-    c1 = math.lcm(1, *(f1.denominator for f1, _ in fracs))
-    c2 = math.lcm(1, *(f2.denominator for _, f2 in fracs))
-    n1 = tuple(c1 // f1.denominator for f1, _ in fracs)
-    n2 = tuple(c2 // f2.denominator for _, f2 in fracs)
-    return RationalRelations(
-        relations=relations,
-        fracs=tuple(fracs),
-        c1=c1,
-        c2=c2,
-        n1=n1,
-        n2=n2,
-        heuristic=heuristic,
-    )
+    return _rational_table(relations)
 
 
 def reduce_period(period, rational: RationalRelations) -> tuple[int, int]:
@@ -308,12 +299,9 @@ def reduce_period(period, rational: RationalRelations) -> tuple[int, int]:
     rel = rational.relations
     frame = rel.frame
     v = period.vector if isinstance(period, Period) else period
-    det = frame.cross(rel.d1, rel.d2)
-    x = frame.cross(v, rel.d2) / det
-    y = frame.cross(rel.d1, v) / det
+    coords = _coordinates(frame, rel.d1, rel.d2, rel.det, v)
     out = []
-    for coord, c in ((x, rational.c1), (y, rational.c2)):
-        r = frame.rational_value(coord)
+    for r, c in zip(map(frame.rational_value, coords), (rational.c1, rational.c2)):
         if r is None:
             raise NotInLattice("period has an irrational coordinate over the pair")
         scaled = r * c
@@ -329,27 +317,15 @@ def rationalize_relations(relations, max_denominator: int):
     The approximant of x under denominator cap Q is the last continued-fraction
     convergent p/q with q <= Q, which satisfies |x - p/q| <= 1/(q*Q); exactly
     rational coefficients pass through unchanged.  Accepts either a
-    RealRelations table (returning a RationalRelations marked heuristic unless
-    nothing needed approximating) or a single real number (returning the
-    Fraction directly).
+    RealRelations table (returning a RationalRelations, marked heuristic when
+    a coefficient was approximated or a float frame decided the table) or a
+    single real number (returning the Fraction directly).
     """
     if max_denominator < 2:
         raise OutOfRange(f"denominator cap must be at least 2, got {max_denominator}")
 
     if isinstance(relations, RealRelations):
-        frame = relations.frame
-        fracs: list[tuple[Fraction, Fraction]] = []
-        approximated = False
-        for a1, a2 in relations.coeffs:
-            row = []
-            for a in (a1, a2):
-                r = frame.rational_value(a)
-                if r is None:
-                    r = best_rational(float(a), max_denominator)
-                    approximated = True
-                row.append(r)
-            fracs.append((row[0], row[1]))
-        return _rational_from_fracs(relations, fracs, heuristic=approximated)
+        return _rational_table(relations, max_denominator)
 
     if isinstance(relations, (int, Fraction)):
         return best_rational(Fraction(relations), max_denominator)

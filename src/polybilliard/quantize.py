@@ -223,8 +223,7 @@ def periodic_skeleton_check(
         c1, c2 = sub.c1, sub.c2
     d1 = lattice.basis[i].vector
     d2 = lattice.basis[j].vector
-    ratio = c2 * f.dot(d2, d1) / (c1 * f.dot(d2, d2))
-    r = f.rational_value(ratio)
+    r = f.rational_value(f.quotient(c2 * f.dot(d2, d1), c1 * f.dot(d2, d2)))
     if r is None or r.denominator != 1:
         return None
     z1, z2 = f.to_complex(d1), f.to_complex(d2)
@@ -262,7 +261,7 @@ def momentum_periodic(
         scale = abs(f.to_complex(v)) * abs(data.d2)
         if not f.is_zero(f.cross(v, d2), scale=scale):
             raise NotPeriodicSkeleton("channel period is not parallel to the direction")
-        ratio = f.rational_value(f.dot(v, d2) / f.dot(d2, d2))
+        ratio = f.rational_value(f.quotient(f.dot(v, d2), f.dot(d2, d2)))
         if ratio is None or data.c2 % ratio.denominator != 0:
             raise NotPeriodicSkeleton("channel period is not commensurate with D2")
         n_l = data.c2 // ratio.denominator

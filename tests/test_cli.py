@@ -542,6 +542,29 @@ def test_verify_against_billiard_without_levels(capsys):
     assert "no closed-form level" in err
 
 
+def test_verify_neumann_study_is_refused(capsys):
+    # the study solves Dirichlet walls whatever --bc says
+    code, out, err = invoke(capsys, *STUDY_ARGV, "--bc", "neumann")
+    assert code == 2
+    assert out == ""
+    assert "Dirichlet walls only" in err
+
+
+def test_verify_without_levels_skips_the_solver(capsys, monkeypatch):
+    def never(*_args, **_kwargs):
+        raise AssertionError("the solver ran although no level is in range")
+
+    monkeypatch.setattr(cli, "rasterize", never)
+    monkeypatch.setattr(cli, "fd_eigenvalues", never)
+    # the unit square's lowest level is pi^2 > 1
+    code, out, err = invoke(
+        capsys, "verify", str(POLYGONS / "square.json"), "--e-max", "1", "--count", "30"
+    )
+    assert code == 2
+    assert out == ""
+    assert "no closed-form level below the numerical reach" in err
+
+
 # --------------------------------------------------------------------------
 # rationalize
 

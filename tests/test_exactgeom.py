@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polybilliard import shapes
@@ -326,6 +326,43 @@ def test_frame_cross_dot():
     assert ef.cross(u, v).as_fraction() == Fraction(3, 2)
     assert ef.dot(u, v).as_fraction() == 0
     assert ef.rational_value(ef.cross(u, v)) == Fraction(3, 2)
+
+
+@st.composite
+def real_quotients(draw):
+    """(frame, num, den): real elements of Q(zeta_4N), den nonzero; half the
+    numerators are r*den for a rational r (zero, negative or a proper fraction)."""
+    frame = ExactFrame(draw(st.sampled_from([1, 2, 3, 5, 6, 10])))
+    f = frame.field
+
+    def real():
+        coeffs = {}
+        for _ in range(draw(st.integers(1, 6))):
+            key = tuple(draw(st.integers(0, ph - 1)) for ph in f.phis)
+            coeffs[key] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+        return f.element(coeffs).real
+
+    den = real()
+    assume(not den.is_zero())
+    if draw(st.booleans()):
+        r = draw(st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=7)))
+        return frame, den * r, den
+    return frame, real(), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_quotients())
+def test_exact_quotient_matches_division(case):
+    frame, num, den = case
+    q = frame.quotient(num, den)
+    exact = num / den  # the division route, by the norm inverse
+    assert frame.rational_value(q) == frame.rational_value(exact)
+    assert isinstance(q, Fraction) == exact.is_rational()
+    assert float(q) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_float_quotient_divides():
+    assert FloatFrame(7).quotient(1.0, 3.0) == 1.0 / 3.0
 
 
 _COORDS = st.fractions(min_value=-10, max_value=10, max_denominator=50)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polybilliard.cyclo import Cyclo
 from polybilliard.errors import (
     DegeneratePair,
     NotDoublyRational,
@@ -13,6 +14,7 @@ from polybilliard.errors import (
 )
 from polybilliard.exactgeom import FloatFrame
 from polybilliard.lattice import (
+    PeriodLattice,
     default_pair,
     detect_drpb,
     period_lattice,
@@ -20,7 +22,19 @@ from polybilliard.lattice import (
     real_relations,
     reduce_period,
 )
-from polybilliard.shapes import isosceles_pi5, l_shape, parallelogram_pi3, square
+from polybilliard.quantize import (
+    momentum_aperiodic,
+    momentum_periodic,
+    periodic_skeleton_check,
+    wavelength_report,
+)
+from polybilliard.shapes import (
+    broken_parallelogram,
+    isosceles_pi5,
+    l_shape,
+    parallelogram_pi3,
+    square,
+)
 from polybilliard.unfold import Period, build_epp, period_basis
 
 
@@ -413,3 +427,63 @@ def test_scaled_pair_family_has_c_equal_numerator(a):
     assert rat is not None
     assert rat.c1 == rat.c2 == a.numerator
     assert reduce_period(basis[2], rat) == (a.denominator, 0)
+
+
+# --- no field division ------------------------------------------------------------
+
+
+def _refuse_inverse(self):
+    raise AssertionError("a field element was inverted")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        square,
+        lambda: l_shape(1, 1, Fraction(3, 2), 2),
+        parallelogram_pi3,
+        isosceles_pi5,
+        broken_parallelogram,
+    ],
+)
+def test_lattice_coordinates_never_invert(make, monkeypatch):
+    polygon = make()  # solve_closure may still invert
+    f = polygon.frame
+    assert f.exact
+    basis = period_basis(build_epp(polygon))
+    monkeypatch.setattr(Cyclo, "inverse", _refuse_inverse)
+
+    lat = period_lattice(f, basis)
+    own = lat.relations.pair_indexes
+    pairs = [
+        (i, j)
+        for i in range(len(basis))
+        for j in range(len(basis))
+        if i != j and not f.cross(basis[i].vector, basis[j].vector).is_zero()
+    ]
+    other = next(pair for pair in pairs if pair != own)
+    sub = detect_drpb(real_relations(f, basis, other))
+    assert (sub is None) == (lat.rational is None)
+
+    rat = rationalize_relations(lat.relations, 50)
+    assert rat.heuristic == (lat.rational is None)
+    lat = PeriodLattice(basis=lat.basis, relations=lat.relations, rational=rat)
+    assert reduce_period(lat.d1, rat) == (rat.c1, 0)
+    assert reduce_period(lat.d2, rat) == (0, rat.c2)
+
+    for pair in pairs if sub is not None else [own]:
+        data = periodic_skeleton_check(lat, pair)
+        if data is None:
+            continue
+        d2 = basis[data.direction_index].vector
+        for per in basis:
+            if f.cross(per.vector, d2).is_zero():
+                along = momentum_periodic(lat, data, 1, along=per)
+                assert along.vector == pytest.approx(data.periodic(1))
+
+    momentum = momentum_aperiodic(lat, 1, 2)
+    if sub is None:
+        with pytest.raises(NotInLattice):  # an irrational coordinate, decided exactly
+            wavelength_report(lat, momentum)
+    else:
+        assert all(entry.ok for entry in wavelength_report(lat, momentum))
