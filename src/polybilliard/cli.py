@@ -32,6 +32,7 @@ import re
 import sys
 from fractions import Fraction
 
+from .approx import best_rational
 from .errors import (
     BilliardError,
     ConvergenceFailure,
@@ -147,14 +148,22 @@ def _positive_flag(text: str) -> float:
     return x
 
 
-def _positive_int_flag(text: str) -> int:
+def _int_flag(text: str, low: int, what: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
     return n
+
+
+def _positive_int_flag(text: str) -> int:
+    return _int_flag(text, 1, "a positive integer")
+
+
+def _cap_flag(text: str) -> int:
+    return _int_flag(text, 2, "a denominator cap of at least 2")
 
 
 def _labels_flag(text: str) -> tuple[int, int]:
@@ -230,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rationalize",
-        type=int,
+        type=_cap_flag,
         metavar="Q",
         help="approximate irrational relations with denominators up to Q",
     )
@@ -288,7 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grid spacing, a fraction like 1/64 (default 1/64)",
     )
     p.add_argument(
-        "--count", type=int, default=40, help="numerical levels to compute (default 40)"
+        "--count",
+        type=_positive_int_flag,
+        default=40,
+        help="numerical levels to compute (default 40)",
     )
     p.add_argument(
         "--e-max", type=_finite_flag, default=40.0, help="closed-form cutoff (default 40)"
@@ -330,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("value", help="a decimal or fraction, e.g. 1.41421356237 or 99/70")
     p.add_argument(
         "--max-denominator",
-        type=int,
+        type=_cap_flag,
         default=100,
         metavar="Q",
         help="denominator cap (default 100)",
@@ -397,8 +409,7 @@ def cmd_quantize(ns: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 3
-        rational = rationalize_relations(lat.relations, ns.rationalize)
-        lat = PeriodLattice(basis=lat.basis, relations=lat.relations, rational=rational)
+        lat = rationalize_relations(lat, ns.rationalize)
         print(
             f"approximate: relations rationalized with denominator cap "
             f"Q={ns.rationalize}; the spectrum below belongs to the "
@@ -568,7 +579,7 @@ def cmd_rationalize(ns: argparse.Namespace) -> int:
             raise ValueError
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"not a number: {text!r}")
-    best = rationalize_relations(x, ns.max_denominator)
+    best = best_rational(x, ns.max_denominator)
     err = abs(float(x) - best.numerator / best.denominator)
     print(f"{best.numerator}/{best.denominator}")
     print(

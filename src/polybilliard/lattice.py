@@ -2,32 +2,32 @@
 
 A pattern's 2g periods live in a 2-dimensional real plane, so any two
 independent ones serve as a reference pair and every other period is a real
-combination of them.  This module computes those relation coefficients as
-`frame.quotient`s (exact in exact frames, without dividing field elements),
-decides whether they are all rational (the doubly-rational case, where the
-periods generate a genuine plane lattice with generators D1/C1 and D2/C2),
-reduces arbitrary lattice vectors to integer generator coordinates,
-and — for irrational relation sets — replaces coefficients by best rational
-approximants under a denominator cap.
+combination of them.  `period_lattice` computes those relation coefficients
+as `frame.quotient`s (exact in exact frames, without dividing field
+elements) and decides whether they are all rational: the doubly-rational
+case, where the periods generate a genuine plane lattice with generators
+D1/C1 and D2/C2.  `reduce_period` reduces a lattice vector to integer
+generator coordinates.  `rationalize_relations` replaces irrational
+coefficients by best rational approximants under a denominator cap and
+returns the substituted billiard, itself an ordinary doubly-rational
+`PeriodLattice`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .approx import best_rational
 from .errors import DegeneratePair, NotDoublyRational, NotInLattice, OutOfRange
 from .unfold import Period
 
 __all__ = [
-    "RealRelations",
-    "RationalRelations",
     "PeriodLattice",
     "default_pair",
-    "real_relations",
-    "detect_drpb",
     "reduce_period",
     "rationalize_relations",
     "period_lattice",
@@ -50,71 +50,41 @@ def _period_line(index: int, period: Period, role: str = "") -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class RealRelations:
-    """Relation coefficients of the remaining periods over a chosen pair.
+class PeriodLattice:
+    """A period basis with its relation table over a reference pair.
 
-    Each non-pair basis period D_k, after subtracting an integer combination
-    ``shifts[k]`` of the pair, equals ``coeffs[k][0]*d1 + coeffs[k][1]*d2``.
-    In an exact frame a rational coefficient is an exact Fraction in [0, 1);
-    an irrational one is its float.  In a float frame every coefficient is a
-    float, which `frame.rational_value` calls rational or not.  ``det`` is
-    cross(d1, d2), nonzero.
+    The pair is d1 = basis[i] and d2 = basis[j] for ``pair_indexes`` (i, j),
+    with ``det`` = cross(d1, d2) nonzero.  The k-th member period
+    basis[member_indexes[k]], less the integer combination ``shifts[k]`` of
+    the pair, equals ``coeffs[k][0]*d1 + coeffs[k][1]*d2``.  In an exact
+    frame a rational coefficient is an exact Fraction in [0, 1) and an
+    irrational one its float; in a float frame every coefficient is a float,
+    which `frame.rational_value` calls rational or not.
+
+    ``fracs`` is the table as Fractions, or None when a coefficient is
+    irrational.  With a table the lattice is doubly rational: ``c1``/``c2``
+    are the least common multiples of its first/second-column denominators
+    and the generators are D1/C1 and D2/C2.  ``heuristic`` marks a verdict a
+    float frame decided.  The substituted billiard `rationalize_relations`
+    builds is such a lattice, its coefficients the Fractions themselves.
     """
 
     frame: object
-    d1: object
-    d2: object
-    det: object
+    basis: tuple[Period, ...]
     pair_indexes: tuple[int, int]
-    members: tuple[Period, ...]
+    det: object
     member_indexes: tuple[int, ...]
     coeffs: tuple[tuple[object, object], ...]
     shifts: tuple[tuple[int, int], ...]
-
-    @property
-    def coeffs_float(self) -> list[tuple[float, float]]:
-        return [(float(a), float(b)) for a, b in self.coeffs]
-
-
-@dataclass(frozen=True, eq=False)
-class RationalRelations:
-    """The relation table of a doubly-rational lattice, as exact fractions.
-
-    ``fracs[k]`` is (p_k1/q_k1, p_k2/q_k2) for the k-th non-pair period;
-    ``c1``/``c2`` are the least common multiples of the first/second-column
-    denominators, and ``n1[k] = c1 // q_k1`` (similarly ``n2``).  When the
-    verdict came from the float continued-fraction fallback rather than exact
-    arithmetic, ``heuristic`` is set.
-    """
-
-    relations: RealRelations
-    fracs: tuple[tuple[Fraction, Fraction], ...]
-    c1: int
-    c2: int
-    n1: tuple[int, ...]
-    n2: tuple[int, ...]
-    heuristic: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class PeriodLattice:
-    """A period basis together with its relation data over a chosen pair."""
-
-    basis: tuple[Period, ...]
-    relations: RealRelations
-    rational: RationalRelations | None
-
-    @property
-    def frame(self):
-        return self.relations.frame
+    fracs: tuple[tuple[Fraction, Fraction], ...] | None
 
     @property
     def d1(self):
-        return self.relations.d1
+        return self.basis[self.pair_indexes[0]].vector
 
     @property
     def d2(self):
-        return self.relations.d2
+        return self.basis[self.pair_indexes[1]].vector
 
     @property
     def genus(self) -> int:
@@ -122,51 +92,51 @@ class PeriodLattice:
 
     @property
     def doubly_rational(self) -> bool:
-        return self.rational is not None
+        return self.fracs is not None
 
-    def _require_rational(self) -> RationalRelations:
-        if self.rational is None:
+    @property
+    def heuristic(self) -> bool:
+        return not self.frame.exact
+
+    def _column_lcm(self, col: int) -> int:
+        if self.fracs is None:
             raise NotDoublyRational("period relations are not all rational")
-        return self.rational
+        return math.lcm(1, *(row[col].denominator for row in self.fracs))
 
-    @property
+    @cached_property
     def c1(self) -> int:
-        return self._require_rational().c1
+        return self._column_lcm(0)
 
-    @property
+    @cached_property
     def c2(self) -> int:
-        return self._require_rational().c2
+        return self._column_lcm(1)
 
     @property
     def generators(self) -> tuple[object, object]:
         """The lattice generators D1/C1 and D2/C2 (doubly-rational only)."""
-        rat = self._require_rational()
         f = self.frame
         return (
-            f.scalar(Fraction(1, rat.c1)) * self.d1,
-            f.scalar(Fraction(1, rat.c2)) * self.d2,
+            f.scalar(Fraction(1, self.c1)) * self.d1,
+            f.scalar(Fraction(1, self.c2)) * self.d2,
         )
 
     def report(self) -> str:
         """Human-readable relation table for terminal output."""
-        i, j = self.relations.pair_indexes
+        i, j = self.pair_indexes
         lines = [f"periods: {len(self.basis)} (genus {self.genus})"]
         for idx, per in enumerate(self.basis):
             role = " [D1]" if idx == i else (" [D2]" if idx == j else "")
             lines.append(_period_line(idx, per, role))
-        if self.relations.coeffs:
+        if self.coeffs:
             lines.append("relation coefficients over (D1, D2):")
-            for pos, (a, b) in enumerate(self.relations.coeffs_float):
-                k = self.relations.member_indexes[pos]
-                if self.rational is not None:
-                    fa, fb = self.rational.fracs[pos]
-                    lines.append(f"  P{k + 1} = {fa} * D1 + {fb} * D2")
-                else:
-                    lines.append(f"  P{k + 1} = {a:.12g} * D1 + {b:.12g} * D2")
-        if self.rational is not None:
-            tag = " (heuristic float verdict)" if self.rational.heuristic else ""
+            for k, (a, b) in zip(self.member_indexes, self.fracs or self.coeffs):
+                if self.fracs is None:
+                    a, b = f"{float(a):.12g}", f"{float(b):.12g}"
+                lines.append(f"  P{k + 1} = {a} * D1 + {b} * D2")
+        if self.fracs is not None:
+            tag = " (heuristic float verdict)" if self.heuristic else ""
             lines.append(f"doubly rational: yes{tag}")
-            lines.append(f"C1 = {self.rational.c1}, C2 = {self.rational.c2}")
+            lines.append(f"C1 = {self.c1}, C2 = {self.c2}")
         else:
             lines.append("doubly rational: no")
         return "\n".join(lines)
@@ -205,11 +175,11 @@ def _floor(frame, a) -> int:
     return math.floor(a if r is None else r)
 
 
-def real_relations(
+def period_lattice(
     frame,
     basis: list[Period] | tuple[Period, ...],
     pair_choice: tuple[int, int] | None = None,
-) -> RealRelations:
+) -> PeriodLattice:
     """Express every non-pair basis period over the chosen pair.
 
     ``pair_choice`` indexes two real-independent basis periods (defaults to
@@ -218,7 +188,9 @@ def real_relations(
     dividing field elements.  Coefficients are reduced by subtracting
     integer multiples of the pair, which only moves each period by lattice
     translations: the shift is the floor of the coefficient's rational
-    value when it has one, else of the coefficient.
+    value when it has one, else of the coefficient.  In a float frame the
+    verdict relies on continued-fraction stabilization (denominator <= 10^6,
+    relative residual < 1e-9), and the lattice is `heuristic`.
     """
     if pair_choice is None:
         pair_choice = default_pair(frame, basis)
@@ -233,75 +205,32 @@ def real_relations(
     member_indexes = tuple(k for k in range(len(basis)) if k not in (i, j))
     coords = [_coordinates(frame, d1, d2, det, basis[k].vector) for k in member_indexes]
     shifts = tuple((_floor(frame, x), _floor(frame, y)) for x, y in coords)
-    return RealRelations(
+    coeffs = tuple((x - s1, y - s2) for (x, y), (s1, s2) in zip(coords, shifts))
+    values = [frame.rational_value(a) for row in coeffs for a in row]
+    return PeriodLattice(
         frame=frame,
-        d1=d1,
-        d2=d2,
-        det=det,
+        basis=tuple(basis),
         pair_indexes=(i, j),
-        members=tuple(basis[k] for k in member_indexes),
+        det=det,
         member_indexes=member_indexes,
-        coeffs=tuple((x - s1, y - s2) for (x, y), (s1, s2) in zip(coords, shifts)),
+        coeffs=coeffs,
         shifts=shifts,
+        fracs=None if None in values else tuple(zip(values[::2], values[1::2])),
     )
 
 
-def _rational_table(relations: RealRelations, max_denominator: int | None = None):
-    """The relation table as Fractions, reading each coefficient's verdict.
-
-    An irrational coefficient is replaced by its best rational approximant
-    under ``max_denominator``; without a cap it leaves no table (None).  The
-    table is heuristic when a float frame decided it or a coefficient was
-    approximated.
-    """
-    frame = relations.frame
-    flat: list[Fraction] = []
-    approximated = False
-    for a in (a for row in relations.coeffs for a in row):
-        r = frame.rational_value(a)
-        if r is None:
-            if max_denominator is None:
-                return None
-            r, approximated = best_rational(float(a), max_denominator), True
-        flat.append(r)
-    fracs = tuple(zip(flat[::2], flat[1::2]))
-    c1 = math.lcm(1, *(f1.denominator for f1, _ in fracs))
-    c2 = math.lcm(1, *(f2.denominator for _, f2 in fracs))
-    return RationalRelations(
-        relations=relations,
-        fracs=fracs,
-        c1=c1,
-        c2=c2,
-        n1=tuple(c1 // f1.denominator for f1, _ in fracs),
-        n2=tuple(c2 // f2.denominator for _, f2 in fracs),
-        heuristic=approximated or not frame.exact,
-    )
-
-
-def detect_drpb(relations: RealRelations) -> RationalRelations | None:
-    """Return the rational relation table, or None if any coefficient is irrational.
-
-    This is `rationalize_relations` with no approximation allowed.  In an
-    exact frame the verdict is the exact one `real_relations` reached.  In a
-    float frame it relies on continued-fraction stabilization (denominator
-    <= 10^6, relative residual < 1e-9) and the result carries
-    ``heuristic=True``.
-    """
-    return _rational_table(relations)
-
-
-def reduce_period(period, rational: RationalRelations) -> tuple[int, int]:
+def reduce_period(period, lattice: PeriodLattice) -> tuple[int, int]:
     """Integer generator coordinates (r1, r2) with D = r1*D1/C1 + r2*D2/C2.
 
-    Accepts a Period or a bare frame vector.  Raises NotInLattice when the
-    vector is not an integer combination of the generators.
+    Accepts a Period or a bare frame vector.  Raises NotDoublyRational on a
+    lattice without a rational table and NotInLattice when the vector is not
+    an integer combination of the generators.
     """
-    rel = rational.relations
-    frame = rel.frame
+    frame = lattice.frame
     v = period.vector if isinstance(period, Period) else period
-    coords = _coordinates(frame, rel.d1, rel.d2, rel.det, v)
+    coords = _coordinates(frame, lattice.d1, lattice.d2, lattice.det, v)
     out = []
-    for r, c in zip(map(frame.rational_value, coords), (rational.c1, rational.c2)):
+    for r, c in zip(map(frame.rational_value, coords), (lattice.c1, lattice.c2)):
         if r is None:
             raise NotInLattice("period has an irrational coordinate over the pair")
         scaled = r * c
@@ -311,32 +240,27 @@ def reduce_period(period, rational: RationalRelations) -> tuple[int, int]:
     return (out[0], out[1])
 
 
-def rationalize_relations(relations, max_denominator: int):
-    """Replace irrational relation coefficients by best rational approximants.
+def rationalize_relations(lattice: PeriodLattice, max_denominator: int) -> PeriodLattice:
+    """The substituted billiard: irrational relation coefficients replaced by
+    best rational approximants under a denominator cap.
 
     The approximant of x under denominator cap Q is the last continued-fraction
     convergent p/q with q <= Q, which satisfies |x - p/q| <= 1/(q*Q); exactly
-    rational coefficients pass through unchanged.  Accepts either a
-    RealRelations table (returning a RationalRelations, marked heuristic when
-    a coefficient was approximated or a float frame decided the table) or a
-    single real number (returning the Fraction directly).
+    rational coefficients pass through unchanged.  The pair stays, and each
+    member period becomes (frac + shift) of each pair period, so the result is
+    a doubly-rational `PeriodLattice` whose table is these fractions.  It is
+    built from that table directly: a float frame, re-deriving it, would
+    refuse denominators above 10^6.
     """
     if max_denominator < 2:
         raise OutOfRange(f"denominator cap must be at least 2, got {max_denominator}")
-
-    if isinstance(relations, RealRelations):
-        return _rational_table(relations, max_denominator)
-
-    if isinstance(relations, (int, Fraction)):
-        return best_rational(Fraction(relations), max_denominator)
-    return best_rational(float(relations), max_denominator)
-
-
-def period_lattice(
-    frame,
-    basis: list[Period] | tuple[Period, ...],
-    pair_choice: tuple[int, int] | None = None,
-) -> PeriodLattice:
-    """Bundle a period basis with its relation data and rationality verdict."""
-    rel = real_relations(frame, basis, pair_choice)
-    return PeriodLattice(basis=tuple(basis), relations=rel, rational=detect_drpb(rel))
+    f = lattice.frame
+    flat = []
+    for a in (a for row in lattice.coeffs for a in row):
+        r = f.rational_value(a)
+        flat.append(best_rational(float(a), max_denominator) if r is None else r)
+    fracs = tuple(zip(flat[::2], flat[1::2]))
+    basis = list(lattice.basis)
+    for k, (a1, a2), (s1, s2) in zip(lattice.member_indexes, fracs, lattice.shifts):
+        basis[k] = Period(f.scalar(a1 + s1) * lattice.d1 + f.scalar(a2 + s2) * lattice.d2)
+    return dataclasses.replace(lattice, basis=tuple(basis), coeffs=fracs, fracs=fracs)

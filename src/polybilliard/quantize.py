@@ -24,7 +24,7 @@ from .errors import (
     NotPeriodicSkeleton,
     OutOfRange,
 )
-from .lattice import PeriodLattice, detect_drpb, real_relations, reduce_period
+from .lattice import PeriodLattice, period_lattice, reduce_period
 from .unfold import Period
 
 __all__ = [
@@ -205,24 +205,17 @@ def periodic_skeleton_check(
 
     Returns the integer k with C2*(D2.D1) = k*C1*|D2|^2, the pair angle, and
     the direction period index — or None when no integer k exists (the pair
-    is generic and admits only aperiodic skeletons).  The C_i are recomputed
-    when `pair_choice` differs from the lattice's own reference pair.
+    is generic and admits only aperiodic skeletons).  A `pair_choice` other
+    than the lattice's own reference pair re-derives the lattice over that
+    pair; in a float frame its verdict may differ, which raises
+    NotDoublyRational.
     """
-    rat = lattice.rational
-    if rat is None:
+    if not lattice.doubly_rational:
         raise NotDoublyRational("periodic skeletons need rational period relations")
     f = lattice.frame
-    if pair_choice is None or pair_choice == lattice.relations.pair_indexes:
-        i, j = lattice.relations.pair_indexes
-        c1, c2 = rat.c1, rat.c2
-    else:
-        i, j = pair_choice
-        sub = detect_drpb(real_relations(f, lattice.basis, (i, j)))
-        if sub is None:  # pragma: no cover - rationality is pair-intrinsic
-            raise NotDoublyRational("pair relations are not rational")
-        c1, c2 = sub.c1, sub.c2
-    d1 = lattice.basis[i].vector
-    d2 = lattice.basis[j].vector
+    if pair_choice is not None and pair_choice != lattice.pair_indexes:
+        lattice = period_lattice(f, lattice.basis, pair_choice)
+    c1, c2, d1, d2 = lattice.c1, lattice.c2, lattice.d1, lattice.d2
     r = f.rational_value(f.quotient(c2 * f.dot(d2, d1), c1 * f.dot(d2, d2)))
     if r is None or r.denominator != 1:
         return None
@@ -230,7 +223,8 @@ def periodic_skeleton_check(
     cosang = (z1.conjugate() * z2).real / (abs(z1) * abs(z2))
     alpha = math.acos(max(-1.0, min(1.0, cosang)))
     return PeriodicSkeletonData(
-        k=int(r), alpha=alpha, direction_index=j, c1=c1, c2=c2, d1=z1, d2=z2
+        k=int(r), alpha=alpha, direction_index=lattice.pair_indexes[1],
+        c1=c1, c2=c2, d1=z1, d2=z2,
     )
 
 
@@ -344,7 +338,10 @@ def spectrum(
         g12 = (p1.conjugate() * p2).real
         tr, det = g11 + g22, g11 * g22 - g12 * g12
         lam_min = (tr - math.sqrt(max(tr * tr - 4 * det, 0.0))) / 2
-        reach = int(math.sqrt(2 * e_max / lam_min)) + 1
+        reach = math.sqrt(2 * e_max / lam_min)
+        if not math.isfinite(reach):
+            raise OutOfRange(f"e_max {e_max:g} puts the label range out of reach")
+        reach = int(reach) + 1
         cutoff = e_max * (1 + _REL_TOL)
         periods = _basis_floats(lattice)
         pair = [(abs(z), c) for z, c in zip(_pair_floats(lattice), (lattice.c1, lattice.c2))]
@@ -438,8 +435,8 @@ def wavelength_report(lattice: PeriodLattice, momentum) -> list[WavelengthEntry]
         count = proj / (2 * math.pi)
         wavelength = math.inf if count < _REL_TOL else abs(z) / count
         law = None
-        if with_law and lattice.rational is not None:
-            r1, r2 = reduce_period(per, lattice.rational)
+        if with_law and lattice.doubly_rational:
+            r1, r2 = reduce_period(per, lattice)
             law = abs(r1 * labels[0] + r2 * labels[1])
         ok = abs(count - round(count)) <= _REL_TOL * max(1.0, count) and (
             law is None or round(count) == law

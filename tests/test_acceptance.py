@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from polybilliard.lattice import period_lattice, rationalize_relations
+from polybilliard.approx import best_rational
+from polybilliard.lattice import period_lattice
 from polybilliard.oracle import (
     compare_spectra,
     fd_eigenvalues,
@@ -430,7 +431,7 @@ def test_ac9_rationalization():
     start = time.perf_counter()
     cap = 100
     target = math.sqrt(2)
-    best = rationalize_relations(target, cap)
+    best = best_rational(target, cap)
     ok = best == Fraction(99, 70)
     ok &= abs(target - 99 / 70) <= 1.0 / (70 * cap)
     # brute force over every denominator: no fraction with q <= cap beats

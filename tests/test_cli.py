@@ -238,6 +238,41 @@ def test_quantize_irrational_with_cap(capsys):
     assert out.splitlines()[0] == "level_index,m,n,kind,energy,degeneracy,flag"
 
 
+# SHA-256 and line count of two rationalized spectra of the golden-ratio
+# triangle, recorded while the substituted billiard was still assembled in
+# `cmd_quantize` from the parent's basis
+RATIONALIZED_SHA256 = {
+    "5": ("6527ec039c2a7e0a9204e30401a2e003a111b55e82ec165b2612bd37faeb0a9f", 355),
+    "10": ("c84525aea412cac565ec74d7b9a8af2c2b210ee8dbca5bc49a5b3c4689918398", 143),
+}
+
+
+@pytest.mark.parametrize("cap", sorted(RATIONALIZED_SHA256))
+def test_quantize_rationalized_spectrum_unchanged(cap, capsys):
+    code, out, _ = invoke(
+        capsys,
+        "quantize",
+        str(POLYGONS / "isosceles_pi5.json"),
+        "--rationalize",
+        cap,
+        "--e-max",
+        "100000",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (digest, out.count("\n")) == RATIONALIZED_SHA256[cap]
+
+
+def test_quantize_unreachable_e_max_is_usage_error(capsys):
+    # 2*e_max overflows, so the label range has no finite bound
+    code, out, err = invoke(
+        capsys, "quantize", str(POLYGONS / "square.json"), "--e-max", "1e308"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_quantize_with_quantum_kind(capsys):
     code, out, _ = invoke(
         capsys,
@@ -608,6 +643,10 @@ def test_rationalize_small_cap(capsys):
         ("verify", "square.json", "--spacing", "-1/64"),
         ("swf", "square.json", "--edge-samples", "0"),
         ("quantize", "square.json", "--max-ratio", "-1"),
+        ("quantize", "square.json", "--rationalize", "-3"),
+        ("quantize", "square.json", "--rationalize", "1"),
+        ("verify", "square.json", "--count", "0"),
+        ("rationalize", "1.5", "--max-denominator", "1"),
         ("rationalize", "inf"),
         ("rationalize", "1e400"),
         ("rationalize", "nan"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polybilliard.approx import best_rational
 from polybilliard.cyclo import Cyclo
 from polybilliard.errors import (
     DegeneratePair,
@@ -14,12 +15,9 @@ from polybilliard.errors import (
 )
 from polybilliard.exactgeom import FloatFrame
 from polybilliard.lattice import (
-    PeriodLattice,
     default_pair,
-    detect_drpb,
     period_lattice,
     rationalize_relations,
-    real_relations,
     reduce_period,
 )
 from polybilliard.quantize import (
@@ -62,9 +60,9 @@ def test_square_relations_empty():
     p = square(1)
     lat = lattice_of(p)
     assert lat.genus == 1
-    assert lat.relations.coeffs == ()
+    assert lat.coeffs == ()
     assert lat.doubly_rational
-    assert not lat.rational.heuristic
+    assert not lat.heuristic
     assert (lat.c1, lat.c2) == (1, 1)
     g1, g2 = lat.generators
     assert vec_close(p.frame, g1, lat.d1)
@@ -75,9 +73,9 @@ def test_square_reduce_pair_members():
     p = square(1)
     lat = lattice_of(p)
     f = p.frame
-    assert reduce_period(lat.basis[0], lat.rational) in {(1, 0), (0, 1)}
+    assert reduce_period(lat.basis[0], lat) in {(1, 0), (0, 1)}
     both = f.to_complex(lat.d1) + f.to_complex(lat.d2)
-    assert reduce_period(lat.d1 + lat.d2, lat.rational) == (1, 1)
+    assert reduce_period(lat.d1 + lat.d2, lat) == (1, 1)
     assert abs(both - 2 - 2j) < 1e-12
 
 
@@ -86,7 +84,7 @@ def test_square_half_period_not_in_lattice():
     lat = lattice_of(p)
     f = p.frame
     with pytest.raises(NotInLattice):
-        reduce_period(f.scalar(Fraction(1, 2)) * lat.d1, lat.rational)
+        reduce_period(f.scalar(Fraction(1, 2)) * lat.d1, lat)
 
 
 # --- parallelogram: the worked doubly-rational example ------------------------
@@ -102,20 +100,17 @@ def test_parallelogram_explicit_basis_coefficients():
         Period(f.scalar(inv) * d1),
         Period(f.scalar(inv) * d2),
     ]
-    rel = real_relations(f, basis, pair_choice=(0, 1))
-    assert rel.pair_indexes == (0, 1)
-    assert rel.member_indexes == (2, 3)
+    rat = period_lattice(f, basis, pair_choice=(0, 1))
+    assert rat.pair_indexes == (0, 1)
+    assert rat.member_indexes == (2, 3)
     # 3/2 reduces to 1/2 after removing one whole period.
-    assert rel.coeffs_float[0] == pytest.approx([0.5, 0.0], abs=1e-12)
-    assert rel.coeffs_float[1] == pytest.approx([0.0, 0.5], abs=1e-12)
-    assert rel.shifts == ((1, 0), (0, 1))
+    assert [float(c) for c in rat.coeffs[0]] == pytest.approx([0.5, 0.0], abs=1e-12)
+    assert [float(c) for c in rat.coeffs[1]] == pytest.approx([0.0, 0.5], abs=1e-12)
+    assert rat.shifts == ((1, 0), (0, 1))
 
-    rat = detect_drpb(rel)
-    assert rat is not None
+    assert rat.doubly_rational
     assert rat.fracs == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
     assert (rat.c1, rat.c2) == (2, 2)
-    assert rat.n1 == (1, 2)
-    assert rat.n2 == (2, 1)
     assert not rat.heuristic
 
 
@@ -129,7 +124,7 @@ def test_parallelogram_reduce_scaled_period():
         Period(f.scalar(inv) * d1),
         Period(f.scalar(inv) * d2),
     ]
-    rat = detect_drpb(real_relations(f, basis, pair_choice=(0, 1)))
+    rat = period_lattice(f, basis, pair_choice=(0, 1))
     assert reduce_period(basis[2], rat) == (3, 0)
     assert reduce_period(basis[3], rat) == (0, 3)
     assert reduce_period(basis[0], rat) == (rat.c1, 0)
@@ -144,17 +139,16 @@ def test_parallelogram_homology_basis_default_pair():
     assert vec_close(f, lat.d1, d1 - d2)
     assert vec_close(f, lat.d2, d1)
     assert (lat.c1, lat.c2) == (2, 2)
-    assert lat.doubly_rational and not lat.rational.heuristic
+    assert lat.doubly_rational and not lat.heuristic
 
 
 def test_parallelogram_exact_member_reconstruction():
     p = parallelogram_pi3(Fraction(2, 3))
     lat = lattice_of(p)
     f = p.frame
-    rel = lat.relations
-    for member, (a1, a2), (s1, s2) in zip(rel.members, rel.coeffs, rel.shifts):
-        lhs = member.vector - f.scalar(s1) * rel.d1 - f.scalar(s2) * rel.d2
-        rhs = a1 * rel.d1 + a2 * rel.d2
+    for k, (a1, a2), (s1, s2) in zip(lat.member_indexes, lat.coeffs, lat.shifts):
+        lhs = lat.basis[k].vector - f.scalar(s1) * lat.d1 - f.scalar(s2) * lat.d2
+        rhs = a1 * lat.d1 + a2 * lat.d2
         assert f.is_zero(lhs - rhs)
 
 
@@ -171,8 +165,8 @@ def test_broken_rectangle_paper_periods():
         Period(f.from_xy(2 * x2, 0)),
         Period(f.from_xy(0, 2 * y2)),
     ]
-    rat = detect_drpb(real_relations(f, basis, pair_choice=(0, 1)))
-    assert rat is not None
+    rat = period_lattice(f, basis, pair_choice=(0, 1))
+    assert rat.doubly_rational
     assert (rat.c1, rat.c2) == (2, 1)
     assert rat.fracs[0][0] == Fraction(1, 2)  # 2*x2 = (3/2) * D1, reduced
 
@@ -190,7 +184,7 @@ def test_broken_rectangle_homology_basis_same_generators():
         Period(f.from_xy(2 * x2, 0)),
         Period(f.from_xy(0, 2 * y2)),
     ]
-    rat = detect_drpb(real_relations(f, paper, pair_choice=(0, 1)))
+    rat = period_lattice(f, paper, pair_choice=(0, 1))
     h1 = f.scalar(Fraction(1, rat.c1)) * paper[0].vector
     h2 = f.scalar(Fraction(1, rat.c2)) * paper[1].vector
     gens = sorted((f.to_complex(g1), f.to_complex(g2)), key=lambda z: (z.real, z.imag))
@@ -205,13 +199,13 @@ def test_isosceles_relations_irrational():
     p = isosceles_pi5()
     lat = lattice_of(p)
     assert lat.genus == 2
-    assert lat.rational is None
+    assert not lat.doubly_rational
     with pytest.raises(NotDoublyRational):
         _ = lat.c1
     with pytest.raises(NotDoublyRational):
         _ = lat.generators
     golden = (1 + math.sqrt(5)) / 2
-    flat = [c for row in lat.relations.coeffs_float for c in row]
+    flat = [float(c) for row in lat.coeffs for c in row]
     # Coefficients are golden-ratio combinations; at least one lands on
     # 1/phi = phi - 1 up to integer reduction.
     assert any(abs(c - (golden - 1)) < 1e-9 for c in flat)
@@ -226,7 +220,7 @@ def test_isosceles_verdict_pair_independent():
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             if not f.is_zero(f.cross(basis[i].vector, basis[j].vector), scale=10.0):
-                assert detect_drpb(real_relations(f, basis, (i, j))) is None
+                assert not period_lattice(f, basis, (i, j)).doubly_rational
                 checked += 1
     assert checked >= 4
 
@@ -240,8 +234,8 @@ def test_drpb_verdict_pair_independent_rational_case():
         for j in range(i + 1, len(basis)):
             if f.is_zero(f.cross(basis[i].vector, basis[j].vector), scale=10.0):
                 continue
-            rat = detect_drpb(real_relations(f, basis, (i, j)))
-            assert rat is not None
+            rat = period_lattice(f, basis, (i, j))
+            assert rat.doubly_rational
             cs.add((rat.c1, rat.c2))
     # Rationality is intrinsic even though the C_i values vary with the pair.
     assert len(cs) >= 1
@@ -264,7 +258,7 @@ def test_reduce_reconstruct_roundtrip(make):
     p = make()
     lat = lattice_of(p)
     f = p.frame
-    rat = lat.rational
+    rat = lat
     rng = random.Random(20240817)
     for _ in range(100):
         r1 = rng.randint(-40, 40)
@@ -281,7 +275,7 @@ def test_reduce_rejects_non_multiple():
     lat = lattice_of(p)
     f = p.frame
     with pytest.raises(NotInLattice):
-        reduce_period(f.scalar(Fraction(1, 3)) * lat.d1, lat.rational)
+        reduce_period(f.scalar(Fraction(1, 3)) * lat.d1, lat)
 
 
 # --- pair selection and degeneracy --------------------------------------------
@@ -298,9 +292,9 @@ def test_explicit_collinear_pair_rejected():
     f = FloatFrame(2)
     basis = [Period(complex(1, 0)), Period(complex(2, 0)), Period(complex(0, 1))]
     with pytest.raises(DegeneratePair):
-        real_relations(f, basis, pair_choice=(0, 1))
+        period_lattice(f, basis, pair_choice=(0, 1))
     with pytest.raises(ValueError):
-        real_relations(f, basis, pair_choice=(1, 1))
+        period_lattice(f, basis, pair_choice=(1, 1))
 
 
 def test_default_pair_prefers_short_periods():
@@ -327,7 +321,7 @@ def test_float_mode_rational_verdict_flagged():
     ]
     lat = period_lattice(f, basis, pair_choice=(0, 1))
     assert lat.doubly_rational
-    assert lat.rational.heuristic
+    assert lat.heuristic
     assert (lat.c1, lat.c2) == (2, 2)
 
 
@@ -340,43 +334,44 @@ def test_float_mode_irrational_detected():
         Period(complex(0, 4)),
     ]
     lat = period_lattice(f, basis, pair_choice=(0, 1))
-    assert lat.rational is None
+    assert not lat.doubly_rational
 
 
 # --- rationalization -----------------------------------------------------------
 
 
 def test_rationalize_scalar_sqrt2():
-    got = rationalize_relations(math.sqrt(2), 100)
+    got = best_rational(math.sqrt(2), 100)
     assert got == Fraction(99, 70)
     assert abs(math.sqrt(2) - 99 / 70) <= 1 / (70 * 100)
 
 
 def test_rationalize_scalar_golden():
     golden = (1 + math.sqrt(5)) / 2
-    got = rationalize_relations(golden, 50)
+    got = best_rational(golden, 50)
     assert got == Fraction(55, 34)
     assert abs(golden - 55 / 34) <= 1 / (34 * 50)
 
 
 def test_rationalize_passes_rationals_through():
-    assert rationalize_relations(Fraction(3, 2), 17) == Fraction(3, 2)
-    assert rationalize_relations(7, 10) == Fraction(7)
+    assert best_rational(Fraction(3, 2), 17) == Fraction(3, 2)
+    assert best_rational(7, 10) == Fraction(7)
 
 
 def test_rationalize_requires_cap_of_two():
     with pytest.raises(OutOfRange):
-        rationalize_relations(math.sqrt(2), 1)
+        rationalize_relations(lattice_of(isosceles_pi5()), 1)
 
 
 def test_rationalize_relations_table():
     p = isosceles_pi5()
     lat = lattice_of(p)
-    rat = rationalize_relations(lat.relations, 50)
-    assert rat.heuristic
-    for pos, (f1, f2) in enumerate(rat.fracs):
-        a1, a2 = lat.relations.coeffs_float[pos]
-        for frac, val in ((f1, a1), (f2, a2)):
+    rat = rationalize_relations(lat, 50)
+    assert rat.doubly_rational
+    assert not rat.heuristic  # an exact frame: the substituted billiard is exact
+    assert rat.pair_indexes == lat.pair_indexes
+    for (f1, f2), (a1, a2) in zip(rat.fracs, lat.coeffs):
+        for frac, val in ((f1, float(a1)), (f2, float(a2))):
             assert frac.denominator <= 50
             assert abs(val - float(frac)) <= 1 / (frac.denominator * 50) + 1e-15
 
@@ -384,9 +379,11 @@ def test_rationalize_relations_table():
 def test_rationalize_exact_table_is_identity():
     p = parallelogram_pi3(Fraction(2, 3))
     lat = lattice_of(p)
-    rat = rationalize_relations(lat.relations, 1000)
+    rat = rationalize_relations(lat, 1000)
     assert not rat.heuristic
-    assert rat.fracs == lat.rational.fracs
+    assert rat.fracs == lat.fracs
+    f = lat.frame
+    assert all(f.is_zero(a.vector - b.vector) for a, b in zip(rat.basis, lat.basis))
 
 
 # --- report --------------------------------------------------------------------
@@ -423,8 +420,8 @@ def test_scaled_pair_family_has_c_equal_numerator(a):
         Period(float(inv) * d1),
         Period(float(inv) * d2),
     ]
-    rat = detect_drpb(real_relations(f, basis, pair_choice=(0, 1)))
-    assert rat is not None
+    rat = period_lattice(f, basis, pair_choice=(0, 1))
+    assert rat.doubly_rational
     assert rat.c1 == rat.c2 == a.numerator
     assert reduce_period(basis[2], rat) == (a.denominator, 0)
 
@@ -454,7 +451,7 @@ def test_lattice_coordinates_never_invert(make, monkeypatch):
     monkeypatch.setattr(Cyclo, "inverse", _refuse_inverse)
 
     lat = period_lattice(f, basis)
-    own = lat.relations.pair_indexes
+    own = lat.pair_indexes
     pairs = [
         (i, j)
         for i in range(len(basis))
@@ -462,28 +459,41 @@ def test_lattice_coordinates_never_invert(make, monkeypatch):
         if i != j and not f.cross(basis[i].vector, basis[j].vector).is_zero()
     ]
     other = next(pair for pair in pairs if pair != own)
-    sub = detect_drpb(real_relations(f, basis, other))
-    assert (sub is None) == (lat.rational is None)
+    assert period_lattice(f, basis, other).doubly_rational == lat.doubly_rational
 
-    rat = rationalize_relations(lat.relations, 50)
-    assert rat.heuristic == (lat.rational is None)
-    lat = PeriodLattice(basis=lat.basis, relations=lat.relations, rational=rat)
-    assert reduce_period(lat.d1, rat) == (rat.c1, 0)
-    assert reduce_period(lat.d2, rat) == (0, rat.c2)
+    sub = rationalize_relations(lat, 50)
+    assert not sub.heuristic
+    assert reduce_period(sub.d1, sub) == (sub.c1, 0)
+    assert reduce_period(sub.d2, sub) == (0, sub.c2)
+    if not lat.doubly_rational:
+        with pytest.raises(NotInLattice):  # an irrational coordinate, decided exactly
+            reduce_period(basis[lat.member_indexes[0]], sub)
 
-    for pair in pairs if sub is not None else [own]:
-        data = periodic_skeleton_check(lat, pair)
+    for pair in pairs:
+        data = periodic_skeleton_check(sub, pair)
         if data is None:
             continue
-        d2 = basis[data.direction_index].vector
-        for per in basis:
+        d2 = sub.basis[data.direction_index].vector
+        for per in sub.basis:
             if f.cross(per.vector, d2).is_zero():
-                along = momentum_periodic(lat, data, 1, along=per)
+                along = momentum_periodic(sub, data, 1, along=per)
                 assert along.vector == pytest.approx(data.periodic(1))
 
-    momentum = momentum_aperiodic(lat, 1, 2)
-    if sub is None:
-        with pytest.raises(NotInLattice):  # an irrational coordinate, decided exactly
-            wavelength_report(lat, momentum)
-    else:
-        assert all(entry.ok for entry in wavelength_report(lat, momentum))
+    momentum = momentum_aperiodic(sub, 1, 2)
+    assert all(entry.ok for entry in wavelength_report(sub, momentum))
+
+
+# --- the substituted billiard ---------------------------------------------------
+
+
+def test_rationalized_billiard_is_an_ordinary_lattice():
+    lat = lattice_of(isosceles_pi5())
+    sub = rationalize_relations(lat, 50)
+    assert sub.doubly_rational
+    assert (sub.c1, sub.c2) == (34, 34)
+    for pair in [(1, 0), (0, 2), (2, 3), (1, 3)]:
+        periodic_skeleton_check(sub, pair)
+    report = wavelength_report(sub, momentum_aperiodic(sub, 1, 2))
+    assert all(entry.ok and isinstance(entry.law_count, int) for entry in report)
+    for per in sub.basis:
+        assert all(isinstance(r, int) for r in reduce_period(per, sub))
