@@ -10,7 +10,7 @@ D1/C1 and D2/C2.  `reduce_period` reduces a lattice vector to integer
 generator coordinates.  `rationalize_relations` replaces irrational
 coefficients by best rational approximants under a denominator cap and
 returns the substituted billiard, itself an ordinary doubly-rational
-`PeriodLattice`.
+`PeriodLattice`.  `with_pair` moves a lattice to another reference pair.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "reduce_period",
     "rationalize_relations",
     "period_lattice",
+    "with_pair",
 ]
 
 
@@ -169,6 +170,13 @@ def _coordinates(frame, d1, d2, det, v):
     return frame.quotient(frame.cross(v, d2), det), frame.quotient(frame.cross(d1, v), det)
 
 
+def _check_pair(basis, pair_choice: tuple[int, int]) -> tuple[int, int]:
+    i, j = pair_choice
+    if i == j or not (0 <= i < len(basis)) or not (0 <= j < len(basis)):
+        raise ValueError(f"pair_choice {pair_choice} does not index two distinct periods")
+    return i, j
+
+
 def _floor(frame, a) -> int:
     """The floor of a coefficient's rational value when it has one, else its own."""
     r = frame.rational_value(a)
@@ -194,9 +202,7 @@ def period_lattice(
     """
     if pair_choice is None:
         pair_choice = default_pair(frame, basis)
-    i, j = pair_choice
-    if i == j or not (0 <= i < len(basis)) or not (0 <= j < len(basis)):
-        raise ValueError(f"pair_choice {pair_choice} does not index two distinct periods")
+    i, j = _check_pair(basis, pair_choice)
     d1, d2 = basis[i].vector, basis[j].vector
     det = frame.cross(d1, d2)
     if frame.is_zero(det, scale=_norm(d1) * _norm(d2)):
@@ -216,6 +222,47 @@ def period_lattice(
         coeffs=coeffs,
         shifts=shifts,
         fracs=None if None in values else tuple(zip(values[::2], values[1::2])),
+    )
+
+
+def with_pair(lattice: PeriodLattice, pair_choice: tuple[int, int]) -> PeriodLattice:
+    """The same doubly-rational lattice over another reference pair.
+
+    The lattice is re-expressed by exact Fraction algebra on its table:
+    every basis period has Fraction coordinates over the old pair, and
+    Cramer's rule over the new pair's coordinates gives the new table.
+    Re-deriving it through `period_lattice` would, in a float frame, refuse
+    denominators above 10^6 that the table holds.  Raises
+    NotDoublyRational on a lattice without a table.
+    """
+    if lattice.fracs is None:
+        raise NotDoublyRational("only a rational table changes pair exactly")
+    basis = lattice.basis
+    i, j = _check_pair(basis, pair_choice)
+    one, zero = Fraction(1), Fraction(0)
+    coords = {lattice.pair_indexes[0]: (one, zero), lattice.pair_indexes[1]: (zero, one)}
+    for k, (a1, a2), (s1, s2) in zip(lattice.member_indexes, lattice.fracs, lattice.shifts):
+        coords[k] = (a1 + s1, a2 + s2)
+    (a, b), (c, d) = coords[i], coords[j]
+    cross = a * d - b * c
+    if cross == 0:
+        raise DegeneratePair("chosen pair is collinear")
+    member_indexes = tuple(k for k in range(len(basis)) if k not in (i, j))
+    rows = [
+        ((x * d - y * c) / cross, (a * y - b * x) / cross)
+        for x, y in (coords[k] for k in member_indexes)
+    ]
+    shifts = tuple((math.floor(x), math.floor(y)) for x, y in rows)
+    fracs = tuple((x - s1, y - s2) for (x, y), (s1, s2) in zip(rows, shifts))
+    return PeriodLattice(
+        frame=lattice.frame,
+        basis=basis,
+        pair_indexes=(i, j),
+        det=lattice.frame.cross(basis[i].vector, basis[j].vector),
+        member_indexes=member_indexes,
+        coeffs=fracs,
+        shifts=shifts,
+        fracs=fracs,
     )
 
 

@@ -30,9 +30,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConvergenceFailure, OutOfRange, TooCoarse
 from .shapes import l_shape
@@ -188,6 +185,8 @@ def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
 
 
 def _assemble(domain: GridDomain):
+    import scipy.sparse
+
     mask = domain.mask
     ny, nx = mask.shape
     idx = -np.ones(mask.shape, dtype=np.int64)
@@ -218,6 +217,11 @@ def _assemble(domain: GridDomain):
 
 def fd_eigenvalues(domain: GridDomain, count: int) -> np.ndarray:
     """Lowest ``count`` eigenvalues of -(1/2)*Laplacian on the raster domain."""
+    # scipy loads here, not with the module: `verify --against` solves nothing
+    import scipy.linalg
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     n = domain.interior_count
     if count < 1 or count > n // 4:
         raise OutOfRange(

@@ -14,6 +14,7 @@ Units: hbar = 1 and mass = 1, so E = |p|^2 / 2 throughout.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +25,7 @@ from .errors import (
     NotPeriodicSkeleton,
     OutOfRange,
 )
-from .lattice import PeriodLattice, period_lattice, reduce_period
+from .lattice import PeriodLattice, reduce_period, with_pair
 from .unfold import Period
 
 __all__ = [
@@ -206,15 +207,14 @@ def periodic_skeleton_check(
     Returns the integer k with C2*(D2.D1) = k*C1*|D2|^2, the pair angle, and
     the direction period index — or None when no integer k exists (the pair
     is generic and admits only aperiodic skeletons).  A `pair_choice` other
-    than the lattice's own reference pair re-derives the lattice over that
-    pair; in a float frame its verdict may differ, which raises
-    NotDoublyRational.
+    than the lattice's own reference pair moves the lattice to that pair by
+    exact Fraction algebra on its table (`with_pair`).
     """
     if not lattice.doubly_rational:
         raise NotDoublyRational("periodic skeletons need rational period relations")
     f = lattice.frame
     if pair_choice is not None and pair_choice != lattice.pair_indexes:
-        lattice = period_lattice(f, lattice.basis, pair_choice)
+        lattice = with_pair(lattice, pair_choice)
     c1, c2, d1, d2 = lattice.c1, lattice.c2, lattice.d1, lattice.d2
     r = f.rational_value(f.quotient(c2 * f.dot(d2, d1), c1 * f.dot(d2, d2)))
     if r is None or r.denominator != 1:
@@ -315,44 +315,54 @@ def spectrum(
     """All energy levels up to e_max from the requested momentum families.
 
     Classical entries cover every label pair |m|+|n| > 0 of the closed form
-    p = m*P1 + n*P2 with E = 0.5*|p|^2 <= e_max (1e-9 relative slack).  Row
-    m runs over the labels n between the roots of the energy quadratic
+    p = m*P1 + n*P2 with E = 0.5*|p|^2 <= e_max (1e-9 relative slack).  The
+    labels (m, n) and (-m, -n) are a plane wave and its time reverse, and
+    m*P1 + n*P2 negates bit for bit under that map, so the twins have the
+    same float energy 0.5*abs(p)**2 and the same kind.  Only the smaller
+    twin is walked: the rows m < 0, and row 0 with n < 0.  Row m runs over
+    the labels n between the roots of the energy quadratic
     g22*n^2 + 2*g12*m*n + g11*m^2 = 2*cutoff (g the Gram matrix of P1, P2),
-    widened by one label on each side and kept within the label box that
-    the smallest eigenvalue of g allows; the float energy 0.5*abs(p)**2
-    still decides every label.  The basis periods' floats are computed
-    once.  The quantum family (opt-in via kinds) adds the
-    transverse-quantized levels m, n >= 1 of the skeleton along the
-    lattice's own pair when that skeleton exists.  Each run of levels of
-    equal kind within 1e-9 relative of its first energy merges into one
-    entry with a degeneracy count and the lexicographically smallest labels.
+    widened by one label on each side, and the rows stop one past the
+    ellipse's row extent sqrt(2*cutoff*g22/det); the float energy still
+    decides every label.  The basis periods' floats are computed once.  An
+    e_max whose ellipse holds more labels than a list can (about
+    2*pi*cutoff/sqrt(det) > sys.maxsize) raises OutOfRange.  The quantum
+    family (opt-in via kinds) adds the transverse-quantized levels
+    m, n >= 1 of the skeleton along the lattice's own pair when that
+    skeleton exists.
+
+    Each run of levels of equal kind within 1e-9 relative of its first
+    energy merges into one entry with the lexicographically smallest
+    labels.  Twins sort next to each other with equal (energy, kind), so
+    they always share a run and its smallest label is a walked one: a
+    classical run's degeneracy counts each walked label twice, a quantum
+    run's once.
     """
     if e_max <= 0:
         raise OutOfRange("e_max must be positive")
     raw: list[tuple[float, str, tuple[int, int], str | None]] = []
     pair: list[tuple[float, int]] = []  # (|D_i|, C_i): the classical wavelengths
 
-    if CLASSICAL_APERIODIC in kinds or CLASSICAL_PERIODIC in kinds:
+    if not {CLASSICAL_APERIODIC, CLASSICAL_PERIODIC, QUANTUM}.isdisjoint(kinds):
         p1, p2 = _dual_steps(lattice)
         g11, g22 = abs(p1) ** 2, abs(p2) ** 2
         g12 = (p1.conjugate() * p2).real
-        tr, det = g11 + g22, g11 * g22 - g12 * g12
-        lam_min = (tr - math.sqrt(max(tr * tr - 4 * det, 0.0))) / 2
-        reach = math.sqrt(2 * e_max / lam_min)
-        if not math.isfinite(reach):
-            raise OutOfRange(f"e_max {e_max:g} puts the label range out of reach")
-        reach = int(reach) + 1
+        det = g11 * g22 - g12 * g12
         cutoff = e_max * (1 + _REL_TOL)
+        # the quantum levels are fewer than the classical labels of the ellipse
+        if not 2 * math.pi * cutoff / math.sqrt(det) <= sys.maxsize:
+            raise OutOfRange(f"e_max {e_max:g} puts more levels below it than a list holds")
+
+    if CLASSICAL_APERIODIC in kinds or CLASSICAL_PERIODIC in kinds:
+        rows = int(math.sqrt(2 * cutoff * g22 / det)) + 1
         periods = _basis_floats(lattice)
         pair = [(abs(z), c) for z, c in zip(_pair_floats(lattice), (lattice.c1, lattice.c2))]
-        for m in range(-reach, reach + 1):
+        for m in range(-rows, 1):
             mid = -g12 * m / g22
             half = math.sqrt(max(2 * cutoff * g22 - det * m * m, 0.0)) / g22
             mp1 = m * p1
-            for n in range(max(-reach, math.floor(mid - half) - 1),
-                           min(reach, math.ceil(mid + half) + 1) + 1):
-                if m == 0 and n == 0:
-                    continue
+            n_end = math.ceil(mid + half) + 2 if m else 0  # row 0 stops before the origin
+            for n in range(math.floor(mid - half) - 1, n_end):
                 p = mp1 + n * p2
                 e = 0.5 * abs(p) ** 2
                 if e > cutoff:
@@ -373,7 +383,7 @@ def spectrum(
                 while True:
                     vector, _ratio, flag = data.quantum(t, data.periodic(n), max_ratio)
                     e = 0.5 * abs(vector) ** 2
-                    if e > e_max * (1 + _REL_TOL):
+                    if e > cutoff:
                         break
                     raw.append((e, QUANTUM, (m, n), flag))
                     n += 1
@@ -402,7 +412,7 @@ def spectrum(
                 labels=labels,
                 energy=e,
                 kind=kind,
-                degeneracy=len(run),
+                degeneracy=len(run) if kind == QUANTUM else 2 * len(run),
                 lam=2 * math.pi / math.sqrt(2 * e),
                 lam_pair=lam_pair,
                 flag=next((r[3] for r in run if r[3]), None),

@@ -273,6 +273,23 @@ def test_quantize_unreachable_e_max_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("kinds", ["aperiodic,periodic", "quantum"])
+def test_quantize_astronomical_e_max_is_usage_error(kinds):
+    # finite, but the label ellipse holds about 1e300 labels: no list can hold
+    # them.  A child process, so that a hang fails the test instead of the run.
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybilliard", "quantize", str(POLYGONS / "square.json"),
+         "--e-max", "1e300", "--kinds", kinds],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "e_max" in proc.stderr
+
+
 def test_quantize_with_quantum_kind(capsys):
     code, out, _ = invoke(
         capsys,
@@ -796,3 +813,29 @@ def test_commands_without_numerics_never_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
+# `verify --against` compares two closed-form spectra and solves nothing, so
+# it must not pay scipy's import.
+_NO_SCIPY_PROBE = """
+import contextlib, io, sys
+from polybilliard import cli
+
+polygons = sys.argv[1]
+argv = ["verify", polygons + "/broken_rectangle_3_2.json",
+        "--against", polygons + "/broken_rectangle.json", "--e-max", "200"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(argv)
+print(code, "numpy" in sys.modules, "scipy" in sys.modules)
+"""
+
+
+def test_verify_against_never_loads_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE, str(POLYGONS)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True False"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,12 +14,13 @@ from polybilliard.errors import (
     NotInLattice,
     OutOfRange,
 )
-from polybilliard.exactgeom import FloatFrame
+from polybilliard.exactgeom import FloatFrame, polygon_from_spec
 from polybilliard.lattice import (
     default_pair,
     period_lattice,
     rationalize_relations,
     reduce_period,
+    with_pair,
 )
 from polybilliard.quantize import (
     momentum_aperiodic,
@@ -204,6 +206,8 @@ def test_isosceles_relations_irrational():
         _ = lat.c1
     with pytest.raises(NotDoublyRational):
         _ = lat.generators
+    with pytest.raises(NotDoublyRational):
+        with_pair(lat, lat.pair_indexes[::-1])
     golden = (1 + math.sqrt(5)) / 2
     flat = [float(c) for row in lat.coeffs for c in row]
     # Coefficients are golden-ratio combinations; at least one lands on
@@ -497,3 +501,71 @@ def test_rationalized_billiard_is_an_ordinary_lattice():
     assert all(entry.ok and isinstance(entry.law_count, int) for entry in report)
     for per in sub.basis:
         assert all(isinstance(r, int) for r in reduce_period(per, sub))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lattice_of(l_shape(1, 1, Fraction(3, 2), 2)),
+        lambda: lattice_of(parallelogram_pi3()),
+        lambda: lattice_of(broken_parallelogram()),
+        lambda: rationalize_relations(lattice_of(isosceles_pi5()), 50),
+    ],
+)
+def test_with_pair_matches_period_lattice_in_exact_frames(make):
+    lat = make()
+    f, basis = lat.frame, lat.basis
+    assert f.exact and lat.doubly_rational
+    moved = 0
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            if i == j:
+                continue
+            if f.cross(basis[i].vector, basis[j].vector).is_zero():
+                with pytest.raises(DegeneratePair):
+                    with_pair(lat, (i, j))
+                continue
+            got, want = with_pair(lat, (i, j)), period_lattice(f, basis, (i, j))
+            assert got.pair_indexes == want.pair_indexes == (i, j)
+            assert got.det == want.det
+            assert got.member_indexes == want.member_indexes
+            assert got.shifts == want.shifts
+            assert got.fracs == want.fracs
+            moved += 1
+    assert moved > 0
+    with pytest.raises(ValueError):
+        with_pair(lat, (0, 0))
+
+
+def _right_triangle(a: int, n: int):
+    """The right triangle with angles (a/n, 1/2, 1/2 - a/n) pi and a unit first side."""
+    angles = (Fraction(a, n), Fraction(1, 2), Fraction(1, 2) - Fraction(a, n))
+    sides = [{"angle": str(angles[0]), "length": "1"}] + [{"angle": str(x)} for x in angles[1:]]
+    return polygon_from_spec({"sides": sides})
+
+
+def _fields(data):
+    return None if data is None else dataclasses.astuple(data)
+
+
+def test_float_substitute_changes_pair_by_its_own_table():
+    # re-deriving each pair through period_lattice caps denominators at 10^6
+    # and refuses 164 of the 462 ordered pairs of this substitute (C1 = 71460);
+    # the table itself is doubly rational over every pair
+    lat = lattice_of(_right_triangle(3, 44))
+    f = lat.frame
+    assert not f.exact
+    sub = rationalize_relations(lat, 10)
+    assert (sub.c1, sub.c2) == (71460, 23820)
+    n = len(sub.basis)
+    refused = agreed = 0
+    for pair in ((i, j) for i in range(n) for j in range(n) if i != j):
+        got = periodic_skeleton_check(sub, pair)
+        try:
+            want = periodic_skeleton_check(period_lattice(f, sub.basis, pair))
+        except NotDoublyRational:
+            refused += 1
+            continue
+        assert _fields(got) == _fields(want)
+        agreed += 1
+    assert (refused, agreed) == (164, 298)

@@ -17,15 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polybilliard
-from polybilliard import shapes
+from polybilliard import quantize, shapes
+from polybilliard.cyclo import CycloField
 from polybilliard.errors import (
     ConstraintViolation,
     NotDoublyRational,
     NotPeriodicSkeleton,
     OutOfRange,
 )
-from polybilliard.exactgeom import FloatFrame, load_polygon
-from polybilliard.lattice import period_lattice
+from polybilliard.exactgeom import FloatFrame, load_polygon, polygon_from_spec, validate_polygon
+from polybilliard.lattice import period_lattice, rationalize_relations
 from polybilliard.quantize import (
     CLASSICAL_APERIODIC,
     CLASSICAL_PERIODIC,
@@ -346,6 +347,22 @@ def test_spectrum_square_levels_and_degeneracy():
     by_e = {round(s.energy / base): s for s in levels}
     assert by_e[5].degeneracy == 8
     assert all(s.energy <= 3.0 * math.pi**2 * (1 + 1e-9) for s in levels)
+
+
+def test_spectrum_classifies_one_label_of_each_time_reversed_pair(monkeypatch):
+    # (m, n) and (-m, -n) share energy and kind, so only one of them is
+    # classified and the entry counts it twice: 320 calls for the 640 labels
+    lat = lattice_of(square())
+    calls = []
+    classify = quantize._classify_classical
+    monkeypatch.setattr(
+        quantize, "_classify_classical", lambda periods, p: calls.append(p) or classify(periods, p)
+    )
+    levels = spectrum(lat, 1000.0)
+    assert sum(s.degeneracy for s in levels) == 640
+    assert len(calls) == 320
+    assert all(s.degeneracy % 2 == 0 for s in levels)
+    assert all(s.labels < (0, 0) for s in levels)
 
 
 def test_spectrum_kind_filter():
@@ -706,14 +723,38 @@ def test_spectrum_digest(name, kind_set):
 SIDES = st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=6)
 
 
+# Float-frame substitutes of right triangles (phi(4N) exceeds the exact-degree
+# limit): (a, N) of the angle a*pi/N, denominator cap, and a first side long
+# enough to put some 20 to 130 levels below e_max = 1e4.
+SUBSTITUTES = ((1, 38, 2, 6), (1, 38, 10, 1000), (3, 44, 2, 1000), (3, 44, 10, 40000))
+
+
+@cache
+def _substitute(a: int, n: int, cap: int, side: int):
+    angles = (Fraction(a, n), Fraction(1, 2), Fraction(1, 2) - Fraction(a, n))
+    sides = [{"angle": str(angles[0]), "length": str(side)}]
+    poly = polygon_from_spec({"sides": sides + [{"angle": str(x)} for x in angles[1:]]})
+    assert not poly.frame.exact
+    return rationalize_relations(lattice_of(poly), cap)
+
+
 @st.composite
 def drpb_lattices(draw):
-    family = draw(st.sampled_from(["rectangle", "l-shape", "parallelogram"]))
+    family = draw(
+        st.sampled_from(["rectangle", "l-shape", "parallelogram", "root2-rectangle", "substitute"])
+    )
+    if family == "substitute":
+        return _substitute(*draw(st.sampled_from(SUBSTITUTES)))
     if family == "rectangle":
         poly = rectangle(draw(SIDES), draw(SIDES))
     elif family == "l-shape":
         x1, y1, dx, dy = (draw(SIDES) for _ in range(4))
         poly = l_shape(x1, y1, x1 + dx, y1 + dy)
+    elif family == "root2-rectangle":
+        # the exact (1 + sqrt 2) x 1 rectangle, scaled: an irrational side ratio
+        root2 = CycloField(8).zeta(1).real * 2
+        w, h = draw(SIDES), draw(SIDES)
+        poly = validate_polygon(["1/2"] * 4, [(1 + root2) * w, h, (1 + root2) * w, h])
     else:
         poly = parallelogram_pi3(draw(SIDES) + draw(SIDES))
     return lattice_of(poly)
