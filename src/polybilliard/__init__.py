@@ -1,9 +1,10 @@
 """Semiclassical quantization of rational polygon billiards.
 
 The pipeline, in dependency order: exact cyclotomic arithmetic (`cyclo`),
-integer linear algebra (`ratlinalg`), validated polygon geometry
-(`exactgeom`, ready-made shapes in `shapes`), unfolding into the elementary
-pattern with its periods (`unfold`), period-lattice relations and double
+validated polygon geometry (`exactgeom`, ready-made shapes in `shapes`),
+unfolding into the elementary pattern with a homology basis of its periods
+taken as the complement of a spanning tree, a Z-basis because an incidence
+matrix is totally unimodular (`unfold`), period-lattice relations and double
 rationality (`lattice`), momentum quantization and spectra (`quantize`),
 sign prescriptions and plane-wave eigenfunctions (`swf`), the independent
 finite-difference oracle (`oracle`), and the command-line front end (`cli`).

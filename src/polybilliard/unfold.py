@@ -11,10 +11,14 @@ translations are the simple periods, and the pattern's edges glue in pairs.
 Gluing the 2C images along their edge pairs produces a closed orientable
 surface whose genus the angle data fixes (`genus`).  Its faces are the
 images, its edges the edge classes and its vertices the glued corners.  A
-spanning tree of the faces and a spanning co-tree of the vertices leave
-exactly 2g edge classes over, whose crossing cycles are a Z-basis of the
-surface's homology; `period_basis` picks 2g short cycles against that basis
-and returns their translation vectors.
+spanning tree of the faces and a spanning tree of the vertices over the
+other edge classes leave exactly 2g edge classes over, whose crossing
+cycles are a Z-basis of the surface's homology: the crossing cycles of the
+classes off the face tree are related only by the vertex stars, and the
+incidence matrix of vertices and classes is totally unimodular.
+`period_basis` takes the vertex tree that Kruskal's rule builds longest
+first, so that the classes left over are the shortest-first greedy basis,
+and returns their translations.
 
 Boundary pairs with equal translations share one simple period
 (`EPP.periods`).  One index finds a vector's group, for the grouping itself,
@@ -46,7 +50,6 @@ from math import lcm
 
 from .errors import NonIntegerGenus, OrbitExplosion, RankMismatch
 from .exactgeom import Polygon
-from .ratlinalg import IntegerEchelon, hnf_inverse
 
 __all__ = [
     "Isometry",
@@ -258,9 +261,11 @@ class EPP:
         """BFS spanning tree of the images over the zero-translation gluings.
 
         Maps each image to (parent image, index in `edges` of the gluing to
-        it), image 1 to None.  `_homology_coords` closes its crossing cycles
-        through this tree, and `swf.enumerate_prescriptions` reads off it
-        which sides each image's path from image 1 crosses.
+        it), image 1 to None.  The crossing cycle of every other gluing
+        crosses it and returns through this tree; `period_basis` takes 2g of
+        them, the complement of a spanning tree of the vertex classes, and
+        `swf.enumerate_prescriptions` reads off the tree which sides each
+        image's path from image 1 crosses.
         """
         adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for cid, e in enumerate(self.edges):
@@ -509,17 +514,15 @@ def _vertex_classes(epp: EPP) -> dict[tuple[int, int], int]:
     return vclass
 
 
-def _homology_coords(epp: EPP) -> tuple[list[int], dict[int, list[int]]]:
-    """Tree–co-tree split of the edge classes and the cycle coordinates it gives.
+def _basis_cycles(epp: EPP) -> list[int]:
+    """Indices in `edges` of the 2g classes whose crossing cycles `period_basis` takes.
 
-    The crossing cycle of an edge class crosses it from image a to image b
-    and returns through the face tree (`EPP.face_tree`).  The edge class
-    itself is also a segment between two vertex classes, oriented from corner
-    s to corner s+1 of image a, reversed when a is reflecting, so that every
-    crossing runs from its left to its right.  A spanning co-tree of the
-    vertex classes over the classes off the face tree leaves 2g classes
-    over; returns them and, for every class off the face tree, the integer
-    coordinates of its crossing cycle over theirs.
+    Sorts the classes off the face tree shortest first, then walks them in
+    reverse and joins the two vertex classes at the ends of each by
+    union-find.  The classes that join nothing are the complement of a
+    spanning tree, returned shortest first.  Raises RankMismatch when the
+    Euler characteristic is not 2 - 2g, or when other than 2g classes are
+    left, as when the vertex classes are not connected.
     """
     n = epp.polygon.n
     g = genus(epp.polygon)
@@ -529,120 +532,76 @@ def _homology_coords(epp: EPP) -> tuple[list[int], dict[int, list[int]]]:
     if chi != 2 - 2 * g:
         raise RankMismatch(f"Euler characteristic {chi} != {2 - 2 * g}")
     face_tree = {p[1] for p in epp.face_tree.values() if p is not None}
-    ends: dict[int, tuple[int, int]] = {}  # class id -> (tail, head) vertex class
-    adj: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for cid, e in enumerate(epp.edges):
-        if cid in face_tree:
-            continue
-        tail, head = vclass[(e.a, e.side)], vclass[(e.a, (e.side + 1) % n)]
-        if epp.image(e.a).iso.reflecting:
-            tail, head = head, tail
-        ends[cid] = (tail, head)
-        adj[tail].append((head, cid, 1))
-        adj[head].append((tail, cid, -1))
-    # vertex class -> (parent, class id, +1 if the class points at the parent)
-    up: dict[int, tuple[int, int, int] | None] = {0: None}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w, cid, d in adj[v]:
-            if w not in up:
-                up[w] = (v, cid, -d)
-                queue.append(w)
-    if len(up) != nverts:
-        raise RankMismatch("co-tree does not reach every vertex class")
-    co_tree = {p[1] for p in up.values() if p is not None}
-    leftover = [cid for cid in ends if cid not in co_tree]
-    if len(leftover) != 2 * g:
-        raise RankMismatch(
-            f"{len(leftover)} edge classes off the tree and co-tree, genus demands {2 * g}"
-        )
-    # The coordinate of a crossing cycle on leftover class j is its
-    # intersection number with j's primal cycle: j from tail to head, then
-    # back through the co-tree.  The crossing cycle meets only its own class
-    # and face-tree classes, and no primal cycle uses a face-tree class.
-    coords = {cid: [0] * (2 * g) for cid in co_tree}
-    for j, cid in enumerate(leftover):
-        coords[cid] = [int(i == j) for i in range(2 * g)]
-        tail, head = ends[cid]
-        for v, sign in ((head, 1), (tail, -1)):
-            while up[v] is not None:
-                v, c, d = up[v]
-                coords[c][j] += sign * d
-    return leftover, coords
+
+    def key(cid: int) -> tuple:  # boundary pairs by length, then interior gluings
+        e = epp.edges[cid]
+        if e.period is None:
+            return (1, 0.0, cid)
+        return (0, round(abs(complex(e.translation)), 12), cid)
+
+    candidates = sorted((cid for cid in range(len(epp.edges)) if cid not in face_tree), key=key)
+    root = list(range(nverts))  # union-find forest over the vertex classes
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    cycles = []
+    for cid in reversed(candidates):
+        e = epp.edges[cid]
+        tail, head = find(vclass[(e.a, e.side)]), find(vclass[(e.a, (e.side + 1) % n)])
+        if tail == head:
+            cycles.append(cid)
+        else:
+            root[tail] = head
+    if len(cycles) != 2 * g:
+        raise RankMismatch(f"found {len(cycles)} independent cycles, genus demands {2 * g}")
+    return cycles[::-1]
 
 
 def period_basis(epp: EPP) -> list[Period]:
-    """2g independent periods of the unfolded figure.
+    """2g periods of the unfolded figure whose cycles are a Z-basis of the homology.
 
-    Cycles on the glued surface are built from a tree and a co-tree
-    (Eppstein 2003): a spanning tree of the images over zero-translation
-    gluings, and a spanning tree of the glued vertices over the remaining
-    edge classes.  The 2g edge classes in neither tree have crossing cycles
-    that form a Z-basis of the homology by construction — each pairs to
-    +-1 with its own primal cycle and to 0 with every other — so every cycle
-    of the pattern, in particular every simple period, has integer
-    coordinates over them (`_homology_coords`).
+    Cycles on the glued surface come from a tree and a co-tree (Eppstein
+    2003).  The crossing cycle of an edge class off the face tree
+    (`EPP.face_tree`) crosses the class and returns through the tree.  These
+    cycles span the homology, and the only relations among them are the
+    vertex stars.  Each edge class is also a segment between two glued
+    vertices, so in coordinates over the classes off the face tree the
+    relations are the rows of the incidence matrix of the graph that those
+    classes make on the vertex classes.  A set of crossing cycles is thus
+    independent exactly when the other classes still connect every vertex
+    class: the independent sets are those of the dual of the graph's cycle
+    matroid, and the bases are the complements of spanning trees.  An
+    incidence matrix is totally unimodular, so each such complement is a
+    Z-basis of the homology, not only a Q-basis.
 
-    The returned basis is chosen greedily among crossing cycles by ascending
-    period length (Erickson & Whittlesey 2005), completed by chained
-    (compound) cycles; an echelon over Z tests independence and yields
-    d = |det A|, A the coordinates of the accepted cycles.  The basis is the
-    Hermite normal form of the homology lattice over those cycles, taken in
-    integers as that of d * Z^2g * A^-1 (`hnf_inverse`) divided by d.
+    The cycles are chosen shortest first (Erickson & Whittlesey 2005):
+    boundary pairs by the length of their translation, then interior
+    gluings.  Greedy in a matroid's dual is the complement of greedy in
+    reverse order in the matroid itself, so the choice is the complement of
+    the spanning tree Kruskal's rule builds longest first (`_basis_cycles`).
 
-    A basis vector equal to a simple period takes that period's kind, and
-    only those periods' channels are decided; any other vector is
-    "compound".
+    Each period is its cycle's translation.  A cycle of zero translation, an
+    interior gluing, is replaced by its sum with the first cycle of nonzero
+    translation, which keeps the cycles a Z-basis and has that cycle's
+    translation.  A basis vector equal to a simple period takes that
+    period's kind, and only those periods' channels are decided; any other
+    vector is "compound".  The periods are sorted by length, then angle.
 
     Note the returned *vectors* need not be integer-independent in the plane:
     whenever period ratios are rational the plane vectors satisfy integer
     relations, and the independence statement lives on the surface cycles.
     """
-    poly = epp.polygon
-    f = poly.frame
-    g = genus(poly)
-    _leftover, coords = _homology_coords(epp)
-
-    candidates = []  # (sort key, class id): boundary pairs by length, then interior
-    for cid in coords:
-        e = epp.edges[cid]
-        if e.period is None:
-            candidates.append(((1, 0.0, cid), cid))
-        else:
-            norm = abs(complex(e.translation))
-            candidates.append(((0, round(norm, 12), cid), cid))
-    candidates.sort(key=lambda c: c[0])
-    ech = IntegerEchelon(2 * g)
-    accepted = [cid for _key, cid in candidates if ech.try_insert(coords[cid])]
-    if len(accepted) != 2 * g:
-        raise RankMismatch(
-            f"found {len(accepted)} independent cycles, genus demands {2 * g}"
-        )
-
-    # In coordinates over the accepted cycles (rows of A), the homology
-    # lattice Z^2g is generated by the rows of A^-1 = (d * A^-1) / d.
-    d = ech.det
-    hermite = hnf_inverse([coords[cid] for cid in accepted], d)
-
-    def holonomy_of(row: list[int]) -> object:
-        vec = f.zero()
-        for h, cid in zip(row, accepted):
-            if h:
-                vec = vec + epp.edges[cid].translation * Fraction(h, d)
-        return vec
-
-    vectors = [holonomy_of(row) for row in hermite]
-    scale = poly.perimeter_float()
-    nonzero = next(
-        (j for j, v in enumerate(vectors) if not f.is_zero(v, scale)), None
-    )
+    f = epp.polygon.frame
+    # a holonomy is a sum from zero, which also turns a float -0.0 into 0.0
+    vectors = [f.zero() + epp.edges[cid].translation for cid in _basis_cycles(epp)]
+    scale = epp._scale
+    nonzero = next((v for v in vectors if not f.is_zero(v, scale)), None)
     if nonzero is None:
         raise RankMismatch("all basis periods have zero translation")
-    for j, v in enumerate(vectors):
-        if f.is_zero(v, scale):
-            hermite[j] = [a + b for a, b in zip(hermite[j], hermite[nonzero])]
-            vectors[j] = holonomy_of(hermite[j])
+    vectors = [nonzero if f.is_zero(v, scale) else v for v in vectors]
 
     periods = []
     for vec in vectors:

@@ -160,6 +160,10 @@ UNFOLD_ANALYZE_SHA256 = {
         "ddb3da3e2be942b2bf3b5d8b012f29f7f2b3375b043ecf62d3dbbbb6e8207782"),
     "triangle_3_44": ("c729da596170a1b4aae84fd331cc0e68d98fa1bfb335509bbdde6b5d79ff03db",
         "d4caa1aeb65d89acf7d7d57f79fb3abe846f7192f0af9b0be842e107bdcd90b4"),
+    # the 2000-image, genus-250 pattern, recorded before the basis became the
+    # complement of a spanning tree
+    "triangle_353_1000": ("92fef204ac591792c7f7457bedc02b9f27cad9cbdf6274a1eba046290a545517",
+        "f21860510794d4df9fcf8a1de658c74846afaaec96bf50becbe4993cf46ee671"),
 }
 def _right_triangle(a: int, n: int):
     """The right triangle with angles (a/n, 1/2, 1/2 - a/n) pi and a unit first side."""
@@ -178,6 +182,7 @@ SHAPES = {
     "rectangle": lambda: shapes.rectangle(3, 2),
     "triangle_1_38": lambda: _right_triangle(1, 38),
     "triangle_3_44": lambda: _right_triangle(3, 44),
+    "triangle_353_1000": lambda: _right_triangle(353, 1000),
 }
 
 
@@ -592,6 +597,24 @@ def test_verify_against_billiard_without_levels(capsys):
     assert code == 2
     assert out == ""
     assert "no closed-form level" in err
+
+
+@pytest.mark.parametrize("against", [False, True])
+def test_verify_astronomical_e_max_is_usage_error(against):
+    # the product grid holds about 1e300 labels; it is bounded before any FD
+    # solve.  A child process, so that a hang fails the test instead of the run.
+    square = str(POLYGONS / "square.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybilliard", "verify", square, "--e-max", "1e300",
+         *(["--against", square] if against else [])],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "e_max" in proc.stderr
 
 
 def test_verify_neumann_study_is_refused(capsys):

@@ -1,7 +1,6 @@
-"""Exact linear algebra helpers and rational approximation."""
+"""Rational approximation: continued fractions, best approximations, exact floats."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,91 +9,6 @@ from hypothesis import strategies as st
 
 from polybilliard.approx import as_rational, best_rational, convergents
 from polybilliard.errors import OutOfRange
-from polybilliard.ratlinalg import IntegerEchelon, hnf_inverse
-
-
-# --- IntegerEchelon ---------------------------------------------------------
-
-def test_echelon_rank_tracking():
-    e = IntegerEchelon(3)
-    assert e.try_insert([1, 0, 1])
-    assert not e.try_insert([2, 0, 2])
-    assert e.try_insert([0, 1, 0])
-    assert not e.try_insert([3, 5, 3])
-    with pytest.raises(ValueError):
-        e.det  # rank 2 of 3
-    assert e.try_insert([0, 0, 1])
-    assert not e.try_insert([7, -2, 9])  # full rank now
-    assert e.det == 1
-
-
-def test_echelon_residual_zero_for_combination():
-    # a combination reduces to zero against the stored rows: not inserted
-    e = IntegerEchelon(4)
-    v1 = [1, 2, 0, 1]
-    v2 = [0, 2, 3, 0]
-    assert e.try_insert(v1)
-    assert e.try_insert(v2)
-    assert not e.try_insert([3 * a - 2 * b for a, b in zip(v1, v2)])
-    assert e.try_insert([0, 0, 0, 5])
-
-
-def _fraction_det(a):
-    """|det a| by Fraction elimination (test oracle)."""
-    m = [[Fraction(x) for x in row] for row in a]
-    n, det = len(m), Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return 0
-        m[c], m[piv] = m[piv], m[c]
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return abs(det)
-
-
-def _fraction_inverse(a):
-    """Exact inverse by Fraction Gauss-Jordan (test oracle)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if m[r][c])
-        m[c], m[piv] = m[piv], m[c]
-        m[c] = [x / m[c][c] for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [row[n:] for row in m]
-
-
-def test_echelon_det_and_hnf_inverse_match_fraction_route():
-    """Sweep random small integer matrices, many of them not unimodular:
-    the echelon's det is |det A|, and the integer Hermite step divided by it
-    equals the Hermite form of A^-1 taken through a Fraction inverse."""
-    rng = random.Random(7)
-    seen_nonunimodular = 0
-    for _ in range(300):
-        n = rng.randrange(1, 6)
-        a = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
-        e = IntegerEchelon(n)
-        independent = all([e.try_insert(row) for row in a])
-        d = _fraction_det(a)
-        assert independent == (d != 0)
-        if not d:
-            continue
-        assert e.det == d
-        seen_nonunimodular += d > 1
-        inv = _fraction_inverse(a)
-        den = math.lcm(*(x.denominator for row in inv for x in row))
-        want = [[Fraction(h, den) for h in row]
-                for row in hnf_rows([[int(x * den) for x in row] for row in inv])]
-        got = [[Fraction(h, d) for h in row] for row in hnf_inverse(a, d)]
-        assert got == want
-    assert seen_nonunimodular > 100
 
 
 # --- continued fractions ----------------------------------------------------
@@ -250,95 +164,3 @@ def test_integer_continued_fractions_match_fraction_walks(x, max_den, rel_tol):
     assert got == ref_best_rational(x, max_den) and type(got) is Fraction
     assert list(convergents(Fraction(x))) == list(ref_convergents(Fraction(x)))
     assert list(convergents(x)) == list(ref_convergents(Fraction(x)))
-
-
-# --- hnf_rows: the dense Hermite form, the oracle of hnf_inverse --------------
-
-def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Hermite basis (row style) of the integer lattice generated by ``rows``.
-
-    Output rows are in echelon order with positive pivots and the entries
-    above each pivot reduced into [0, pivot).
-    """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    r = 0
-    for c in range(len(work[0])):
-        live = [i for i in range(r, len(work)) if work[i][c]]
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(work[i][c]))
-            i0 = live[0]
-            for i in live[1:]:
-                q = work[i][c] // work[i0][c]
-                work[i] = [x - q * y for x, y in zip(work[i], work[i0])]
-            live = [i for i in live if work[i][c]]
-        if not live:
-            continue
-        work[r], work[live[0]] = work[live[0]], work[r]
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-        for i in range(r):
-            q = work[i][c] // work[r][c]
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return work[:r]
-
-
-def dense_hnf_inverse(a: list[list[int]], d: int) -> list[list[int]]:
-    """hnf_inverse as the dense Hermite form of [[A | I], [d*I | 0]]."""
-    n = len(a)
-    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    rows += [[d * (i == j) for j in range(n)] + [0] * n for i in range(n)]
-    return [r[n:] for r in hnf_rows(rows) if not any(r[:n])]
-
-
-def test_sparse_hnf_inverse_matches_dense_route():
-    """Random nonsingular matrices, sparse and dense, with d = |det A| and
-    with multiples of it: the modular sparse form equals the dense one."""
-    rng = random.Random(31)
-    seen = {"d > 1": 0, "d = 1": 0, "multiple": 0}
-    for trial in range(400):
-        n = rng.randrange(1, 9)
-        fill = rng.choice((0.2, 0.5, 1.0))
-        a = [[rng.randrange(-5, 6) if rng.random() < fill else 0 for _ in range(n)]
-             for _ in range(n)]
-        if trial % 4 == 0:  # unimodular: the identity under row operations
-            a = [[int(i == j) for j in range(n)] for i in range(n)]
-            for _ in range(3 * n):
-                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-                if i != j:
-                    a[i] = [x + rng.choice((-2, -1, 1, 3)) * y for x, y in zip(a[i], a[j])]
-        det = _fraction_det(a)
-        if not det:
-            continue
-        d = int(det) * rng.choice((1, 1, 1, 2, 3, 12))
-        seen["multiple" if d != det else "d > 1" if d > 1 else "d = 1"] += 1
-        assert hnf_inverse(a, d) == dense_hnf_inverse(a, d), (a, d)
-    assert min(seen.values()) > 10, seen
-
-
-# --- hnf_rows ---------------------------------------------------------------
-
-def test_hnf_rows_fixed_cases():
-    assert hnf_rows([[2, 0], [0, 3]]) == [[2, 0], [0, 3]]
-    assert hnf_rows([[2, 1], [1, 1]]) == [[1, 0], [0, 1]]
-    assert hnf_rows([[3, 0], [5, 0]]) == [[1, 0]]  # gcd along one axis
-    assert hnf_rows([[2, 4], [4, 8]]) == [[2, 4]]  # rank drop
-    assert hnf_rows([[0, 0]]) == []
-    assert hnf_rows([[1, 9], [0, 7]]) == [[1, 2], [0, 7]]  # reduce above pivot
-    assert hnf_rows([[-4, -6]]) == [[4, 6]]  # pivot sign normalized
-
-
-def test_hnf_rows_is_lattice_invariant():
-    rng = random.Random(23)
-    for _ in range(25):
-        rows = [[rng.randrange(-6, 7) for _ in range(3)] for _ in range(4)]
-        base = hnf_rows(rows)
-        # unimodular shenanigans: shuffle, negate, add one row to another
-        other = [list(r) for r in rows]
-        rng.shuffle(other)
-        other[0] = [-x for x in other[0]]
-        other.append([a + b for a, b in zip(other[1], other[2])])
-        assert hnf_rows(other) == base

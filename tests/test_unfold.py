@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import defaultdict, deque
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import polybilliard
 from polybilliard import unfold
-from polybilliard.errors import ConvergenceFailure
+from polybilliard.errors import ConvergenceFailure, RankMismatch
 from polybilliard.shapes import (
     broken_parallelogram,
     equilateral,
@@ -41,7 +42,7 @@ from polybilliard.unfold import (
     reflect_image,
     unfold_vertex,
 )
-from polybilliard.unfold import _homology_coords, _vertex_classes
+from polybilliard.unfold import _basis_cycles, _vertex_classes
 
 POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 
@@ -377,12 +378,121 @@ def _right_triangle(a: int, n: int):
     return validate_polygon(angles, solve_closure(angles, [1, None, None]))
 
 
-@pytest.mark.parametrize(
-    "make, exact",
-    [(l_shape, True), (parallelogram_pi3, True), (isosceles_pi5, True),
-     (broken_parallelogram, True), (lambda: _right_triangle(3, 16), True),
-     (lambda: _right_triangle(1, 38), False), (lambda: _right_triangle(7, 44), False)],
-)
+def _homology_coords(epp):
+    """Tree–co-tree split of the edge classes and the cycle coordinates it gives.
+
+    The crossing cycle of an edge class crosses it from image a to image b
+    and returns through the face tree (`EPP.face_tree`).  The edge class
+    itself is also a segment between two vertex classes, oriented from corner
+    s to corner s+1 of image a, reversed when a is reflecting, so that every
+    crossing runs from its left to its right.  A spanning co-tree of the
+    vertex classes over the classes off the face tree leaves 2g classes
+    over; returns them and, for every class off the face tree, the integer
+    coordinates of its crossing cycle over theirs.
+    """
+    n = epp.polygon.n
+    g = genus(epp.polygon)
+    vclass = _vertex_classes(epp)
+    nverts = len(set(vclass.values()))
+    face_tree = {p[1] for p in epp.face_tree.values() if p is not None}
+    ends = {}  # class id -> (tail, head) vertex class
+    adj = defaultdict(list)
+    for cid, e in enumerate(epp.edges):
+        if cid in face_tree:
+            continue
+        tail, head = vclass[(e.a, e.side)], vclass[(e.a, (e.side + 1) % n)]
+        if epp.image(e.a).iso.reflecting:
+            tail, head = head, tail
+        ends[cid] = (tail, head)
+        adj[tail].append((head, cid, 1))
+        adj[head].append((tail, cid, -1))
+    # vertex class -> (parent, class id, +1 if the class points at the parent)
+    up = {0: None}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w, cid, d in adj[v]:
+            if w not in up:
+                up[w] = (v, cid, -d)
+                queue.append(w)
+    if len(up) != nverts:
+        raise RankMismatch("co-tree does not reach every vertex class")
+    co_tree = {p[1] for p in up.values() if p is not None}
+    leftover = [cid for cid in ends if cid not in co_tree]
+    if len(leftover) != 2 * g:
+        raise RankMismatch(
+            f"{len(leftover)} edge classes off the tree and co-tree, genus demands {2 * g}"
+        )
+    # The coordinate of a crossing cycle on leftover class j is its
+    # intersection number with j's primal cycle: j from tail to head, then
+    # back through the co-tree.  The crossing cycle meets only its own class
+    # and face-tree classes, and no primal cycle uses a face-tree class.
+    coords = {cid: [0] * (2 * g) for cid in co_tree}
+    for j, cid in enumerate(leftover):
+        coords[cid] = [int(i == j) for i in range(2 * g)]
+        tail, head = ends[cid]
+        for v, sign in ((head, 1), (tail, -1)):
+            while up[v] is not None:
+                v, c, d = up[v]
+                coords[c][j] += sign * d
+    return leftover, coords
+
+
+def _fraction_det(a):
+    """|det a| by Fraction elimination (test oracle)."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n, det = len(m), Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return 0
+        m[c], m[piv] = m[piv], m[c]
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return abs(det)
+
+
+def _greedy_rank_choice(epp, coords):
+    """The classes off the face tree, shortest first, that raise the rank over Q.
+
+    Rows are kept in reduced echelon form over Fraction: a candidate is
+    reduced against every pivot and accepted when something is left.
+    """
+    def key(cid):
+        e = epp.edges[cid]
+        if e.period is None:
+            return (1, 0.0, cid)
+        return (0, round(abs(complex(e.translation)), 12), cid)
+
+    pivots = {}  # pivot column -> row with 1 there and 0 at every other pivot
+    accepted = []
+    for cid in sorted(coords, key=key):
+        v = [Fraction(x) for x in coords[cid]]
+        for c, row in pivots.items():
+            if v[c]:
+                v = [x - v[c] * y for x, y in zip(v, row)]
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        v = [x / v[c] for x in v]
+        for k, row in pivots.items():
+            if row[c]:
+                pivots[k] = [x - row[c] * y for x, y in zip(row, v)]
+        pivots[c] = v
+        accepted.append(cid)
+    return accepted
+
+
+COORDINATE_CASES = [
+    (l_shape, True), (parallelogram_pi3, True), (isosceles_pi5, True),
+    (broken_parallelogram, True), (lambda: _right_triangle(3, 16), True),
+    (lambda: _right_triangle(1, 38), False), (lambda: _right_triangle(7, 44), False),
+]
+
+
+@pytest.mark.parametrize("make, exact", COORDINATE_CASES)
 def test_crossing_cycle_holonomy_matches_coordinates(make, exact):
     # the plane holonomy is additive on homology, so a crossing cycle's
     # translation must equal the combination its coordinates name
@@ -398,6 +508,30 @@ def test_crossing_cycle_holonomy_matches_coordinates(make, exact):
         for xj, j in zip(x, leftover):
             combo = combo + epp.edges[j].translation * xj
         assert f.is_zero(epp.edges[cid].translation - combo, p.perimeter_float())
+
+
+# the polygons of COORDINATE_CASES (its triangles 1/38 and 7/44 among the
+# sweep) and every right triangle a/N with a coprime to N below N/2
+BASIS_CASES = {
+    "l_shape": l_shape,
+    "parallelogram_pi3": parallelogram_pi3,
+    "isosceles_pi5": isosceles_pi5,
+    "broken_parallelogram": broken_parallelogram,
+    "triangle_3_16": lambda: _right_triangle(3, 16),
+    **{f"triangle_{a}_{n}": (lambda a=a, n=n: _right_triangle(a, n))
+       for n in (38, 44, 50, 60) for a in range(1, (n + 1) // 2) if gcd(a, n) == 1},
+}
+
+
+@pytest.mark.parametrize("name", BASIS_CASES)
+def test_basis_cycles_are_the_greedy_rank_choice_and_a_z_basis(name):
+    # the complement of the longest-first spanning tree is the shortest-first
+    # greedy choice over Q, and total unimodularity makes it a Z-basis
+    epp = build_epp(BASIS_CASES[name]())
+    _leftover, coords = _homology_coords(epp)
+    cycles = _basis_cycles(epp)
+    assert cycles == _greedy_rank_choice(epp, coords)
+    assert _fraction_det([coords[cid] for cid in cycles]) == 1
 
 
 def test_unfold_loads_no_numpy():
