@@ -480,10 +480,10 @@ def _axis_product_levels(lat: PeriodLattice, e_max: float, bc: str) -> list[floa
     Labels run over ordered pairs: both >= 1 under Dirichlet walls (a zero
     label kills the sine factor), both >= 0 except (0,0) under Neumann.  The
     pair momenta must be axis-aligned for product modes to exist at all.  An
-    e_max whose label grid, about sqrt(e_max/a) by sqrt(e_max/b), holds more
-    labels than a list can raises OutOfRange.
+    e_max whose quarter ellipse of labels, about pi*e_max/(4*sqrt(a*b)),
+    cannot fit in physical memory at one float per label raises OutOfRange.
     """
-    from .quantize import _dual_steps  # closed-form pair momenta
+    from .quantize import _dual_steps, _refuse_past_memory  # closed-form pair momenta
 
     p1, p2 = _dual_steps(lat)
     for p in (p1, p2):
@@ -494,8 +494,7 @@ def _axis_product_levels(lat: PeriodLattice, e_max: float, bc: str) -> list[floa
             )
     lo = 1 if bc == DIRICHLET else 0
     a, b = 0.5 * abs(p1) ** 2, 0.5 * abs(p2) ** 2
-    if e_max > sys.maxsize * math.sqrt(a * b):
-        raise OutOfRange(f"e_max {e_max:g} puts more levels below it than a list holds")
+    _refuse_past_memory(e_max, math.pi * e_max / (4 * math.sqrt(a * b)), sys.getsizeof(e_max))
     levels = []
     m = lo
     while a * m * m <= e_max or m == 0:

@@ -18,6 +18,15 @@ An element stores integer numerators (basis monomial -> nonzero int) over one
 positive int denominator, normalized so that gcd(den, *numerators) == 1.
 Equal elements therefore have equal representations, and ring operations
 add and multiply plain ints, reducing once per result.
+
+Rotation, conjugation and the Galois maps are monomial maps
+zeta^e -> zeta^(a*e + b) with a coprime to M: (1, j) multiplies by zeta^j,
+(k, 0) is zeta -> zeta^k and (-1, 0) is conjugation.  Each field caches,
+per map and basis monomial, the reduced signed terms of the image, so
+applying a map costs one dict lookup per monomial.  The terms are summed
+in the element's key order exactly as `CycloField._collect` sums them, so
+the result holds its monomials in the same order; that order matters,
+because `complex()` sums in it.
 """
 
 from __future__ import annotations
@@ -80,6 +89,8 @@ class CycloField:
         # CRT weights: zeta_M^j  <->  prod_i zeta_{q_i}^{j * u_i mod q_i}
         self.crt_units = [pow(m // q, -1, q) for q in self.moduli]
         self._reduce_cache: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        # (a, b) -> {basis monomial e: the reduced terms of zeta^(a*e + b)}
+        self._affine_cache: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
         self._value_cache: dict[tuple[int, ...], complex] = {}
         self.zero_key = (0,) * len(self.moduli)
 
@@ -185,7 +196,7 @@ class Cyclo:
     reads the same coefficients as Fractions, in the same order.
     """
 
-    __slots__ = ("field", "num", "den", "_hash", "_inv")
+    __slots__ = ("field", "num", "den", "_hash", "_inv", "_complex")
 
     def __init__(self, field: CycloField, num: dict[tuple[int, ...], int], den: int):
         self.field = field
@@ -193,6 +204,7 @@ class Cyclo:
         self.den = den
         self._hash: int | None = None
         self._inv: Cyclo | None = None
+        self._complex: complex | None = None
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -215,21 +227,7 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        den, oden = self.den, o.den
-        if den == oden:
-            out, scale = dict(self.num), 1
-        else:
-            g = gcd(den, oden)
-            scale = den // g
-            out = {k: v * (oden // g) for k, v in self.num.items()}
-            den *= oden // g
-        for k, v in o.num.items():
-            s = out.get(k, 0) + v * scale
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _normalized(self.field, out, den)
+        return _normalized(self.field, *self._combine(o, 1))
 
     __radd__ = __add__
 
@@ -240,18 +238,44 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _normalized(self.field, *self._combine(o, -1))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _normalized(self.field, *o._combine(self, -1))
+
+    def _combine(self, o: "Cyclo", sign: int) -> tuple[dict[tuple[int, ...], int], int]:
+        """(numerators, den) of self + sign*o before normalizing; o's new keys enter at the end."""
+        den, oden = self.den, o.den
+        if den == oden:
+            out, scale = dict(self.num), sign
+        else:
+            g = gcd(den, oden)
+            scale = sign * (den // g)
+            out = {k: v * (oden // g) for k, v in self.num.items()}
+            den *= oden // g
+        for k, v in o.num.items():
+            s = out.get(k, 0) + v * scale
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return out, den
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # a rational factor scales the other's numerators, kept in their key order
+        zero_key = self.field.zero_key
+        if len(o.num) == 1 and zero_key in o.num:
+            c = o.num[zero_key]
+            num = {k: v * c for k, v in self.num.items()}
+            return _normalized(self.field, num, self.den * o.den)
+        if len(self.num) == 1 and zero_key in self.num:
+            return o * self
         moduli = self.field.moduli
         return self.field._collect(
             (
@@ -268,9 +292,10 @@ class Cyclo:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            q = Fraction(other)
             # x / (a/b) = x * b / a, with the sign of a moved onto b
-            b, a = (q.denominator, q.numerator) if q > 0 else (-q.denominator, -q.numerator)
+            a, b = (other, 1) if isinstance(other, int) else (other.numerator, other.denominator)
+            if a < 0:
+                a, b = -a, -b
             return _normalized(self.field, {k: v * b for k, v in self.num.items()}, self.den * a)
         if isinstance(other, Cyclo):
             return self * other.inverse()
@@ -298,37 +323,55 @@ class Cyclo:
 
     def shift(self, j: int) -> "Cyclo":
         """Multiply by zeta_M^j (a rotation by 2*pi*j/M when read as a planar vector)."""
-        moduli = self.field.moduli
-        kj = self.field._raw_key(j % self.field.order)
-        return self.field._collect(
-            ((tuple((a + b) % q for a, b, q in zip(ka, kj, moduli)), va)
-             for ka, va in self.num.items()),
-            self.den,
-        )
+        return self._mapped(1, j)
 
     def _galois(self, k: int) -> "Cyclo":
         """The automorphism zeta -> zeta^k, for k coprime to M."""
-        moduli = self.field.moduli
-        return self.field._collect(
-            ((tuple((a * k) % q for a, q in zip(ka, moduli)), va)
-             for ka, va in self.num.items()),
-            self.den,
-        )
+        return self._mapped(k, 0)
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugation: zeta -> zeta^(-1) componentwise."""
-        return self._galois(-1)
+        return self._mapped(-1, 0)
+
+    def _mapped(self, a: int, b: int) -> "Cyclo":
+        """The image under the monomial map zeta^e -> zeta^(a*e + b), a coprime to M.
+
+        The map is an automorphism of Z[zeta] times a unit, so it keeps the
+        numerators' content and the result needs no normalizing.
+        """
+        f = self.field
+        a, b = a % f.order, b % f.order
+        table = f._affine_cache.get((a, b))
+        if table is None:
+            table = f._affine_cache[a, b] = {}
+        acc: dict[tuple[int, ...], int] = {}
+        for ka, c in self.num.items():
+            terms = table.get(ka)
+            if terms is None:
+                kb = f._raw_key(b)
+                raw = tuple((a * x + y) % q for x, y, q in zip(ka, kb, f.moduli))
+                terms = table[ka] = f._reduce_raw(raw)
+            for key, sign in terms:
+                s = acc.get(key, 0) + (c if sign > 0 else -c)
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+        return Cyclo(f, acc, self.den)
 
     @property
     def real(self) -> "Cyclo":
-        return (self + self.conjugate()) / 2
+        # (z + conj z)/2, normalized once
+        out, den = self._combine(self.conjugate(), 1)
+        return _normalized(self.field, out, 2 * den)
 
     @property
     def imag(self) -> "Cyclo":
         # (z - conj z)/2 = i * Im z; multiply by -i = zeta^(-M/4)
         if self.field.order % 4:
             raise OutOfRange("imag requires 4 | M")
-        return ((self - self.conjugate()) / 2).shift(-(self.field.order // 4))
+        out, den = self._combine(self.conjugate(), -1)
+        return _normalized(self.field, out, 2 * den).shift(-(self.field.order // 4))
 
     # -- predicates and conversions -----------------------------------------
 
@@ -348,8 +391,10 @@ class Cyclo:
 
     def __complex__(self) -> complex:
         # int / int is correctly rounded, as float() of the Fraction v / den is
-        den, value = self.den, self.field._monomial_value
-        return sum((v / den * value(k) for k, v in self.num.items()), complex(0))
+        if self._complex is None:
+            den, value = self.den, self.field._monomial_value
+            self._complex = sum((v / den * value(k) for k, v in self.num.items()), complex(0))
+        return self._complex
 
     def __float__(self) -> float:
         z = complex(self)

@@ -14,6 +14,7 @@ Units: hbar = 1 and mass = 1, so E = |p|^2 / 2 throughout.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -148,6 +149,21 @@ class WavelengthEntry:
     count: float
     law_count: int | None
     ok: bool
+
+
+def _refuse_past_memory(e_max: float, levels: float, level_bytes: int) -> None:
+    """Raise OutOfRange when `levels` levels of at least `level_bytes` each outrun physical memory.
+
+    `level_bytes` is a lower bound on what one level costs, so no run that
+    fits in memory is refused.  Where the platform does not report its
+    memory, the bound is sys.maxsize levels, the most a list can hold.
+    """
+    try:
+        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / level_bytes
+    except (AttributeError, ValueError, OSError):
+        limit = sys.maxsize
+    if not levels <= limit:
+        raise OutOfRange(f"e_max {e_max:g} puts more levels below it than memory can hold")
 
 
 def _pair_floats(lattice: PeriodLattice) -> tuple[complex, complex]:
@@ -325,11 +341,11 @@ def spectrum(
     widened by one label on each side, and the rows stop one past the
     ellipse's row extent sqrt(2*cutoff*g22/det); the float energy still
     decides every label.  The basis periods' floats are computed once.  An
-    e_max whose ellipse holds more labels than a list can (about
-    2*pi*cutoff/sqrt(det) > sys.maxsize) raises OutOfRange.  The quantum
-    family (opt-in via kinds) adds the transverse-quantized levels
-    m, n >= 1 of the skeleton along the lattice's own pair when that
-    skeleton exists.
+    e_max whose half ellipse, about pi*cutoff/sqrt(det) labels, cannot fit
+    in physical memory at `sys.getsizeof` of one raw entry and its labels
+    tuple per label raises OutOfRange.  The quantum family (opt-in via
+    kinds) adds the transverse-quantized levels m, n >= 1 of the skeleton
+    along the lattice's own pair when that skeleton exists.
 
     Each run of levels of equal kind within 1e-9 relative of its first
     energy merges into one entry with the lexicographically smallest
@@ -349,9 +365,10 @@ def spectrum(
         g12 = (p1.conjugate() * p2).real
         det = g11 * g22 - g12 * g12
         cutoff = e_max * (1 + _REL_TOL)
-        # the quantum levels are fewer than the classical labels of the ellipse
-        if not 2 * math.pi * cutoff / math.sqrt(det) <= sys.maxsize:
-            raise OutOfRange(f"e_max {e_max:g} puts more levels below it than a list holds")
+        # the walk visits the half ellipse; the quantum levels are fewer than its labels
+        entry = (cutoff, CLASSICAL_APERIODIC, (0, 0), None)
+        entry_bytes = sys.getsizeof(entry) + sys.getsizeof(entry[2])
+        _refuse_past_memory(e_max, math.pi * cutoff / math.sqrt(det), entry_bytes)
 
     if CLASSICAL_APERIODIC in kinds or CLASSICAL_PERIODIC in kinds:
         rows = int(math.sqrt(2 * cutoff * g22 / det)) + 1

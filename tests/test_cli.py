@@ -617,6 +617,32 @@ def test_verify_astronomical_e_max_is_usage_error(against):
     assert "e_max" in proc.stderr
 
 
+def _cap_address_space():
+    # a regressed child then stops at MemoryError instead of filling the host
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("command", ["quantize", "verify"])
+def test_e_max_past_memory_is_usage_error(command):
+    # about 1e17 labels: fewer than a list can index, more than memory holds.
+    # The refusal reads physical memory, not the child's address-space cap.
+    square = str(POLYGONS / "square.json")
+    extra = ["--against", square] if command == "verify" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybilliard", command, square, "--e-max", "1e18", *extra],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+        preexec_fn=_cap_address_space if os.name == "posix" else None,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "more levels below it than memory can hold" in proc.stderr
+
+
 def test_verify_neumann_study_is_refused(capsys):
     # the study solves Dirichlet walls whatever --bc says
     code, out, err = invoke(capsys, *STUDY_ARGV, "--bc", "neumann")

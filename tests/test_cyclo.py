@@ -504,7 +504,17 @@ def test_kernel_matches_fraction_reference(m):
             (a.shift(j), ref_shift(f, ra, j)),
             (a._galois(k), ref_galois(f, ra, k)),
             (a.conjugate(), ref_galois(f, ra, -1)),
+            (a.real, ref_div(ref_add(ra, ref_galois(f, ra, -1)), 2)),
+            (r * a, ref_mul(f, {f.zero_key: r}, ra)),
+            (f.rational(r) * b, ref_mul(f, {f.zero_key: r}, rb)),
+            # each map again on the same element: its terms now come from the cache
+            (a.shift(j), ref_shift(f, ra, j)),
+            (a._galois(k), ref_galois(f, ra, k)),
+            (a.conjugate(), ref_galois(f, ra, -1)),
         ]
+        if m % 4 == 0:
+            half_diff = ref_div(ref_add(ra, ref_neg(ref_galois(f, ra, -1))), 2)
+            cases.append((a.imag, ref_shift(f, half_diff, -(m // 4))))
         # a chain: every result feeds the next operation
         x, rx = a, ra
         for step in range(6):
@@ -515,4 +525,7 @@ def test_kernel_matches_fraction_reference(m):
         if a and f.degree <= 12:
             cases.append((a.inverse(), ref_inverse(f, ra)))
         for got, ref in cases:
+            first = complex(got)
             assert_matches_reference(got, ref)
+            again = complex(got)  # kept from the first call
+            assert (again.real.hex(), again.imag.hex()) == (first.real.hex(), first.imag.hex())
