@@ -12,7 +12,10 @@ finite-difference oracle (`oracle`), and the command-line front end (`cli`).
 Every public name below is importable as ``polybilliard.<name>``; each is
 loaded from its module on first access, so that ``import polybilliard`` (and
 the CLI, which applies ``POLYBILLIARD_THREADS`` before anything numeric
-runs) does not load numpy until a numpy-backed name is used.
+runs) does not load numpy until a numpy-backed name is used.  The records of
+the numpy-free modules (`exactgeom`, `unfold`, `lattice`, `quantize`) are
+plain classes, so the commands that never load numpy (all but `swf` and
+`verify`) load neither numpy nor `dataclasses` and the `inspect` it imports.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ return a semiconvergent violating that bound, so it is not used here.)
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import OutOfRange
 

@@ -9,8 +9,9 @@ stable contract scripts can rely on:
   3  the billiard is not doubly rational and no --rationalize cap was given
   4  sign-prescription id out of range
   5  verification failure (spectra out of tolerance, boundary/Helmholtz check,
-     a deformation study whose eta does not fall strictly with epsilon) or an
-     FD eigensolver that did not converge
+     a --spacing coarser than one eighth of the shortest side, a deformation
+     study whose eta does not fall strictly with epsilon) or an FD eigensolver
+     that did not converge
 
 The only environment influence is ``POLYBILLIARD_THREADS=N``, which caps the
 BLAS/OpenMP thread pools of both finite-difference eigensolvers, dense and

@@ -21,7 +21,6 @@ import cmath
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -71,27 +70,40 @@ def _euler_phi(m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class RationalAngle:
-    """An interior angle (p/q)*pi with p, q coprime and 0 < p/q < 2."""
+    """An interior angle (p/q)*pi with p, q coprime and 0 < p/q < 2.
 
-    p: int
-    q: int
+    Angles are equal and hashed by value.
+    """
 
-    def __post_init__(self):
-        if self.q < 1:
-            raise OutOfRange(f"angle denominator must be >= 1, got {self.q}")
-        g = gcd(self.p, self.q)
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        if q < 1:
+            raise OutOfRange(f"angle denominator must be >= 1, got {q}")
+        g = gcd(p, q)
         if g > 1:
             warnings.warn(
-                f"angle {self.p}/{self.q} is not in lowest terms; reducing",
+                f"angle {p}/{q} is not in lowest terms; reducing",
                 NonCoprimeAngle,
-                stacklevel=3,
+                stacklevel=2,
             )
-            object.__setattr__(self, "p", self.p // g)
-            object.__setattr__(self, "q", self.q // g)
-        if not 0 < Fraction(self.p, self.q) < 2:
-            raise OutOfRange(f"interior angle must be in (0, 2pi): got {self.p}/{self.q} pi")
+            p, q = p // g, q // g
+        if not 0 < Fraction(p, q) < 2:
+            raise OutOfRange(f"interior angle must be in (0, 2pi): got {p}/{q} pi")
+        self.p = p
+        self.q = q
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"RationalAngle(p={self.p}, q={self.q})"
 
     @classmethod
     def make(cls, value) -> "RationalAngle":
@@ -282,16 +294,26 @@ def make_frame(angles: list[RationalAngle]):
     return FloatFrame(n_lcm)
 
 
-@dataclass(frozen=True, eq=False)
 class Polygon:
     """A validated closed polygon with exact angles and side chain."""
 
-    angles: tuple[RationalAngle, ...]  # angle k sits at the END vertex of side k
-    lengths: tuple  # Fraction, or real field scalars in exact mode, or floats
-    frame: ExactFrame | FloatFrame
-    dirs: tuple[int, ...]  # direction index j of each side: angle = j*pi/N
-    verts: tuple  # vertex k = start of side k, as frame vectors
-    name: str | None = None
+    __slots__ = ("angles", "lengths", "frame", "dirs", "verts", "name")
+
+    def __init__(
+        self,
+        angles: tuple[RationalAngle, ...],  # angle k sits at the END vertex of side k
+        lengths: tuple,  # Fraction, or real field scalars in exact mode, or floats
+        frame: ExactFrame | FloatFrame,
+        dirs: tuple[int, ...],  # direction index j of each side: angle = j*pi/N
+        verts: tuple,  # vertex k = start of side k, as frame vectors
+        name: str | None = None,
+    ):
+        self.angles = angles
+        self.lengths = lengths
+        self.frame = frame
+        self.dirs = dirs
+        self.verts = verts
+        self.name = name
 
     @property
     def n(self) -> int:

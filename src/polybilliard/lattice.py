@@ -15,9 +15,7 @@ returns the substituted billiard, itself an ordinary doubly-rational
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -50,7 +48,6 @@ def _period_line(index: int, period: Period, role: str = "") -> str:
     return f"  P{index + 1}: ({z.real:.12g}, {z.imag:.12g}){kind}{role}"
 
 
-@dataclass(frozen=True, eq=False)
 class PeriodLattice:
     """A period basis with its relation table over a reference pair.
 
@@ -70,14 +67,25 @@ class PeriodLattice:
     builds is such a lattice, its coefficients the Fractions themselves.
     """
 
-    frame: object
-    basis: tuple[Period, ...]
-    pair_indexes: tuple[int, int]
-    det: object
-    member_indexes: tuple[int, ...]
-    coeffs: tuple[tuple[object, object], ...]
-    shifts: tuple[tuple[int, int], ...]
-    fracs: tuple[tuple[Fraction, Fraction], ...] | None
+    def __init__(
+        self,
+        frame,
+        basis: tuple[Period, ...],
+        pair_indexes: tuple[int, int],
+        det,
+        member_indexes: tuple[int, ...],
+        coeffs: tuple[tuple[object, object], ...],
+        shifts: tuple[tuple[int, int], ...],
+        fracs: tuple[tuple[Fraction, Fraction], ...] | None,
+    ):
+        self.frame = frame
+        self.basis = basis
+        self.pair_indexes = pair_indexes
+        self.det = det
+        self.member_indexes = member_indexes
+        self.coeffs = coeffs
+        self.shifts = shifts
+        self.fracs = fracs
 
     @property
     def d1(self):
@@ -310,4 +318,13 @@ def rationalize_relations(lattice: PeriodLattice, max_denominator: int) -> Perio
     basis = list(lattice.basis)
     for k, (a1, a2), (s1, s2) in zip(lattice.member_indexes, fracs, lattice.shifts):
         basis[k] = Period(f.scalar(a1 + s1) * lattice.d1 + f.scalar(a2 + s2) * lattice.d2)
-    return dataclasses.replace(lattice, basis=tuple(basis), coeffs=fracs, fracs=fracs)
+    return PeriodLattice(
+        frame=f,
+        basis=tuple(basis),
+        pair_indexes=lattice.pair_indexes,
+        det=lattice.det,
+        member_indexes=lattice.member_indexes,
+        coeffs=fracs,
+        shifts=lattice.shifts,
+        fracs=fracs,
+    )

@@ -25,9 +25,9 @@ corners and sizes are exact Fractions throughout, never rounded guesses.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -50,7 +49,6 @@ CLASSICAL_PERIODIC = "classical-periodic"
 QUANTUM = "quantum"
 
 
-@dataclass(frozen=True, eq=False)
 class QuantizedMomentum:
     """A momentum allowed by the lattice periodicity, as a plane vector.
 
@@ -60,18 +58,20 @@ class QuantizedMomentum:
     component, and `flag` records a violated smallness constraint.
     """
 
-    m: int
-    n: int
-    vector: complex
-    kind: str
-    flag: str | None = None
+    __slots__ = ("m", "n", "vector", "kind", "flag")
+
+    def __init__(self, m: int, n: int, vector: complex, kind: str, flag: str | None = None):
+        self.m = m
+        self.n = n
+        self.vector = vector
+        self.kind = kind
+        self.flag = flag
 
     @property
     def energy(self) -> float:
         return 0.5 * abs(self.vector) ** 2
 
 
-@dataclass(frozen=True, eq=False)
 class PeriodicSkeletonData:
     """Evidence that momenta parallel to the direction period quantize.
 
@@ -84,13 +84,23 @@ class PeriodicSkeletonData:
     each computed once.
     """
 
-    k: int
-    alpha: float
-    direction_index: int
-    c1: int
-    c2: int
-    d1: complex
-    d2: complex
+    def __init__(
+        self,
+        k: int,
+        alpha: float,
+        direction_index: int,
+        c1: int,
+        c2: int,
+        d1: complex,
+        d2: complex,
+    ):
+        self.k = k
+        self.alpha = alpha
+        self.direction_index = direction_index
+        self.c1 = c1
+        self.c2 = c2
+        self.d1 = d1
+        self.d2 = d2
 
     @cached_property
     def t_den(self) -> float:
@@ -121,7 +131,6 @@ class PeriodicSkeletonData:
         return t * self.transverse + base, ratio, ("eq21c-ratio" if ratio > max_ratio else None)
 
 
-@dataclass(frozen=True, eq=False)
 class SpectrumEntry:
     """One energy level: representative labels, kind, and degeneracy.
 
@@ -131,24 +140,40 @@ class SpectrumEntry:
     count.
     """
 
-    labels: tuple[int, int]
-    energy: float
-    kind: str
-    degeneracy: int
-    lam: float
-    lam_pair: tuple[float, float] | None
-    flag: str | None = None
+    __slots__ = ("labels", "energy", "kind", "degeneracy", "lam", "lam_pair", "flag")
+
+    def __init__(
+        self,
+        labels: tuple[int, int],
+        energy: float,
+        kind: str,
+        degeneracy: int,
+        lam: float,
+        lam_pair: tuple[float, float] | None,
+        flag: str | None = None,
+    ):
+        self.labels = labels
+        self.energy = energy
+        self.kind = kind
+        self.degeneracy = degeneracy
+        self.lam = lam
+        self.lam_pair = lam_pair
+        self.flag = flag
 
 
-@dataclass(frozen=True, eq=False)
 class WavelengthEntry:
     """Wavelength bookkeeping of one basis period against a momentum."""
 
-    period: Period
-    wavelength: float
-    count: float
-    law_count: int | None
-    ok: bool
+    __slots__ = ("period", "wavelength", "count", "law_count", "ok")
+
+    def __init__(
+        self, period: Period, wavelength: float, count: float, law_count: int | None, ok: bool
+    ):
+        self.period = period
+        self.wavelength = wavelength
+        self.count = count
+        self.law_count = law_count
+        self.ok = ok
 
 
 def _refuse_past_memory(e_max: float, levels: float, level_bytes: int) -> None:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -80,17 +79,37 @@ def _fmt_vec(f, v) -> str:
     return f"({re:.12g},{im:.12g})"
 
 
-@dataclass(frozen=True)
 class Isometry:
     """Planar isometry z -> unit(rotation) * (conj z if reflecting else z) + translation.
 
     `rotation` is a direction index mod 2N: the linear part rotates by
     rotation*pi/N (after the optional conjugation).  Composition is exact.
+    Isometries are equal and hashed by value.
     """
 
-    reflecting: bool
-    rotation: int
-    translation: object  # frame vector
+    __slots__ = ("reflecting", "rotation", "translation")
+
+    def __init__(self, reflecting: bool, rotation: int, translation):
+        self.reflecting = reflecting
+        self.rotation = rotation
+        self.translation = translation  # frame vector
+
+    def _key(self) -> tuple:
+        return (self.reflecting, self.rotation, self.translation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Isometry(reflecting={self.reflecting}, rotation={self.rotation}, "
+            f"translation={self.translation!r})"
+        )
 
     @classmethod
     def identity(cls, frame) -> "Isometry":
@@ -116,13 +135,15 @@ class Isometry:
         return (self.rotation + j) % (2 * frame.N)
 
 
-@dataclass(frozen=True, eq=False)
 class PolygonImage:
     """One copy of the polygon in the unfolding; index is 1-based, 0 = transient."""
 
-    index: int
-    iso: Isometry
-    polygon: Polygon = field(repr=False)
+    __slots__ = ("index", "iso", "polygon")
+
+    def __init__(self, index: int, iso: Isometry, polygon: Polygon):
+        self.index = index
+        self.iso = iso
+        self.polygon = polygon
 
     @property
     def parity(self) -> int:
@@ -130,7 +151,6 @@ class PolygonImage:
         return 1 if self.iso.reflecting else 0
 
 
-@dataclass(frozen=True, eq=False)
 class Period:
     """A translation leaving the unfolded figure invariant.
 
@@ -141,11 +161,13 @@ class Period:
     an `EdgePair` carries; the pattern's classified periods are `EPP.periods`.
     """
 
-    vector: object
-    kind: str | None = None
+    __slots__ = ("vector", "kind")
+
+    def __init__(self, vector, kind: str | None = None):
+        self.vector = vector
+        self.kind = kind
 
 
-@dataclass(frozen=True, eq=False)
 class EdgePair:
     """Gluing of side `side` of image a to side `side` of image b.
 
@@ -156,21 +178,30 @@ class EdgePair:
     pair of an equal translation is in `EPP.periods`.
     """
 
-    a: int
-    b: int
-    side: int
-    translation: object
-    period: Period | None
+    __slots__ = ("a", "b", "side", "translation", "period")
+
+    def __init__(self, a: int, b: int, side: int, translation, period: Period | None):
+        self.a = a
+        self.b = b
+        self.side = side
+        self.translation = translation
+        self.period = period
 
 
-@dataclass(frozen=True, eq=False)
 class EPP:
     """Elementary polygon pattern: 2C images plus the full edge gluing."""
 
-    polygon: Polygon
-    images: list[PolygonImage]
-    edges: list[EdgePair]  # discovery order, interior and boundary mixed
-    C: int
+    def __init__(
+        self,
+        polygon: Polygon,
+        images: list[PolygonImage],
+        edges: list[EdgePair],  # discovery order, interior and boundary mixed
+        C: int,
+    ):
+        self.polygon = polygon
+        self.images = images
+        self.edges = edges
+        self.C = C
 
     def image(self, k: int) -> PolygonImage:
         return self.images[k - 1]

@@ -1,6 +1,7 @@
 """Polygon construction: exact closure, self-intersection, angle utilities."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,9 +42,20 @@ def test_rational_angle_parsing():
 
 
 def test_rational_angle_reduces_with_warning():
-    with pytest.warns(NonCoprimeAngle):
+    line = sys._getframe().f_lineno + 2
+    with pytest.warns(NonCoprimeAngle) as caught:
         a = RationalAngle(2, 4)
     assert (a.p, a.q) == (1, 2)
+    # the warning names the caller's line, not the constructor's
+    assert (caught[0].filename, caught[0].lineno) == (__file__, line)
+
+
+def test_rational_angle_compares_and_hashes_by_value():
+    a, b = RationalAngle(1, 3), RationalAngle.make("1/3")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != RationalAngle(2, 3) and a != (1, 3)
+    assert len({a, b, RationalAngle(2, 3)}) == 2
+    assert RationalAngle(p=1, q=3) == a
 
 
 def test_rational_angle_range():
@@ -65,6 +77,17 @@ def test_unit_square_valid():
     for got, want in zip(p.vertices_float(), [0, 1, 1 + 1j, 1j]):
         assert got == pytest.approx(want, abs=1e-12)
     assert p.dirs == (0, 1, 2, 3)
+
+
+def test_polygon_record_forms_and_identity():
+    p = shapes.square()
+    parts = (p.angles, p.lengths, p.frame, p.dirs, p.verts)
+    bare, named = Polygon(*parts), Polygon(*parts, name="sq")
+    keywords = Polygon(angles=p.angles, lengths=p.lengths, frame=p.frame, dirs=p.dirs,
+                       verts=p.verts, name=None)
+    assert bare.name is None and keywords.name is None and named.name == "sq"
+    assert (bare.n, bare.N, bare.dirs) == (4, 2, p.dirs)
+    assert bare == bare and bare != keywords and len({bare, keywords}) == 2
 
 
 def test_broken_rectangle_valid():

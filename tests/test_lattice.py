@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -380,6 +379,15 @@ def test_rationalize_relations_table():
             assert abs(val - float(frac)) <= 1 / (frac.denominator * 50) + 1e-15
 
 
+def test_rationalize_relations_keeps_the_pair_fields():
+    lat = lattice_of(isosceles_pi5())
+    rat = rationalize_relations(lat, 50)
+    assert rat != lat and type(rat) is type(lat)
+    kept = ("frame", "pair_indexes", "det", "member_indexes", "shifts")
+    assert all(getattr(rat, name) is getattr(lat, name) for name in kept)
+    assert rat.coeffs is rat.fracs and len(rat.basis) == len(lat.basis)
+
+
 def test_rationalize_exact_table_is_identity():
     p = parallelogram_pi3(Fraction(2, 3))
     lat = lattice_of(p)
@@ -545,7 +553,9 @@ def _right_triangle(a: int, n: int):
 
 
 def _fields(data):
-    return None if data is None else dataclasses.astuple(data)
+    if data is None:
+        return None
+    return (data.k, data.alpha, data.direction_index, data.c1, data.c2, data.d1, data.d2)
 
 
 def test_float_substitute_changes_pair_by_its_own_table():

@@ -31,7 +31,10 @@ from polybilliard.quantize import (
     CLASSICAL_APERIODIC,
     CLASSICAL_PERIODIC,
     QUANTUM,
+    PeriodicSkeletonData,
+    QuantizedMomentum,
     SpectrumEntry,
+    WavelengthEntry,
     _dual_steps,
     momentum_aperiodic,
     momentum_periodic,
@@ -539,6 +542,34 @@ def test_quantize_loads_no_numpy():
     code = "import sys, polybilliard.quantize; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(polybilliard.__file__).resolve().parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("module", ["quantize", "cli"])
+def test_quantize_path_loads_no_dataclasses(module):
+    # the records are plain classes: `dataclasses` and the `inspect` it pulls in
+    # cost a fresh CLI process about a quarter of its start-up
+    code = (f"import sys, polybilliard.{module}; "
+            "sys.exit(sorted({'dataclasses', 'inspect'} & set(sys.modules)) or None)")
+    env = {**os.environ, "PYTHONPATH": str(Path(polybilliard.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
+def test_quantize_records_keep_their_forms_and_compare_by_identity():
+    lat = lattice_of(square())
+    q = QuantizedMomentum(1, 0, 2j, CLASSICAL_APERIODIC)
+    assert q.flag is None and q.energy == 2.0 and q != QuantizedMomentum(1, 0, 2j, q.kind)
+    e = SpectrumEntry((1, 0), 2.0, CLASSICAL_APERIODIC, 4, math.pi, None, flag=None)
+    keywords = SpectrumEntry(labels=(1, 0), energy=2.0, kind=CLASSICAL_APERIODIC,
+                             degeneracy=4, lam=math.pi, lam_pair=None)
+    assert e.flag is None and keywords.flag is None and e != keywords
+    w = WavelengthEntry(lat.basis[0], wavelength=1.0, count=1.0, law_count=None, ok=True)
+    assert w.period is lat.basis[0] and w != WavelengthEntry(lat.basis[0], 1.0, 1.0, None, True)
+    skel = periodic_skeleton_check(lat)
+    twin = PeriodicSkeletonData(skel.k, skel.alpha, skel.direction_index, skel.c1, skel.c2,
+                                d1=skel.d1, d2=skel.d2)
+    assert skel != twin and twin.periodic(1) == skel.periodic(1)
+    assert twin.transverse_t(1) == skel.transverse_t(1)
 
 
 # --- spectrum digests and the box-enumeration oracle ---------------------------

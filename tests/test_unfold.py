@@ -541,6 +541,42 @@ def test_unfold_loads_no_numpy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.parametrize("module", ["exactgeom", "unfold", "lattice"])
+def test_analyze_path_loads_no_dataclasses(module):
+    # the records are plain classes: `dataclasses` and the `inspect` it pulls in
+    # cost a fresh CLI process about a quarter of its start-up
+    code = (f"import sys, polybilliard.{module}; "
+            "sys.exit(sorted({'dataclasses', 'inspect'} & set(sys.modules)) or None)")
+    env = {**os.environ, "PYTHONPATH": str(Path(polybilliard.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
+def test_isometry_compares_and_hashes_by_value():
+    f = square().frame
+    a = Isometry(False, 1, f.unit(0))
+    b = Isometry(reflecting=False, rotation=1, translation=f.unit(0) + f.zero())
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Isometry(True, 1, f.unit(0)) and a != Isometry(False, 1, f.zero())
+    assert Isometry.identity(f) == Isometry(False, 0, f.zero()) and a != (False, 1, f.unit(0))
+    assert len({a, b, Isometry.identity(f)}) == 2
+
+
+def test_pattern_records_compare_by_identity():
+    poly = square()
+    f = poly.frame
+    v = f.unit(0)
+    assert Period(v).kind is None and Period(v, kind="structural").kind == "structural"
+    assert Period(v) != Period(v)
+    pair = EdgePair(1, 2, side=0, translation=v, period=Period(v))
+    assert pair == pair and pair != EdgePair(1, 2, 0, v, pair.period)
+    image = PolygonImage(index=1, iso=Isometry.identity(f), polygon=poly)
+    assert image.parity == 0 and image != _identity_image(poly)
+    epp = EPP(poly, [image], [pair], C=1)
+    assert epp.edge_pairs == [pair] and epp.image(1) is image
+    assert epp != EPP(poly, [image], [pair], 1)
+
+
 # --- find_pocs and channels -------------------------------------------------
 
 def test_square_poc_directions():
