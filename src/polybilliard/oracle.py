@@ -273,10 +273,13 @@ def compare_spectra(semiclassical, numerical, rel_tol: float) -> MatchReport:
 
     Both inputs are expected ascending.  The unmatched fraction counts
     numerical levels never chosen as a nearest neighbour — the measure of
-    how incomplete the closed-form family is.
+    how incomplete the closed-form family is.  Closed-form levels with an
+    empty numerical spectrum raise OutOfRange: they have no neighbour.
     """
     sem = np.asarray(list(semiclassical), dtype=float)
     num = np.asarray(list(numerical), dtype=float)
+    if len(sem) and not len(num):
+        raise OutOfRange("the numerical spectrum is empty: no level to match")
     pairs = []
     used: set[int] = set()
     for s in sem:

@@ -370,7 +370,9 @@ def spectrum(
     in physical memory at `sys.getsizeof` of one raw entry and its labels
     tuple per label raises OutOfRange.  The quantum family (opt-in via
     kinds) adds the transverse-quantized levels m, n >= 1 of the skeleton
-    along the lattice's own pair when that skeleton exists.
+    along the lattice's own pair when that skeleton exists.  `kinds` holds
+    "classical-aperiodic", "classical-periodic" or "quantum"; a string, or
+    any other element, raises OutOfRange.
 
     Each run of levels of equal kind within 1e-9 relative of its first
     energy merges into one entry with the lexicographically smallest
@@ -381,10 +383,13 @@ def spectrum(
     """
     if e_max <= 0:
         raise OutOfRange("e_max must be positive")
+    allowed = (CLASSICAL_APERIODIC, CLASSICAL_PERIODIC, QUANTUM)
+    if isinstance(kinds, str) or any(k not in allowed for k in kinds):
+        raise OutOfRange(f"kinds must be a collection of {', '.join(allowed)}; got {kinds!r}")
     raw: list[tuple[float, str, tuple[int, int], str | None]] = []
     pair: list[tuple[float, int]] = []  # (|D_i|, C_i): the classical wavelengths
 
-    if not {CLASSICAL_APERIODIC, CLASSICAL_PERIODIC, QUANTUM}.isdisjoint(kinds):
+    if kinds:
         p1, p2 = _dual_steps(lattice)
         g11, g22 = abs(p1) ** 2, abs(p2) ** 2
         g12 = (p1.conjugate() * p2).real

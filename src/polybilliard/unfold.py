@@ -10,12 +10,14 @@ translations are the simple periods, and the pattern's edges glue in pairs.
 
 Gluing the 2C images along their edge pairs produces a closed orientable
 surface whose genus the angle data fixes (`genus`).  Its faces are the
-images, its edges the edge classes and its vertices the glued corners.  A
-spanning tree of the faces and a spanning tree of the vertices over the
-other edge classes leave exactly 2g edge classes over, whose crossing
-cycles are a Z-basis of the surface's homology: the crossing cycles of the
-classes off the face tree are related only by the vertex stars, and the
-incidence matrix of vertices and classes is totally unimodular.
+images, its edges the edge classes and its vertices the classes of corners
+that the gluings identify: the components of that corner relation, which
+union-find collects, so they are correct by construction.  A spanning tree
+of the faces and a spanning tree of the vertices over the other edge
+classes leave exactly 2g edge classes over, whose crossing cycles are a
+Z-basis of the surface's homology: the crossing cycles of the classes off
+the face tree are related only by the vertex stars, and the incidence
+matrix of vertices and classes is totally unimodular.
 `period_basis` takes the vertex tree that Kruskal's rule builds longest
 first, so that the classes left over are the shortest-first greedy basis,
 and returns their translations.
@@ -56,8 +58,6 @@ __all__ = [
     "Period",
     "EdgePair",
     "EPP",
-    "reflect_image",
-    "unfold_vertex",
     "build_epp",
     "genus",
     "period_basis",
@@ -83,7 +83,7 @@ class Isometry:
     """Planar isometry z -> unit(rotation) * (conj z if reflecting else z) + translation.
 
     `rotation` is a direction index mod 2N: the linear part rotates by
-    rotation*pi/N (after the optional conjugation).  Composition is exact.
+    rotation*pi/N (after the optional conjugation).
     Isometries are equal and hashed by value.
     """
 
@@ -119,15 +119,6 @@ class Isometry:
         w = z.conjugate() if self.reflecting else z
         return frame.rotate(w, self.rotation) + self.translation
 
-    def compose(self, other: "Isometry", frame) -> "Isometry":
-        """self after other."""
-        sign = -1 if self.reflecting else 1
-        return Isometry(
-            self.reflecting ^ other.reflecting,
-            (self.rotation + sign * other.rotation) % (2 * frame.N),
-            self.apply(frame, other.translation),
-        )
-
     def transport(self, j: int, frame) -> int:
         """Direction index of the image of a vector with direction index j."""
         if self.reflecting:
@@ -136,7 +127,7 @@ class Isometry:
 
 
 class PolygonImage:
-    """One copy of the polygon in the unfolding; index is 1-based, 0 = transient."""
+    """One copy of the polygon in the unfolding; index is 1-based."""
 
     __slots__ = ("index", "iso", "polygon")
 
@@ -388,40 +379,6 @@ def _mirror(iso: Isometry, polygon: Polygon, s: int) -> Isometry:
     return Isometry(not iso.reflecting, (r - iso.rotation) % (2 * f.N), t)
 
 
-def reflect_image(image: PolygonImage, edge_id: int) -> PolygonImage:
-    """One unfolding step: the mirror copy of the image across its own edge."""
-    poly = image.polygon
-    if not 0 <= edge_id < poly.n:
-        raise ValueError(f"edge {edge_id} out of range for an {poly.n}-gon")
-    return PolygonImage(0, _mirror(image.iso, poly, edge_id), poly)
-
-
-def unfold_vertex(polygon: Polygon, vertex_index: int) -> list[PolygonImage]:
-    """Complete fan of images around one vertex: exactly 2q copies.
-
-    The angle (p/q)*pi at the vertex means alternating reflections in the two
-    adjacent sides generate a dihedral group of order 2q; the fan lists one
-    image per group element, starting from the identity.
-    """
-    n = polygon.n
-    i = vertex_index % n
-    q = polygon.angles[(i - 1) % n].q  # angle at vertex i ends side i-1
-    out = [PolygonImage(1, Isometry.identity(polygon.frame), polygon)]
-    sides = [i, (i - 1) % n]
-    for t in range(2 * q - 1):
-        nxt = reflect_image(out[-1], sides[t % 2])
-        out.append(PolygonImage(t + 2, nxt.iso, polygon))
-    closing = reflect_image(out[-1], sides[(2 * q - 1) % 2]).iso
-    scale = polygon.perimeter_float()
-    if (
-        closing.reflecting
-        or closing.rotation != 0
-        or not polygon.frame.is_zero(closing.translation, scale)
-    ):
-        raise RuntimeError("vertex fan failed to close: angle bookkeeping bug")
-    return out
-
-
 def genus(polygon: Polygon) -> int:
     """Genus of the closed surface obtained by gluing the pattern's edge pairs."""
     c = lcm(*(a.q for a in polygon.angles))
@@ -504,56 +461,41 @@ def build_epp(polygon: Polygon) -> EPP:
 # ---------------------------------------------------------------------------
 
 
+def _find(root: list[int], v: int) -> int:
+    """Root of v in the union-find forest `root`, halving the path on the way."""
+    while root[v] != v:
+        root[v] = v = root[root[v]]
+    return v
+
+
 def _vertex_classes(epp: EPP) -> dict[tuple[int, int], int]:
     """(image, vertex) -> id of the glued vertex of the surface at that corner.
 
-    Going around a vertex of the surface crosses the two adjacent sides
-    alternately, 2q times in total, and its developed image closes up, so the
-    accumulated translation must vanish — both facts are asserted.
+    The vertices are the components of the relation the gluings put on the
+    corners, so union-find over the corners is correct by construction: a
+    gluing of side s joins corner s of its two images, and corner s+1.  The
+    ids number the classes by their first corner, image by image.
     """
-    poly = epp.polygon
-    f = poly.frame
-    n = poly.n
-    scale = poly.perimeter_float()
-    vclass: dict[tuple[int, int], int] = {}
-    count = 0
-    for k in range(1, len(epp.images) + 1):
-        for i in range(n):
-            if (k, i) in vclass:
-                continue
-            hol = f.zero()
-            cur, toggle, steps = k, 0, 0
-            while True:
-                vclass[(cur, i)] = count
-                s = i if toggle == 0 else (i - 1) % n
-                cur, t = epp.gluing[(cur, s)]
-                hol = hol + t
-                toggle ^= 1
-                steps += 1
-                if cur == k and toggle == 0:
-                    break
-                if steps > 2 * len(epp.images):
-                    raise RankMismatch("vertex walk failed to close")
-            q = poly.angles[(i - 1) % n].q
-            if steps != 2 * q:
-                raise RankMismatch(
-                    f"vertex class at corner ({k},{i}) has {steps} corners, expected {2 * q}"
-                )
-            if not f.is_zero(hol, scale):
-                raise RankMismatch("vertex loop has nonzero holonomy")
-            count += 1
-    return vclass
+    n = epp.polygon.n
+    root = list(range(n * len(epp.images)))  # corner (k, i) at (k - 1) * n + i
+    for e in epp.edges:
+        for i in (e.side, (e.side + 1) % n):
+            root[_find(root, (e.a - 1) * n + i)] = _find(root, (e.b - 1) * n + i)
+    ids: dict[int, int] = {}
+    return {(c // n + 1, c % n): ids.setdefault(_find(root, c), len(ids)) for c in range(len(root))}
 
 
 def _basis_cycles(epp: EPP) -> list[int]:
     """Indices in `edges` of the 2g classes whose crossing cycles `period_basis` takes.
 
-    Sorts the classes off the face tree shortest first, then walks them in
-    reverse and joins the two vertex classes at the ends of each by
-    union-find.  The classes that join nothing are the complement of a
-    spanning tree, returned shortest first.  Raises RankMismatch when the
-    Euler characteristic is not 2 - 2g, or when other than 2g classes are
-    left, as when the vertex classes are not connected.
+    The vertex classes are the components of the corner relation
+    (`_vertex_classes`), correct by construction.  Sorts the classes off the
+    face tree shortest first, then walks them in reverse and joins the two
+    vertex classes at the ends of each by the same union-find.  The classes
+    that join nothing are the complement of a spanning tree, returned
+    shortest first.  Raises RankMismatch when the Euler characteristic is
+    not 2 - 2g, or when other than 2g classes are left: the global guard on
+    the gluings.
     """
     n = epp.polygon.n
     g = genus(epp.polygon)
@@ -572,16 +514,11 @@ def _basis_cycles(epp: EPP) -> list[int]:
 
     candidates = sorted((cid for cid in range(len(epp.edges)) if cid not in face_tree), key=key)
     root = list(range(nverts))  # union-find forest over the vertex classes
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
     cycles = []
     for cid in reversed(candidates):
         e = epp.edges[cid]
-        tail, head = find(vclass[(e.a, e.side)]), find(vclass[(e.a, (e.side + 1) % n)])
+        tail = _find(root, vclass[(e.a, e.side)])
+        head = _find(root, vclass[(e.a, (e.side + 1) % n)])
         if tail == head:
             cycles.append(cid)
         else:

@@ -182,6 +182,12 @@ def test_compare_picks_nearest():
     assert rep.unmatched_fraction == 0.5
 
 
+def test_compare_against_empty_numerical_spectrum_is_out_of_range():
+    with pytest.raises(OutOfRange, match="numerical spectrum is empty"):
+        compare_spectra([1.0], [], rel_tol=0.1)
+    assert compare_spectra([], [], rel_tol=0.1).passed
+
+
 def test_compare_swapped_roles_transpose():
     a = [1.0, 2.0, 3.0]
     b = [1.01, 2.02, 2.97]

@@ -375,6 +375,14 @@ def test_spectrum_kind_filter():
     assert only_ap[0].energy == pytest.approx(math.pi**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("kinds", [("classical-periodik",), "quantum"])
+def test_spectrum_rejects_unknown_kinds(kinds):
+    # a misspelled kind used to give no level at all, and a bare string was
+    # searched by character, leaving the cutoff unset
+    with pytest.raises(OutOfRange, match="classical-aperiodic, classical-periodic, quantum"):
+        spectrum(lattice_of(square()), 50.0, kinds=kinds)
+
+
 def test_spectrum_quantum_kind():
     _, _, _, lat = rotated_lattice(Fraction(2, 3))
     e_max = 900.0

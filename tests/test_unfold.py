@@ -39,10 +39,8 @@ from polybilliard.unfold import (
     find_pocs,
     genus,
     period_basis,
-    reflect_image,
-    unfold_vertex,
 )
-from polybilliard.unfold import _basis_cycles, _vertex_classes
+from polybilliard.unfold import _basis_cycles, _mirror, _vertex_classes
 
 POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 
@@ -59,23 +57,23 @@ def _same_vector(frame, a, b, scale=1.0) -> bool:
     return frame.is_zero(a - b, scale)
 
 
-# --- reflect_image ----------------------------------------------------------
+# --- _mirror ----------------------------------------------------------------
 
 def test_reflect_square_bottom_is_conjugation():
     p = square()
-    img = reflect_image(_identity_image(p), 0)
-    assert img.iso.reflecting is True
-    assert img.iso.rotation == 0
-    assert p.frame.is_zero(img.iso.translation)
-    assert img.parity == 1
+    iso = _mirror(Isometry.identity(p.frame), p, 0)
+    assert iso.reflecting is True
+    assert iso.rotation == 0
+    assert p.frame.is_zero(iso.translation)
+    assert PolygonImage(2, iso, p).parity == 1
 
 
 def test_reflect_twice_is_identity():
     p = square()
-    img = reflect_image(reflect_image(_identity_image(p), 0), 0)
-    assert img.iso.reflecting is False
-    assert img.iso.rotation == 0
-    assert p.frame.is_zero(img.iso.translation)
+    iso = _mirror(_mirror(Isometry.identity(p.frame), p, 0), p, 0)
+    assert iso.reflecting is False
+    assert iso.rotation == 0
+    assert p.frame.is_zero(iso.translation)
 
 
 def test_reflect_adjacent_edges_gives_vertex_rotation():
@@ -83,67 +81,11 @@ def test_reflect_adjacent_edges_gives_vertex_rotation():
     # about the shared vertex; for the square that is a half-turn about (1,0)
     p = square()
     f = p.frame
-    img = reflect_image(reflect_image(_identity_image(p), 0), 1)
-    assert img.iso.reflecting is False
-    assert img.iso.rotation == p.N  # pi in units of pi/N
+    iso = _mirror(_mirror(Isometry.identity(f), p, 0), p, 1)
+    assert iso.reflecting is False
+    assert iso.rotation == p.N  # pi in units of pi/N
     v = f.from_xy(1, 0)
-    assert f.is_zero(img.iso.apply(f, v) - v)
-
-
-def test_reflect_image_rejects_bad_edge():
-    p = square()
-    with pytest.raises(ValueError):
-        reflect_image(_identity_image(p), 4)
-
-
-# --- unfold_vertex ----------------------------------------------------------
-
-def test_unfold_square_corner():
-    fan = unfold_vertex(square(), 0)
-    assert len(fan) == 4
-
-
-def test_unfold_reflex_corner_of_l_shape():
-    # the 3pi/2 corner has q=2, so the complete fan is 4 images even though
-    # they wind three sheets around the vertex
-    fan = unfold_vertex(l_shape(), 3)
-    assert len(fan) == 4
-
-
-def test_unfold_pi5_apex():
-    fan = unfold_vertex(isosceles_pi5(), 2)
-    assert len(fan) == 10
-
-
-def test_unfold_vertex_images_pairwise_nonfaithful():
-    for p, idx in [(square(), 0), (l_shape(), 3), (isosceles_pi5(), 2)]:
-        fan = unfold_vertex(p, idx)
-        orientations = {(im.iso.reflecting, im.iso.rotation) for im in fan}
-        assert len(orientations) == len(fan)
-
-
-def test_unfold_vertex_rotation_invariance():
-    # the fan is carried onto itself by the rotation through 2(p/q)*pi
-    # about the unfolded vertex
-    for p, idx in [(square(), 0), (l_shape(), 3), (isosceles_pi5(), 2)]:
-        f = p.frame
-        n = p.n
-        ang = p.angles[(idx - 1) % n]
-        v = p.verts[idx % n]
-        r = (2 * ang.p * (f.N // ang.q)) % (2 * f.N)
-        rot = Isometry(False, r, v - f.rotate(v, r))
-        fan = unfold_vertex(p, idx)
-        scale = p.perimeter_float()
-        for im in fan:
-            moved = rot.compose(im.iso, f)
-            hits = [
-                other
-                for other in fan
-                if other.iso.reflecting == moved.reflecting
-                and other.iso.rotation == moved.rotation
-                and _same_vector(f, other.iso.translation, moved.translation, scale)
-            ]
-            assert len(hits) == 1
+    assert f.is_zero(iso.apply(f, v) - v)
 
 
 # --- build_epp --------------------------------------------------------------
@@ -376,6 +318,50 @@ def test_equivalent_epp_same_invariants():
 def _right_triangle(a: int, n: int):
     angles = [Fraction(a, n), Fraction(1, 2), Fraction(1, 2) - Fraction(a, n)]
     return validate_polygon(angles, solve_closure(angles, [1, None, None]))
+
+
+# the bundled polygons, every constructor of `shapes`, and triangles in float
+# (1/38, 3/44) and exact (1/20) frames
+VERTEX_CASES = {
+    **{path.name: (lambda path=path: load_polygon(str(path)))
+       for path in sorted(POLYGONS.glob("*.json"))},
+    "square": square,
+    "rectangle": lambda: rectangle(3, 2),
+    "l_shape": l_shape,
+    "parallelogram_pi3": parallelogram_pi3,
+    "equilateral": equilateral,
+    "isosceles_pi5": isosceles_pi5,
+    "broken_parallelogram": broken_parallelogram,
+    "right_triangle_rationalized": right_triangle_rationalized,
+    "triangle_1_38": lambda: _right_triangle(1, 38),
+    "triangle_3_44": lambda: _right_triangle(3, 44),
+    "triangle_1_20": lambda: _right_triangle(1, 20),
+}
+
+
+@pytest.mark.parametrize("name", VERTEX_CASES)
+def test_vertex_classes_hold_2q_corners_and_close(name):
+    # going around a vertex of the glued surface crosses the two sides at the
+    # corner alternately; for an angle (p/q)*pi it meets 2q corners, and the
+    # developed images close up, so the crossing translations sum to zero
+    p = VERTEX_CASES[name]()
+    f, n = p.frame, p.n
+    epp = build_epp(p)
+    classes = defaultdict(set)
+    for corner, v in _vertex_classes(epp).items():
+        classes[v].add(corner)
+    assert sorted(classes) == list(range(len(classes)))
+    for corners in classes.values():
+        k, i = min(corners)
+        q = p.angles[(i - 1) % n].q  # the angle at vertex i ends side i-1
+        assert len(corners) == 2 * q
+        walk, cur, hol = [], k, f.zero()
+        for step in range(2 * q):
+            walk.append((cur, i))
+            cur, t = epp.gluing[(cur, i if step % 2 == 0 else (i - 1) % n)]
+            hol = hol + t
+        assert cur == k and sorted(walk) == sorted(corners)
+        assert hol == f.zero() if f.exact else f.is_zero(hol, p.perimeter_float())
 
 
 def _homology_coords(epp):
