@@ -5,7 +5,8 @@ invocation produces byte-identical output — and the exit codes form a small
 stable contract scripts can rely on:
 
   0  success
-  2  input error (unreadable file, bad JSON, closure failure, bad flags)
+  2  input error (unreadable file, bad JSON, closure failure, bad flags, an
+     --e-max, --grid, --edge-samples or --spacing that memory cannot hold)
   3  the billiard is not doubly rational and no --rationalize cap was given
   4  sign-prescription id out of range
   5  verification failure (spectra out of tolerance, boundary/Helmholtz check,
@@ -446,19 +447,23 @@ def cmd_swf(ns: argparse.Namespace) -> int:
     momentum = momentum_aperiodic(lat, m, n)
     psi = compile_swf(epp, pres, momentum)[0]
 
+    # sample and check everything before writing anything, so that a grid or
+    # sample count memory cannot hold leaves stdout and both files untouched
     width, height = ns.grid
+    csv_text, pgm = grid_csv(psi, width, height), grid_pgm(psi, width, height)
+    boundary = verify_boundary(
+        psi, polygon, pres, samples_per_edge=ns.edge_samples, tol=ns.tol
+    )
+    helm = verify_helmholtz(psi)
     csv_path, pgm_path = f"{ns.out_prefix}.csv", f"{ns.out_prefix}.pgm"
     with open(csv_path, "w") as fh:
-        fh.write(grid_csv(psi, width, height))
+        fh.write(csv_text)
     with open(pgm_path, "wb") as fh:
-        fh.write(grid_pgm(psi, width, height))
+        fh.write(pgm)
 
     print(f"prescription {pid}/{len(prescriptions)} [{pres.label}], labels ({m},{n})")
     print(f"energy: {psi.energy:.12g}")
     print(f"wrote {csv_path} and {pgm_path} ({width}x{height} grid)")
-    boundary = verify_boundary(
-        psi, polygon, pres, samples_per_edge=ns.edge_samples, tol=ns.tol
-    )
     for side, bc, res in boundary.entries:
         print(f"side {side} [{bc}]: residual {res:.3e}")
     verdict = "PASS" if boundary.passed else "FAIL"
@@ -466,7 +471,6 @@ def cmd_swf(ns: argparse.Namespace) -> int:
         f"boundary max residual {boundary.max_residual:.3e} "
         f"(tol {boundary.tol:g}) {verdict}"
     )
-    helm = verify_helmholtz(psi)
     verdict = "PASS" if helm.passed else "FAIL"
     print(
         f"helmholtz: norm spread {helm.norm_spread:.3e}, "
@@ -495,7 +499,8 @@ def _axis_product_levels(lat: PeriodLattice, e_max: float, bc: str) -> list[floa
             )
     lo = 1 if bc == DIRICHLET else 0
     a, b = 0.5 * abs(p1) ** 2, 0.5 * abs(p2) ** 2
-    _refuse_past_memory(e_max, math.pi * e_max / (4 * math.sqrt(a * b)), sys.getsizeof(e_max))
+    _refuse_past_memory(math.pi * e_max / (4 * math.sqrt(a * b)), sys.getsizeof(e_max),
+                        f"e_max {e_max:g} puts more levels below it")
     levels = []
     m = lo
     while a * m * m <= e_max or m == 0:

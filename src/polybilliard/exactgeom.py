@@ -379,13 +379,12 @@ def _check_simple(verts: list[complex], scale: float) -> None:
                 raise SelfIntersection(f"sides {i} and {j} touch or cross")
 
 
-def validate_polygon(angles, lengths, name: str | None = None) -> Polygon:
-    """Build a Polygon, checking the exact closure of the side chain.
+def _side_chain(angles, lengths):
+    """The angles, frame, direction indices and frame lengths of a side chain.
 
-    `angles` may contain RationalAngle, Fraction, "p/q" strings, or (p, q)
-    pairs; `lengths` exact rationals (or real field scalars produced by
-    solve_closure).  Raises ClosureViolation if the chain does not return to
-    its start, SelfIntersection if the boundary touches itself.
+    Checks the side count and the angle sum, and solves the two None
+    lengths, if `lengths` leaves two unknown, so that the chain closes:
+    exact field scalars in an exact frame, floats in a float frame.
     """
     ra = [RationalAngle.make(a) for a in angles]
     n = len(ra)
@@ -393,21 +392,54 @@ def validate_polygon(angles, lengths, name: str | None = None) -> Polygon:
         raise OutOfRange(f"a polygon needs at least 3 sides, got {n}")
     if len(lengths) != n:
         raise OutOfRange(f"{n} angles but {len(lengths)} lengths")
+    unknown = [k for k, v in enumerate(lengths) if v is None]
+    if len(unknown) not in (0, 2):
+        raise ValueError(f"exactly 0 or 2 lengths may be omitted, found {len(unknown)}")
     total = sum((a.frac for a in ra), Fraction(0))
     if total != n - 2:
         raise ClosureViolation(
             f"interior angles sum to {total} pi, expected {n - 2} pi"
         )
     frame = make_frame(ra)
-    ls = [frame.length(v) for v in lengths]
-    for k, v in enumerate(ls):
-        if not frame.positive(v):
-            raise NonpositiveLength(f"side {k} has nonpositive length")
     dirs = _direction_indices(ra, frame.N)
+    ls = [None if v is None else frame.length(v) for v in lengths]
+    for k, v in enumerate(ls):
+        if v is not None and not frame.positive(v):
+            raise NonpositiveLength(f"side {k} has nonpositive length")
+    if unknown:
+        i1, i2 = unknown
+        known = (frame.unit(d) * v for d, v in zip(dirs, ls) if v is not None)
+        rhs = sum(known, frame.zero())
+        u1, u2 = frame.unit(dirs[i1]), frame.unit(dirs[i2])
+        det = frame.cross(u1, u2)
+        if frame.is_zero(det):
+            raise SingularSystem(
+                f"unknown sides {i1} and {i2} are parallel; closure cannot fix them"
+            )
+        # [re u1  re u2] [t1]   [re rhs]          t1 = -cross(rhs, u2)/det
+        # [im u1  im u2] [t2] = -[im rhs]   =>    t2 = -cross(u1, rhs)/det
+        ls[i1] = frame.cross(rhs, u2) / det * -1
+        ls[i2] = frame.cross(u1, rhs) / det * -1
+        for k in unknown:
+            if not frame.positive(ls[k]):
+                raise NonpositiveLength(f"solved length for side {k} is not positive")
+    return ra, frame, dirs, ls
 
+
+def validate_polygon(angles, lengths, name: str | None = None) -> Polygon:
+    """Build a Polygon, checking the exact closure of the side chain.
+
+    `angles` may contain RationalAngle, Fraction, "p/q" strings, or (p, q)
+    pairs; `lengths` exact rationals or real field scalars.  Exactly 0 or 2
+    lengths may be None: the closure equations then fix the two, on the
+    frame the polygon is built on (`solve_closure`).  Raises
+    ClosureViolation if the chain does not return to its start,
+    SelfIntersection if the boundary touches itself.
+    """
+    ra, frame, dirs, ls = _side_chain(angles, lengths)
     verts = [frame.zero()]
-    for k in range(n):
-        verts.append(verts[-1] + frame.unit(dirs[k]) * ls[k])
+    for d, length in zip(dirs, ls):
+        verts.append(verts[-1] + frame.unit(d) * length)
     scale = sum(float(v) for v in ls)
     if not frame.is_zero(verts[-1], scale=scale):
         raise ClosureViolation(
@@ -435,49 +467,11 @@ def solve_closure(angles, fixed_lengths) -> list:
     solved entries are exact field scalars in exact mode (they need not be
     rational), floats otherwise.
     """
-    ra = [RationalAngle.make(a) for a in angles]
-    n = len(ra)
-    if len(fixed_lengths) != n:
-        raise OutOfRange(f"{n} angles but {len(fixed_lengths)} length slots")
-    unknown = [k for k, v in enumerate(fixed_lengths) if v is None]
-    if len(unknown) != 2:
-        raise OutOfRange(
-            f"exactly 2 lengths must be left unknown, got {len(unknown)}"
-        )
-    total = sum((a.frac for a in ra), Fraction(0))
-    if total != n - 2:
-        raise ClosureViolation(
-            f"interior angles sum to {total} pi, expected {n - 2} pi"
-        )
-    frame = make_frame(ra)
-    dirs = _direction_indices(ra, frame.N)
-    i1, i2 = unknown
-
-    rhs = frame.zero()
-    for k in range(n):
-        if fixed_lengths[k] is None:
-            continue
-        lk = frame.length(fixed_lengths[k])
-        if not frame.positive(lk):
-            raise NonpositiveLength(f"side {k} has nonpositive length")
-        rhs = rhs + frame.unit(dirs[k]) * lk
-
-    u1, u2 = frame.unit(dirs[i1]), frame.unit(dirs[i2])
-    det = frame.cross(u1, u2)
-    if frame.is_zero(det):
-        raise SingularSystem(
-            f"unknown sides {i1} and {i2} are parallel; closure cannot fix them"
-        )
-    # [re u1  re u2] [t1]   [re rhs]          t1 = -cross(rhs, u2)/det
-    # [im u1  im u2] [t2] = -[im rhs]   =>    t2 = -cross(u1, rhs)/det
-    t1 = frame.cross(rhs, u2) / det * -1
-    t2 = frame.cross(u1, rhs) / det * -1
-    out = list(fixed_lengths)
-    for idx, t in ((i1, t1), (i2, t2)):
-        if not frame.positive(t):
-            raise NonpositiveLength(f"solved length for side {idx} is not positive")
-        out[idx] = t
-    return out
+    unknown = sum(1 for v in fixed_lengths if v is None)
+    if unknown != 2:
+        raise OutOfRange(f"exactly 2 lengths must be left unknown, got {unknown}")
+    ls = _side_chain(angles, fixed_lengths)[3]
+    return [s if v is None else v for v, s in zip(fixed_lengths, ls)]
 
 
 def _nearest_coprime_numerator(target: float, q: int) -> int:
@@ -574,13 +568,7 @@ def polygon_from_spec(data: dict) -> Polygon:
                 lengths.append(Fraction(str(raw)))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"side {i}: bad length {raw!r}: {exc}") from exc
-    name = data.get("name")
-    missing = sum(1 for v in lengths if v is None)
-    if missing == 2:
-        lengths = solve_closure(angles, lengths)
-    elif missing != 0:
-        raise ValueError(f"exactly 0 or 2 lengths may be omitted, found {missing}")
-    return validate_polygon(angles, lengths, name=name)
+    return validate_polygon(angles, lengths, name=data.get("name"))
 
 
 def load_polygon(path) -> Polygon:

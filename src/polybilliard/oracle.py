@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceFailure, OutOfRange, TooCoarse
+from .quantize import _refuse_past_memory
 from .shapes import l_shape
 from .swf import DIRICHLET, NEUMANN, _point_in_polygon
 
@@ -115,7 +116,11 @@ def _normalize_bc(polygon, bc_map) -> tuple[str, ...]:
 
 
 def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
-    """Sample the polygon on a grid of spacing ``h`` aligned to multiples of h."""
+    """Sample the polygon on a grid of spacing ``h`` aligned to multiples of h.
+
+    A grid whose nodes, at one 8-byte index each, outrun physical memory
+    raises OutOfRange before any node is placed.
+    """
     bc = _normalize_bc(polygon, bc_map)
     verts = _vertex_array(polygon)
     edges = np.abs(np.roll(verts, -1) - verts)
@@ -132,6 +137,7 @@ def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
     j0 = math.floor(ymin / h + _TOL)
     nx = math.ceil(xmax / h - _TOL) - i0 + 1
     ny = math.ceil(ymax / h - _TOL) - j0 + 1
+    _refuse_past_memory(nx * ny, 8, f"spacing {h:g} puts more grid nodes on the polygon")
 
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
     px = (ii + i0) * h

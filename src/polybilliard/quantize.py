@@ -176,19 +176,20 @@ class WavelengthEntry:
         self.ok = ok
 
 
-def _refuse_past_memory(e_max: float, levels: float, level_bytes: int) -> None:
-    """Raise OutOfRange when `levels` levels of at least `level_bytes` each outrun physical memory.
+def _refuse_past_memory(count: float, item_bytes: int, what: str) -> None:
+    """Raise OutOfRange when `count` items of at least `item_bytes` each outrun physical memory.
 
-    `level_bytes` is a lower bound on what one level costs, so no run that
+    `item_bytes` is a lower bound on what one item costs, so no run that
     fits in memory is refused.  Where the platform does not report its
-    memory, the bound is sys.maxsize levels, the most a list can hold.
+    memory, the bound is sys.maxsize items, the most a list can hold.  The
+    message is `what` followed by "than memory can hold".
     """
     try:
-        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / level_bytes
+        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / item_bytes
     except (AttributeError, ValueError, OSError):
         limit = sys.maxsize
-    if not levels <= limit:
-        raise OutOfRange(f"e_max {e_max:g} puts more levels below it than memory can hold")
+    if not count <= limit:
+        raise OutOfRange(f"{what} than memory can hold")
 
 
 def _pair_floats(lattice: PeriodLattice) -> tuple[complex, complex]:
@@ -398,7 +399,8 @@ def spectrum(
         # the walk visits the half ellipse; the quantum levels are fewer than its labels
         entry = (cutoff, CLASSICAL_APERIODIC, (0, 0), None)
         entry_bytes = sys.getsizeof(entry) + sys.getsizeof(entry[2])
-        _refuse_past_memory(e_max, math.pi * cutoff / math.sqrt(det), entry_bytes)
+        _refuse_past_memory(math.pi * cutoff / math.sqrt(det), entry_bytes,
+                            f"e_max {e_max:g} puts more levels below it")
 
     if CLASSICAL_APERIODIC in kinds or CLASSICAL_PERIODIC in kinds:
         rows = int(math.sqrt(2 * cutoff * g22 / det)) + 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .cyclo import CycloField
 from .errors import OutOfRange
-from .exactgeom import Polygon, solve_closure, validate_polygon
+from .exactgeom import Polygon, validate_polygon
 
 __all__ = [
     "square",
@@ -64,8 +64,9 @@ def isosceles_pi5(base=1) -> Polygon:
     The legs are (1+sqrt(5))/2 times the base — exact in Q(zeta_20) but
     irrational, so the period relations of this billiard are irrational too.
     """
-    lengths = solve_closure(["2/5", "1/5", "2/5"], [Fraction(base), None, None])
-    return validate_polygon(["2/5", "1/5", "2/5"], lengths, name="pi/5 isosceles triangle")
+    return validate_polygon(
+        ["2/5", "1/5", "2/5"], [Fraction(base), None, None], name="pi/5 isosceles triangle"
+    )
 
 
 def broken_parallelogram() -> Polygon:
@@ -90,6 +91,6 @@ def right_triangle_rationalized() -> Polygon:
     A rational stand-in for the (sqrt(2)/4)*pi right triangle; the huge angle
     denominators (N=1000) push the geometry into float mode.
     """
-    angles = ["353/1000", "1/2", "147/1000"]
-    lengths = solve_closure(angles, [1, None, None])
-    return validate_polygon(angles, lengths, name="rationalized right triangle")
+    return validate_polygon(
+        ["353/1000", "1/2", "147/1000"], [1, None, None], name="rationalized right triangle"
+    )

@@ -32,7 +32,7 @@ from .errors import (
     UnquantizedMomentum,
 )
 from .exactgeom import DIRICHLET, NEUMANN, Polygon
-from .quantize import QuantizedMomentum
+from .quantize import QuantizedMomentum, _refuse_past_memory
 from .unfold import EPP
 
 __all__ = [
@@ -125,7 +125,8 @@ def enumerate_prescriptions(epp: EPP) -> list[SignPrescription]:
     A set of base sides can be Dirichlet, the rest Neumann, exactly when
     every closed cycle of the glued pattern crosses those sides an even
     number of times.  The cycles are spanned by one per gluing: across it,
-    then back through the face tree (`EPP.face_tree`).  Each image's sign is
+    then back through the face tree (`EPP.face_tree`), the tree of the
+    gluings that created the images.  Each image's sign is
     then -1 to the number of Dirichlet sides its tree path from image 1
     crosses.  Returned all-Dirichlet first and all-Neumann last.
     """
@@ -301,7 +302,9 @@ def verify_boundary(
     tol: float = 1e-9,
 ) -> BoundaryReport:
     """Residuals on every edge: |Psi| where Dirichlet is induced, |dPsi/dn|
-    where Neumann is (normal derivative taken analytically)."""
+    where Neumann is (normal derivative taken analytically).  A count whose
+    complex sample points alone outrun physical memory raises OutOfRange."""
+    _refuse_past_memory(samples_per_edge, 16, f"{samples_per_edge} samples per edge are more")
     verts = polygon.vertices_float()
     n = polygon.n
     ts = (np.arange(samples_per_edge) + 0.5) / samples_per_edge
@@ -402,7 +405,9 @@ def _sample_grid(swf, width: int, height: int):
     row per y, bottom row first, zeroed outside the polygon) and the
     inside mask.  One point-in-polygon test and one evaluation cover every
     point.  The last sample is kept, so `grid_csv` and `grid_pgm` of one
-    wave and grid sample it once."""
+    wave and grid sample it once.  A grid whose complex samples alone
+    outrun physical memory raises OutOfRange before any is taken."""
+    _refuse_past_memory(width * height, 16, f"a {width}x{height} grid holds more samples")
     verts = np.asarray(swf.polygon.vertices_float())
     gx = np.linspace(verts.real.min(), verts.real.max(), width)
     gy = np.linspace(verts.imag.min(), verts.imag.max(), height)

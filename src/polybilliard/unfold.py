@@ -12,12 +12,14 @@ Gluing the 2C images along their edge pairs produces a closed orientable
 surface whose genus the angle data fixes (`genus`).  Its faces are the
 images, its edges the edge classes and its vertices the classes of corners
 that the gluings identify: the components of that corner relation, which
-union-find collects, so they are correct by construction.  A spanning tree
-of the faces and a spanning tree of the vertices over the other edge
-classes leave exactly 2g edge classes over, whose crossing cycles are a
-Z-basis of the surface's homology: the crossing cycles of the classes off
-the face tree are related only by the vertex stars, and the incidence
-matrix of vertices and classes is totally unimodular.
+union-find collects, so they are correct by construction.  The gluings that
+created the images are a spanning tree of the faces, the face tree, which
+the unfolding records as it goes (`EPP.face_tree`).  It and a spanning tree
+of the vertices over the other edge classes leave exactly 2g edge classes
+over, whose crossing cycles are a Z-basis of the surface's homology: the
+crossing cycles of the classes off the face tree are related only by the
+vertex stars, and the incidence matrix of vertices and classes is totally
+unimodular.
 `period_basis` takes the vertex tree that Kruskal's rule builds longest
 first, so that the classes left over are the shortest-first greedy basis,
 and returns their translations.
@@ -180,7 +182,16 @@ class EdgePair:
 
 
 class EPP:
-    """Elementary polygon pattern: 2C images plus the full edge gluing."""
+    """Elementary polygon pattern: 2C images plus the full edge gluing.
+
+    `face_tree` maps each image to (parent image, index in `edges` of the
+    gluing that created it), image 1 to None: the spanning tree of the faces
+    that `build_epp` grows.  The crossing cycle of every other gluing
+    crosses it and returns through this tree; `period_basis` takes 2g of
+    them, the complement of a spanning tree of the vertex classes, and
+    `swf.enumerate_prescriptions` reads off the tree which sides each
+    image's path from image 1 crosses.
+    """
 
     def __init__(
         self,
@@ -188,11 +199,13 @@ class EPP:
         images: list[PolygonImage],
         edges: list[EdgePair],  # discovery order, interior and boundary mixed
         C: int,
+        face_tree: dict[int, tuple[int, int] | None] | None = None,
     ):
         self.polygon = polygon
         self.images = images
         self.edges = edges
         self.C = C
+        self.face_tree = face_tree
 
     def image(self, k: int) -> PolygonImage:
         return self.images[k - 1]
@@ -277,34 +290,6 @@ class EPP:
             p = Period(v, "simple-internal" if channel_exists(self, v) else "structural")
             self._kinds[i] = p
         return p
-
-    @cached_property
-    def face_tree(self) -> dict[int, tuple[int, int] | None]:
-        """BFS spanning tree of the images over the zero-translation gluings.
-
-        Maps each image to (parent image, index in `edges` of the gluing to
-        it), image 1 to None.  The crossing cycle of every other gluing
-        crosses it and returns through this tree; `period_basis` takes 2g of
-        them, the complement of a spanning tree of the vertex classes, and
-        `swf.enumerate_prescriptions` reads off the tree which sides each
-        image's path from image 1 crosses.
-        """
-        adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for cid, e in enumerate(self.edges):
-            if e.period is None:
-                adj[e.a].append((e.b, cid))
-                adj[e.b].append((e.a, cid))
-        parent: dict[int, tuple[int, int] | None] = {1: None}
-        queue = deque([1])
-        while queue:
-            k = queue.popleft()
-            for k2, cid in adj[k]:
-                if k2 not in parent:
-                    parent[k2] = (k, cid)
-                    queue.append(k2)
-        if len(parent) != len(self.images):
-            raise RankMismatch("pattern interior is not connected")
-        return parent
 
     @cached_property
     def gluing(self) -> dict:
@@ -407,6 +392,9 @@ def build_epp(polygon: Polygon) -> EPP:
     their orientations agree, so orientation-dedup yields the 2C-image
     elementary pattern deterministically.
 
+    Each image is created by a gluing to an image before it; those gluings
+    are the pattern's `face_tree`.
+
     Only unfolds: no channel is decided here.  The pattern groups its
     boundary pairs into simple periods on first use, and decides a period's
     kind when a reader asks for it (`EPP.periods`).
@@ -419,6 +407,7 @@ def build_epp(polygon: Polygon) -> EPP:
     by_orient: dict[tuple[bool, int], int] = {(False, 0): 0}  # -> index in images
     glued = [False] * n  # slot k*n + s: side s of images[k]
     edges: list[EdgePair] = []
+    face_tree: dict[int, tuple[int, int] | None] = {1: None}  # image -> its creating gluing
     queue = deque(range(n))  # slots
     while queue:
         slot = queue.popleft()
@@ -435,6 +424,7 @@ def build_epp(polygon: Polygon) -> EPP:
             other = len(images)
             images.append(PolygonImage(other + 1, cand, polygon))
             by_orient[(cand.reflecting, cand.rotation)] = other
+            face_tree[other + 1] = (k + 1, len(edges))
             edges.append(EdgePair(k + 1, other + 1, s, f.zero(), None))
             glued += [False] * n
             queue.extend(range(other * n, other * n + n))
@@ -453,7 +443,7 @@ def build_epp(polygon: Polygon) -> EPP:
         )
     if len(edges) != n * f.N or not all(glued):
         raise RuntimeError("edge pairing incomplete after BFS closure")
-    return EPP(polygon, images, edges, f.N)
+    return EPP(polygon, images, edges, f.N, face_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +522,19 @@ def period_basis(epp: EPP) -> list[Period]:
     """2g periods of the unfolded figure whose cycles are a Z-basis of the homology.
 
     Cycles on the glued surface come from a tree and a co-tree (Eppstein
-    2003).  The crossing cycle of an edge class off the face tree
-    (`EPP.face_tree`) crosses the class and returns through the tree.  These
-    cycles span the homology, and the only relations among them are the
-    vertex stars.  Each edge class is also a segment between two glued
-    vertices, so in coordinates over the classes off the face tree the
-    relations are the rows of the incidence matrix of the graph that those
-    classes make on the vertex classes.  A set of crossing cycles is thus
-    independent exactly when the other classes still connect every vertex
-    class: the independent sets are those of the dual of the graph's cycle
-    matroid, and the bases are the complements of spanning trees.  An
-    incidence matrix is totally unimodular, so each such complement is a
-    Z-basis of the homology, not only a Q-basis.
+    2003).  The face tree (`EPP.face_tree`) is the tree of the gluings that
+    created the images.  The crossing cycle of an edge class off it crosses
+    the class and returns through the tree.  These cycles span the homology,
+    and the only relations among them are the vertex stars.  Each edge class
+    is also a segment between two glued vertices, so in coordinates over the
+    classes off the face tree the relations are the rows of the incidence
+    matrix of the graph that those classes make on the vertex classes.  A
+    set of crossing cycles is thus independent exactly when the other
+    classes still connect every vertex class: the independent sets are those
+    of the dual of the graph's cycle matroid, and the bases are the
+    complements of spanning trees.  An incidence matrix is totally
+    unimodular, so each such complement is a Z-basis of the homology, not
+    only a Q-basis.
 
     The cycles are chosen shortest first (Erickson & Whittlesey 2005):
     boundary pairs by the length of their translation, then interior

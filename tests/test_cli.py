@@ -98,6 +98,24 @@ def test_analyze_open_chain_is_closure_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("angles, lengths, message", [
+    # opposite sides of a square are parallel: closure cannot fix them
+    (["1/2"] * 4, [None, "1", None, "1"], "are parallel"),
+    # an L-shape whose notch side would have to be negative
+    (["1/2", "1/2", "3/2", "1/2", "1/2", "1/2"], [None, "3", "1", None, "3", "2"],
+     "solved length for side 3 is not positive"),
+    (["1/2"] * 4, ["1", None, "1", "1"], "exactly 0 or 2 lengths may be omitted, found 1"),
+])
+def test_analyze_unsolvable_lengths_are_input_errors(tmp_path, capsys, angles, lengths, message):
+    sides = [{"angle": a} if v is None else {"angle": a, "length": v}
+             for a, v in zip(angles, lengths)]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"sides": sides}))
+    code, out, err = invoke(capsys, "analyze", str(spec))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 # --------------------------------------------------------------------------
 # unfold
 
@@ -641,6 +659,31 @@ def test_e_max_past_memory_is_usage_error(command):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "more levels below it than memory can hold" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["swf", "square.json", "--grid", "100000x100000"], ["swf.csv", "swf.pgm"]),  # 160 GB of samples
+    (["swf", "square.json", "--edge-samples", "10000000000"], ["swf.csv", "swf.pgm"]),  # 160 GB
+    (["verify", "square.json", "--spacing", "1/200000", "--out", "match.csv"], ["match.csv"]),  # 320 GB
+])
+def test_sizes_past_memory_are_usage_errors(tmp_path, argv, outputs):
+    # refused up front, from physical memory: nothing printed, no file made or
+    # truncated.  The address-space cap only stops a regressed child early.
+    (tmp_path / "square.json").write_text((POLYGONS / "square.json").read_text())
+    (tmp_path / outputs[0]).write_text("kept\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybilliard", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=CHILD_ENV,
+        timeout=60,
+        preexec_fn=_cap_address_space if os.name == "posix" else None,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "than memory can hold" in proc.stderr
+    assert (tmp_path / outputs[0]).read_text() == "kept\n"
+    assert not any((tmp_path / name).exists() for name in outputs[1:])
 
 
 def test_verify_neumann_study_is_refused(capsys):

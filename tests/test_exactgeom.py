@@ -1,14 +1,16 @@
 """Polygon construction: exact closure, self-intersection, angle utilities."""
 
+import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polybilliard import shapes
+from polybilliard import exactgeom, shapes
 from polybilliard.errors import (
     CannotBalance,
     ClosureViolation,
@@ -23,12 +25,15 @@ from polybilliard.exactgeom import (
     FloatFrame,
     Polygon,
     RationalAngle,
+    load_polygon,
     make_frame,
     polygon_from_spec,
     rationalize_angles,
     solve_closure,
     validate_polygon,
 )
+
+POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 
 
 # --- RationalAngle ----------------------------------------------------------
@@ -204,6 +209,65 @@ def test_solve_closure_negative_solution_rejected():
     angles = ["1/2", "1/2", "3/2", "1/2", "1/2", "1/2"]
     with pytest.raises(NonpositiveLength):
         solve_closure(angles, [None, 3, 1, None, 3, 2])
+
+
+def _built_once(monkeypatch, build):
+    """`build()`, asserting that it makes exactly one frame."""
+    calls = []
+    make = exactgeom.make_frame
+    monkeypatch.setattr(exactgeom, "make_frame", lambda angles: calls.append(1) or make(angles))
+    poly = build()
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return poly
+
+
+def _assert_solves_like_solve_closure(monkeypatch, angles, lengths):
+    # two unknown lengths solved on the polygon's own frame give the polygon
+    # that solve_closure's lengths give
+    got = _built_once(monkeypatch, lambda: validate_polygon(angles, lengths))
+    want = validate_polygon(angles, solve_closure(angles, lengths))
+    assert (got.lengths, got.verts, got.dirs) == (want.lengths, want.verts, want.dirs)
+    assert (type(got.frame), got.N) == (type(want.frame), want.N)
+
+
+def test_bundled_spec_solves_its_unknowns_on_one_frame(monkeypatch):
+    spec = json.loads((POLYGONS / "isosceles_pi5.json").read_text())
+    angles = [side["angle"] for side in spec["sides"]]
+    lengths = [Fraction(side["length"]) if "length" in side else None for side in spec["sides"]]
+    assert lengths.count(None) == 2
+    _assert_solves_like_solve_closure(monkeypatch, angles, lengths)
+    _built_once(monkeypatch, lambda: load_polygon(POLYGONS / "isosceles_pi5.json"))
+    for make in (shapes.isosceles_pi5, shapes.right_triangle_rationalized):
+        _built_once(monkeypatch, make)
+
+
+@st.composite
+def _right_triangle_angles(draw):
+    """Angles (a/N, 1/2, 1/2 - a/N) of a right triangle, exact and float frames alike."""
+    n = draw(st.integers(3, 120))
+    a = draw(st.sampled_from([a for a in range(1, (n + 1) // 2) if math.gcd(a, n) == 1]))
+    return [Fraction(a, n), Fraction(1, 2), Fraction(1, 2) - Fraction(a, n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_right_triangle_angles(), st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50))
+def test_right_triangle_solves_its_unknowns_on_one_frame(angles, side):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_solves_like_solve_closure(monkeypatch, angles, [side, None, None])
+
+
+@pytest.mark.parametrize("angles, lengths, error", [
+    (["1/2"] * 4, [1, None, 1, 1], ValueError),  # one unknown
+    (["1/2"] * 4, [None, None, None, 1], ValueError),  # three
+    (["1/2"] * 4, [None, 1, None, 1], SingularSystem),  # opposite sides are parallel
+    (["1/2"] * 4, [1, 0, None, None], NonpositiveLength),
+    # fixing y1=3 but y2=2 forces the notch side y2-y1 below zero
+    (["1/2", "1/2", "3/2", "1/2", "1/2", "1/2"], [None, 3, 1, None, 3, 2], NonpositiveLength),
+])
+def test_validate_polygon_unknown_lengths_errors(angles, lengths, error):
+    with pytest.raises(error):
+        validate_polygon(angles, lengths)
 
 
 # --- rationalize_angles ------------------------------------------------------

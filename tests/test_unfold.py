@@ -364,6 +364,46 @@ def test_vertex_classes_hold_2q_corners_and_close(name):
         assert hol == f.zero() if f.exact else f.is_zero(hol, p.perimeter_float())
 
 
+def _bfs_face_tree(epp):
+    """Breadth-first spanning tree of the images over the zero-translation gluings.
+
+    Maps each image to (parent image, index in `edges` of the gluing to
+    it), image 1 to None, in the order the search reaches the images: the
+    reference the unfolding's own face tree is checked against.
+    """
+    adj = defaultdict(list)
+    for cid, e in enumerate(epp.edges):
+        if e.period is None:
+            adj[e.a].append((e.b, cid))
+            adj[e.b].append((e.a, cid))
+    parent = {1: None}
+    queue = deque([1])
+    while queue:
+        k = queue.popleft()
+        for k2, cid in adj[k]:
+            if k2 not in parent:
+                parent[k2] = (k, cid)
+                queue.append(k2)
+    return parent
+
+
+@pytest.mark.parametrize("name", VERTEX_CASES)
+def test_face_tree_is_the_breadth_first_tree(name):
+    # the gluings that created the images are the tree a breadth-first search
+    # over the interior gluings finds, image for image and in the same order
+    epp = build_epp(VERTEX_CASES[name]())
+    tree = epp.face_tree
+    assert list(tree.items()) == list(_bfs_face_tree(epp).items())
+    assert sorted(tree) == [img.index for img in epp.images]
+    seen = set()
+    for k, up in tree.items():
+        if up is not None:
+            parent, cid = up
+            e = epp.edges[cid]
+            assert parent in seen and e.period is None and (e.a, e.b) == (parent, k)
+        seen.add(k)
+
+
 def _homology_coords(epp):
     """Tree–co-tree split of the edge classes and the cycle coordinates it gives.
 
