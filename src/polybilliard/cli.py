@@ -11,8 +11,8 @@ stable contract scripts can rely on:
   4  sign-prescription id out of range
   5  verification failure (spectra out of tolerance, boundary/Helmholtz check,
      a --spacing coarser than one eighth of the shortest side, a deformation
-     study whose eta does not fall strictly with epsilon) or an FD eigensolver
-     that did not converge
+     study whose eta does not fall strictly with epsilon), or a search that
+     gave up: an FD eigensolver, or a channel march that found no exit
 
 The only environment influence is ``POLYBILLIARD_THREADS=N``, which caps the
 BLAS/OpenMP thread pools of both finite-difference eigensolvers, dense and

@@ -80,7 +80,7 @@ class TooCoarse(BilliardError):
 
 
 class ConvergenceFailure(BilliardError):
-    """An iterative search gave up (the FD eigensolver did not converge)."""
+    """An iterative search gave up: an FD eigensolver, or a channel march that found no exit."""
 
 
 class OutOfRange(BilliardError):

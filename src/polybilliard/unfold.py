@@ -35,10 +35,11 @@ when a reader asks for its kind, whether a channel of parallel periodic
 orbits runs along it (`channel_exists`: test one orbit from the middle of
 each boundary side, and only if none closes, cut the sides at the
 separatrices of that direction and test one orbit per piece, skipping the
-pieces an orbit already tested runs through).  `period_basis` asks for the
-kinds of the simple periods its basis vectors equal; `EPP.periods`,
-`EPP.dump` and `find_pocs` ask for every kind, and `find_pocs` lists the
-periods that have a channel.
+pieces an orbit already tested runs through; an orbit's state is an image,
+a side and a position on it, and it keeps only its boundary crossings).
+`period_basis` asks for the kinds of the simple periods its basis vectors
+equal; `EPP.periods`, `EPP.dump` and `find_pocs` ask for every kind, and
+`find_pocs` lists the periods that have a channel.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from functools import cached_property
 from itertools import chain
 from math import lcm
 
-from .errors import NonIntegerGenus, OrbitExplosion, RankMismatch
+from .errors import ConvergenceFailure, NonIntegerGenus, OrbitExplosion, RankMismatch
 from .exactgeom import Polygon
 
 __all__ = [
@@ -301,18 +302,17 @@ class EPP:
         return table
 
     @cached_property
-    def _gluing_float(self) -> dict:
-        """`gluing` with the crossing translations as floats."""
-        return {key: (k, complex(t)) for key, (k, t) in self.gluing.items()}
-
-    @cached_property
     def _scale(self) -> float:
         """The polygon's perimeter: the length scale of float tolerances."""
         return self.polygon.perimeter_float()
 
     @cached_property
-    def _verts_float(self) -> list[list[complex]]:
-        """Per image, its corners: the isometry applied in floats to the polygon's float corners."""
+    def _sides_float(self) -> list[list[tuple[complex, complex, float]]]:
+        """Per image, each side's (start corner, side vector, length) as floats.
+
+        The corners are the image's isometry applied in floats to the
+        polygon's float corners.
+        """
         f = self.polygon.frame
         units = [complex(f.unit(j)) for j in range(2 * f.N)]
         verts = self.polygon.vertices_float()
@@ -320,16 +320,8 @@ class EPP:
         out = []
         for img in self.images:
             w, t = units[img.iso.rotation], complex(img.iso.translation)
-            out.append([w * z + t for z in (mirrored if img.iso.reflecting else verts)])
-        return out
-
-    @cached_property
-    def _sides_float(self) -> list[list[tuple[complex, complex, float]]]:
-        """Per image, each side's (start corner, side vector, length) as floats."""
-        out = []
-        for verts in self._verts_float:
-            n = len(verts)
-            sides = [(verts[t], verts[(t + 1) % n] - verts[t]) for t in range(n)]
+            corners = [w * z + t for z in (mirrored if img.iso.reflecting else verts)]
+            sides = [(c, corners[(i + 1) % len(corners)] - c) for i, c in enumerate(corners)]
             out.append([(a, d, abs(d)) for a, d in sides])
         return out
 
@@ -578,55 +570,58 @@ def period_basis(epp: EPP) -> list[Period]:
 # ---------------------------------------------------------------------------
 
 
-def _march(epp: EPP, face: int, z: complex, u: complex, length: float):
-    """March a straight line of `length` from z in image `face`, direction u.
+def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float):
+    """March a straight line of `length`, direction u, from side `side` of image `face`.
 
-    Crossing a glued side moves the march to the partner image and shifts
-    the local frame by the pair's float translation.  Returns the crossings,
-    as (image, side, r) with r the crossing's position along the side from
-    its start corner (the same in both images the side glues), and the image
-    the march ends in, or None when it runs into a corner.  Every step
-    advances by more than the tolerance, so the march ends; an image it
-    finds no exit from raises RuntimeError.
+    The state is (image, side, r), r the position along the side from its
+    start corner, the same in both images the side glues: after a crossing
+    the point is the partner image's own, with no frame shift.  The exit is
+    the nearest side ahead but the one the march stands on (at a corner,
+    r = 0, and the one ending there).  Returns the boundary crossings, as
+    (image left, side, r), and the end image, or None at a corner.  An image
+    with no exit raises ConvergenceFailure.
     """
     tol = _TOL * max(1.0, epp._scale)
     uc = u.conjugate()
-    sides, gluing = epp._sides_float, epp._gluing_float
+    sides, gluing, n = epp._sides_float, epp.gluing, epp.polygon.n
     crossings = []
     while True:
+        a, d, _len = sides[face - 1][side]
+        z = a + d * r
+        behind = (side, (side - 1) % n) if r == 0.0 else (side,)
         best = None
         for t, (a, d, side_len) in enumerate(sides[face - 1]):
             denom = (uc * d).imag
-            if abs(denom) < 1e-13:
+            if t in behind or abs(denom) < 1e-13:
                 continue
             wc = (a - z).conjugate()
             s_hit = (wc * d).imag / denom
             r_hit = (wc * u).imag / denom
-            if s_hit > tol and -_TOL <= r_hit <= 1 + _TOL and (best is None or s_hit < best[0]):
+            if s_hit > 0 and -_TOL <= r_hit <= 1 + _TOL and (best is None or s_hit < best[0]):
                 best = (s_hit, t, r_hit, side_len)
         if best is None:
-            raise RuntimeError(f"march from {z:.12g} finds no exit from image {face}")
+            raise ConvergenceFailure(f"channel march finds no exit from image {face}, side {side}")
         s_hit, side, r, side_len = best
         if length < s_hit - tol:
             return crossings, face
         if min(r, 1 - r) * side_len < tol:
             return crossings, None
-        crossings.append((face, side, r))
-        face, t_cross = gluing[(face, side)]
-        z = z + s_hit * u - t_cross
+        nxt, t_cross = gluing[(face, side)]
+        if t_cross:
+            crossings.append((face, side, r))
+        face = nxt
         length -= s_hit
 
 
 def _closes(epp: EPP, face: int, side: int, r: float, u: complex, length: float, vector, missed):
     """March the orbit of `vector` from position r along side `side` of image `face`.
 
-    True when it closes: it ends in `face` with an accumulated translation
-    exactly equal to `vector`.  False when it ends in an image without
-    closing; its start and every crossing then go into `missed`, as
+    True when it closes: it ends in `face` and its boundary crossings sum
+    exactly to `vector`.  False when it ends in an image without closing;
+    its start and boundary crossings then go into `missed`, as
     (image, side) -> positions.  None when it runs into a corner.
     """
-    a, d, _len = epp._sides_float[face - 1][side]
-    crossings, end = _march(epp, face, a + d * r, u, length)
+    crossings, end = _march(epp, face, side, r, u, length)
     if end is None:
         return None
     if end == face:
@@ -653,22 +648,23 @@ def channel_exists(epp: EPP, vector) -> bool:
     yes needs any one closing march and a no tests every piece.  Only when
     none closes, cut: from every corner sector that -u enters, march a
     separatrix backward for |vector| (2g-2+V of them at most, V the number
-    of vertex classes) and cut the sides it crosses.  Between two cuts
-    every orbit runs into no corner and follows the same path, so all of
-    them close or none does.  Then test one orbit from the middle of each
-    piece.
+    of vertex classes) and cut the boundary sides it crosses.  Between two
+    cuts every orbit runs into no corner and follows the same path, so all
+    of them close or none does.  Then test one orbit from the middle of each
+    piece.  A march is an (image, side, r) state (`_march`), r = 0 for a
+    separatrix, and keeps its boundary crossings only: only those are cut.
 
     One "no" per orbit: a march that neither closes nor runs into a corner
-    records where it started and every side it crossed.  If some point of
-    its orbit closed, the orbit would be periodic and that march would have
-    closed too, so a piece that strictly holds a recorded position, by more
-    than `_TOL`, is a "no" without a march of its own.  A march that ran
-    into a corner records nothing: it lies on a separatrix.
+    records where it started and every boundary side it crossed.  If some
+    point of its orbit closed, the orbit would be periodic and that march
+    would have closed too, so a piece that strictly holds a recorded
+    position, by more than `_TOL`, is a "no" without a march of its own.  A
+    march that ran into a corner records nothing: it lies on a separatrix.
     """
     tgt = complex(vector)
     length = abs(tgt)
     u = tgt / length
-    angles, n = epp.polygon.angles, epp.polygon.n
+    angles = epp.polygon.angles
 
     group = epp._group_of(_half_plane(epp.polygon.frame, vector))
     own = [] if group is None else epp._groups[group]
@@ -685,13 +681,13 @@ def channel_exists(epp: EPP, vector) -> bool:
             return True
         sides.append((e, face))
     cuts = defaultdict(list)  # (image, side) -> positions of its cuts
-    for k, verts in enumerate(epp._verts_float, 1):
+    for k, image_sides in enumerate(epp._sides_float, 1):
         reflecting = epp.image(k).iso.reflecting
-        for i, z in enumerate(verts):
-            # the sector at corner i turns counterclockwise from `start`
-            start = (verts[i - 1] if reflecting else verts[(i + 1) % n]) - z
+        for i, (_a, d, _len) in enumerate(image_sides):
+            # the sector at corner i, the start of side i, turns counterclockwise from `start`
+            start = -image_sides[i - 1][1] if reflecting else d
             if _TOL < cmath.phase(-u / start) % (2 * math.pi) < angles[i - 1].radians() - _TOL:
-                for face, side, r in _march(epp, k, z, -u, length)[0]:
+                for face, side, r in _march(epp, k, i, 0.0, -u, length)[0]:
                     cuts[(face, side)].append(r)
     for e, face in sides:
         rs = sorted([0.0, 1.0, *cuts[(e.a, e.side)], *cuts[(e.b, e.side)]])

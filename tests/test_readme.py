@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from polybilliard import shapes
+from polybilliard import cli, shapes
 from polybilliard.exactgeom import EXACT_DEGREE_LIMIT
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -27,3 +27,11 @@ def test_readme_states_the_exact_degree_limit():
     stated = {int(n) for n in re.findall(r"φ\(4N\) [≤>] (\d+)", section)}
     assert stated == {EXACT_DEGREE_LIMIT}
     assert "(heuristic float verdict)" in section
+
+
+def test_readme_and_cli_docstring_list_the_same_exit_codes():
+    table = README[README.index("Exit codes are a stable contract:"):].split("\n\n")[1]
+    readme = [int(c) for c in re.findall(r"^\| (\d+) \|", table, re.M)]
+    contract = cli.__doc__[cli.__doc__.index("contract scripts can rely on:"):].split("\n\n")[1]
+    docstring = [int(c) for c in re.findall(r"^  (\d+)  ", contract, re.M)]
+    assert readme == docstring == [0, 2, 3, 4, 5]

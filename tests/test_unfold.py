@@ -1,10 +1,12 @@
 """Unfolding: image orbits, elementary patterns, genus, periods, channels."""
 
+import cmath
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import time
 from collections import defaultdict, deque
 from fractions import Fraction
 from math import gcd, lcm
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polybilliard
-from polybilliard import unfold
+from polybilliard import cli, unfold
 from polybilliard.errors import ConvergenceFailure, RankMismatch
 from polybilliard.shapes import (
     broken_parallelogram,
@@ -747,7 +749,7 @@ def _sampled_trace_closes(epp, face0, z0, target) -> bool:
     offset = f.zero()
     remaining = total
     for _ in range(_MAX_STEPS):
-        verts = epp._verts_float[face - 1]
+        verts = [a for a, _d, _len in epp._sides_float[face - 1]]
         n = len(verts)
         best_s, best_side, best_r = None, None, None
         for t in range(n):
@@ -793,7 +795,7 @@ def _sampled_channel_exists(epp, vector) -> bool:
     tgt = f.to_complex(vector)
     for e in epp.edge_pairs:
         for face in (e.a, e.b):
-            verts = epp._verts_float[face - 1]
+            verts = [a for a, _d, _len in epp._sides_float[face - 1]]
             a, b = verts[e.side], verts[(e.side + 1) % len(verts)]
             ccw = not epp.image(face).iso.reflecting
             d = (b - a) / abs(b - a)
@@ -816,9 +818,9 @@ def _separatrix_count(monkeypatch) -> list:
     starts = []
     real = unfold._march
 
-    def counting(epp, face, z, u, length):
-        starts.append(z in epp._verts_float[face - 1])
-        return real(epp, face, z, u, length)
+    def counting(epp, face, side, r, u, length):
+        starts.append(r == 0.0)
+        return real(epp, face, side, r, u, length)
 
     monkeypatch.setattr(unfold, "_march", counting)
     return starts
@@ -829,7 +831,7 @@ def _middle_march_closes(epp, vector) -> bool:
     tgt = epp.polygon.frame.to_complex(vector)
     for e in epp.edge_pairs:
         for face in (e.a, e.b):
-            verts = epp._verts_float[face - 1]
+            verts = [a for a, _d, _len in epp._sides_float[face - 1]]
             a, b = verts[e.side], verts[(e.side + 1) % len(verts)]
             inward = ((b - a).conjugate() * tgt).imag
             if epp.image(face).iso.reflecting:
@@ -939,11 +941,116 @@ def test_edge_pairs_are_computed_once():
     assert epp.edge_pairs is epp.edge_pairs
 
 
-def test_march_without_exit_raises():
-    # a march that cannot leave its image must not read as "no channel"
+def _float_point_march(epp, face, z, u, length):
+    """The march that `_march` replaced, as a reference: it carries a float
+    point z, shifts it by the float gluing translation at each crossing and
+    tells the side it has just entered by distance alone (an exit lies
+    farther than the tolerance).  Returns every crossing, interior ones
+    too, and the end image, None at a corner."""
+    tol = 1e-9 * max(1.0, epp._scale)
+    uc = u.conjugate()
+    crossings = []
+    while True:
+        best = None
+        for t, (a, d, side_len) in enumerate(epp._sides_float[face - 1]):
+            denom = (uc * d).imag
+            if abs(denom) < 1e-13:
+                continue
+            wc = (a - z).conjugate()
+            s_hit = (wc * d).imag / denom
+            r_hit = (wc * u).imag / denom
+            if s_hit > tol and -1e-9 <= r_hit <= 1 + 1e-9 and (best is None or s_hit < best[0]):
+                best = (s_hit, t, r_hit, side_len)
+        if best is None:
+            raise RuntimeError(f"march from {z:.12g} finds no exit from image {face}")
+        s_hit, side, r, side_len = best
+        if length < s_hit - tol:
+            return crossings, face
+        if min(r, 1 - r) * side_len < tol:
+            return crossings, None
+        crossings.append((face, side, r))
+        face, t_cross = epp.gluing[(face, side)]
+        z = z + s_hit * u - complex(t_cross)
+        length -= s_hit
+
+
+MARCH_CASES = [name for name in VERTEX_CASES
+               if name.endswith(".json") or name.startswith("triangle_")]
+
+
+def _assert_same_march(epp, face, side, r, u, length):
+    a, d, _len = epp._sides_float[face - 1][side]
+    want, want_end = _float_point_march(epp, face, a + d * r, u, length)
+    got, end = unfold._march(epp, face, side, r, u, length)
+    want = [c for c in want if epp.gluing[c[:2]][1]]
+    assert end == want_end
+    assert [c[:2] for c in got] == [c[:2] for c in want]
+    assert all(abs(c[2] - w[2]) <= 1e-9 for c, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", MARCH_CASES)
+def test_march_matches_the_float_point_march(name):
+    # along every distinct period, from the middle of every side of every
+    # image into the image, and from every corner into its sector, both
+    # marches cross the same boundary sides at the same positions and end
+    # in the same image
+    epp = build_epp(VERTEX_CASES[name]())
+    angles = epp.polygon.angles
+    marches = 0
+    for per in epp.periods:
+        tgt = complex(per.vector)
+        length = abs(tgt)
+        for k, sides in enumerate(epp._sides_float, 1):
+            reflecting = epp.image(k).iso.reflecting
+            for side, (_a, d, side_len) in enumerate(sides):
+                cross = ((d / side_len).conjugate() * tgt).imag / length
+                if abs(cross) > 1e-9:
+                    # into image k: left of its side, or right when it is reflecting
+                    u = tgt / length if (cross > 0) != reflecting else -tgt / length
+                    _assert_same_march(epp, k, side, 0.5, u, length)
+                    marches += 1
+                # the sector at corner `side` turns counterclockwise from `start`
+                start = -sides[side - 1][1] if reflecting else d
+                for u in (tgt / length, -tgt / length):
+                    if 1e-9 < cmath.phase(u / start) % (2 * math.pi) < angles[side - 1].radians() - 1e-9:
+                        _assert_same_march(epp, k, side, 0.0, u, length)
+    assert marches > 0
+
+
+def test_march_knows_the_entered_side_by_index():
+    # triangle 3/2000, from the middle of side 1 of image 1340 along a basis
+    # period: the exit from image 1883 lies 1.99e-9 away, inside the 2.0e-9
+    # tolerance by which the float-point march told the side it had entered
+    epp = build_epp(_right_triangle(3, 2000))
+    face, side, r = 1340, 1, 0.5
+    u, length = 0.00471237153937703 + 0.999988896715596j, 1.9999777934312393
+    a, d, _len = epp._sides_float[face - 1][side]
+    with pytest.raises(RuntimeError, match="image 1883"):
+        _float_point_march(epp, face, a + d * r, u, length)
+    t0 = time.perf_counter()
+    assert unfold._march(epp, face, side, r, u, length) == ([], 3995)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def _no_exit_sides(monkeypatch):
+    # every side of every image lies on the line of side 0: a march stands
+    # on that line, so no side lies ahead of it
+    real = EPP._sides_float.func
+    monkeypatch.setattr(EPP, "_sides_float", property(
+        lambda epp: [[sides[0]] * len(sides) for sides in real(epp)]))
+
+
+def test_march_without_exit_gives_up(monkeypatch, capsys):
+    # a march that cannot leave its image is a search that gave up, exit 5,
+    # and must not read as "no channel"
+    _no_exit_sides(monkeypatch)
     epp = build_epp(square())
-    with pytest.raises(RuntimeError):
-        unfold._march(epp, 1, complex(5, 5), 1 + 0j, 1.0)
+    with pytest.raises(ConvergenceFailure, match="no exit"):
+        channel_exists(epp, epp.polygon.frame.from_xy(1, 1))
+    assert cli.run(["analyze", str(POLYGONS / "square.json")]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no exit" in err
 
 
 def test_narrow_channel_missed_by_sampling_is_found():
