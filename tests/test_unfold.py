@@ -1032,18 +1032,13 @@ def test_march_knows_the_entered_side_by_index():
     assert time.perf_counter() - t0 < 0.5
 
 
-def _no_exit_sides(monkeypatch):
-    # every side of every image lies on the line of side 0: a march stands
-    # on that line, so no side lies ahead of it
+def test_march_without_exit_gives_up(monkeypatch, capsys):
+    # a march that cannot leave its image is a search that gave up, exit 5,
+    # and must not read as "no channel"; here every side of every image lies
+    # on the line of side 0, which the march stands on, so none lies ahead
     real = EPP._sides_float.func
     monkeypatch.setattr(EPP, "_sides_float", property(
         lambda epp: [[sides[0]] * len(sides) for sides in real(epp)]))
-
-
-def test_march_without_exit_gives_up(monkeypatch, capsys):
-    # a march that cannot leave its image is a search that gave up, exit 5,
-    # and must not read as "no channel"
-    _no_exit_sides(monkeypatch)
     epp = build_epp(square())
     with pytest.raises(ConvergenceFailure, match="no exit"):
         channel_exists(epp, epp.polygon.frame.from_xy(1, 1))
