@@ -39,7 +39,6 @@ _EXPORTS = {
     "NotDoublyRational": "errors",
     "NotInLattice": "errors",
     "NotPeriodicSkeleton": "errors",
-    "OrbitExplosion": "errors",
     "OutOfRange": "errors",
     "RankMismatch": "errors",
     "SelfIntersection": "errors",

@@ -31,10 +31,6 @@ class CannotBalance(BilliardError):
     """Rationalized angles cannot be adjusted to an exact polygon angle sum."""
 
 
-class OrbitExplosion(BilliardError):
-    """Unfolding produced more images than the safety cap allows."""
-
-
 class NonIntegerGenus(BilliardError):
     """Genus formula did not evaluate to an integer (invalid angle data)."""
 

@@ -333,11 +333,6 @@ class DeformationBounds:
     sup_dg: Fraction
     epsilon: Fraction
 
-    @property
-    def passed(self) -> bool:
-        """Both sups within epsilon, which holds by construction."""
-        return max(self.sup_g, self.sup_dg) <= self.epsilon
-
 
 @dataclass(frozen=True, eq=False)
 class DeformationMap:

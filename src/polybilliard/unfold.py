@@ -11,22 +11,23 @@ translations are the simple periods, and the pattern's edges glue in pairs.
 Gluing the 2C images along their edge pairs produces a closed orientable
 surface whose genus the angle data fixes (`genus`).  Its faces are the
 images, its edges the edge classes and its vertices the classes of corners
-that the gluings identify: the components of that corner relation, which
-union-find collects, so they are correct by construction.  The gluings that
-created the images are a spanning tree of the faces, the face tree, which
-the unfolding records as it goes (`EPP.face_tree`).  It and a spanning tree
-of the vertices over the other edge classes leave exactly 2g edge classes
-over, whose crossing cycles are a Z-basis of the surface's homology: the
-crossing cycles of the classes off the face tree are related only by the
-vertex stars, and the incidence matrix of vertices and classes is totally
-unimodular.
-`period_basis` takes the vertex tree that Kruskal's rule builds longest
-first, so that the classes left over are the shortest-first greedy basis,
-and returns their translations.
+that the gluings identify: the components of that corner relation, so they
+are correct by construction.  The gluings that created the images are a
+spanning tree of the faces, the face tree, which the unfolding records as
+it goes (`EPP.face_tree`).  It and a spanning tree of the vertices over the
+other edge classes leave exactly 2g edge classes over, whose crossing
+cycles are a Z-basis of the surface's homology: the crossing cycles of the
+classes off the face tree are related only by the vertex stars, and the
+incidence matrix of vertices and classes is totally unimodular.
+`period_basis` grows one union-find forest over the corners: the gluings'
+corner joins make its trees the vertex classes, and Kruskal's rule then
+joins those longest first on the same forest, so that the classes left
+over are the shortest-first greedy basis.  It returns their translations.
 
 Boundary pairs with equal translations share one simple period
-(`EPP.periods`).  One index finds a vector's group, for the grouping itself,
-for `period_basis` and for `channel_exists`: an exact frame keys it by the
+(`EPP.periods`), and each basis cycle that is a boundary pair takes its
+own group's kind.  One index finds a vector's group, for the grouping
+itself and for `channel_exists`: an exact frame keys it by the
 normalized field element, a float frame by a grid cell a little wider than
 the `is_zero` radius, and a lookup probes the cells around the vector
 (`frame.index_key`, `frame.probe_keys`), so it finds the group a scan of
@@ -36,10 +37,12 @@ orbits runs along it (`channel_exists`: test one orbit from the middle of
 each boundary side, and only if none closes, cut the sides at the
 separatrices of that direction and test one orbit per piece, skipping the
 pieces an orbit already tested runs through; an orbit's state is an image,
-a side and a position on it, and it keeps only its boundary crossings).
-`period_basis` asks for the kinds of the simple periods its basis vectors
-equal; `EPP.periods`, `EPP.dump` and `find_pocs` ask for every kind, and
-`find_pocs` lists the periods that have a channel.
+a side and a position on it, and it keeps only its boundary crossings;
+a test orbit runs on past its length by half its first step, so that one
+that closes ends inside its start image, not on its start side).
+`period_basis` asks for the kinds of its basis pairs' groups; `EPP.periods`,
+`EPP.dump` and `find_pocs` ask for every kind, and `find_pocs` lists the
+periods that have a channel.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from functools import cached_property
 from itertools import chain
 from math import lcm
 
-from .errors import ConvergenceFailure, NonIntegerGenus, OrbitExplosion, RankMismatch
+from .errors import ConvergenceFailure, NonIntegerGenus, RankMismatch
 from .exactgeom import Polygon
 
 __all__ = [
@@ -150,9 +153,9 @@ class Period:
 
     kind: "simple-internal" (a single edge-pair translation along which a
     channel of parallel periodic orbits runs), "structural" (single pair, no
-    orbit of that holonomy closes: `channel_exists` is False), "compound"
-    (integer chain of pair translations), or None for the bare translation
-    an `EdgePair` carries; the pattern's classified periods are `EPP.periods`.
+    orbit of that holonomy closes: `channel_exists` is False), or None for
+    the bare translation an `EdgePair` carries; the pattern's classified
+    periods are `EPP.periods`.
     """
 
     __slots__ = ("vector", "kind")
@@ -226,11 +229,6 @@ class EPP:
         return [self._period(i) for i in range(len(self._groups))]
 
     @cached_property
-    def _period_of(self) -> dict[EdgePair, Period]:
-        """Boundary pair -> the classified period of its group of equal translations."""
-        return {e: self._period(i) for i, group in enumerate(self._groups) for e in group}
-
-    @cached_property
     def _groups(self) -> list[list[EdgePair]]:
         """Boundary pairs grouped by equal half-plane translation, in discovery order.
 
@@ -249,6 +247,11 @@ class EPP:
             else:
                 groups[i].append(e)
         return groups
+
+    @cached_property
+    def _group_index(self) -> dict[EdgePair, int]:
+        """Boundary pair -> the index in `_groups` of its group of equal translations."""
+        return {e: i for i, group in enumerate(self._groups) for e in group}
 
     @cached_property
     def _index(self) -> dict[object, list[int]]:
@@ -335,7 +338,7 @@ class EPP:
                 + (f" t_exact={img.iso.translation!r}" if f.exact else "")
             )
         for e in self.edges:
-            kind = self._period_of[e].kind if e.period is not None else "interior"
+            kind = self._period(self._group_index[e]).kind if e.period is not None else "interior"
             lines.append(
                 f"pair side {e.side}: {e.a} <-> {e.b} "
                 f"T={_fmt_vec(f, e.translation)} [{kind}]"
@@ -385,7 +388,11 @@ def build_epp(polygon: Polygon) -> EPP:
     elementary pattern deterministically.
 
     Each image is created by a gluing to an image before it; those gluings
-    are the pattern's `face_tree`.
+    are the pattern's `face_tree`.  Every slot (image, side) is glued once,
+    to a slot of the other parity: mirroring across side s is an involution
+    on orientations, so a slot and its partner are unglued together.  There
+    are at most 4C orientations (reflecting flag, rotation mod 2C), so the
+    search ends; that it ends with 2C images is the theorem checked below.
 
     Only unfolds: no channel is decided here.  The pattern groups its
     boundary pairs into simple periods on first use, and decides a period's
@@ -393,7 +400,6 @@ def build_epp(polygon: Polygon) -> EPP:
     """
     f = polygon.frame
     n = polygon.n
-    cap = 16 * f.N
     scale = polygon.perimeter_float()
     images = [PolygonImage(1, Isometry.identity(f), polygon)]
     by_orient: dict[tuple[bool, int], int] = {(False, 0): 0}  # -> index in images
@@ -409,10 +415,6 @@ def build_epp(polygon: Polygon) -> EPP:
         cand = _mirror(images[k].iso, polygon, s)
         other = by_orient.get((cand.reflecting, cand.rotation))
         if other is None:
-            if len(images) >= cap:
-                raise OrbitExplosion(
-                    f"more than {cap} images; the orientation dedup must be broken"
-                )
             other = len(images)
             images.append(PolygonImage(other + 1, cand, polygon))
             by_orient[(cand.reflecting, cand.rotation)] = other
@@ -421,8 +423,6 @@ def build_epp(polygon: Polygon) -> EPP:
             glued += [False] * n
             queue.extend(range(other * n, other * n + n))
         else:
-            if glued[other * n + s]:
-                raise RuntimeError("edge pairing inconsistency: slot glued twice")
             t = cand.translation - images[other].iso.translation
             if f.is_zero(t, scale):
                 edges.append(EdgePair(k + 1, other + 1, s, f.zero(), None))
@@ -433,8 +433,6 @@ def build_epp(polygon: Polygon) -> EPP:
         raise RuntimeError(
             f"unfolding closed with {len(images)} images, expected {2 * f.N}"
         )
-    if len(edges) != n * f.N or not all(glued):
-        raise RuntimeError("edge pairing incomplete after BFS closure")
     return EPP(polygon, images, edges, f.N, face_tree)
 
 
@@ -450,39 +448,27 @@ def _find(root: list[int], v: int) -> int:
     return v
 
 
-def _vertex_classes(epp: EPP) -> dict[tuple[int, int], int]:
-    """(image, vertex) -> id of the glued vertex of the surface at that corner.
-
-    The vertices are the components of the relation the gluings put on the
-    corners, so union-find over the corners is correct by construction: a
-    gluing of side s joins corner s of its two images, and corner s+1.  The
-    ids number the classes by their first corner, image by image.
-    """
-    n = epp.polygon.n
-    root = list(range(n * len(epp.images)))  # corner (k, i) at (k - 1) * n + i
-    for e in epp.edges:
-        for i in (e.side, (e.side + 1) % n):
-            root[_find(root, (e.a - 1) * n + i)] = _find(root, (e.b - 1) * n + i)
-    ids: dict[int, int] = {}
-    return {(c // n + 1, c % n): ids.setdefault(_find(root, c), len(ids)) for c in range(len(root))}
-
-
 def _basis_cycles(epp: EPP) -> list[int]:
     """Indices in `edges` of the 2g classes whose crossing cycles `period_basis` takes.
 
-    The vertex classes are the components of the corner relation
-    (`_vertex_classes`), correct by construction.  Sorts the classes off the
-    face tree shortest first, then walks them in reverse and joins the two
-    vertex classes at the ends of each by the same union-find.  The classes
-    that join nothing are the complement of a spanning tree, returned
-    shortest first.  Raises RankMismatch when the Euler characteristic is
-    not 2 - 2g, or when other than 2g classes are left: the global guard on
-    the gluings.
+    One union-find forest over the corners, corner (k, i) at (k - 1)*n + i.
+    It first joins the corners each gluing identifies, corner s of its two
+    images and corner s+1, so its trees are the vertex classes, the
+    components of that relation, correct by construction, and V is the
+    number of roots.  Then Kruskal's rule runs on the same forest: it sorts
+    the classes off the face tree shortest first, walks them in reverse and
+    joins the vertex classes at the two ends of each.  The classes that join
+    nothing are the complement of a spanning tree, returned shortest first.
+    Raises RankMismatch when the Euler characteristic is not 2 - 2g, or when
+    other than 2g classes are left: the global guard on the gluings.
     """
     n = epp.polygon.n
     g = genus(epp.polygon)
-    vclass = _vertex_classes(epp)
-    nverts = len(set(vclass.values()))
+    root = list(range(n * len(epp.images)))
+    for e in epp.edges:
+        for i in (e.side, (e.side + 1) % n):
+            root[_find(root, (e.a - 1) * n + i)] = _find(root, (e.b - 1) * n + i)
+    nverts = sum(1 for c, r in enumerate(root) if c == r)
     chi = nverts - len(epp.edges) + len(epp.images)
     if chi != 2 - 2 * g:
         raise RankMismatch(f"Euler characteristic {chi} != {2 - 2 * g}")
@@ -495,12 +481,11 @@ def _basis_cycles(epp: EPP) -> list[int]:
         return (0, round(abs(complex(e.translation)), 12), cid)
 
     candidates = sorted((cid for cid in range(len(epp.edges)) if cid not in face_tree), key=key)
-    root = list(range(nverts))  # union-find forest over the vertex classes
     cycles = []
     for cid in reversed(candidates):
         e = epp.edges[cid]
-        tail = _find(root, vclass[(e.a, e.side)])
-        head = _find(root, vclass[(e.a, (e.side + 1) % n)])
+        tail = _find(root, (e.a - 1) * n + e.side)
+        head = _find(root, (e.a - 1) * n + (e.side + 1) % n)
         if tail == head:
             cycles.append(cid)
         else:
@@ -534,32 +519,31 @@ def period_basis(epp: EPP) -> list[Period]:
     reverse order in the matroid itself, so the choice is the complement of
     the spanning tree Kruskal's rule builds longest first (`_basis_cycles`).
 
-    Each period is its cycle's translation.  A cycle of zero translation, an
-    interior gluing, is replaced by its sum with the first cycle of nonzero
-    translation, which keeps the cycles a Z-basis and has that cycle's
-    translation.  A basis vector equal to a simple period takes that
-    period's kind, and only those periods' channels are decided; any other
-    vector is "compound".  The periods are sorted by length, then angle.
+    Each period is its cycle's translation, and each cycle is a gluing.  A
+    boundary pair's cycle takes the kind of the pair's own group of equal
+    translations, the simple period it shares, and only those groups'
+    channels are decided.  A cycle of an interior gluing, zero translation,
+    is replaced by its sum with the first boundary pair's cycle, which keeps
+    the cycles a Z-basis and has that pair's translation and kind.  The
+    periods are sorted by length, then angle.
 
     Note the returned *vectors* need not be integer-independent in the plane:
     whenever period ratios are rational the plane vectors satisfy integer
     relations, and the independence statement lives on the surface cycles.
     """
     f = epp.polygon.frame
-    # a holonomy is a sum from zero, which also turns a float -0.0 into 0.0
-    vectors = [f.zero() + epp.edges[cid].translation for cid in _basis_cycles(epp)]
-    scale = epp._scale
-    nonzero = next((v for v in vectors if not f.is_zero(v, scale)), None)
-    if nonzero is None:
+    pairs = [epp.edges[cid] for cid in _basis_cycles(epp)]
+    first = next((e for e in pairs if e.period is not None), None)
+    if first is None:
         raise RankMismatch("all basis periods have zero translation")
-    vectors = [nonzero if f.is_zero(v, scale) else v for v in vectors]
-
     periods = []
-    for vec in vectors:
-        v = _half_plane(f, vec)
-        group = epp._group_of(v)
-        kind = "compound" if group is None else epp._period(group).kind
+    for e in pairs:
+        if e.period is None:
+            e = first
+        # a holonomy is a sum from zero, which also turns a float -0.0 into 0.0
+        v = _half_plane(f, f.zero() + e.translation)
         z = complex(v)
+        kind = epp._period(epp._group_index[e]).kind
         periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), Period(v, kind)))
     periods.sort(key=lambda t: (t[0], t[1]))
     return [p for _n, _a, p in periods]
@@ -570,7 +554,8 @@ def period_basis(epp: EPP) -> list[Period]:
 # ---------------------------------------------------------------------------
 
 
-def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float):
+def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float,
+           closing: bool = False):
     """March a straight line of `length`, direction u, from side `side` of image `face`.
 
     The state is (image, side, r), r the position along the side from its
@@ -580,6 +565,11 @@ def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float):
     r = 0, and the one ending there).  Returns the boundary crossings, as
     (image left, side, r), and the end image, or None at a corner.  An image
     with no exit raises ConvergenceFailure.
+
+    `closing` marches on by half the first step: an orbit that closes after
+    `length` is then back on its start side, and it ends half a step inside
+    its start image instead of on that side, where the end test would be a
+    tie that the drift of r decides.
     """
     tol = _TOL * max(1.0, epp._scale)
     uc = u.conjugate()
@@ -602,6 +592,9 @@ def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float):
         if best is None:
             raise ConvergenceFailure(f"channel march finds no exit from image {face}, side {side}")
         s_hit, side, r, side_len = best
+        if closing:
+            length += s_hit / 2
+            closing = False
         if length < s_hit - tol:
             return crossings, face
         if min(r, 1 - r) * side_len < tol:
@@ -616,12 +609,14 @@ def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float):
 def _closes(epp: EPP, face: int, side: int, r: float, u: complex, length: float, vector, missed):
     """March the orbit of `vector` from position r along side `side` of image `face`.
 
-    True when it closes: it ends in `face` and its boundary crossings sum
-    exactly to `vector`.  False when it ends in an image without closing;
-    its start and boundary crossings then go into `missed`, as
-    (image, side) -> positions.  None when it runs into a corner.
+    The march runs `length` plus half its first step (`_march`'s
+    `closing`), so a closing orbit ends inside `face`.  True when it
+    closes: it ends in `face` and its boundary crossings sum exactly to
+    `vector`.  False when it ends in an image without closing; its start
+    and boundary crossings then go into `missed`, as (image, side) ->
+    positions.  None when it runs into a corner.
     """
-    crossings, end = _march(epp, face, side, r, u, length)
+    crossings, end = _march(epp, face, side, r, u, length, closing=True)
     if end is None:
         return None
     if end == face:
@@ -640,11 +635,12 @@ def channel_exists(epp: EPP, vector) -> bool:
 
     Such an orbit, of direction u and length |vector|, crosses a boundary
     side.  Test first: march one orbit from the middle of each boundary side
-    not parallel to u, in the image u enters; any orbit that closes proves
-    the channel.  The period's own pairs, the group of boundary pairs whose
-    translation is +-vector (`EPP._group_of`), go first, then the rest in
-    discovery order: on a long period an orbit from one of its own pairs
-    usually closes at once.  The order cannot change the verdict, since a
+    not parallel to u, in the image u enters, for |vector| plus half its
+    first step, so that it ends inside its start image if it closes
+    (`_closes`); any orbit that closes proves the channel.  The period's own
+    pairs, the group of boundary pairs whose translation is +-vector
+    (`EPP._group_of`), go first, then the rest in discovery order: on a long
+    period an orbit from one of its own pairs usually closes at once.  The order cannot change the verdict, since a
     yes needs any one closing march and a no tests every piece.  Only when
     none closes, cut: from every corner sector that -u enters, march a
     separatrix backward for |vector| (2g-2+V of them at most, V the number

@@ -226,7 +226,7 @@ def test_deform_identity():
     poly, dmap = deform_domain(base, 2)
     assert dmap.bounds.epsilon == 0
     assert poly.vertices_float() == base.vertices_float()
-    assert dmap.bounds.passed
+    assert dmap.bounds.sup_g == dmap.bounds.sup_dg == 0
 
 
 def test_deform_ramp_values():
@@ -234,7 +234,6 @@ def test_deform_ramp_values():
     # the right wall moves by 1/10 over a ramp of width 1
     bounds = dmap.bounds
     assert bounds.sup_g == bounds.sup_dg == bounds.epsilon == Fraction(1, 10)
-    assert bounds.passed
 
 
 def _exact_vertices(polygon):
@@ -269,7 +268,6 @@ def test_deform_bounds_are_the_exact_vertex_shift(corners, x3):
     assert all(
         type(b) is Fraction for b in (bounds.sup_g, bounds.sup_dg, bounds.epsilon)
     )
-    assert bounds.passed
 
 
 def test_deform_reads_a_corner_near_an_integer_exactly():
@@ -326,7 +324,6 @@ def test_perturbation_study_trend_and_zero():
     etas = [r.eta for r in study.rows]
     assert study.monotone
     assert etas[-1] == 0.0  # identity deformation reproduces the base grid
-    assert all(r.bounds.passed for r in study.rows)
     assert len(study.base_levels) == 5
 
 
@@ -350,7 +347,6 @@ def test_study_rows_carry_their_exact_epsilon(corners):
     )
     for row in study.rows:
         assert row.bounds.epsilon == row.epsilon
-        assert row.bounds.passed
 
 
 def test_study_rejects_a_size_before_any_solve(monkeypatch):

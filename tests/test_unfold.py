@@ -42,7 +42,7 @@ from polybilliard.unfold import (
     genus,
     period_basis,
 )
-from polybilliard.unfold import _basis_cycles, _mirror, _vertex_classes
+from polybilliard.unfold import _basis_cycles, _closes, _find, _mirror
 
 POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 
@@ -253,7 +253,7 @@ def test_rationalized_triangle_period_basis_has_500_periods():
 def test_period_kinds_are_classified():
     basis = period_basis(build_epp(broken_parallelogram()))
     kinds = {b.kind for b in basis}
-    assert kinds <= {"simple-internal", "structural", "compound"}
+    assert kinds <= {"simple-internal", "structural"}
     assert "structural" in kinds  # Fig. 4-style notch blocks two slant channels
 
 
@@ -339,6 +339,24 @@ VERTEX_CASES = {
     "triangle_3_44": lambda: _right_triangle(3, 44),
     "triangle_1_20": lambda: _right_triangle(1, 20),
 }
+
+
+def _vertex_classes(epp: EPP) -> dict[tuple[int, int], int]:
+    """(image, vertex) -> id of the glued vertex of the surface at that corner.
+
+    The components of the relation the gluings put on the corners, by
+    union-find: a gluing of side s joins corner s of its two images, and
+    corner s+1.  The ids number the classes by their first corner, image by
+    image.  `_basis_cycles` grows the same forest and counts its roots; this
+    reference names the classes, for the tests that read them.
+    """
+    n = epp.polygon.n
+    root = list(range(n * len(epp.images)))  # corner (k, i) at (k - 1) * n + i
+    for e in epp.edges:
+        for i in (e.side, (e.side + 1) % n):
+            root[_find(root, (e.a - 1) * n + i)] = _find(root, (e.b - 1) * n + i)
+    ids: dict[int, int] = {}
+    return {(c // n + 1, c % n): ids.setdefault(_find(root, c), len(ids)) for c in range(len(root))}
 
 
 @pytest.mark.parametrize("name", VERTEX_CASES)
@@ -675,8 +693,9 @@ def test_periods_trace_each_distinct_period_once(make, monkeypatch):
         assert not any(f.is_zero(a.vector - b.vector, scale) for b in periods[:i])
     # every pair maps to the classified period of its group
     for e in epp.edge_pairs:
-        assert epp._period_of[e] in periods
-        assert f.is_zero(e.period.vector - epp._period_of[e].vector, scale)
+        per = epp._period(epp._group_index[e])
+        assert per in periods
+        assert f.is_zero(e.period.vector - per.vector, scale)
     assert all(e.period.kind is None for e in epp.edge_pairs)
     assert all(q.kind in ("simple-internal", "structural") for q in periods)
 
@@ -818,9 +837,9 @@ def _separatrix_count(monkeypatch) -> list:
     starts = []
     real = unfold._march
 
-    def counting(epp, face, side, r, u, length):
+    def counting(epp, face, side, r, u, length, closing=False):
         starts.append(r == 0.0)
-        return real(epp, face, side, r, u, length)
+        return real(epp, face, side, r, u, length, closing)
 
     monkeypatch.setattr(unfold, "_march", counting)
     return starts
@@ -1032,6 +1051,41 @@ def test_march_knows_the_entered_side_by_index():
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_closing_march_ends_inside_its_start_image():
+    # triangle 1/13000, 26,000 images: the longest basis period, |v| ~ 2,
+    # from the middle of its own pair's side.  The orbit closes, back on its
+    # start side after |v|, where r has drifted by ~1e-8 over 26,000
+    # crossings; marched for |v| alone, the last step overshot the length by
+    # more than the tolerance and the march stopped one side short
+    epp = build_epp(_right_triangle(1, 13000))
+    e = max((epp.edges[cid] for cid in _basis_cycles(epp)),
+            key=lambda e: abs(complex(e.translation)))
+    tgt = complex(e.period.vector)
+    length = abs(tgt)
+    u = tgt / length
+    _a, d, side_len = epp._sides_float[e.a - 1][e.side]
+    cross = ((d / side_len).conjugate() * u).imag
+    # into image a when it lies left of its side, or right when it is reflecting
+    face = e.a if (cross > 0) != epp.image(e.a).iso.reflecting else e.b
+    assert length > 1.99
+    assert _closes(epp, face, e.side, 0.5, u, length, e.period.vector, defaultdict(list))
+
+
+@pytest.mark.parametrize("name", VERTEX_CASES)
+def test_channel_verdict_is_dihedral(name):
+    # the pattern's linear parts are the dihedral group of order 2N, which
+    # the rotation by 2*pi/N and the mirror in side 0 (the real axis)
+    # generate: carrying a period by either carries its channels too, so
+    # every simple period's verdict is shared by its dihedral orbit
+    p = VERTEX_CASES[name]()
+    f = p.frame
+    epp = build_epp(p)
+    for group in epp._groups:
+        v = group[0].period.vector
+        assert channel_exists(epp, v) == channel_exists(epp, f.rotate(v, 2)) \
+            == channel_exists(epp, v.conjugate())
+
+
 def test_march_without_exit_gives_up(monkeypatch, capsys):
     # a march that cannot leave its image is a search that gave up, exit 5,
     # and must not read as "no channel"; here every side of every image lies
@@ -1113,7 +1167,7 @@ def test_pair_kind_matches_direct_channel_test(polygon):
     epp = build_epp(polygon)
     for e in epp.edge_pairs:
         direct = channel_exists(epp, e.period.vector)
-        assert epp._period_of[e].kind == ("simple-internal" if direct else "structural")
+        assert epp._period(epp._group_index[e]).kind == ("simple-internal" if direct else "structural")
     # sampling can miss a narrow channel but never invents one
     for per in epp.periods:
         if _sampled_channel_exists(epp, per.vector):
