@@ -6,7 +6,8 @@ stable contract scripts can rely on:
 
   0  success
   2  input error (unreadable file, bad JSON, closure failure, bad flags, an
-     --e-max, --grid, --edge-samples or --spacing that memory cannot hold)
+     --e-max, --grid, --edge-samples or --spacing that memory cannot hold,
+     a quantize lattice whose momenta overflow a float)
   3  the billiard is not doubly rational and no --rationalize cap was given
   4  sign-prescription id out of range
   5  verification failure (spectra out of tolerance, boundary/Helmholtz check,
@@ -383,11 +384,14 @@ def _drpb_phrase(lat: PeriodLattice) -> str:
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
     _, epp, basis, lat = _load_lattice(ns.polygon)
+    # the report reads the basis kinds, deciding their channels, so it is
+    # built before anything is printed: a decision that fails prints nothing
+    report = lat.report()
     print(
         f"g={lat.genus}, images={len(epp.images)}, "
         f"periods={len(basis)}, DRPB={_drpb_phrase(lat)}"
     )
-    print(lat.report())
+    print(report)
     return 0
 
 

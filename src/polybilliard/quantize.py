@@ -369,9 +369,11 @@ def spectrum(
     decides every label.  The basis periods' floats are computed once.  An
     e_max whose half ellipse, about pi*cutoff/sqrt(det) labels, cannot fit
     in physical memory at `sys.getsizeof` of one raw entry and its labels
-    tuple per label raises OutOfRange.  The quantum family (opt-in via
-    kinds) adds the transverse-quantized levels m, n >= 1 of the skeleton
-    along the lattice's own pair when that skeleton exists.  `kinds` holds
+    tuple per label raises OutOfRange, and so does a Gram matrix of P1, P2
+    that overflows a float, as for C1 and C2 of dozens of digits.  The
+    quantum family (opt-in via kinds) adds the transverse-quantized levels
+    m, n >= 1 of the skeleton along the lattice's own pair when that
+    skeleton exists.  `kinds` holds
     "classical-aperiodic", "classical-periodic" or "quantum"; a string, or
     any other element, raises OutOfRange.
 
@@ -391,10 +393,18 @@ def spectrum(
     pair: list[tuple[float, int]] = []  # (|D_i|, C_i): the classical wavelengths
 
     if kinds:
-        p1, p2 = _dual_steps(lattice)
-        g11, g22 = abs(p1) ** 2, abs(p2) ** 2
-        g12 = (p1.conjugate() * p2).real
-        det = g11 * g22 - g12 * g12
+        try:
+            p1, p2 = _dual_steps(lattice)
+            g11, g22 = abs(p1) ** 2, abs(p2) ** 2
+            g12 = (p1.conjugate() * p2).real
+            det = g11 * g22 - g12 * g12
+        except OverflowError:
+            det = math.inf
+        if not math.isfinite(det):
+            raise OutOfRange(
+                f"the lattice's momenta overflow a float (C1 ~ 1e{int(math.log10(lattice.c1))}, "
+                f"C2 ~ 1e{int(math.log10(lattice.c2))})"
+            )
         cutoff = e_max * (1 + _REL_TOL)
         # the walk visits the half ellipse; the quantum levels are fewer than its labels
         entry = (cutoff, CLASSICAL_APERIODIC, (0, 0), None)

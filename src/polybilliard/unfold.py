@@ -40,9 +40,10 @@ pieces an orbit already tested runs through; an orbit's state is an image,
 a side and a position on it, and it keeps only its boundary crossings;
 a test orbit runs on past its length by half its first step, so that one
 that closes ends inside its start image, not on its start side).
-`period_basis` asks for the kinds of its basis pairs' groups; `EPP.periods`,
-`EPP.dump` and `find_pocs` ask for every kind, and `find_pocs` lists the
-periods that have a channel.
+`period_basis` asks for no kind: a basis period asks for its group's kind
+when its own is first read, as `analyze` and `unfold` do when they print
+it.  `EPP.periods`, `EPP.dump` and `find_pocs` ask for every kind, and
+`find_pocs` lists the periods that have a channel.
 """
 
 from __future__ import annotations
@@ -156,13 +157,25 @@ class Period:
     orbit of that holonomy closes: `channel_exists` is False), or None for
     the bare translation an `EdgePair` carries; the pattern's classified
     periods are `EPP.periods`.
+
+    A `period_basis` period decides its kind when it is first read, from
+    its group's classified period (`EPP._period`), so a caller that reads
+    only vectors decides no channel.  Until then it holds its pattern, and
+    so does a lattice built on it.
     """
 
-    __slots__ = ("vector", "kind")
+    __slots__ = ("vector", "_kind", "_resolve")
 
     def __init__(self, vector, kind: str | None = None):
         self.vector = vector
-        self.kind = kind
+        self._kind = kind
+        self._resolve = None  # a call returning the kind, dropped once made
+
+    @property
+    def kind(self) -> str | None:
+        if self._resolve is not None:
+            self._kind, self._resolve = self._resolve(), None
+        return self._kind
 
 
 class EdgePair:
@@ -521,11 +534,13 @@ def period_basis(epp: EPP) -> list[Period]:
 
     Each period is its cycle's translation, and each cycle is a gluing.  A
     boundary pair's cycle takes the kind of the pair's own group of equal
-    translations, the simple period it shares, and only those groups'
-    channels are decided.  A cycle of an interior gluing, zero translation,
-    is replaced by its sum with the first boundary pair's cycle, which keeps
-    the cycles a Z-basis and has that pair's translation and kind.  The
-    periods are sorted by length, then angle.
+    translations, the simple period it shares.  No channel is decided here:
+    a period decides its group's kind when its `kind` is first read
+    (`Period`), so the lattice, `quantize`, `swf` and `verify`, which read
+    only vectors, decide none.  A cycle of an interior gluing, zero
+    translation, is replaced by its sum with the first boundary pair's
+    cycle, which keeps the cycles a Z-basis and has that pair's translation
+    and kind.  The periods are sorted by length, then angle.
 
     Note the returned *vectors* need not be integer-independent in the plane:
     whenever period ratios are rational the plane vectors satisfy integer
@@ -543,8 +558,9 @@ def period_basis(epp: EPP) -> list[Period]:
         # a holonomy is a sum from zero, which also turns a float -0.0 into 0.0
         v = _half_plane(f, f.zero() + e.translation)
         z = complex(v)
-        kind = epp._period(epp._group_index[e]).kind
-        periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), Period(v, kind)))
+        p = Period(v)
+        p._resolve = lambda i=epp._group_index[e]: epp._period(i).kind
+        periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), p))
     periods.sort(key=lambda t: (t[0], t[1]))
     return [p for _n, _a, p in periods]
 
@@ -703,8 +719,8 @@ def find_pocs(epp: EPP):
     periods of `epp.periods` whose kind is "simple-internal", ordered by
     length.  It reads every kind.  The kinds are the pattern's own: each
     distinct period's channel is decided by `channel_exists` at most once
-    per pattern, whichever of `find_pocs`, `period_basis` and `EPP.dump`
-    asks for it first.
+    per pattern, whichever of `find_pocs`, a basis period's `kind` and
+    `EPP.dump` asks for it first.
     """
     entries = []
     for p in sorted(epp.periods, key=lambda p: round(abs(complex(p.vector)), 12)):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import polybilliard
-from polybilliard import cli, shapes
+from polybilliard import cli, shapes, unfold
 from polybilliard.cli import run
 from polybilliard.exactgeom import polygon_from_spec
 
@@ -294,6 +294,45 @@ def test_quantize_unreachable_e_max_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("a, n", [(1, 13000), (3, 2000)])
+def test_quantize_momenta_past_float_range_are_usage_errors(a, n, tmp_path, capsys):
+    # rationalized with Q = 100, the thin triangles' C1 and C2 run to 196
+    # (1/13000) and 85 (3/2000) digits, and the momentum steps' squares
+    # overflow a float: once an OverflowError, exit 1, or a NaN determinant
+    # that read as "more levels than memory can hold" even at e_max 0.01
+    path = tmp_path / "triangle.json"
+    angles = (Fraction(a, n), Fraction(1, 2), Fraction(1, 2) - Fraction(a, n))
+    sides = [{"angle": str(angles[0]), "length": "1"}] + [{"angle": str(x)} for x in angles[1:]]
+    path.write_text(json.dumps({"sides": sides}))
+    code, out, err = invoke(
+        capsys, "quantize", str(path), "--rationalize", "100", "--e-max", "0.01"
+    )
+    assert code == 2
+    assert out == ""
+    assert "the lattice's momenta overflow a float" in err and "memory" not in err
+
+
+def test_lattice_consumers_decide_no_channel(tmp_path, capsys, monkeypatch):
+    # quantize, swf and verify read only the basis vectors, never a kind: with
+    # every channel decision made to fail they print what they print without
+    commands = [
+        ["quantize", str(POLYGONS / "square.json"), "--e-max", "200"],
+        ["swf", str(POLYGONS / "square.json"), "--grid", "20x20",
+         "--out-prefix", str(tmp_path / "wave")],
+        ["verify", str(POLYGONS / "broken_rectangle_199_100.json"),
+         "--against", str(POLYGONS / "broken_rectangle.json"), "--e-max", "50000",
+         "--rel-tol", "1/99"],
+    ]
+    want = [invoke(capsys, *argv) for argv in commands]
+    assert all(code == 0 and out for code, out, _ in want)
+
+    def decide(epp, vector):
+        raise AssertionError("a channel was decided")
+
+    monkeypatch.setattr(unfold, "channel_exists", decide)
+    assert [invoke(capsys, *argv) for argv in commands] == want
 
 
 @pytest.mark.parametrize("kinds", ["aperiodic,periodic", "quantum"])

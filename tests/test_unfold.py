@@ -724,21 +724,37 @@ def test_channel_work_is_shared_across_readers(monkeypatch):
 
 
 def test_period_basis_decides_only_the_kinds_it_reads(monkeypatch):
-    # the basis periods match some of the groups of equal boundary
-    # translations; only those groups' channels are decided
+    # period_basis decides no channel; the basis periods match some of the
+    # groups of equal boundary translations, and reading their kinds decides
+    # exactly those groups' channels
     calls = _count_channel_tests(monkeypatch)
     epp = build_epp(broken_parallelogram())
     basis = period_basis(epp)
-    asked = len(calls)
+    assert calls == []
+    kinds = [p.kind for p in basis]
+    pairs = [epp.edges[cid] for cid in _basis_cycles(epp)]
+    groups = {epp._group_index[e] for e in pairs if e.period is not None}
+    assert len(calls) == len(groups) and set(epp._kinds) == groups
+    assert [p.kind for p in basis] == kinds and len(calls) == len(groups)
     # reading every kind afterwards decides the rest, each once
     periods = epp.periods
-    assert 0 < asked < len(periods) == len(calls)
+    assert 0 < len(groups) < len(periods) == len(calls)
     # and agrees with a pattern that decided every kind before its basis
     fresh = build_epp(broken_parallelogram())
     assert [p.kind for p in periods] == [p.kind for p in fresh.periods]
     assert [(repr(p.vector), p.kind) for p in basis] == [
         (repr(p.vector), p.kind) for p in period_basis(fresh)
     ]
+
+
+@pytest.mark.parametrize("name", VERTEX_CASES)
+def test_basis_kinds_read_late_equal_kinds_decided_first(name):
+    # a basis period's kind, decided when it is read, is the one its group
+    # gets when the pattern decides every kind before the basis is built
+    lazy = [(repr(p.vector), p.kind) for p in period_basis(build_epp(VERTEX_CASES[name]()))]
+    epp = build_epp(VERTEX_CASES[name]())
+    epp.periods
+    assert lazy == [(repr(p.vector), p.kind) for p in period_basis(epp)]
 
 
 def test_find_pocs_unclassified_traces_each_period_once(monkeypatch):
