@@ -7,7 +7,8 @@ stable contract scripts can rely on:
   0  success
   2  input error (unreadable file, bad JSON, closure failure, bad flags, an
      --e-max, --grid, --edge-samples or --spacing that memory cannot hold,
-     a quantize lattice whose momenta overflow a float)
+     a quantize lattice whose momenta overflow a float, a swf or verify
+     momentum whose energy overflows one)
   3  the billiard is not doubly rational and no --rationalize cap was given
   4  sign-prescription id out of range
   5  verification failure (spectra out of tolerance, boundary/Helmholtz check,
@@ -490,9 +491,10 @@ def _axis_product_levels(lat: PeriodLattice, e_max: float, bc: str) -> list[floa
     label kills the sine factor), both >= 0 except (0,0) under Neumann.  The
     pair momenta must be axis-aligned for product modes to exist at all.  An
     e_max whose quarter ellipse of labels, about pi*e_max/(4*sqrt(a*b)),
-    cannot fit in physical memory at one float per label raises OutOfRange.
+    cannot fit in physical memory at one float per label raises OutOfRange,
+    and so does a pair momentum whose energy overflows a float.
     """
-    from .quantize import _dual_steps, _refuse_past_memory  # closed-form pair momenta
+    from .quantize import _dual_steps, _energy, _refuse_past_memory  # closed-form pair momenta
 
     p1, p2 = _dual_steps(lat)
     for p in (p1, p2):
@@ -502,7 +504,7 @@ def _axis_product_levels(lat: PeriodLattice, e_max: float, bc: str) -> list[floa
                 "product spectrum is undefined for skewed period pairs"
             )
     lo = 1 if bc == DIRICHLET else 0
-    a, b = 0.5 * abs(p1) ** 2, 0.5 * abs(p2) ** 2
+    a, b = _energy(lat, p1), _energy(lat, p2)
     _refuse_past_memory(math.pi * e_max / (4 * math.sqrt(a * b)), sys.getsizeof(e_max),
                         f"e_max {e_max:g} puts more levels below it")
     levels = []

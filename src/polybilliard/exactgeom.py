@@ -277,8 +277,14 @@ class FloatFrame(_Frame):
         """num / den; `rational_value` then decides its rationality heuristically."""
         return num / den
 
-    def rational_value(self, r: float) -> Fraction | None:
-        return as_rational(float(r))
+    def rational_value(self, r: float | Fraction) -> Fraction | None:
+        """An exact Fraction as it is, as in `ExactFrame`; a float by `as_rational`.
+
+        A Fraction is already known rational, as in a table `with_pair` or
+        `rationalize_relations` builds; rounding it through a float would
+        refuse its denominator above 10^6.
+        """
+        return r if isinstance(r, Fraction) else as_rational(float(r))
 
     def _length(self, value) -> float:
         return float(value)

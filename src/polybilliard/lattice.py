@@ -51,20 +51,20 @@ def _period_line(index: int, period: Period, role: str = "") -> str:
 class PeriodLattice:
     """A period basis with its relation table over a reference pair.
 
-    The pair is d1 = basis[i] and d2 = basis[j] for ``pair_indexes`` (i, j),
-    with ``det`` = cross(d1, d2) nonzero.  The k-th member period
-    basis[member_indexes[k]], less the integer combination ``shifts[k]`` of
-    the pair, equals ``coeffs[k][0]*d1 + coeffs[k][1]*d2``.  In an exact
-    frame a rational coefficient is an exact Fraction in [0, 1) and an
-    irrational one its float; in a float frame every coefficient is a float,
-    which `frame.rational_value` calls rational or not.
+    Its five inputs are the ``frame``, the ``basis``, the ``pair_indexes``
+    (i, j) of the pair d1 = basis[i], d2 = basis[j], and the table of
+    ``coeffs`` and ``shifts``: the k-th member period, less the integer
+    combination ``shifts[k]`` of the pair, equals ``coeffs[k][0]*d1 +
+    coeffs[k][1]*d2``, each coefficient a Fraction in [0, 1) or a float that
+    `frame.rational_value` calls rational or not.  The rest is derived, so it
+    cannot disagree with the basis: ``det`` = cross(d1, d2),
+    ``member_indexes`` the basis indexes outside the pair, and ``fracs`` the
+    coefficients' rational values, or None when one is irrational.
 
-    ``fracs`` is the table as Fractions, or None when a coefficient is
-    irrational.  With a table the lattice is doubly rational: ``c1``/``c2``
-    are the least common multiples of its first/second-column denominators
-    and the generators are D1/C1 and D2/C2.  ``heuristic`` marks a verdict a
-    float frame decided.  The substituted billiard `rationalize_relations`
-    builds is such a lattice, its coefficients the Fractions themselves.
+    With a table the lattice is doubly rational: ``c1``/``c2`` are the least
+    common multiples of its first/second-column denominators and the
+    generators are D1/C1 and D2/C2.  ``heuristic`` marks a verdict a float
+    frame decided.
     """
 
     def __init__(
@@ -72,20 +72,27 @@ class PeriodLattice:
         frame,
         basis: tuple[Period, ...],
         pair_indexes: tuple[int, int],
-        det,
-        member_indexes: tuple[int, ...],
         coeffs: tuple[tuple[object, object], ...],
         shifts: tuple[tuple[int, int], ...],
-        fracs: tuple[tuple[Fraction, Fraction], ...] | None,
     ):
         self.frame = frame
         self.basis = basis
         self.pair_indexes = pair_indexes
-        self.det = det
-        self.member_indexes = member_indexes
         self.coeffs = coeffs
         self.shifts = shifts
-        self.fracs = fracs
+
+    @cached_property
+    def det(self):
+        return self.frame.cross(self.d1, self.d2)
+
+    @cached_property
+    def member_indexes(self) -> tuple[int, ...]:
+        return tuple(k for k in range(len(self.basis)) if k not in self.pair_indexes)
+
+    @cached_property
+    def fracs(self) -> tuple[tuple[Fraction, Fraction], ...] | None:
+        values = [self.frame.rational_value(a) for row in self.coeffs for a in row]
+        return None if None in values else tuple(zip(values[::2], values[1::2]))
 
     @property
     def d1(self):
@@ -186,9 +193,20 @@ def _check_pair(basis, pair_choice: tuple[int, int]) -> tuple[int, int]:
 
 
 def _floor(frame, a) -> int:
-    """The floor of a coefficient's rational value when it has one, else its own."""
+    """The floor of a coordinate's rational value when it has one, else its own."""
     r = frame.rational_value(a)
     return math.floor(a if r is None else r)
+
+
+def _table(frame, basis, pair: tuple[int, int], coords) -> PeriodLattice:
+    """The lattice over ``pair`` whose member periods have coordinates ``coords``.
+
+    A coordinate less its shift, its `_floor`, is its coefficient: that moves
+    its period by a lattice translation only.
+    """
+    shifts = tuple((_floor(frame, x), _floor(frame, y)) for x, y in coords)
+    coeffs = tuple((x - s1, y - s2) for (x, y), (s1, s2) in zip(coords, shifts))
+    return PeriodLattice(frame, tuple(basis), pair, coeffs, shifts)
 
 
 def period_lattice(
@@ -199,14 +217,12 @@ def period_lattice(
     """Express every non-pair basis period over the chosen pair.
 
     ``pair_choice`` indexes two real-independent basis periods (defaults to
-    the shortest independent pair).  Each coefficient is a `frame.quotient`,
+    the shortest independent pair).  Each coordinate is a `frame.quotient`,
     so an exact frame decides its rationality once, exactly and without
-    dividing field elements.  Coefficients are reduced by subtracting
-    integer multiples of the pair, which only moves each period by lattice
-    translations: the shift is the floor of the coefficient's rational
-    value when it has one, else of the coefficient.  In a float frame the
-    verdict relies on continued-fraction stabilization (denominator <= 10^6,
-    relative residual < 1e-9), and the lattice is `heuristic`.
+    dividing field elements, and `_table` reduces the coordinates to the
+    table.  In a float frame the verdict relies on continued-fraction
+    stabilization (denominator <= 10^6, relative residual < 1e-9), and the
+    lattice is `heuristic`.
     """
     if pair_choice is None:
         pair_choice = default_pair(frame, basis)
@@ -215,33 +231,20 @@ def period_lattice(
     det = frame.cross(d1, d2)
     if frame.is_zero(det, scale=_norm(d1) * _norm(d2)):
         raise DegeneratePair("chosen pair is collinear")
-
-    member_indexes = tuple(k for k in range(len(basis)) if k not in (i, j))
-    coords = [_coordinates(frame, d1, d2, det, basis[k].vector) for k in member_indexes]
-    shifts = tuple((_floor(frame, x), _floor(frame, y)) for x, y in coords)
-    coeffs = tuple((x - s1, y - s2) for (x, y), (s1, s2) in zip(coords, shifts))
-    values = [frame.rational_value(a) for row in coeffs for a in row]
-    return PeriodLattice(
-        frame=frame,
-        basis=tuple(basis),
-        pair_indexes=(i, j),
-        det=det,
-        member_indexes=member_indexes,
-        coeffs=coeffs,
-        shifts=shifts,
-        fracs=None if None in values else tuple(zip(values[::2], values[1::2])),
-    )
+    members = (k for k in range(len(basis)) if k not in (i, j))
+    coords = [_coordinates(frame, d1, d2, det, basis[k].vector) for k in members]
+    return _table(frame, basis, (i, j), coords)
 
 
 def with_pair(lattice: PeriodLattice, pair_choice: tuple[int, int]) -> PeriodLattice:
     """The same doubly-rational lattice over another reference pair.
 
-    The lattice is re-expressed by exact Fraction algebra on its table:
-    every basis period has Fraction coordinates over the old pair, and
-    Cramer's rule over the new pair's coordinates gives the new table.
-    Re-deriving it through `period_lattice` would, in a float frame, refuse
-    denominators above 10^6 that the table holds.  Raises
-    NotDoublyRational on a lattice without a table.
+    Every basis period has exact Fraction coordinates over the old pair (its
+    table entry plus its shift), and Cramer's rule over the new pair's
+    coordinates gives its Fraction coordinates over the new pair, which
+    `_table` reduces as it does `period_lattice`'s quotients.  Both frames
+    take a Fraction as its own rational value, so no denominator is rounded
+    again.  Raises NotDoublyRational on a lattice without a table.
     """
     if lattice.fracs is None:
         raise NotDoublyRational("only a rational table changes pair exactly")
@@ -255,23 +258,9 @@ def with_pair(lattice: PeriodLattice, pair_choice: tuple[int, int]) -> PeriodLat
     cross = a * d - b * c
     if cross == 0:
         raise DegeneratePair("chosen pair is collinear")
-    member_indexes = tuple(k for k in range(len(basis)) if k not in (i, j))
-    rows = [
-        ((x * d - y * c) / cross, (a * y - b * x) / cross)
-        for x, y in (coords[k] for k in member_indexes)
-    ]
-    shifts = tuple((math.floor(x), math.floor(y)) for x, y in rows)
-    fracs = tuple((x - s1, y - s2) for (x, y), (s1, s2) in zip(rows, shifts))
-    return PeriodLattice(
-        frame=lattice.frame,
-        basis=basis,
-        pair_indexes=(i, j),
-        det=lattice.frame.cross(basis[i].vector, basis[j].vector),
-        member_indexes=member_indexes,
-        coeffs=fracs,
-        shifts=shifts,
-        fracs=fracs,
-    )
+    rows = [((x * d - y * c) / cross, (a * y - b * x) / cross)
+            for k, (x, y) in sorted(coords.items()) if k not in (i, j)]
+    return _table(lattice.frame, basis, (i, j), rows)
 
 
 def reduce_period(period, lattice: PeriodLattice) -> tuple[int, int]:
@@ -300,12 +289,11 @@ def rationalize_relations(lattice: PeriodLattice, max_denominator: int) -> Perio
     best rational approximants under a denominator cap.
 
     The approximant of x under denominator cap Q is the last continued-fraction
-    convergent p/q with q <= Q, which satisfies |x - p/q| <= 1/(q*Q); exactly
-    rational coefficients pass through unchanged.  The pair stays, and each
-    member period becomes (frac + shift) of each pair period, so the result is
-    a doubly-rational `PeriodLattice` whose table is these fractions.  It is
-    built from that table directly: a float frame, re-deriving it, would
-    refuse denominators above 10^6.
+    convergent p/q with q <= Q, which satisfies |x - p/q| <= 1/(q*Q); a
+    coefficient with a `frame.rational_value`, as an exact Fraction has in
+    both frames, passes through unchanged.  The pair and the shifts stay, so
+    the substituted Fractions are the table of a doubly-rational
+    `PeriodLattice` whose member periods are (frac + shift) of the pair.
     """
     if max_denominator < 2:
         raise OutOfRange(f"denominator cap must be at least 2, got {max_denominator}")
@@ -318,13 +306,4 @@ def rationalize_relations(lattice: PeriodLattice, max_denominator: int) -> Perio
     basis = list(lattice.basis)
     for k, (a1, a2), (s1, s2) in zip(lattice.member_indexes, fracs, lattice.shifts):
         basis[k] = Period(f.scalar(a1 + s1) * lattice.d1 + f.scalar(a2 + s2) * lattice.d2)
-    return PeriodLattice(
-        frame=f,
-        basis=tuple(basis),
-        pair_indexes=lattice.pair_indexes,
-        det=lattice.det,
-        member_indexes=lattice.member_indexes,
-        coeffs=fracs,
-        shifts=lattice.shifts,
-        fracs=fracs,
-    )
+    return PeriodLattice(f, tuple(basis), lattice.pair_indexes, fracs, lattice.shifts)

@@ -197,14 +197,39 @@ def _pair_floats(lattice: PeriodLattice) -> tuple[complex, complex]:
     return f.to_complex(lattice.d1), f.to_complex(lattice.d2)
 
 
+def _overflow(lattice: PeriodLattice) -> OutOfRange:
+    """The refusal of a lattice whose momenta overflow a float."""
+    return OutOfRange(
+        f"the lattice's momenta overflow a float (C1 ~ 1e{int(math.log10(lattice.c1))}, "
+        f"C2 ~ 1e{int(math.log10(lattice.c2))})"
+    )
+
+
+def _energy(lattice: PeriodLattice, p: complex) -> float:
+    """The energy 0.5*|p|^2 of a momentum of `lattice`; `_overflow` when it is not finite."""
+    try:
+        energy = 0.5 * abs(p) ** 2
+    except OverflowError:
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise _overflow(lattice)
+    return energy
+
+
 def _dual_steps(lattice: PeriodLattice) -> tuple[complex, complex]:
-    """Vectors P1, P2 with p_mn = m*P1 + n*P2 (the closed-form solution)."""
+    """Vectors P1, P2 with p_mn = m*P1 + n*P2 (the closed-form solution).
+
+    A C1 or C2 past the float range raises `_overflow`.
+    """
     z1, z2 = _pair_floats(lattice)
     c1, c2 = lattice.c1, lattice.c2
     s = (z1.conjugate() * z2).imag
     dot = (z1.conjugate() * z2).real
-    p1 = 2 * math.pi * c1 * (abs(z2) ** 2 * z1 - dot * z2) / s**2
-    p2 = 2 * math.pi * c2 * (abs(z1) ** 2 * z2 - dot * z1) / s**2
+    try:
+        p1 = 2 * math.pi * c1 * (abs(z2) ** 2 * z1 - dot * z2) / s**2
+        p2 = 2 * math.pi * c2 * (abs(z1) ** 2 * z2 - dot * z1) / s**2
+    except OverflowError:
+        raise _overflow(lattice) from None
     return p1, p2
 
 
@@ -227,8 +252,9 @@ def _classify_classical(periods: list[tuple[complex, float]], p: complex) -> str
 def momentum_aperiodic(lattice: PeriodLattice, m: int, n: int) -> QuantizedMomentum:
     """The unique momentum with p.D1 = 2*pi*m*C1 and p.D2 = 2*pi*n*C2.
 
-    Raises NotDoublyRational on lattices without rational relations and
-    OutOfRange at the excluded origin m = n = 0.  The returned kind records
+    Raises NotDoublyRational on lattices without rational relations, and
+    OutOfRange at the excluded origin m = n = 0 and on a momentum whose
+    energy overflows a float (`_energy`).  The returned kind records
     whether the momentum happens to be parallel to a basis period (a periodic
     skeleton) or not.
     """
@@ -236,6 +262,7 @@ def momentum_aperiodic(lattice: PeriodLattice, m: int, n: int) -> QuantizedMomen
         raise OutOfRange("momentum labels m = n = 0 carry no motion")
     p1, p2 = _dual_steps(lattice)  # raises NotDoublyRational via lattice.c1
     p = m * p1 + n * p2
+    _energy(lattice, p)
     return QuantizedMomentum(
         m=m, n=n, vector=p, kind=_classify_classical(_basis_floats(lattice), p)
     )
@@ -393,18 +420,15 @@ def spectrum(
     pair: list[tuple[float, int]] = []  # (|D_i|, C_i): the classical wavelengths
 
     if kinds:
+        p1, p2 = _dual_steps(lattice)
         try:
-            p1, p2 = _dual_steps(lattice)
             g11, g22 = abs(p1) ** 2, abs(p2) ** 2
             g12 = (p1.conjugate() * p2).real
             det = g11 * g22 - g12 * g12
         except OverflowError:
             det = math.inf
         if not math.isfinite(det):
-            raise OutOfRange(
-                f"the lattice's momenta overflow a float (C1 ~ 1e{int(math.log10(lattice.c1))}, "
-                f"C2 ~ 1e{int(math.log10(lattice.c2))})"
-            )
+            raise _overflow(lattice)
         cutoff = e_max * (1 + _REL_TOL)
         # the walk visits the half ellipse; the quantum levels are fewer than its labels
         entry = (cutoff, CLASSICAL_APERIODIC, (0, 0), None)

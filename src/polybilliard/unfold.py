@@ -586,8 +586,16 @@ def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float,
     `length` is then back on its start side, and it ends half a step inside
     its start image instead of on that side, where the end test would be a
     tie that the drift of r decides.
+
+    A hit within float resolution of a corner, 1e-12 of the length scale,
+    runs into it; the end test keeps `_TOL`.  On a thin triangle 1/N the test
+    march that closes the shortest period's channel crosses the unit leg
+    pi^2/(2N^2) from its corner, under `_TOL` of the perimeter from
+    N ~ 49,700 on: a corner test at `_TOL` stopped it there, and the channel
+    got "no".
     """
-    tol = _TOL * max(1.0, epp._scale)
+    scale = max(1.0, epp._scale)
+    tol, corner = _TOL * scale, 1e-12 * scale
     uc = u.conjugate()
     sides, gluing, n = epp._sides_float, epp.gluing, epp.polygon.n
     crossings = []
@@ -613,7 +621,7 @@ def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float,
             closing = False
         if length < s_hit - tol:
             return crossings, face
-        if min(r, 1 - r) * side_len < tol:
+        if min(r, 1 - r) * side_len < corner:
             return crossings, None
         nxt, t_cross = gluing[(face, side)]
         if t_cross:

@@ -314,6 +314,47 @@ def test_quantize_momenta_past_float_range_are_usage_errors(a, n, tmp_path, caps
     assert "the lattice's momenta overflow a float" in err and "memory" not in err
 
 
+def _overflow_l_shape(path: Path, digits: int = 200) -> str:
+    """broken_rectangle_199_100.json with x2 = 2 - 10^-digits: C2 ~ 10^digits."""
+    x2 = 2 - Fraction(1, 10**digits)
+    lengths = [x2, 1, x2 - 1, 1, 1, 2]
+    angles = ["1/2", "1/2", "3/2", "1/2", "1/2", "1/2"]
+    sides = [{"angle": a, "length": str(x)} for a, x in zip(angles, lengths)]
+    path.write_text(json.dumps({"sides": sides}))
+    return str(path)
+
+
+@pytest.mark.parametrize("digits, argv", [
+    (200, ["swf", "{big}", "--grid", "4x4"]),
+    (200, ["verify", "{big}", "--spacing", "1/8", "--count", "5"]),
+    (200, ["verify", "{big}", "--against", "{small}", "--e-max", "100"]),
+    (200, ["verify", "{small}", "--against", "{big}", "--e-max", "100"]),
+    (400, ["swf", "{big}", "--grid", "4x4", "--labels", "1,0"]),
+    (400, ["verify", "{big}", "--spacing", "1/8", "--count", "5"]),
+])
+def test_swf_and_verify_momenta_past_float_range_are_usage_errors(digits, argv, tmp_path,
+                                                                   capsys, monkeypatch):
+    # once exit 1, where quantize exits 2 with this message: an OverflowError
+    # from the energy 0.5*|p|^2, or, with C2 past the float range, from the
+    # momentum steps themselves
+    names = {"big": _overflow_l_shape(tmp_path / "big.json", digits),
+             "small": str(POLYGONS / "broken_rectangle.json")}
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, *(a.format(**names) for a in argv))
+    assert (code, out) == (2, "")
+    assert f"the lattice's momenta overflow a float (C1 ~ 1e0, C2 ~ 1e{digits})" in err
+    assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
+
+def test_swf_refuses_the_momentum_not_the_lattice(tmp_path, capsys, monkeypatch):
+    # the labels (1, 0) step along P1 only, whose energy is a float
+    big = _overflow_l_shape(tmp_path / "big.json")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = invoke(capsys, "swf", big, "--grid", "4x4", "--labels", "1,0")
+    assert code == 5 and out.startswith("prescription 1/")
+    assert sorted(os.listdir(tmp_path)) == ["big.json", "swf.csv", "swf.pgm"]
+
+
 def test_lattice_consumers_decide_no_channel(tmp_path, capsys, monkeypatch):
     # quantize, swf and verify read only the basis vectors, never a kind: with
     # every channel decision made to fail they print what they print without

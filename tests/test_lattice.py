@@ -383,9 +383,11 @@ def test_rationalize_relations_keeps_the_pair_fields():
     lat = lattice_of(isosceles_pi5())
     rat = rationalize_relations(lat, 50)
     assert rat != lat and type(rat) is type(lat)
-    kept = ("frame", "pair_indexes", "det", "member_indexes", "shifts")
+    kept = ("frame", "pair_indexes", "shifts")
     assert all(getattr(rat, name) is getattr(lat, name) for name in kept)
-    assert rat.coeffs is rat.fracs and len(rat.basis) == len(lat.basis)
+    # derived from the basis, so equal rather than the same objects
+    assert (rat.det, rat.member_indexes) == (lat.det, lat.member_indexes)
+    assert rat.coeffs == rat.fracs and len(rat.basis) == len(lat.basis)
 
 
 def test_rationalize_exact_table_is_identity():
@@ -396,6 +398,19 @@ def test_rationalize_exact_table_is_identity():
     assert rat.fracs == lat.fracs
     f = lat.frame
     assert all(f.is_zero(a.vector - b.vector) for a, b in zip(rat.basis, lat.basis))
+
+
+def test_rationalize_float_table_is_identity():
+    # the float-frame twin: a table of Fractions is its own rational value in
+    # a float frame too, so its denominators, which reach 301,960,582 over
+    # the pairs of this substitute, are not rounded through as_rational's 10^6
+    lat = lattice_of(_right_triangle(3, 44))
+    assert not lat.frame.exact
+    sub = rationalize_relations(lat, 10)
+    n = len(sub.basis)
+    for pair in ((i, j) for i in range(n) for j in range(n) if i != j):
+        moved = with_pair(sub, pair)
+        assert rationalize_relations(moved, 1000).fracs == moved.fracs
 
 
 # --- report --------------------------------------------------------------------

@@ -1087,6 +1087,15 @@ def test_closing_march_ends_inside_its_start_image():
     assert _closes(epp, face, e.side, 0.5, u, length, e.period.vector, defaultdict(list))
 
 
+def test_thin_triangle_channel_passes_close_to_a_corner():
+    # triangle 1/50000, 100,000 images: the test march that closes the
+    # shortest period's channel crosses the unit leg pi^2/(2N^2) ~ 2.0e-9
+    # from its corner, under 1e-9 of the perimeter; a corner test at that
+    # tolerance stopped the march there and read the period structural
+    basis = period_basis(build_epp(_right_triangle(1, 50000)))
+    assert basis[0].kind == "simple-internal"
+
+
 @pytest.mark.parametrize("name", VERTEX_CASES)
 def test_channel_verdict_is_dihedral(name):
     # the pattern's linear parts are the dihedral group of order 2N, which
