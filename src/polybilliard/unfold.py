@@ -7,6 +7,10 @@ the q's), so a breadth-first unfolding that accepts one image per orientation
 terminates with exactly 2C images — the elementary pattern.  Every further
 reflection lands on an accepted image up to a pure translation; those
 translations are the simple periods, and the pattern's edges glue in pairs.
+The search is a walk over its own image list (`build_epp`): it mirrors
+each image across its sides in order and makes an isometry only for an
+image of a new orientation.  A boundary pair signs its translation into a
+period (`_half_plane`) only when a reader first asks for it.
 
 Gluing the 2C images along their edge pairs produces a closed orientable
 surface whose genus the angle data fixes (`genus`).  Its faces are the
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -75,11 +79,19 @@ __all__ = [
 _TOL = 1e-9
 
 
+def _re_is_zero(v) -> bool:
+    """re(v) = 0 for a field element v: conj(v) = -v, numerator by numerator.
+
+    Unlike `v.real.is_zero()` it builds no v.real (a combine and a normalize).
+    """
+    return v.conjugate() == -v
+
+
 def _fmt_vec(f, v) -> str:
     z = complex(v)
     re, im = z.real, z.imag
     if f.exact:  # snap float dust off exactly-zero components
-        if v.real.is_zero():
+        if _re_is_zero(v):
             re = 0.0
         if v.imag.is_zero():
             im = 0.0
@@ -155,8 +167,9 @@ class Period:
     kind: "simple-internal" (a single edge-pair translation along which a
     channel of parallel periodic orbits runs), "structural" (single pair, no
     orbit of that holonomy closes: `channel_exists` is False), or None for
-    the bare translation an `EdgePair` carries; the pattern's classified
-    periods are `EPP.periods`.
+    the bare translation an `EdgePair` carries, which the pair signs when
+    its `period` is first read; the pattern's classified periods are
+    `EPP.periods`.
 
     A `period_basis` period decides its kind when it is first read, from
     its group's classified period (`EPP._period`), so a caller that reads
@@ -182,20 +195,32 @@ class EdgePair:
     """Gluing of side `side` of image a to side `side` of image b.
 
     Crossing from a to b continues the trajectory in the copy of the pattern
-    offset by +translation; interior gluings have translation zero.  A
+    offset by +translation; `interior` gluings have translation zero.  A
     boundary pair's `period` is its translation with the canonical sign
-    (`_half_plane`) and kind None; the classified period it shares with every
-    pair of an equal translation is in `EPP.periods`.
+    (`_half_plane`) and kind None, None for an interior gluing; the
+    classified period it shares with every pair of an equal translation is
+    in `EPP.periods`.  A pair given its `frame` instead of a period, as
+    `build_epp` makes them, signs its translation when `period` is first
+    read.
     """
 
-    __slots__ = ("a", "b", "side", "translation", "period")
+    __slots__ = ("a", "b", "side", "translation", "interior", "_period", "_frame")
 
-    def __init__(self, a: int, b: int, side: int, translation, period: Period | None):
+    def __init__(self, a: int, b: int, side: int, translation,
+                 period: Period | None = None, frame=None):
         self.a = a
         self.b = b
         self.side = side
         self.translation = translation
-        self.period = period
+        self.interior = period is None and frame is None
+        self._period = period
+        self._frame = frame
+
+    @property
+    def period(self) -> Period | None:
+        if self._period is None and self._frame is not None:
+            self._period = Period(_half_plane(self._frame, self.translation))
+        return self._period
 
 
 class EPP:
@@ -230,7 +255,7 @@ class EPP:
     @cached_property
     def edge_pairs(self) -> list[EdgePair]:
         """Boundary pairs: the gluings with a nonzero translation, in discovery order."""
-        return [e for e in self.edges if e.period is not None]
+        return [e for e in self.edges if not e.interior]
 
     @cached_property
     def periods(self) -> list[Period]:
@@ -351,25 +376,12 @@ class EPP:
                 + (f" t_exact={img.iso.translation!r}" if f.exact else "")
             )
         for e in self.edges:
-            kind = self._period(self._group_index[e]).kind if e.period is not None else "interior"
+            kind = "interior" if e.interior else self._period(self._group_index[e]).kind
             lines.append(
                 f"pair side {e.side}: {e.a} <-> {e.b} "
                 f"T={_fmt_vec(f, e.translation)} [{kind}]"
             )
         return "\n".join(lines)
-
-
-def _mirror(iso: Isometry, polygon: Polygon, s: int) -> Isometry:
-    """The isometry of the mirror copy, across its side s, of the image placed by iso.
-
-    That is the reflection across the line of the image's side s, through
-    its corner p0 = iso(vertex s), composed after iso.
-    """
-    f = polygon.frame
-    r = 2 * iso.transport(polygon.dirs[s], f) % (2 * f.N)
-    p0 = iso.apply(f, polygon.verts[s])
-    t = f.rotate(iso.translation.conjugate(), r) + (p0 - f.rotate(p0.conjugate(), r))
-    return Isometry(not iso.reflecting, (r - iso.rotation) % (2 * f.N), t)
 
 
 def genus(polygon: Polygon) -> int:
@@ -384,7 +396,8 @@ def genus(polygon: Polygon) -> int:
 def _half_plane(frame, v):
     """v or -v, whichever has re > 0 (tie: im > 0)."""
     z = complex(v)
-    re = 0.0 if frame.is_zero(v.real, abs(z)) else z.real
+    zero_re = _re_is_zero(v) if frame.exact else frame.is_zero(v.real, abs(z))
+    re = 0.0 if zero_re else z.real
     if re > 0:
         return v
     if re < 0:
@@ -400,48 +413,62 @@ def build_epp(polygon: Polygon) -> EPP:
     their orientations agree, so orientation-dedup yields the 2C-image
     elementary pattern deterministically.
 
+    The search walks its own image list, each image's sides in order: a
+    breadth-first queue of the slots (image, side) would pop them in that
+    order.  Mirroring image k across its side s reflects it across the line
+    of that side through its corner p0 = k(vertex s): the mirror image has
+    the other reflecting flag, rotation r - rot for r twice the side's
+    direction under k, and translation rot_r(conj T) + p0 - rot_r(conj p0),
+    T and rot being k's.  An image is made only for a new orientation; a
+    mirror image of one already found is a gluing to it, whose translation
+    is the difference of the two.
+
     Each image is created by a gluing to an image before it; those gluings
-    are the pattern's `face_tree`.  Every slot (image, side) is glued once,
-    to a slot of the other parity: mirroring across side s is an involution
-    on orientations, so a slot and its partner are unglued together.  There
+    are the pattern's `face_tree`.  Every slot is glued once, to a slot of
+    the other parity: mirroring across side s is an involution on
+    orientations, so a slot and its partner are unglued together.  There
     are at most 4C orientations (reflecting flag, rotation mod 2C), so the
     search ends; that it ends with 2C images is the theorem checked below.
 
-    Only unfolds: no channel is decided here.  The pattern groups its
-    boundary pairs into simple periods on first use, and decides a period's
-    kind when a reader asks for it (`EPP.periods`).
+    Only unfolds: no channel is decided and no period signed here.  A
+    boundary pair signs its period when it is first read (`EdgePair`), the
+    pattern groups them into simple periods on first use, and decides a
+    period's kind when a reader asks for it (`EPP.periods`).
     """
     f = polygon.frame
-    n = polygon.n
+    n, m = polygon.n, 2 * f.N
     scale = polygon.perimeter_float()
-    images = [PolygonImage(1, Isometry.identity(f), polygon)]
+    rotate, zero = f.rotate, f.zero()
+    corners = [(v, v.conjugate()) for v in polygon.verts]  # side s starts at vertex s
+    images = [PolygonImage(1, Isometry(False, 0, zero), polygon)]
     by_orient: dict[tuple[bool, int], int] = {(False, 0): 0}  # -> index in images
     glued = [False] * n  # slot k*n + s: side s of images[k]
     edges: list[EdgePair] = []
     face_tree: dict[int, tuple[int, int] | None] = {1: None}  # image -> its creating gluing
-    queue = deque(range(n))  # slots
-    while queue:
-        slot = queue.popleft()
-        if glued[slot]:
-            continue
-        k, s = divmod(slot, n)
-        cand = _mirror(images[k].iso, polygon, s)
-        other = by_orient.get((cand.reflecting, cand.rotation))
-        if other is None:
-            other = len(images)
-            images.append(PolygonImage(other + 1, cand, polygon))
-            by_orient[(cand.reflecting, cand.rotation)] = other
-            face_tree[other + 1] = (k + 1, len(edges))
-            edges.append(EdgePair(k + 1, other + 1, s, f.zero(), None))
-            glued += [False] * n
-            queue.extend(range(other * n, other * n + n))
-        else:
-            t = cand.translation - images[other].iso.translation
-            if f.is_zero(t, scale):
-                edges.append(EdgePair(k + 1, other + 1, s, f.zero(), None))
+    for k, image in enumerate(images):  # the list grows as the walk finds images
+        flip, rot, t0 = image.iso.reflecting, image.iso.rotation, image.iso.translation
+        t0c = t0.conjugate()
+        for s, j in enumerate(polygon.dirs):
+            if glued[k * n + s]:
+                continue
+            r = 2 * (rot - j if flip else rot + j) % m
+            p0 = rotate(corners[s][flip], rot) + t0
+            t = rotate(t0c, r) + (p0 - rotate(p0.conjugate(), r))
+            orient = (not flip, (r - rot) % m)
+            other = by_orient.get(orient)
+            if other is None:
+                other = by_orient[orient] = len(images)
+                images.append(PolygonImage(other + 1, Isometry(*orient, t), polygon))
+                face_tree[other + 1] = (k + 1, len(edges))
+                edges.append(EdgePair(k + 1, other + 1, s, zero))
+                glued += [False] * n
             else:
-                edges.append(EdgePair(k + 1, other + 1, s, t, Period(_half_plane(f, t), None)))
-        glued[slot] = glued[other * n + s] = True
+                t = t - images[other].iso.translation
+                if f.is_zero(t, scale):
+                    edges.append(EdgePair(k + 1, other + 1, s, zero))
+                else:
+                    edges.append(EdgePair(k + 1, other + 1, s, t, frame=f))
+            glued[k * n + s] = glued[other * n + s] = True
     if len(images) != 2 * f.N:
         raise RuntimeError(
             f"unfolding closed with {len(images)} images, expected {2 * f.N}"
@@ -489,7 +516,7 @@ def _basis_cycles(epp: EPP) -> list[int]:
 
     def key(cid: int) -> tuple:  # boundary pairs by length, then interior gluings
         e = epp.edges[cid]
-        if e.period is None:
+        if e.interior:
             return (1, 0.0, cid)
         return (0, round(abs(complex(e.translation)), 12), cid)
 
@@ -548,18 +575,18 @@ def period_basis(epp: EPP) -> list[Period]:
     """
     f = epp.polygon.frame
     pairs = [epp.edges[cid] for cid in _basis_cycles(epp)]
-    first = next((e for e in pairs if e.period is not None), None)
+    first = next((e for e in pairs if not e.interior), None)
     if first is None:
         raise RankMismatch("all basis periods have zero translation")
     periods = []
     for e in pairs:
-        if e.period is None:
+        if e.interior:
             e = first
         # a holonomy is a sum from zero, which also turns a float -0.0 into 0.0
         v = _half_plane(f, f.zero() + e.translation)
         z = complex(v)
         p = Period(v)
-        p._resolve = lambda i=epp._group_index[e]: epp._period(i).kind
+        p._resolve = lambda e=e: epp._period(epp._group_index[e]).kind
         periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), p))
     periods.sort(key=lambda t: (t[0], t[1]))
     return [p for _n, _a, p in periods]

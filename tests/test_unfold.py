@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polybilliard
-from polybilliard import cli, unfold
+from polybilliard import cli, exactgeom, unfold
 from polybilliard.errors import ConvergenceFailure, RankMismatch
 from polybilliard.shapes import (
     broken_parallelogram,
@@ -29,7 +29,8 @@ from polybilliard.shapes import (
     right_triangle_rationalized,
     square,
 )
-from polybilliard.exactgeom import load_polygon, solve_closure, validate_polygon
+from polybilliard.exactgeom import ExactFrame, load_polygon, solve_closure, validate_polygon
+from polybilliard.lattice import period_lattice
 from polybilliard.unfold import (
     EPP,
     EdgePair,
@@ -42,7 +43,7 @@ from polybilliard.unfold import (
     genus,
     period_basis,
 )
-from polybilliard.unfold import _basis_cycles, _closes, _find, _mirror
+from polybilliard.unfold import _basis_cycles, _closes, _find, _half_plane, _re_is_zero
 
 POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 
@@ -59,7 +60,57 @@ def _same_vector(frame, a, b, scale=1.0) -> bool:
     return frame.is_zero(a - b, scale)
 
 
-# --- _mirror ----------------------------------------------------------------
+# --- a queue-of-slots unfolding, the reference for build_epp's walk ----------
+
+def _mirror(iso: Isometry, polygon, s: int) -> Isometry:
+    """The isometry of the mirror copy, across its side s, of the image placed by iso.
+
+    That is the reflection across the line of the image's side s, through
+    its corner p0 = iso(vertex s), composed after iso.  `build_epp` makes
+    the same frame operations in the same order without an isometry.
+    """
+    f = polygon.frame
+    r = 2 * iso.transport(polygon.dirs[s], f) % (2 * f.N)
+    p0 = iso.apply(f, polygon.verts[s])
+    t = f.rotate(iso.translation.conjugate(), r) + (p0 - f.rotate(p0.conjugate(), r))
+    return Isometry(not iso.reflecting, (r - iso.rotation) % (2 * f.N), t)
+
+
+def _queue_unfolding(polygon):
+    """Breadth-first unfolding over a queue of slots (image, side), one image per orientation.
+
+    Returns the image isometries, the gluings as (a, b, side, translation,
+    interior) and the face tree, in the order the queue finds them: the
+    reference `build_epp`'s walk over its image list is checked against.
+    """
+    f, n = polygon.frame, polygon.n
+    scale = polygon.perimeter_float()
+    isos = [Isometry.identity(f)]
+    by_orient = {(False, 0): 0}  # -> index in isos
+    glued = [False] * n  # slot k*n + s: side s of image k + 1
+    edges, face_tree = [], {1: None}
+    queue = deque(range(n))
+    while queue:
+        slot = queue.popleft()
+        if glued[slot]:
+            continue
+        k, s = divmod(slot, n)
+        cand = _mirror(isos[k], polygon, s)
+        other = by_orient.get((cand.reflecting, cand.rotation))
+        if other is None:
+            other = by_orient[(cand.reflecting, cand.rotation)] = len(isos)
+            isos.append(cand)
+            face_tree[other + 1] = (k + 1, len(edges))
+            edges.append((k + 1, other + 1, s, f.zero(), True))
+            glued += [False] * n
+            queue.extend(range(other * n, other * n + n))
+        else:
+            t = cand.translation - isos[other].translation
+            interior = f.is_zero(t, scale)
+            edges.append((k + 1, other + 1, s, f.zero() if interior else t, interior))
+        glued[slot] = glued[other * n + s] = True
+    return isos, edges, face_tree
+
 
 def test_reflect_square_bottom_is_conjugation():
     p = square()
@@ -424,6 +475,107 @@ def test_face_tree_is_the_breadth_first_tree(name):
         seen.add(k)
 
 
+def _bits(v) -> str:
+    """repr of a frame vector; a field element's lists its monomials in storage
+    order too, the order `complex()` sums them in."""
+    return repr(v) if isinstance(v, complex) else f"{v!r} {list(v.num.items())}"
+
+
+@pytest.mark.parametrize("name, force_exact", [
+    *((name, False) for name in VERTEX_CASES), ("triangle_1_20", True), ("triangle_3_44", True),
+])
+def test_walk_equals_the_queue_unfolding(name, force_exact, monkeypatch):
+    # the walk over the image list finds the images, gluings and face tree
+    # of the queue of slots, to the float bit and the monomial order
+    if force_exact:
+        monkeypatch.setattr(exactgeom, "EXACT_DEGREE_LIMIT", 10**6)
+    p = VERTEX_CASES[name]()
+    assert p.frame.exact or not force_exact
+    epp = build_epp(p)
+    isos, edges, face_tree = _queue_unfolding(p)
+    assert [(i.iso.reflecting, i.iso.rotation, _bits(i.iso.translation)) for i in epp.images] == [
+        (iso.reflecting, iso.rotation, _bits(iso.translation)) for iso in isos
+    ]
+    assert [(e.a, e.b, e.side, _bits(e.translation), e.interior) for e in epp.edges] == [
+        (a, b, side, _bits(t), interior) for a, b, side, t, interior in edges
+    ]
+    assert list(epp.face_tree.items()) == list(face_tree.items())
+
+
+def test_periods_are_signed_when_read(monkeypatch):
+    # the 2000-image triangle: unfolding signs none of its 999 boundary
+    # translations, the basis signs its own 2g = 500 and groups no pair,
+    # and the first kind read groups them all
+    calls = []
+    real = unfold._half_plane
+
+    def counting(frame, v):
+        calls.append(v)
+        return real(frame, v)
+
+    monkeypatch.setattr(unfold, "_half_plane", counting)
+    epp = build_epp(right_triangle_rationalized())
+    assert calls == [] and len(epp.edge_pairs) == 999
+    basis = period_basis(epp)
+    assert len(calls) == len(basis) == 500 and "_groups" not in epp.__dict__
+    basis[0].kind
+    assert "_groups" in epp.__dict__
+    fresh = build_epp(right_triangle_rationalized())
+    fresh.periods
+    assert [(repr(p.vector), p.kind) for p in basis] == [
+        (repr(p.vector), p.kind) for p in period_basis(fresh)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 5, 6, 10, 15]),
+    terms=st.lists(st.tuples(st.integers(0, 59), st.fractions(-3, 3, max_denominator=5)),
+                   min_size=1, max_size=6),
+    part=st.sampled_from(["any", "real", "imaginary"]),
+)
+def test_exact_real_part_test_reads_numerators(n, terms, part):
+    # conj(v) = -v against re(v) = 0, on field elements of Q(zeta_4N) and
+    # their real and purely imaginary parts; the sign follows it
+    frame = ExactFrame(n)
+    v = sum((frame.unit(j) * c for j, c in terms), frame.zero())
+    if part == "real":
+        v = v + v.conjugate()
+    elif part == "imaginary":
+        v = v - v.conjugate()
+    assert _re_is_zero(v) == v.real.is_zero()
+    z = complex(v)
+    re = 0.0 if v.real.is_zero() else z.real
+    assert _half_plane(frame, v) == (v if re > 0 or (re == 0 and z.imag > 0) else -v)
+
+
+@pytest.mark.parametrize("a, n", [(1, 38), (3, 44), (353, 1000)])
+def test_float_and_exact_frames_unfold_alike(a, n, monkeypatch):
+    # while both frames exist: the same orientation at each image, the same
+    # face tree and interior gluings, translations within the float
+    # tolerance, and the same DRPB verdict (the bases may differ: 31/100
+    # orders two periods of equal float length the other way)
+    flt = _right_triangle(a, n)
+    monkeypatch.setattr(exactgeom, "EXACT_DEGREE_LIMIT", 10**6)
+    ext = _right_triangle(a, n)
+    assert not flt.frame.exact and ext.frame.exact
+    fe, ee = build_epp(flt), build_epp(ext)
+    tol = 1e-9 * flt.perimeter_float()
+    assert [(i.iso.reflecting, i.iso.rotation) for i in fe.images] == [
+        (i.iso.reflecting, i.iso.rotation) for i in ee.images
+    ]
+    assert all(abs(complex(i.iso.translation) - complex(j.iso.translation)) <= tol
+               for i, j in zip(fe.images, ee.images))
+    assert list(fe.face_tree.items()) == list(ee.face_tree.items())
+    assert [(e.a, e.b, e.side, e.interior) for e in fe.edges] == [
+        (e.a, e.b, e.side, e.interior) for e in ee.edges
+    ]
+    assert all(abs(complex(e.translation) - complex(d.translation)) <= tol
+               for e, d in zip(fe.edges, ee.edges))
+    assert (period_lattice(flt.frame, period_basis(fe)).doubly_rational
+            == period_lattice(ext.frame, period_basis(ee)).doubly_rational)
+
+
 def _homology_coords(epp):
     """Tree–co-tree split of the edge classes and the cycle coordinates it gives.
 
@@ -616,6 +768,9 @@ def test_pattern_records_compare_by_identity():
     assert Period(v) != Period(v)
     pair = EdgePair(1, 2, side=0, translation=v, period=Period(v))
     assert pair == pair and pair != EdgePair(1, 2, 0, v, pair.period)
+    assert not pair.interior and EdgePair(1, 2, 0, f.zero()).interior
+    lazy = EdgePair(1, 2, 0, -v, frame=f)  # signs -v into v when first read
+    assert not lazy.interior and lazy.period is lazy.period and lazy.period.vector == v
     image = PolygonImage(index=1, iso=Isometry.identity(f), polygon=poly)
     assert image.parity == 0 and image != _identity_image(poly)
     epp = EPP(poly, [image], [pair], C=1)
