@@ -51,6 +51,9 @@ from .quantize import (
     CLASSICAL_APERIODIC,
     CLASSICAL_PERIODIC,
     QUANTUM,
+    _dual_steps,
+    _energy,
+    _refuse_past_memory,
     momentum_aperiodic,
     spectrum,
     spectrum_csv,
@@ -494,8 +497,6 @@ def _axis_product_levels(lat: PeriodLattice, e_max: float, bc: str) -> list[floa
     cannot fit in physical memory at one float per label raises OutOfRange,
     and so does a pair momentum whose energy overflows a float.
     """
-    from .quantize import _dual_steps, _energy, _refuse_past_memory  # closed-form pair momenta
-
     p1, p2 = _dual_steps(lat)
     for p in (p1, p2):
         if min(abs(p.real), abs(p.imag)) > 1e-9 * abs(p):

@@ -253,7 +253,7 @@ class FloatFrame(_Frame):
         return 0j
 
     def rotate(self, z: complex, j: int) -> complex:
-        return z * self.unit(j)
+        return z * self._units[j % (2 * self.N)]
 
     def is_zero(self, z, scale: float = 1.0) -> bool:
         return abs(z) <= _FLOAT_TOL * max(1.0, scale)
@@ -334,9 +334,6 @@ class Polygon:
 
     def perimeter_float(self) -> float:
         return sum(float(v) for v in self.lengths)
-
-    def angle_sum(self) -> Fraction:
-        return sum((a.frac for a in self.angles), Fraction(0))
 
     def __repr__(self) -> str:
         nm = f" {self.name!r}" if self.name else ""

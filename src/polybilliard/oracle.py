@@ -32,9 +32,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceFailure, OutOfRange, TooCoarse
+from .exactgeom import DIRICHLET, NEUMANN
 from .quantize import _refuse_past_memory
 from .shapes import l_shape
-from .swf import DIRICHLET, NEUMANN, _point_in_polygon
+from .swf import _point_in_polygon
 
 _TOL = 1e-9
 _DENSE_LIMIT = 4000

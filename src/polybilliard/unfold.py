@@ -58,7 +58,6 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
 
 from .errors import ConvergenceFailure, NonIntegerGenus, RankMismatch
 from .exactgeom import Polygon
@@ -103,7 +102,9 @@ class Isometry:
 
     `rotation` is a direction index mod 2N: the linear part rotates by
     rotation*pi/N (after the optional conjugation).
-    Isometries are equal and hashed by value.
+    Isometries are equal and hashed by value.  An isometry is the placement
+    of one image and holds no algebra: `build_epp` composes the mirror step
+    inline, and `EPP._sides_float` applies the placements in floats.
     """
 
     __slots__ = ("reflecting", "rotation", "translation")
@@ -130,30 +131,15 @@ class Isometry:
             f"translation={self.translation!r})"
         )
 
-    @classmethod
-    def identity(cls, frame) -> "Isometry":
-        return cls(False, 0, frame.zero())
-
-    def apply(self, frame, z):
-        w = z.conjugate() if self.reflecting else z
-        return frame.rotate(w, self.rotation) + self.translation
-
-    def transport(self, j: int, frame) -> int:
-        """Direction index of the image of a vector with direction index j."""
-        if self.reflecting:
-            return (self.rotation - j) % (2 * frame.N)
-        return (self.rotation + j) % (2 * frame.N)
-
 
 class PolygonImage:
-    """One copy of the polygon in the unfolding; index is 1-based."""
+    """One copy of the polygon in the unfolding, placed by `iso`; index is 1-based."""
 
-    __slots__ = ("index", "iso", "polygon")
+    __slots__ = ("index", "iso")
 
-    def __init__(self, index: int, iso: Isometry, polygon: Polygon):
+    def __init__(self, index: int, iso: Isometry):
         self.index = index
         self.iso = iso
-        self.polygon = polygon
 
     @property
     def parity(self) -> int:
@@ -248,6 +234,12 @@ class EPP:
         self.edges = edges
         self.C = C
         self.face_tree = face_tree
+        # `frame.index_key` of a group's vector -> the indices of the groups
+        # there, filled by `_groups`: an exact frame keys a vector by itself,
+        # a float frame by its grid cell
+        self._index: dict[object, list[int]] = {}
+        # group index -> its classified period, for the groups asked for so far
+        self._kinds: dict[int, Period] = {}
 
     def image(self, k: int) -> PolygonImage:
         return self.images[k - 1]
@@ -291,15 +283,6 @@ class EPP:
         """Boundary pair -> the index in `_groups` of its group of equal translations."""
         return {e: i for i, group in enumerate(self._groups) for e in group}
 
-    @cached_property
-    def _index(self) -> dict[object, list[int]]:
-        """`frame.index_key` of a group's vector -> the indices of the groups there.
-
-        `_groups` fills it.  An exact frame keys a vector by itself, a float
-        frame by its grid cell.
-        """
-        return {}
-
     def _group_of(self, v, groups: list[list[EdgePair]] | None = None) -> int | None:
         """Index of the first group whose vector equals v, or None.
 
@@ -318,11 +301,6 @@ class EPP:
                     found = i
                     break
         return found
-
-    @cached_property
-    def _kinds(self) -> dict[int, Period]:
-        """Group index -> its classified period, for the groups asked for so far."""
-        return {}
 
     def _period(self, i: int) -> Period:
         """The classified period of group i, deciding its channel on first request."""
@@ -385,9 +363,12 @@ class EPP:
 
 
 def genus(polygon: Polygon) -> int:
-    """Genus of the closed surface obtained by gluing the pattern's edge pairs."""
-    c = lcm(*(a.q for a in polygon.angles))
-    g = 1 + Fraction(c, 2) * sum(Fraction(a.p - 1, a.q) for a in polygon.angles)
+    """Genus of the closed surface obtained by gluing the pattern's edge pairs.
+
+    g = 1 + (N/2) * sum((p - 1)/q) over the angles p/q, N = `polygon.N`, the
+    lcm of the q's.
+    """
+    g = 1 + Fraction(polygon.N, 2) * sum(Fraction(a.p - 1, a.q) for a in polygon.angles)
     if g.denominator != 1:
         raise NonIntegerGenus(f"genus formula gave {g} for {polygon!r}")
     return int(g)
@@ -440,7 +421,7 @@ def build_epp(polygon: Polygon) -> EPP:
     scale = polygon.perimeter_float()
     rotate, zero = f.rotate, f.zero()
     corners = [(v, v.conjugate()) for v in polygon.verts]  # side s starts at vertex s
-    images = [PolygonImage(1, Isometry(False, 0, zero), polygon)]
+    images = [PolygonImage(1, Isometry(False, 0, zero))]
     by_orient: dict[tuple[bool, int], int] = {(False, 0): 0}  # -> index in images
     glued = [False] * n  # slot k*n + s: side s of images[k]
     edges: list[EdgePair] = []
@@ -458,7 +439,7 @@ def build_epp(polygon: Polygon) -> EPP:
             other = by_orient.get(orient)
             if other is None:
                 other = by_orient[orient] = len(images)
-                images.append(PolygonImage(other + 1, Isometry(*orient, t), polygon))
+                images.append(PolygonImage(other + 1, Isometry(*orient, t)))
                 face_tree[other + 1] = (k + 1, len(edges))
                 edges.append(EdgePair(k + 1, other + 1, s, zero))
                 glued += [False] * n

@@ -101,7 +101,7 @@ def test_broken_rectangle_valid():
     assert p.N == 2
     for got, want in zip(p.vertices_float(), [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]):
         assert got == pytest.approx(want, abs=1e-12)
-    assert p.angle_sum() == 4
+    assert sum(a.frac for a in p.angles) == 4
 
 
 def test_square_with_bad_length_fails_closure():
@@ -404,6 +404,25 @@ def test_frames_agree_on_unit_vectors():
     ef, ff = ExactFrame(6), FloatFrame(6)
     for j in range(12):
         assert abs(ef.to_complex(ef.unit(j)) - ff.unit(j)) < 1e-12
+
+
+def _triangle_1_38() -> Polygon:
+    angles = ["1/38", "1/2", "9/19"]
+    return validate_polygon(angles, solve_closure(angles, [1, None, None]))
+
+
+@pytest.mark.parametrize("polygon, exact", [(_triangle_1_38, False), (shapes.equilateral, True)])
+def test_rotate_is_multiplication_by_the_unit(polygon, exact):
+    # rotate(z, j) == z * unit(j) for j of either sign and past 2N: bit for
+    # bit in a float frame, as field elements in an exact one
+    p = polygon()
+    f = p.frame
+    assert f.exact is exact
+    zs = [*p.verts, sum(p.verts, f.zero()) + f.unit(1)]
+    for j in range(-4 * p.N, 4 * p.N):
+        for z in zs:
+            got, want = f.rotate(z, j), z * f.unit(j)
+            assert got == want if f.exact else repr(got) == repr(want)
 
 
 def test_frame_cross_dot():

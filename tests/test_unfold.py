@@ -49,7 +49,7 @@ POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 
 
 def _identity_image(polygon) -> PolygonImage:
-    return PolygonImage(1, Isometry.identity(polygon.frame), polygon)
+    return PolygonImage(1, _identity(polygon.frame))
 
 
 def _vec(frame, v) -> complex:
@@ -62,6 +62,23 @@ def _same_vector(frame, a, b, scale=1.0) -> bool:
 
 # --- a queue-of-slots unfolding, the reference for build_epp's walk ----------
 
+def _identity(frame) -> Isometry:
+    return Isometry(False, 0, frame.zero())
+
+
+def _apply(iso: Isometry, frame, z):
+    """iso(z): conjugate z if iso reflects, rotate it, then translate."""
+    w = z.conjugate() if iso.reflecting else z
+    return frame.rotate(w, iso.rotation) + iso.translation
+
+
+def _transport(iso: Isometry, j: int, frame) -> int:
+    """Direction index of the image under iso of a vector with direction index j."""
+    if iso.reflecting:
+        return (iso.rotation - j) % (2 * frame.N)
+    return (iso.rotation + j) % (2 * frame.N)
+
+
 def _mirror(iso: Isometry, polygon, s: int) -> Isometry:
     """The isometry of the mirror copy, across its side s, of the image placed by iso.
 
@@ -70,8 +87,8 @@ def _mirror(iso: Isometry, polygon, s: int) -> Isometry:
     the same frame operations in the same order without an isometry.
     """
     f = polygon.frame
-    r = 2 * iso.transport(polygon.dirs[s], f) % (2 * f.N)
-    p0 = iso.apply(f, polygon.verts[s])
+    r = 2 * _transport(iso, polygon.dirs[s], f) % (2 * f.N)
+    p0 = _apply(iso, f, polygon.verts[s])
     t = f.rotate(iso.translation.conjugate(), r) + (p0 - f.rotate(p0.conjugate(), r))
     return Isometry(not iso.reflecting, (r - iso.rotation) % (2 * f.N), t)
 
@@ -85,7 +102,7 @@ def _queue_unfolding(polygon):
     """
     f, n = polygon.frame, polygon.n
     scale = polygon.perimeter_float()
-    isos = [Isometry.identity(f)]
+    isos = [_identity(f)]
     by_orient = {(False, 0): 0}  # -> index in isos
     glued = [False] * n  # slot k*n + s: side s of image k + 1
     edges, face_tree = [], {1: None}
@@ -114,16 +131,16 @@ def _queue_unfolding(polygon):
 
 def test_reflect_square_bottom_is_conjugation():
     p = square()
-    iso = _mirror(Isometry.identity(p.frame), p, 0)
+    iso = _mirror(_identity(p.frame), p, 0)
     assert iso.reflecting is True
     assert iso.rotation == 0
     assert p.frame.is_zero(iso.translation)
-    assert PolygonImage(2, iso, p).parity == 1
+    assert PolygonImage(2, iso).parity == 1
 
 
 def test_reflect_twice_is_identity():
     p = square()
-    iso = _mirror(_mirror(Isometry.identity(p.frame), p, 0), p, 0)
+    iso = _mirror(_mirror(_identity(p.frame), p, 0), p, 0)
     assert iso.reflecting is False
     assert iso.rotation == 0
     assert p.frame.is_zero(iso.translation)
@@ -134,11 +151,11 @@ def test_reflect_adjacent_edges_gives_vertex_rotation():
     # about the shared vertex; for the square that is a half-turn about (1,0)
     p = square()
     f = p.frame
-    iso = _mirror(_mirror(Isometry.identity(f), p, 0), p, 1)
+    iso = _mirror(_mirror(_identity(f), p, 0), p, 1)
     assert iso.reflecting is False
     assert iso.rotation == p.N  # pi in units of pi/N
     v = f.from_xy(1, 0)
-    assert f.is_zero(iso.apply(f, v) - v)
+    assert f.is_zero(_apply(iso, f, v) - v)
 
 
 # --- build_epp --------------------------------------------------------------
@@ -553,8 +570,9 @@ def test_exact_real_part_test_reads_numerators(n, terms, part):
 def test_float_and_exact_frames_unfold_alike(a, n, monkeypatch):
     # while both frames exist: the same orientation at each image, the same
     # face tree and interior gluings, translations within the float
-    # tolerance, and the same DRPB verdict (the bases may differ: 31/100
-    # orders two periods of equal float length the other way)
+    # tolerance, the same kind of every distinct period, and the same DRPB
+    # verdict (the bases may differ: 31/100 orders two periods of equal
+    # float length the other way)
     flt = _right_triangle(a, n)
     monkeypatch.setattr(exactgeom, "EXACT_DEGREE_LIMIT", 10**6)
     ext = _right_triangle(a, n)
@@ -572,6 +590,7 @@ def test_float_and_exact_frames_unfold_alike(a, n, monkeypatch):
     ]
     assert all(abs(complex(e.translation) - complex(d.translation)) <= tol
                for e, d in zip(fe.edges, ee.edges))
+    assert [p.kind for p in fe.periods] == [p.kind for p in ee.periods]
     assert (period_lattice(flt.frame, period_basis(fe)).doubly_rational
             == period_lattice(ext.frame, period_basis(ee)).doubly_rational)
 
@@ -756,8 +775,8 @@ def test_isometry_compares_and_hashes_by_value():
     b = Isometry(reflecting=False, rotation=1, translation=f.unit(0) + f.zero())
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != Isometry(True, 1, f.unit(0)) and a != Isometry(False, 1, f.zero())
-    assert Isometry.identity(f) == Isometry(False, 0, f.zero()) and a != (False, 1, f.unit(0))
-    assert len({a, b, Isometry.identity(f)}) == 2
+    assert _identity(f) == Isometry(False, 0, f.zero()) and a != (False, 1, f.unit(0))
+    assert len({a, b, _identity(f)}) == 2
 
 
 def test_pattern_records_compare_by_identity():
@@ -771,7 +790,7 @@ def test_pattern_records_compare_by_identity():
     assert not pair.interior and EdgePair(1, 2, 0, f.zero()).interior
     lazy = EdgePair(1, 2, 0, -v, frame=f)  # signs -v into v when first read
     assert not lazy.interior and lazy.period is lazy.period and lazy.period.vector == v
-    image = PolygonImage(index=1, iso=Isometry.identity(f), polygon=poly)
+    image = PolygonImage(index=1, iso=_identity(f))
     assert image.parity == 0 and image != _identity_image(poly)
     epp = EPP(poly, [image], [pair], C=1)
     assert epp.edge_pairs == [pair] and epp.image(1) is image
