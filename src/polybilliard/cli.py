@@ -7,6 +7,8 @@ stable contract scripts can rely on:
   0  success
   2  input error (unreadable file, bad JSON, closure failure, bad flags, an
      --e-max, --grid, --edge-samples or --spacing that memory cannot hold,
+     a polygon whose unfolding, 2N images for N the lcm of its angle
+     denominators, memory cannot hold,
      a quantize lattice whose momenta overflow a float, a swf or verify
      momentum whose energy overflows one)
   3  the billiard is not doubly rational and no --rationalize cap was given
@@ -44,6 +46,7 @@ from .errors import (
     NotDoublyRational,
     OutOfRange,
     TooCoarse,
+    _refuse_past_memory,
 )
 from .exactgeom import DIRICHLET, NEUMANN, load_polygon
 from .lattice import PeriodLattice, _period_line, period_lattice, rationalize_relations
@@ -53,7 +56,6 @@ from .quantize import (
     QUANTUM,
     _dual_steps,
     _energy,
-    _refuse_past_memory,
     momentum_aperiodic,
     spectrum,
     spectrum_csv,

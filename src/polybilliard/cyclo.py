@@ -26,7 +26,13 @@ per map and basis monomial, the reduced signed terms of the image, so
 applying a map costs one dict lookup per monomial.  The terms are summed
 in the element's key order exactly as `CycloField._collect` sums them, so
 the result holds its monomials in the same order; that order matters,
-because `complex()` sums in it.
+because `complex()` sums in it.  A map that only permutes the basis up to
+sign moves each numerator to its image's key in that same order.
+
+The shortcuts keep that key-order rule too.  Multiplying by an int or a
+Fraction scales the numerators in their key order, which is what the
+product with the rational element gives; each field makes its roots of
+unity zeta^j once and hands out the same immutable element after.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mod
 from types import MappingProxyType
 
 from .errors import OutOfRange
@@ -89,9 +96,10 @@ class CycloField:
         # CRT weights: zeta_M^j  <->  prod_i zeta_{q_i}^{j * u_i mod q_i}
         self.crt_units = [pow(m // q, -1, q) for q in self.moduli]
         self._reduce_cache: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-        # (a, b) -> {basis monomial e: the reduced terms of zeta^(a*e + b)}
-        self._affine_cache: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
+        # (a, b) -> the images of the basis monomials under zeta^e -> zeta^(a*e + b)
+        self._affine_cache: dict[tuple[int, int], _MonomialMap] = {}
         self._value_cache: dict[tuple[int, ...], complex] = {}
+        self._zeta_cache: dict[int, Cyclo] = {}  # j mod M -> zeta^j; elements are immutable
         self.zero_key = (0,) * len(self.moduli)
 
     # -- monomial plumbing ------------------------------------------------
@@ -127,10 +135,10 @@ class CycloField:
         leaves and re-enters at the end, the order `Cyclo.__complex__` sums in.
         """
         acc: dict[tuple[int, ...], int] = {}
-        reduce_raw = self._reduce_raw
+        reduced = self._reduce_cache
         for raw, c in terms:
-            for key, sign in reduce_raw(raw):
-                s = acc.get(key, 0) + (c if sign > 0 else -c)
+            for key, sign in reduced.get(raw) or self._reduce_raw(raw):
+                s = acc.get(key, 0) + c * sign
                 if s:
                     acc[key] = s
                 else:
@@ -161,12 +169,18 @@ class CycloField:
         return self.rational(1)
 
     def rational(self, q) -> "Cyclo":
-        q = Fraction(q)
-        return Cyclo(self, {self.zero_key: q.numerator} if q else {}, q.denominator)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        n = q.numerator
+        return Cyclo(self, {self.zero_key: n} if n else {}, q.denominator)
 
     def zeta(self, j: int = 1) -> "Cyclo":
-        """The root of unity zeta_M^j."""
-        return self._collect([(self._raw_key(j), 1)])
+        """The root of unity zeta_M^j, made once per field and exponent mod M."""
+        j %= self.order
+        z = self._zeta_cache.get(j)
+        if z is None:
+            z = self._zeta_cache[j] = self._collect([(self._raw_key(j), 1)])
+        return z
 
     def i(self) -> "Cyclo":
         if self.order % 4:
@@ -175,6 +189,39 @@ class CycloField:
 
     def __repr__(self) -> str:
         return f"CycloField({self.order})"
+
+
+class _MonomialMap:
+    """The images of basis monomials e under zeta^e -> zeta^(a*e + b), made as read.
+
+    `images` maps e to the reduced signed terms of zeta^(a*e + b), or, when
+    the map is `signed`, to its one (monomial, sign) term.  The map is
+    signed when no component with an odd prime leaves its basis exponents
+    (a component with prime 2 always rewrites to one term).  Two basis
+    monomials then never share an image monomial: zeta^x = -zeta^y puts
+    the prime-2 components of x and y half their modulus apart, and the
+    basis exponents span only half of it.
+    """
+
+    __slots__ = ("field", "a", "kb", "signed", "images")
+
+    def __init__(self, field: CycloField, a: int, b: int):
+        self.field, self.a, self.kb = field, a, field._raw_key(b)
+        self.images: dict[tuple[int, ...], object] = {}
+        self.signed = all(
+            (a * x + y) % q < ph
+            for p, q, ph, y in zip(field.primes, field.moduli, field.phis, self.kb)
+            if p != 2
+            for x in range(ph)
+        )
+
+    def fill(self, ka: tuple[int, ...]):
+        """The image of basis monomial ka, entered in `images`."""
+        f = self.field
+        raw = tuple((self.a * x + y) % q for x, y, q in zip(ka, self.kb, f.moduli))
+        terms = f._reduce_raw(raw)
+        image = self.images[ka] = terms[0] if self.signed else terms
+        return image
 
 
 def _normalized(field: CycloField, num: dict[tuple[int, ...], int], den: int) -> "Cyclo":
@@ -224,10 +271,12 @@ class Cyclo:
         return None
 
     def __add__(self, other):
+        if other.__class__ is Cyclo and other.field is self.field:
+            return self._combine(other, 1)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _normalized(self.field, *self._combine(o, 1))
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
@@ -235,19 +284,21 @@ class Cyclo:
         return Cyclo(self.field, {k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
+        if other.__class__ is Cyclo and other.field is self.field:
+            return self._combine(other, -1)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _normalized(self.field, *self._combine(o, -1))
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _normalized(self.field, *o._combine(self, -1))
+        return o._combine(self, -1)
 
-    def _combine(self, o: "Cyclo", sign: int) -> tuple[dict[tuple[int, ...], int], int]:
-        """(numerators, den) of self + sign*o before normalizing; o's new keys enter at the end."""
+    def _combine(self, o: "Cyclo", sign: int, halve: bool = False) -> "Cyclo":
+        """self + sign*o, halved if `halve`, normalized once; o's new keys enter at the end."""
         den, oden = self.den, o.den
         if den == oden:
             out, scale = dict(self.num), sign
@@ -262,13 +313,22 @@ class Cyclo:
                 out[k] = s
             else:
                 del out[k]
-        return out, den
+        if halve:
+            den *= 2
+        if den == 1:
+            return Cyclo(self.field, out, 1)
+        return _normalized(self.field, out, den)
 
     def __mul__(self, other):
+        if other.__class__ is not Cyclo:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            # a rational factor scales the numerators, kept in their key order
+            if not other:
+                return Cyclo(self.field, {}, 1)
+            c, d = other.numerator, other.denominator
+            return _normalized(self.field, {k: v * c for k, v in self.num.items()}, self.den * d)
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # a rational factor scales the other's numerators, kept in their key order
         zero_key = self.field.zero_key
         if len(o.num) == 1 and zero_key in o.num:
             c = o.num[zero_key]
@@ -279,7 +339,7 @@ class Cyclo:
         moduli = self.field.moduli
         return self.field._collect(
             (
-                (tuple((a + b) % q for a, b, q in zip(ka, kb, moduli)), va * vb)
+                (tuple(map(mod, map(add, ka, kb), moduli)), va * vb)
                 for ka, va in self.num.items()
                 for kb, vb in o.num.items()
             ),
@@ -289,6 +349,8 @@ class Cyclo:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if other.__class__ is Cyclo:
+            return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
@@ -297,8 +359,6 @@ class Cyclo:
             if a < 0:
                 a, b = -a, -b
             return _normalized(self.field, {k: v * b for k, v in self.num.items()}, self.den * a)
-        if isinstance(other, Cyclo):
-            return self * other.inverse()
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -337,22 +397,26 @@ class Cyclo:
         """The image under the monomial map zeta^e -> zeta^(a*e + b), a coprime to M.
 
         The map is an automorphism of Z[zeta] times a unit, so it keeps the
-        numerators' content and the result needs no normalizing.
+        numerators' content and the result needs no normalizing.  A map
+        that permutes the basis up to sign moves each numerator to its
+        image's key, in the element's key order, as the sum would.
         """
         f = self.field
-        a, b = a % f.order, b % f.order
-        table = f._affine_cache.get((a, b))
+        m = f.order
+        ab = (a % m, b % m)
+        table = f._affine_cache.get(ab)
         if table is None:
-            table = f._affine_cache[a, b] = {}
+            table = f._affine_cache[ab] = _MonomialMap(f, *ab)
+        images = table.images
         acc: dict[tuple[int, ...], int] = {}
+        if table.signed:
+            for ka, c in self.num.items():
+                key, sign = images.get(ka) or table.fill(ka)
+                acc[key] = c * sign
+            return Cyclo(f, acc, self.den)
         for ka, c in self.num.items():
-            terms = table.get(ka)
-            if terms is None:
-                kb = f._raw_key(b)
-                raw = tuple((a * x + y) % q for x, y, q in zip(ka, kb, f.moduli))
-                terms = table[ka] = f._reduce_raw(raw)
-            for key, sign in terms:
-                s = acc.get(key, 0) + (c if sign > 0 else -c)
+            for key, sign in images.get(ka) or table.fill(ka):
+                s = acc.get(key, 0) + c * sign
                 if s:
                     acc[key] = s
                 else:
@@ -362,16 +426,14 @@ class Cyclo:
     @property
     def real(self) -> "Cyclo":
         # (z + conj z)/2, normalized once
-        out, den = self._combine(self.conjugate(), 1)
-        return _normalized(self.field, out, 2 * den)
+        return self._combine(self.conjugate(), 1, halve=True)
 
     @property
     def imag(self) -> "Cyclo":
         # (z - conj z)/2 = i * Im z; multiply by -i = zeta^(-M/4)
         if self.field.order % 4:
             raise OutOfRange("imag requires 4 | M")
-        out, den = self._combine(self.conjugate(), -1)
-        return _normalized(self.field, out, 2 * den).shift(-(self.field.order // 4))
+        return self._combine(self.conjugate(), -1, halve=True).shift(-(self.field.order // 4))
 
     # -- predicates and conversions -----------------------------------------
 
@@ -432,9 +494,11 @@ class Cyclo:
     # -- equality -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not Cyclo:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.field.rational(other)
-        if not isinstance(other, Cyclo) or other.field is not self.field:
+        elif other.field is not self.field:
             return NotImplemented
         return self.den == other.den and self.num == other.num
 

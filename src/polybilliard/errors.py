@@ -1,6 +1,13 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the memory guard.
+
+`_refuse_past_memory` sits here, below every module that allocates by a
+size a user chooses, so that each can refuse that size before it builds.
+"""
 
 from __future__ import annotations
+
+import os
+import sys
 
 
 class BilliardError(Exception):
@@ -85,3 +92,19 @@ class OutOfRange(BilliardError):
 
 class ConstraintViolation(UserWarning):
     """Quantum transverse momentum outside the slow-variation regime."""
+
+
+def _refuse_past_memory(count: float, item_bytes: int, what: str) -> None:
+    """Raise OutOfRange when `count` items of at least `item_bytes` each outrun physical memory.
+
+    `item_bytes` is a lower bound on what one item costs, so no run that
+    fits in memory is refused.  Where the platform does not report its
+    memory, the bound is sys.maxsize items, the most a list can hold.  The
+    message is `what` followed by "than memory can hold".
+    """
+    try:
+        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / item_bytes
+    except (AttributeError, ValueError, OSError):
+        limit = sys.maxsize
+    if not count <= limit:
+        raise OutOfRange(f"{what} than memory can hold")

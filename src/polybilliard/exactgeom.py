@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 import warnings
 from fractions import Fraction
 from math import gcd, lcm
@@ -34,6 +35,7 @@ from .errors import (
     OutOfRange,
     SelfIntersection,
     SingularSystem,
+    _refuse_past_memory,
 )
 
 __all__ = [
@@ -89,7 +91,7 @@ class RationalAngle:
                 stacklevel=2,
             )
             p, q = p // g, q // g
-        if not 0 < Fraction(p, q) < 2:
+        if not 0 < p < 2 * q:
             raise OutOfRange(f"interior angle must be in (0, 2pi): got {p}/{q} pi")
         self.p = p
         self.q = q
@@ -107,14 +109,13 @@ class RationalAngle:
 
     @classmethod
     def make(cls, value) -> "RationalAngle":
-        """Coerce "p/q" strings, Fractions, (p, q) pairs, or ints."""
+        """Coerce "p/q" strings, Fractions, (p, q) pairs, or ints; a bool is no angle."""
         if isinstance(value, RationalAngle):
             return value
         if isinstance(value, str):
             value = Fraction(value)
-        if isinstance(value, (int, Fraction)):
-            f = Fraction(value)
-            return cls(f.numerator, f.denominator)
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return cls(value.numerator, value.denominator)
         if isinstance(value, tuple) and len(value) == 2:
             return cls(int(value[0]), int(value[1]))
         raise TypeError(f"cannot interpret {value!r} as a rational angle")
@@ -134,7 +135,7 @@ class _Frame:
     """The vector algebra of both frames, written once over Python's complex protocol.
 
     A subclass sets `N` and `_i` (the vector i) and adds `unit`, `scalar`,
-    `zero`, `rotate`, `is_zero`, the index keys `index_key` and
+    `zero`, `rotate`, `mirror`, `is_zero`, the index keys `index_key` and
     `probe_keys`, `quotient`, `rational_value`, `_length` and `positive`.
     """
 
@@ -169,21 +170,25 @@ class ExactFrame(_Frame):
 
     def unit(self, j: int):
         """The unit vector e^{i pi j / N}."""
-        return self.field.zeta((2 * j) % (4 * self.N))
+        return self.field.zeta(2 * j)
 
     def scalar(self, r):
         if isinstance(r, Cyclo):
             if r.field is not self.field:
                 raise ValueError("scalar from a different field")
             return r
-        return self.field.rational(Fraction(r))
+        return self.field.rational(r)
 
     def zero(self):
         return self.field.zero()
 
     def rotate(self, z, j: int):
         """Rotate by j*pi/N."""
-        return z.shift(2 * j)
+        return z._mapped(1, 2 * j)
+
+    def mirror(self, zc, p, j: int):
+        """z reflected in the line through p of direction j*pi/(2N), given zc = conj(z)."""
+        return zc._mapped(1, 2 * j) + (p - p.conjugate()._mapped(1, 2 * j))
 
     def is_zero(self, z, scale: float = 1.0) -> bool:
         return z.is_zero()
@@ -224,13 +229,13 @@ class ExactFrame(_Frame):
                 "float lengths are not allowed in exact mode; pass a Fraction "
                 "(or a string like '3/2' in the polygon file)"
             )
-        return Fraction(value)
+        return value if isinstance(value, Fraction) else Fraction(value)
 
     def positive(self, r) -> bool:
         """A Fraction's sign exactly; a field scalar's once it is exactly nonzero."""
-        if isinstance(r, Fraction):
-            return r > 0
-        return not r.is_zero() and float(r) > 0
+        if isinstance(r, Cyclo):
+            return not r.is_zero() and float(r) > 0
+        return r > 0
 
 
 class FloatFrame(_Frame):
@@ -241,10 +246,14 @@ class FloatFrame(_Frame):
 
     def __init__(self, n_lcm: int):
         self.N = n_lcm
-        self._units = [cmath.exp(1j * math.pi * j / n_lcm) for j in range(2 * n_lcm)]
+        _refuse_past_memory(2 * n_lcm, sys.getsizeof(0j) + 8,
+                            f"the {2 * n_lcm} unit vectors of a float frame are more")
+        step = 1j * math.pi
+        self._turn = 2 * n_lcm  # direction indices in a full turn
+        self._units = [cmath.exp(step * j / n_lcm) for j in range(self._turn)]
 
     def unit(self, j: int) -> complex:
-        return self._units[j % (2 * self.N)]
+        return self._units[j % self._turn]
 
     def scalar(self, r) -> float:
         return float(r)
@@ -253,7 +262,11 @@ class FloatFrame(_Frame):
         return 0j
 
     def rotate(self, z: complex, j: int) -> complex:
-        return z * self._units[j % (2 * self.N)]
+        return z * self._units[j % self._turn]
+
+    def mirror(self, zc: complex, p: complex, j: int) -> complex:
+        w = self._units[j % self._turn]
+        return zc * w + (p - p.conjugate() * w)
 
     def is_zero(self, z, scale: float = 1.0) -> bool:
         return abs(z) <= _FLOAT_TOL * max(1.0, scale)
@@ -284,6 +297,8 @@ class FloatFrame(_Frame):
         `rationalize_relations` builds; rounding it through a float would
         refuse its denominator above 10^6.
         """
+        if isinstance(r, float):
+            return as_rational(r)
         return r if isinstance(r, Fraction) else as_rational(float(r))
 
     def _length(self, value) -> float:
@@ -348,36 +363,51 @@ def _direction_indices(angles: list[RationalAngle], n_lcm: int) -> list[int]:
     return js
 
 
+def _pt_seg(p: complex, u: complex, v: complex) -> float:
+    """Euclidean distance from point p to segment uv."""
+    w = v - u
+    den = (w.real**2 + w.imag**2) or 1.0
+    t = ((p - u).real * w.real + (p - u).imag * w.imag) / den
+    t = min(1.0, max(0.0, t))
+    return abs(p - (u + t * w))
+
+
+def _orient(p: complex, q: complex, r: complex) -> float:
+    return (q - p).real * (r - p).imag - (q - p).imag * (r - p).real
+
+
 def _seg_distance(a: complex, b: complex, c: complex, d: complex) -> float:
     """Euclidean distance between segments ab and cd."""
-
-    def pt_seg(p: complex, u: complex, v: complex) -> float:
-        w = v - u
-        den = (w.real**2 + w.imag**2) or 1.0
-        t = ((p - u).real * w.real + (p - u).imag * w.imag) / den
-        t = min(1.0, max(0.0, t))
-        return abs(p - (u + t * w))
-
-    def orient(p: complex, q: complex, r: complex) -> float:
-        return (q - p).real * (r - p).imag - (q - p).imag * (r - p).real
-
     # proper crossing?
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
+    o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    o3, o4 = _orient(c, d, a), _orient(c, d, b)
     if (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0) and o1 != o2 and o3 != o4:
         return 0.0
-    return min(pt_seg(a, c, d), pt_seg(b, c, d), pt_seg(c, a, b), pt_seg(d, a, b))
+    return min(_pt_seg(a, c, d), _pt_seg(b, c, d), _pt_seg(c, a, b), _pt_seg(d, a, b))
 
 
 def _check_simple(verts: list[complex], scale: float) -> None:
+    """Raise SelfIntersection at the first pair of non-adjacent sides closer than tol.
+
+    A pair whose bounding boxes lie more than 2*tol apart cannot be that
+    close, so its distance is not computed: each box is grown by tol, and
+    such a pair's grown boxes are disjoint.
+    """
     n = len(verts)
     tol = _FLOAT_TOL * max(1.0, scale)
+    ends = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
+    boxes = [(min(a.real, b.real) - tol, max(a.real, b.real) + tol,
+              min(a.imag, b.imag) - tol, max(a.imag, b.imag) + tol) for a, b in ends]
     for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
+        a, b = ends[i]
+        x0, x1, y0, y1 = boxes[i]
         for j in range(i + 1, n):
             if j == i or (j + 1) % n == i or (i + 1) % n == j:
                 continue  # identical or adjacent sides share a vertex by design
-            c, d = verts[j], verts[(j + 1) % n]
+            u0, u1, v0, v1 = boxes[j]
+            if u0 > x1 or x0 > u1 or v0 > y1 or y0 > v1:
+                continue
+            c, d = ends[j]
             if _seg_distance(a, b, c, d) < tol:
                 raise SelfIntersection(f"sides {i} and {j} touch or cross")
 
@@ -398,10 +428,11 @@ def _side_chain(angles, lengths):
     unknown = [k for k, v in enumerate(lengths) if v is None]
     if len(unknown) not in (0, 2):
         raise ValueError(f"exactly 0 or 2 lengths may be omitted, found {len(unknown)}")
-    total = sum((a.frac for a in ra), Fraction(0))
-    if total != n - 2:
+    n_lcm = lcm(*(a.q for a in ra))
+    total = sum(a.p * (n_lcm // a.q) for a in ra)  # the angle sum in units of pi/n_lcm
+    if total != (n - 2) * n_lcm:
         raise ClosureViolation(
-            f"interior angles sum to {total} pi, expected {n - 2} pi"
+            f"interior angles sum to {Fraction(total, n_lcm)} pi, expected {n - 2} pi"
         )
     frame = make_frame(ra)
     dirs = _direction_indices(ra, frame.N)

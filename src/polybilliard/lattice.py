@@ -37,10 +37,6 @@ def _norm(v) -> float:
     return abs(complex(v))
 
 
-def _independent(frame, u, v) -> bool:
-    return not frame.is_zero(frame.cross(u, v), scale=_norm(u) * _norm(v))
-
-
 def _period_line(index: int, period: Period, role: str = "") -> str:
     """The `  P<index+1>: (x, y) kind` line of a printed period list."""
     z = complex(period.vector)
@@ -92,7 +88,9 @@ class PeriodLattice:
     @cached_property
     def fracs(self) -> tuple[tuple[Fraction, Fraction], ...] | None:
         values = [self.frame.rational_value(a) for row in self.coeffs for a in row]
-        return None if None in values else tuple(zip(values[::2], values[1::2]))
+        if any(v is None for v in values):
+            return None
+        return tuple(zip(values[::2], values[1::2]))
 
     @property
     def d1(self):
@@ -165,6 +163,11 @@ def default_pair(frame, basis: list[Period] | tuple[Period, ...]) -> tuple[int, 
     deterministic for a given basis ordering and stable under relabelling of
     equal-length periods.
     """
+    return _shortest_pair(frame, basis)[0]
+
+
+def _shortest_pair(frame, basis) -> tuple[tuple[int, int], object]:
+    """`default_pair` and the pair's cross product, which decided its independence."""
     if len(basis) < 2:
         raise DegeneratePair("need at least two periods to choose a pair")
 
@@ -174,15 +177,21 @@ def default_pair(frame, basis: list[Period] | tuple[Period, ...]) -> tuple[int, 
 
     order = sorted(range(len(basis)), key=key)
     first = order[0]
+    u = basis[first].vector
     for second in order[1:]:
-        if _independent(frame, basis[first].vector, basis[second].vector):
-            return (first, second)
+        v = basis[second].vector
+        det = frame.cross(u, v)
+        if not frame.is_zero(det, scale=_norm(u) * _norm(v)):
+            return (first, second), det
     raise DegeneratePair("all basis periods are collinear")
 
 
-def _coordinates(frame, d1, d2, det, v):
-    """(x, y) with v = x*d1 + y*d2, each a `frame.quotient` over det = cross(d1, d2)."""
-    return frame.quotient(frame.cross(v, d2), det), frame.quotient(frame.cross(d1, v), det)
+def _coordinates(frame, d1c, d2, det, v):
+    """(x, y) with v = x*d1 + y*d2, each a `frame.quotient` over det = cross(d1, d2).
+
+    `d1c` is d1's conjugate, taken once per pair: cross(d1, v) = Im(d1c * v).
+    """
+    return frame.quotient(frame.cross(v, d2), det), frame.quotient((d1c * v).imag, det)
 
 
 def _check_pair(basis, pair_choice: tuple[int, int]) -> tuple[int, int]:
@@ -225,14 +234,17 @@ def period_lattice(
     lattice is `heuristic`.
     """
     if pair_choice is None:
-        pair_choice = default_pair(frame, basis)
-    i, j = _check_pair(basis, pair_choice)
-    d1, d2 = basis[i].vector, basis[j].vector
-    det = frame.cross(d1, d2)
-    if frame.is_zero(det, scale=_norm(d1) * _norm(d2)):
-        raise DegeneratePair("chosen pair is collinear")
+        (i, j), det = _shortest_pair(frame, basis)
+        d1, d2 = basis[i].vector, basis[j].vector
+    else:
+        i, j = _check_pair(basis, pair_choice)
+        d1, d2 = basis[i].vector, basis[j].vector
+        det = frame.cross(d1, d2)
+        if frame.is_zero(det, scale=_norm(d1) * _norm(d2)):
+            raise DegeneratePair("chosen pair is collinear")
+    d1c = d1.conjugate()
     members = (k for k in range(len(basis)) if k not in (i, j))
-    coords = [_coordinates(frame, d1, d2, det, basis[k].vector) for k in members]
+    coords = [_coordinates(frame, d1c, d2, det, basis[k].vector) for k in members]
     return _table(frame, basis, (i, j), coords)
 
 
@@ -272,7 +284,7 @@ def reduce_period(period, lattice: PeriodLattice) -> tuple[int, int]:
     """
     frame = lattice.frame
     v = period.vector if isinstance(period, Period) else period
-    coords = _coordinates(frame, lattice.d1, lattice.d2, lattice.det, v)
+    coords = _coordinates(frame, lattice.d1.conjugate(), lattice.d2, lattice.det, v)
     out = []
     for r, c in zip(map(frame.rational_value, coords), (lattice.c1, lattice.c2)):
         if r is None:

@@ -31,9 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceFailure, OutOfRange, TooCoarse
+from .errors import ConvergenceFailure, OutOfRange, TooCoarse, _refuse_past_memory
 from .exactgeom import DIRICHLET, NEUMANN
-from .quantize import _refuse_past_memory
 from .shapes import l_shape
 from .swf import _point_in_polygon
 

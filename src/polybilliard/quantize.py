@@ -14,7 +14,6 @@ Units: hbar = 1 and mass = 1, so E = |p|^2 / 2 throughout.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import warnings
 from functools import cached_property
@@ -24,6 +23,7 @@ from .errors import (
     NotDoublyRational,
     NotPeriodicSkeleton,
     OutOfRange,
+    _refuse_past_memory,
 )
 from .lattice import PeriodLattice, reduce_period, with_pair
 from .unfold import Period
@@ -174,22 +174,6 @@ class WavelengthEntry:
         self.count = count
         self.law_count = law_count
         self.ok = ok
-
-
-def _refuse_past_memory(count: float, item_bytes: int, what: str) -> None:
-    """Raise OutOfRange when `count` items of at least `item_bytes` each outrun physical memory.
-
-    `item_bytes` is a lower bound on what one item costs, so no run that
-    fits in memory is refused.  Where the platform does not report its
-    memory, the bound is sys.maxsize items, the most a list can hold.  The
-    message is `what` followed by "than memory can hold".
-    """
-    try:
-        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / item_bytes
-    except (AttributeError, ValueError, OSError):
-        limit = sys.maxsize
-    if not count <= limit:
-        raise OutOfRange(f"{what} than memory can hold")
 
 
 def _pair_floats(lattice: PeriodLattice) -> tuple[complex, complex]:

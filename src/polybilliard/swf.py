@@ -30,9 +30,10 @@ from .errors import (
     MomentumMismatch,
     SymmetryNotAutomorphism,
     UnquantizedMomentum,
+    _refuse_past_memory,
 )
 from .exactgeom import DIRICHLET, NEUMANN, Polygon
-from .quantize import QuantizedMomentum, _refuse_past_memory
+from .quantize import QuantizedMomentum
 from .unfold import EPP
 
 __all__ = [

@@ -54,12 +54,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import eq
 
-from .errors import ConvergenceFailure, NonIntegerGenus, RankMismatch
+from .errors import ConvergenceFailure, NonIntegerGenus, RankMismatch, _refuse_past_memory
 from .exactgeom import Polygon
 
 __all__ = [
@@ -366,12 +368,13 @@ def genus(polygon: Polygon) -> int:
     """Genus of the closed surface obtained by gluing the pattern's edge pairs.
 
     g = 1 + (N/2) * sum((p - 1)/q) over the angles p/q, N = `polygon.N`, the
-    lcm of the q's.
+    lcm of the q's, so that 2(g - 1) is the integer sum of (N/q)(p - 1).
     """
-    g = 1 + Fraction(polygon.N, 2) * sum(Fraction(a.p - 1, a.q) for a in polygon.angles)
-    if g.denominator != 1:
-        raise NonIntegerGenus(f"genus formula gave {g} for {polygon!r}")
-    return int(g)
+    n = polygon.N
+    twice = sum(n // a.q * (a.p - 1) for a in polygon.angles)
+    if twice % 2:
+        raise NonIntegerGenus(f"genus formula gave {1 + Fraction(twice, 2)} for {polygon!r}")
+    return 1 + twice // 2
 
 
 def _half_plane(frame, v):
@@ -400,7 +403,7 @@ def build_epp(polygon: Polygon) -> EPP:
     of that side through its corner p0 = k(vertex s): the mirror image has
     the other reflecting flag, rotation r - rot for r twice the side's
     direction under k, and translation rot_r(conj T) + p0 - rot_r(conj p0),
-    T and rot being k's.  An image is made only for a new orientation; a
+    T and rot being k's: T mirrored in that line (`frame.mirror`).  An image is made only for a new orientation; a
     mirror image of one already found is a gluing to it, whose translation
     is the difference of the two.
 
@@ -411,6 +414,10 @@ def build_epp(polygon: Polygon) -> EPP:
     are at most 4C orientations (reflecting flag, rotation mod 2C), so the
     search ends; that it ends with 2C images is the theorem checked below.
 
+    The 2C images are refused before the first is made when, at the bare
+    size of an image's two records and translation, they outrun physical
+    memory (OutOfRange).
+
     Only unfolds: no channel is decided and no period signed here.  A
     boundary pair signs its period when it is first read (`EdgePair`), the
     pattern groups them into simple periods on first use, and decides a
@@ -419,37 +426,45 @@ def build_epp(polygon: Polygon) -> EPP:
     f = polygon.frame
     n, m = polygon.n, 2 * f.N
     scale = polygon.perimeter_float()
-    rotate, zero = f.rotate, f.zero()
-    corners = [(v, v.conjugate()) for v in polygon.verts]  # side s starts at vertex s
+    rotate, mirror, is_zero, zero = f.rotate, f.mirror, f.is_zero, f.zero()
+    _refuse_past_memory(m, PolygonImage.__basicsize__ + Isometry.__basicsize__ + sys.getsizeof(zero),
+                        f"the {m} images of the unfolding are more")
+    # per reflecting flag, (side s, twice its direction signed, its start corner)
+    sides = list(enumerate(zip(polygon.dirs, polygon.verts)))
+    walks = ([(s, 2 * j, v) for s, (j, v) in sides], [(s, -2 * j, v.conjugate()) for s, (j, v) in sides])
     images = [PolygonImage(1, Isometry(False, 0, zero))]
-    by_orient: dict[tuple[bool, int], int] = {(False, 0): 0}  # -> index in images
+    shifts = [zero]  # images[k].iso.translation
+    by_orient: list[int | None] = [None] * (2 * m)  # reflecting * m + rotation -> index in images
+    by_orient[0] = 0
     glued = [False] * n  # slot k*n + s: side s of images[k]
     edges: list[EdgePair] = []
     face_tree: dict[int, tuple[int, int] | None] = {1: None}  # image -> its creating gluing
     for k, image in enumerate(images):  # the list grows as the walk finds images
-        flip, rot, t0 = image.iso.reflecting, image.iso.rotation, image.iso.translation
-        t0c = t0.conjugate()
-        for s, j in enumerate(polygon.dirs):
-            if glued[k * n + s]:
+        flip, rot = image.iso.reflecting, image.iso.rotation
+        t0 = shifts[k]
+        t0c, base, other_flag = t0.conjugate(), k * n, 0 if flip else m
+        for s, dj, corner in walks[flip]:
+            if glued[base + s]:
                 continue
-            r = 2 * (rot - j if flip else rot + j) % m
-            p0 = rotate(corners[s][flip], rot) + t0
-            t = rotate(t0c, r) + (p0 - rotate(p0.conjugate(), r))
-            orient = (not flip, (r - rot) % m)
-            other = by_orient.get(orient)
+            r = (2 * rot + dj) % m
+            p0 = rotate(corner, rot) + t0
+            t = mirror(t0c, p0, r)
+            orient = other_flag + (r - rot) % m
+            other = by_orient[orient]
             if other is None:
                 other = by_orient[orient] = len(images)
-                images.append(PolygonImage(other + 1, Isometry(*orient, t)))
+                images.append(PolygonImage(other + 1, Isometry(not flip, orient - other_flag, t)))
+                shifts.append(t)
                 face_tree[other + 1] = (k + 1, len(edges))
                 edges.append(EdgePair(k + 1, other + 1, s, zero))
                 glued += [False] * n
             else:
-                t = t - images[other].iso.translation
-                if f.is_zero(t, scale):
+                t = t - shifts[other]
+                if is_zero(t, scale):
                     edges.append(EdgePair(k + 1, other + 1, s, zero))
                 else:
-                    edges.append(EdgePair(k + 1, other + 1, s, t, frame=f))
-            glued[k * n + s] = glued[other * n + s] = True
+                    edges.append(EdgePair(k + 1, other + 1, s, t, None, f))
+            glued[base + s] = glued[other * n + s] = True
     if len(images) != 2 * f.N:
         raise RuntimeError(
             f"unfolding closed with {len(images)} images, expected {2 * f.N}"
@@ -487,9 +502,11 @@ def _basis_cycles(epp: EPP) -> list[int]:
     g = genus(epp.polygon)
     root = list(range(n * len(epp.images)))
     for e in epp.edges:
-        for i in (e.side, (e.side + 1) % n):
-            root[_find(root, (e.a - 1) * n + i)] = _find(root, (e.b - 1) * n + i)
-    nverts = sum(1 for c, r in enumerate(root) if c == r)
+        a, b, s = (e.a - 1) * n, (e.b - 1) * n, e.side
+        t = (s + 1) % n
+        root[_find(root, a + s)] = _find(root, b + s)
+        root[_find(root, a + t)] = _find(root, b + t)
+    nverts = sum(map(eq, root, range(len(root))))
     chi = nverts - len(epp.edges) + len(epp.images)
     if chi != 2 - 2 * g:
         raise RankMismatch(f"Euler characteristic {chi} != {2 - 2 * g}")

@@ -78,6 +78,18 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert invoke(capsys, "analyze", str(bad))[0] == 2
 
 
+def test_analyze_boolean_angle_is_input_error(tmp_path, capsys):
+    # JSON true is no angle; it once read as 1/1, the angle pi
+    spec = tmp_path / "bool.json"
+    angles = [True, "1/2", "1/4", "1/4"]
+    spec.write_text(json.dumps({"sides": [
+        {"angle": a, "length": "1"} if k < 2 else {"angle": a} for k, a in enumerate(angles)
+    ]}))
+    code, out, err = invoke(capsys, "analyze", str(spec))
+    assert (code, out) == (2, "")
+    assert "bad angle True" in err
+
+
 def test_analyze_open_chain_is_closure_error(tmp_path, capsys):
     # angles of a square but mismatched lengths: the chain cannot close
     bad = tmp_path / "open.json"
@@ -764,6 +776,25 @@ def test_sizes_past_memory_are_usage_errors(tmp_path, argv, outputs):
     assert "than memory can hold" in proc.stderr
     assert (tmp_path / outputs[0]).read_text() == "kept\n"
     assert not any((tmp_path / name).exists() for name in outputs[1:])
+
+
+def test_unfolding_past_memory_is_usage_error(tmp_path):
+    # triangle 1/10^10 unfolds into 2*10^10 images: refused from physical
+    # memory before its frame's unit table is built, not a MemoryError
+    spec = tmp_path / "thin.json"
+    spec.write_text(json.dumps({"sides": [
+        {"angle": "1/10000000000", "length": "1"}, {"angle": "1/2"}, {"angle": "4999999999/10000000000"},
+    ]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybilliard", "analyze", str(spec)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+        preexec_fn=_cap_address_space if os.name == "posix" else None,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "than memory can hold" in proc.stderr
 
 
 def test_verify_neumann_study_is_refused(capsys):

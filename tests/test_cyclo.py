@@ -300,6 +300,41 @@ def test_collect_keeps_term_order(triple):
     assert list(a.conjugate().coeffs.items()) == oracle_conj(a)
 
 
+@pytest.mark.parametrize("m", [8, 12, 16, 20, 24, 40])
+def test_every_monomial_map_sums_in_the_oracle_order(m):
+    # signed permutations of the basis take a shortcut; the order must not move
+    f = CycloField(m)
+    rng = random.Random(m)
+    for a in (k for k in range(m) if math.gcd(k, m) == 1):
+        for b in range(m):
+            keys = [tuple(rng.randrange(ph) for ph in f.phis) for _ in range(f.degree)]
+            x = f.element({k: Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for k in keys})
+            kb = f._raw_key(b)
+            raws = ((tuple((a * e + y) % q for e, y, q in zip(ka, kb, f.moduli)), v)
+                    for ka, v in x.coeffs.items())
+            assert list(x._mapped(a, b).coeffs.items()) == _accumulate(f, raws), (a, b)
+    signed = sum(table.signed for table in f._affine_cache.values())
+    if m in (8, 16):  # a power of two: every map permutes the basis up to sign
+        assert signed == len(f._affine_cache)
+    else:
+        assert 0 < signed < len(f._affine_cache)
+
+
+_RATIONALS = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_element_pairs(), _RATIONALS)
+def test_rational_scaling_is_multiplication_by_the_rational_element(triple, r):
+    x = triple[0]
+    want = x * x.field.rational(r)
+    for got in (x * r, r * x):
+        assert (got.den, list(got.num.items())) == (want.den, list(want.num.items()))
+
+
 # The inverse as it was solved before the norm identity: the matrix of
 # w -> x*w on the tensor basis and a Fraction Gauss-Jordan solve of it
 # against 1, read off in basis order.

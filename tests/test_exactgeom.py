@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,6 +71,63 @@ def test_rational_angle_range():
         RationalAngle(0, 1)
     with pytest.raises(OutOfRange):
         RationalAngle(-1, 2)
+
+
+def _make_before_the_bool_fix(value):
+    """`RationalAngle.make` as it read when a bool passed as an int: (p, q), or the error."""
+    if isinstance(value, RationalAngle):
+        return value.p, value.q
+    if isinstance(value, str):
+        value = Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        f = Fraction(value)
+        p, q = f.numerator, f.denominator
+    elif isinstance(value, tuple) and len(value) == 2:
+        p, q = int(value[0]), int(value[1])
+    else:
+        raise TypeError(f"cannot interpret {value!r} as a rational angle")
+    if q < 1:
+        raise OutOfRange(f"angle denominator must be >= 1, got {q}")
+    g = math.gcd(p, q)
+    if g > 1:
+        p, q = p // g, q // g
+    if not 0 < Fraction(p, q) < 2:
+        raise OutOfRange(f"interior angle must be in (0, 2pi): got {p}/{q} pi")
+    return p, q
+
+
+def _outcome(make, value):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonCoprimeAngle)
+            out = make(value)
+    except Exception as exc:  # the error's type and text are the outcome
+        return type(exc), str(exc)
+    return (out.p, out.q) if isinstance(out, RationalAngle) else out
+
+
+_ANGLE_INPUTS = st.one_of(
+    st.integers(-4, 4),
+    st.booleans(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.tuples(st.integers(-6, 12), st.integers(-3, 12)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-6, 12), st.integers(0, 12)),
+    st.sampled_from(["1", " 3/4 ", "0.5", "1e-1", "1_0/7", "x", "", "1/-2"]),
+    st.text(max_size=4),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.sampled_from([(1, 3), (2, 3), (4, 3), (5, 3)]).map(lambda pq: RationalAngle(*pq)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANGLE_INPUTS)
+def test_make_keeps_what_it_accepts_but_a_bool(value):
+    got = _outcome(RationalAngle.make, value)
+    if isinstance(value, bool):
+        assert got == (TypeError, f"cannot interpret {value!r} as a rational angle")
+    else:
+        assert got == _outcome(_make_before_the_bool_fix, value)
 
 
 # --- validate_polygon -------------------------------------------------------
@@ -423,6 +481,29 @@ def test_rotate_is_multiplication_by_the_unit(polygon, exact):
         for z in zs:
             got, want = f.rotate(z, j), z * f.unit(j)
             assert got == want if f.exact else repr(got) == repr(want)
+
+
+def _bits(f, z):
+    return (z.den, list(z.num.items())) if f.exact else repr(z)
+
+
+@pytest.mark.parametrize("polygon, exact", [
+    (shapes.equilateral, True),
+    (shapes.broken_parallelogram, True),
+    (_triangle_1_38, False),
+])
+def test_mirror_is_the_rotations_it_fuses(polygon, exact):
+    # mirror(conj z, p, j) is rotate(conj z, j) + (p - rotate(conj p, j)),
+    # bit for bit, monomial order included
+    p = polygon()
+    f = p.frame
+    assert f.exact is exact
+    zs = [*p.verts, sum(p.verts, f.zero()) + f.unit(1)]
+    for j in range(-4 * p.N, 4 * p.N):
+        for z, q in zip(zs, zs[1:] + zs[:1]):
+            zc = z.conjugate()
+            want = f.rotate(zc, j) + (q - f.rotate(q.conjugate(), j))
+            assert _bits(f, f.mirror(zc, q, j)) == _bits(f, want)
 
 
 def test_frame_cross_dot():

@@ -13,12 +13,12 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polybilliard
 from polybilliard import cli, exactgeom, unfold
-from polybilliard.errors import ConvergenceFailure, RankMismatch
+from polybilliard.errors import ConvergenceFailure, NonIntegerGenus, OutOfRange, RankMismatch
 from polybilliard.shapes import (
     broken_parallelogram,
     equilateral,
@@ -29,7 +29,13 @@ from polybilliard.shapes import (
     right_triangle_rationalized,
     square,
 )
-from polybilliard.exactgeom import ExactFrame, load_polygon, solve_closure, validate_polygon
+from polybilliard.exactgeom import (
+    ExactFrame,
+    RationalAngle,
+    load_polygon,
+    solve_closure,
+    validate_polygon,
+)
 from polybilliard.lattice import period_lattice
 from polybilliard.unfold import (
     EPP,
@@ -305,6 +311,51 @@ def test_parallelogram_period_basis_ratio_pairs():
     assert contains(d2 * inv_a)
     # d2 itself appears through the combination d1 - (d1 - d2)
     assert contains(d1 - d2)
+
+
+class _AngleList:
+    """What `genus` reads of a polygon: its angles and N, the lcm of their denominators."""
+
+    def __init__(self, pqs):
+        self.angles = [RationalAngle(p, q) for p, q in pqs]
+        self.N = lcm(*(a.q for a in self.angles))
+
+    def __repr__(self) -> str:
+        return f"<angles {[str(a) for a in self.angles]}>"
+
+
+_REDUCED_ANGLE = st.tuples(st.integers(1, 40), st.integers(1, 40)).filter(
+    lambda pq: pq[0] < 2 * pq[1] and gcd(*pq) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_REDUCED_ANGLE, min_size=3, max_size=8))
+@example([(2, 3)] * 3)  # 2(g - 1) = 3: no integer genus
+@example([(1, 2)] * 4)
+def test_genus_is_the_fraction_formula(pqs):
+    angles = _AngleList(pqs)
+    g = 1 + Fraction(angles.N, 2) * sum(Fraction(a.p - 1, a.q) for a in angles.angles)
+    if g.denominator == 1:
+        assert genus(angles) == g
+    else:
+        with pytest.raises(NonIntegerGenus) as raised:
+            genus(angles)
+        assert str(raised.value) == f"genus formula gave {g} for {angles!r}"
+
+
+def test_unfolding_past_memory_is_refused_before_any_image(monkeypatch):
+    # 2000 images cannot fit in 100 kB of "physical memory"; build_epp must
+    # say so before it makes the first one
+    p = right_triangle_rationalized()
+    pages = {"SC_PHYS_PAGES": 25, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+
+    def no_image(*_args):
+        raise AssertionError("an image was made")
+
+    monkeypatch.setattr(PolygonImage, "__init__", no_image)
+    with pytest.raises(OutOfRange, match="the 2000 images of the unfolding are more than memory can hold"):
+        build_epp(p)
 
 
 def test_period_count_is_twice_genus():
