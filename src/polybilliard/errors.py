@@ -94,17 +94,36 @@ class ConstraintViolation(UserWarning):
     """Quantum transverse momentum outside the slow-variation regime."""
 
 
+def _memory_bytes() -> int | None:
+    """The bytes this process may hold: physical memory, or the soft
+    address-space limit (RLIMIT_AS) where one is set below it; None where
+    the platform reports neither."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        memory = None
+    try:
+        import resource
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    except (ImportError, AttributeError, ValueError, OSError):  # no such limit here
+        return memory
+    if soft != resource.RLIM_INFINITY and (memory is None or soft < memory):
+        memory = soft
+    return memory
+
+
 def _refuse_past_memory(count: float, item_bytes: int, what: str) -> None:
-    """Raise OutOfRange when `count` items of at least `item_bytes` each outrun physical memory.
+    """Raise OutOfRange when `count` items of at least `item_bytes` each outrun `_memory_bytes`.
 
     `item_bytes` is a lower bound on what one item costs, so no run that
-    fits in memory is refused.  Where the platform does not report its
-    memory, the bound is sys.maxsize items, the most a list can hold.  The
-    message is `what` followed by "than memory can hold".
+    fits in memory is refused, and the bound is the smaller of physical
+    memory and a soft address-space limit, so a capped run is refused
+    rather than dying of MemoryError.  Where the platform reports neither,
+    the bound is sys.maxsize items, the most a list can hold.  The message
+    is `what` followed by "than memory can hold".
     """
-    try:
-        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / item_bytes
-    except (AttributeError, ValueError, OSError):
-        limit = sys.maxsize
+    memory = _memory_bytes()
+    limit = sys.maxsize if memory is None else memory / item_bytes
     if not count <= limit:
         raise OutOfRange(f"{what} than memory can hold")

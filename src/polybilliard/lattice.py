@@ -56,11 +56,14 @@ class PeriodLattice:
     cannot disagree with the basis: ``det`` = cross(d1, d2),
     ``member_indexes`` the basis indexes outside the pair, and ``fracs`` the
     coefficients' rational values, or None when one is irrational.
+    (`period_lattice` and `with_pair` hand ``fracs`` over from `_table`, which
+    decided each coordinate's rationality once.)
 
     With a table the lattice is doubly rational: ``c1``/``c2`` are the least
     common multiples of its first/second-column denominators and the
-    generators are D1/C1 and D2/C2.  ``heuristic`` marks a verdict a float
-    frame decided.
+    generators are D1/C1 and D2/C2, and ``parallel_labels`` decides which
+    momentum labels run parallel to a basis period.  ``heuristic`` marks a
+    verdict a float frame decided.
     """
 
     def __init__(
@@ -124,6 +127,41 @@ class PeriodLattice:
     @cached_property
     def c2(self) -> int:
         return self._column_lcm(1)
+
+    @cached_property
+    def parallel_labels(self) -> tuple[tuple[int, int], ...] | None:
+        """The momentum labels parallel to a basis period, decided exactly; None in a float frame.
+
+        The momentum p of labels (m, n), with p.D1 = 2*pi*m*C1 and
+        p.D2 = 2*pi*n*C2, has cross(p, z) = 2*pi*(m*a_z + n*b_z)/det^2 for a
+        basis period z, where a_z = C1*(|D2|^2*cross(D1, z) - (D1.D2)*cross(D2, z))
+        and b_z = C2*(|D1|^2*cross(D2, z) - (D1.D2)*cross(D1, z)) are real
+        field elements.  Each z whose ratio a_z : b_z is rational (a
+        `frame.quotient`) gives the coprime integers (u, v) with
+        u : v = a_z : b_z, v >= 0, and (m, n) is parallel to z exactly when
+        m*u + n*v == 0; a z of irrational ratio is parallel to no label.  A
+        float frame has no exact ratio: its callers test directions within a
+        tolerance instead.  Raises NotDoublyRational on a lattice without a
+        rational table.
+        """
+        f = self.frame
+        c1, c2 = self.c1, self.c2
+        if not f.exact:
+            return None
+        d1, d2 = self.d1, self.d2
+        g11, g12, g22 = f.dot(d1, d1), f.dot(d1, d2), f.dot(d2, d2)
+        out = []
+        for per in self.basis:
+            x1, x2 = f.cross(d1, per.vector), f.cross(d2, per.vector)
+            a = c1 * (g22 * x1 - g12 * x2)
+            b = c2 * (g11 * x2 - g12 * x1)
+            if f.is_zero(b):
+                out.append((0 if f.is_zero(a) else 1, 0))
+                continue
+            r = f.rational_value(f.quotient(a, b))
+            if r is not None:
+                out.append((r.numerator, r.denominator))
+        return tuple(out)
 
     @property
     def generators(self) -> tuple[object, object]:
@@ -201,21 +239,28 @@ def _check_pair(basis, pair_choice: tuple[int, int]) -> tuple[int, int]:
     return i, j
 
 
-def _floor(frame, a) -> int:
-    """The floor of a coordinate's rational value when it has one, else its own."""
-    r = frame.rational_value(a)
-    return math.floor(a if r is None else r)
-
-
 def _table(frame, basis, pair: tuple[int, int], coords) -> PeriodLattice:
     """The lattice over ``pair`` whose member periods have coordinates ``coords``.
 
-    A coordinate less its shift, its `_floor`, is its coefficient: that moves
-    its period by a lattice translation only.
+    Each coordinate's rationality is decided once, by `frame.rational_value`.
+    Its shift is the floor of its rational value when it has one, else of
+    itself, and the coordinate less its shift is its coefficient: that moves
+    its period by a lattice translation only.  The rational value less the
+    shift is the coefficient's fraction, so the lattice's ``fracs`` come from
+    the same answers.
     """
-    shifts = tuple((_floor(frame, x), _floor(frame, y)) for x, y in coords)
-    coeffs = tuple((x - s1, y - s2) for (x, y), (s1, s2) in zip(coords, shifts))
-    return PeriodLattice(frame, tuple(basis), pair, coeffs, shifts)
+    flat = [a for xy in coords for a in xy]
+    values = [frame.rational_value(a) for a in flat]
+    floors = [math.floor(a if r is None else r) for a, r in zip(flat, values)]
+    diffs = [a - s for a, s in zip(flat, floors)]
+    shifts = tuple(zip(floors[::2], floors[1::2]))
+    lattice = PeriodLattice(frame, tuple(basis), pair, tuple(zip(diffs[::2], diffs[1::2])), shifts)
+    if any(r is None for r in values):
+        lattice.fracs = None
+    else:
+        fracs = [r - s for r, s in zip(values, floors)]
+        lattice.fracs = tuple(zip(fracs[::2], fracs[1::2]))
+    return lattice
 
 
 def period_lattice(

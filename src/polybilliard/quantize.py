@@ -17,6 +17,7 @@ import math
 import sys
 import warnings
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     ConstraintViolation,
@@ -224,13 +225,34 @@ def _basis_floats(lattice: PeriodLattice) -> list[tuple[complex, float]]:
 
 
 def _classify_classical(periods: list[tuple[complex, float]], p: complex) -> str:
-    """Parallel to any basis period (`_basis_floats`) means the skeleton is
-    periodic."""
+    """The kind of a float-frame momentum: periodic when p is parallel to a
+    basis period (`_basis_floats`) within 1e-9 relative.
+
+    An exact frame decides the kind exactly instead (`_row_periodic`)."""
     tol = _REL_TOL * abs(p)
     for z, az in periods:
         if abs((p.conjugate() * z).imag) <= tol * az:
             return CLASSICAL_PERIODIC
     return CLASSICAL_APERIODIC
+
+
+def _row_periodic(lines: tuple[tuple[int, int], ...], m: int) -> set[int] | None:
+    """The labels n of row m whose momentum is parallel to a basis period.
+
+    `lines` is the lattice's `parallel_labels`: (m, n) is parallel to a
+    period exactly when m*u + n*v == 0 for one of its pairs (u, v), so each
+    pair gives a row at most one n.  None when every label of the row is
+    parallel to a period, as row 0 is to a period with v = 0.
+    """
+    ns = set()
+    for u, v in lines:
+        if v:
+            n, rest = divmod(-m * u, v)
+            if not rest:
+                ns.add(n)
+        elif not m * u:
+            return None
+    return ns
 
 
 def momentum_aperiodic(lattice: PeriodLattice, m: int, n: int) -> QuantizedMomentum:
@@ -240,16 +262,23 @@ def momentum_aperiodic(lattice: PeriodLattice, m: int, n: int) -> QuantizedMomen
     OutOfRange at the excluded origin m = n = 0 and on a momentum whose
     energy overflows a float (`_energy`).  The returned kind records
     whether the momentum happens to be parallel to a basis period (a periodic
-    skeleton) or not.
+    skeleton) or not: exactly in an exact frame (`PeriodLattice.parallel_labels`),
+    within the 1e-9 direction tolerance of `_classify_classical` in a float
+    frame.
     """
     if abs(m) + abs(n) == 0:
         raise OutOfRange("momentum labels m = n = 0 carry no motion")
     p1, p2 = _dual_steps(lattice)  # raises NotDoublyRational via lattice.c1
     p = m * p1 + n * p2
     _energy(lattice, p)
-    return QuantizedMomentum(
-        m=m, n=n, vector=p, kind=_classify_classical(_basis_floats(lattice), p)
-    )
+    lines = lattice.parallel_labels
+    if lines is None:
+        kind = _classify_classical(_basis_floats(lattice), p)
+    elif any(m * u + n * v == 0 for u, v in lines):
+        kind = CLASSICAL_PERIODIC
+    else:
+        kind = CLASSICAL_APERIODIC
+    return QuantizedMomentum(m=m, n=n, vector=p, kind=kind)
 
 
 def periodic_skeleton_check(
@@ -377,31 +406,34 @@ def spectrum(
     g22*n^2 + 2*g12*m*n + g11*m^2 = 2*cutoff (g the Gram matrix of P1, P2),
     widened by one label on each side, and the rows stop one past the
     ellipse's row extent sqrt(2*cutoff*g22/det); the float energy still
-    decides every label.  The basis periods' floats are computed once.  An
-    e_max whose half ellipse, about pi*cutoff/sqrt(det) labels, cannot fit
-    in physical memory at `sys.getsizeof` of one raw entry and its labels
-    tuple per label raises OutOfRange, and so does a Gram matrix of P1, P2
-    that overflows a float, as for C1 and C2 of dozens of digits.  The
-    quantum family (opt-in via kinds) adds the transverse-quantized levels
-    m, n >= 1 of the skeleton along the lattice's own pair when that
-    skeleton exists.  `kinds` holds
-    "classical-aperiodic", "classical-periodic" or "quantum"; a string, or
-    any other element, raises OutOfRange.
+    decides every label.  A label's kind is decided exactly in an exact
+    frame: `PeriodLattice.parallel_labels` gives each row at most one
+    periodic n per basis period.  In a float frame `_classify_classical`
+    tests each label's direction within 1e-9 relative.  An e_max whose half
+    ellipse, about pi*cutoff/sqrt(det) labels, cannot fit in memory at
+    `sys.getsizeof` of one stored (energy, kind, m, n) record and its energy
+    per label raises OutOfRange, and so does a Gram matrix of P1, P2 that
+    overflows a float, as for C1 and C2 of dozens of digits.  The quantum
+    family (opt-in via kinds) adds the transverse-quantized levels m, n >= 1
+    of the skeleton along the lattice's own pair when that skeleton exists.
+    `kinds` holds "classical-aperiodic", "classical-periodic" or "quantum";
+    a string, or any other element, raises OutOfRange.
 
-    Each run of levels of equal kind within 1e-9 relative of its first
-    energy merges into one entry with the lexicographically smallest
-    labels.  Twins sort next to each other with equal (energy, kind), so
-    they always share a run and its smallest label is a walked one: a
-    classical run's degeneracy counts each walked label twice, a quantum
-    run's once.
+    The records sort once by (energy, kind, m, n), and each run of levels of
+    equal kind within 1e-9 relative of its first energy merges, in the same
+    pass, into one entry with the lexicographically smallest labels.  Twins
+    sort next to each other with equal (energy, kind), so they always share
+    a run and its smallest label is a walked one: a classical run's
+    degeneracy counts each walked label twice, a quantum run's once.
     """
     if e_max <= 0:
         raise OutOfRange("e_max must be positive")
     allowed = (CLASSICAL_APERIODIC, CLASSICAL_PERIODIC, QUANTUM)
     if isinstance(kinds, str) or any(k not in allowed for k in kinds):
         raise OutOfRange(f"kinds must be a collection of {', '.join(allowed)}; got {kinds!r}")
-    raw: list[tuple[float, str, tuple[int, int], str | None]] = []
-    pair: list[tuple[float, int]] = []  # (|D_i|, C_i): the classical wavelengths
+    # (energy, kind, m, n) of each level, kind by kind and each kind in (m, n) order
+    records: list[tuple[float, str, int, int]] = []
+    flags: dict[tuple[int, int], str] = {}  # the flagged quantum labels
 
     if kinds:
         p1, p2 = _dual_steps(lattice)
@@ -415,28 +447,17 @@ def spectrum(
             raise _overflow(lattice)
         cutoff = e_max * (1 + _REL_TOL)
         # the walk visits the half ellipse; the quantum levels are fewer than its labels
-        entry = (cutoff, CLASSICAL_APERIODIC, (0, 0), None)
-        entry_bytes = sys.getsizeof(entry) + sys.getsizeof(entry[2])
-        _refuse_past_memory(math.pi * cutoff / math.sqrt(det), entry_bytes,
+        record = (cutoff, CLASSICAL_APERIODIC, 0, 0)
+        _refuse_past_memory(math.pi * cutoff / math.sqrt(det),
+                            sys.getsizeof(record) + sys.getsizeof(cutoff),
                             f"e_max {e_max:g} puts more levels below it")
 
     if CLASSICAL_APERIODIC in kinds or CLASSICAL_PERIODIC in kinds:
-        rows = int(math.sqrt(2 * cutoff * g22 / det)) + 1
-        periods = _basis_floats(lattice)
-        pair = [(abs(z), c) for z, c in zip(_pair_floats(lattice), (lattice.c1, lattice.c2))]
-        for m in range(-rows, 1):
-            mid = -g12 * m / g22
-            half = math.sqrt(max(2 * cutoff * g22 - det * m * m, 0.0)) / g22
-            mp1 = m * p1
-            n_end = math.ceil(mid + half) + 2 if m else 0  # row 0 stops before the origin
-            for n in range(math.floor(mid - half) - 1, n_end):
-                p = mp1 + n * p2
-                e = 0.5 * abs(p) ** 2
-                if e > cutoff:
-                    continue
-                kind = _classify_classical(periods, p)
-                if kind in kinds:
-                    raw.append((e, kind, (m, n), None))
+        periodic = [] if CLASSICAL_PERIODIC in kinds else None
+        _walk_classical(lattice, p1, p2, g12, g22, det, cutoff,
+                        records if CLASSICAL_APERIODIC in kinds else None, periodic)
+        if periodic:
+            records += periodic
 
     if QUANTUM in kinds:
         data = periodic_skeleton_check(lattice)
@@ -452,39 +473,94 @@ def spectrum(
                     e = 0.5 * abs(vector) ** 2
                     if e > cutoff:
                         break
-                    raw.append((e, QUANTUM, (m, n), flag))
+                    records.append((e, QUANTUM, m, n))
+                    if flag:
+                        flags[m, n] = flag
                     n += 1
                 if n == 1:
                     break
                 m += 1
 
-    raw.sort()  # (energy, kind, labels) is unique, so no further field compares
-    runs: list[list] = []
-    for r in raw:
-        if runs and r[1] == head[1] and abs(r[0] - head[0]) <= slack:
-            runs[-1].append(r)
+    # a stable sort by energy alone leaves them in (energy, kind, m, n) order
+    records.sort(key=itemgetter(0))
+    return _merge(lattice, records, flags) if records else []
+
+
+def _walk_classical(lattice, p1, p2, g12, g22, det, cutoff, aperiodic, periodic) -> None:
+    """Walk the classical labels of `spectrum` with energy <= cutoff.
+
+    The record (energy, kind, m, n) of each goes to the list `aperiodic` or
+    `periodic` of its kind, or nowhere where that list is None.  The rows
+    run in ascending m and each row in ascending n, so each list comes out
+    in (m, n) order.
+    """
+    lines = lattice.parallel_labels
+    periods = _basis_floats(lattice) if lines is None else None
+    rows = int(math.sqrt(2 * cutoff * g22 / det)) + 1
+    for m in range(-rows, 1):
+        mid = -g12 * m / g22
+        half = math.sqrt(max(2 * cutoff * g22 - det * m * m, 0.0)) / g22
+        mp1 = m * p1
+        n_end = math.ceil(mid + half) + 2 if m else 0  # row 0 stops before the origin
+        labels = range(math.floor(mid - half) - 1, n_end)
+        if lines is None:
+            for n in labels:
+                p = mp1 + n * p2
+                e = 0.5 * abs(p) ** 2
+                if e <= cutoff:
+                    kind = _classify_classical(periods, p)
+                    out = aperiodic if kind == CLASSICAL_APERIODIC else periodic
+                    if out is not None:
+                        out.append((e, kind, m, n))
+            continue
+        ns = _row_periodic(lines, m)
+        if ns is None:  # every label of the row is periodic
+            along, rest = labels, ()
         else:
-            head, slack = r, _REL_TOL * max(1.0, abs(r[0]))
-            runs.append([r])
-    # the run heads come in raw's order, so the entries come out sorted
+            along, rest = sorted(n for n in ns if n in labels), labels
+        if aperiodic is not None:
+            kind = CLASSICAL_APERIODIC
+            aperiodic += [(e, kind, m, n) for n in rest if n not in ns
+                          and (e := 0.5 * abs(mp1 + n * p2) ** 2) <= cutoff]
+        if periodic is not None:
+            kind = CLASSICAL_PERIODIC
+            periodic += [(e, kind, m, n) for n in along
+                         if (e := 0.5 * abs(mp1 + n * p2) ** 2) <= cutoff]
+
+
+def _merge(lattice: PeriodLattice, records: list, flags: dict) -> list[SpectrumEntry]:
+    """The entries of the sorted, nonempty `records`: each run merged in one
+    pass (see `spectrum`)."""
+    a1, a2 = (abs(z) for z in _pair_floats(lattice))
+    c1, c2 = lattice.c1, lattice.c2
+    two_pi, inf, sqrt = 2 * math.pi, math.inf, math.sqrt
     entries = []
-    for run in runs:
-        e, kind = run[0][0], run[0][1]
-        labels = min(r[2] for r in run)
-        lam_pair = None
-        if kind != QUANTUM:
-            lam_pair = tuple(a / (abs(k) * c) if k else math.inf for (a, c), k in zip(pair, labels))
-        entries.append(
-            SpectrumEntry(
-                labels=labels,
-                energy=e,
-                kind=kind,
-                degeneracy=len(run) if kind == QUANTUM else 2 * len(run),
-                lam=2 * math.pi / math.sqrt(2 * e),
-                lam_pair=lam_pair,
-                flag=next((r[3] for r in run if r[3]), None),
-            )
-        )
+    append = entries.append
+    records.append((inf, None, 0, 0))  # a record of no kind ends the last run
+    run_e, run_kind, lm, ln = records[0]
+    slack = _REL_TOL * max(1.0, abs(run_e))
+    start, count = 0, 0
+    for e, kind, m, n in records:
+        # sorted, so e >= run_e
+        if kind == run_kind and e - run_e <= slack:
+            count += 1
+            if m < lm or m == lm and n < ln:
+                lm, ln = m, n
+            continue
+        flag = None
+        if run_kind == QUANTUM:
+            degeneracy, lam_pair = count, None
+            if flags:
+                flag = next((flags[r[2:]] for r in records[start:start + count] if r[2:] in flags),
+                            None)
+        else:
+            degeneracy = 2 * count
+            lam_pair = (a1 / (abs(lm) * c1) if lm else inf, a2 / (abs(ln) * c2) if ln else inf)
+        append(SpectrumEntry((lm, ln), run_e, run_kind, degeneracy,
+                             two_pi / sqrt(2 * run_e), lam_pair, flag))
+        start += count
+        run_e, run_kind, lm, ln, count = e, kind, m, n, 1
+        slack = _REL_TOL * max(1.0, abs(e))
     return entries
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -727,17 +728,17 @@ def test_verify_astronomical_e_max_is_usage_error(against):
     assert "e_max" in proc.stderr
 
 
-def _cap_address_space():
+def _cap_address_space(limit: int = 3 << 30):
     # a regressed child then stops at MemoryError instead of filling the host
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 @pytest.mark.parametrize("command", ["quantize", "verify"])
 def test_e_max_past_memory_is_usage_error(command):
-    # about 1e17 labels: fewer than a list can index, more than memory holds.
-    # The refusal reads physical memory, not the child's address-space cap.
+    # about 1e17 labels: fewer than a list can index, more than memory holds,
+    # whether the bound is physical memory or the child's address-space cap
     square = str(POLYGONS / "square.json")
     extra = ["--against", square] if command == "verify" else []
     proc = subprocess.run(
@@ -759,8 +760,8 @@ def test_e_max_past_memory_is_usage_error(command):
     (["verify", "square.json", "--spacing", "1/200000", "--out", "match.csv"], ["match.csv"]),  # 320 GB
 ])
 def test_sizes_past_memory_are_usage_errors(tmp_path, argv, outputs):
-    # refused up front, from physical memory: nothing printed, no file made or
-    # truncated.  The address-space cap only stops a regressed child early.
+    # refused up front, past physical memory and past the child's
+    # address-space cap alike: nothing printed, no file made or truncated
     (tmp_path / "square.json").write_text((POLYGONS / "square.json").read_text())
     (tmp_path / outputs[0]).write_text("kept\n")
     proc = subprocess.run(
@@ -779,7 +780,7 @@ def test_sizes_past_memory_are_usage_errors(tmp_path, argv, outputs):
 
 
 def test_unfolding_past_memory_is_usage_error(tmp_path):
-    # triangle 1/10^10 unfolds into 2*10^10 images: refused from physical
+    # triangle 1/10^10 unfolds into 2*10^10 images: refused past physical
     # memory before its frame's unit table is built, not a MemoryError
     spec = tmp_path / "thin.json"
     spec.write_text(json.dumps({"sides": [
@@ -792,6 +793,27 @@ def test_unfolding_past_memory_is_usage_error(tmp_path):
         env=CHILD_ENV,
         timeout=60,
         preexec_fn=_cap_address_space if os.name == "posix" else None,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "than memory can hold" in proc.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="address-space limits are POSIX")
+def test_unfolding_past_an_address_space_cap_is_usage_error(tmp_path):
+    # triangle 1/10^8: its frame's 2*10^8 unit vectors, some 8 GB, can fit
+    # physical memory but not a 2 GB address space, where it once died with
+    # MemoryError, exit 1; the refusal reads the soft cap too
+    spec = tmp_path / "thin.json"
+    spec.write_text(json.dumps({"sides": [
+        {"angle": "1/100000000", "length": "1"}, {"angle": "1/2"}, {"angle": "49999999/100000000"},
+    ]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybilliard", "analyze", str(spec)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+        preexec_fn=functools.partial(_cap_address_space, 2_000_000 << 10),  # ulimit -v 2000000
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "than memory can hold" in proc.stderr

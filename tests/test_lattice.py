@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polybilliard import exactgeom
 from polybilliard.approx import best_rational
 from polybilliard.cyclo import Cyclo
 from polybilliard.errors import (
@@ -338,6 +339,19 @@ def test_float_mode_irrational_detected():
     ]
     lat = period_lattice(f, basis, pair_choice=(0, 1))
     assert not lat.doubly_rational
+
+
+def test_float_table_decides_each_coordinate_once(monkeypatch):
+    # triangle 3/44: 20 member periods, 40 coordinates; each coordinate's one
+    # rationality test gives both its shift and its fraction
+    poly = _right_triangle(3, 44)
+    basis = period_basis(build_epp(poly))
+    calls = []
+    as_rational = exactgeom.as_rational
+    monkeypatch.setattr(exactgeom, "as_rational", lambda x: calls.append(x) or as_rational(x))
+    lat = period_lattice(poly.frame, basis)
+    assert not lat.frame.exact and 2 * len(lat.coeffs) == 40
+    assert lat.fracs is None and len(calls) == 40
 
 
 # --- rationalization -----------------------------------------------------------

@@ -352,20 +352,75 @@ def test_spectrum_square_levels_and_degeneracy():
     assert all(s.energy <= 3.0 * math.pi**2 * (1 + 1e-9) for s in levels)
 
 
+def _float_twin(lat):
+    """The same lattice in a float frame: complex periods, the same table."""
+    basis = tuple(Period(complex(per.vector)) for per in lat.basis)
+    return period_lattice(FloatFrame(lat.frame.N), basis, pair_choice=lat.pair_indexes)
+
+
 def test_spectrum_classifies_one_label_of_each_time_reversed_pair(monkeypatch):
     # (m, n) and (-m, -n) share energy and kind, so only one of them is
     # classified and the entry counts it twice: 320 calls for the 640 labels
-    lat = lattice_of(square())
+    # of the square's float twin.  The exact square decides its kinds per
+    # row, with no call at all, and gets the same entries.
+    exact = lattice_of(square())
+    twin = _float_twin(exact)
+    assert not twin.frame.exact and twin.parallel_labels is None
     calls = []
     classify = quantize._classify_classical
     monkeypatch.setattr(
         quantize, "_classify_classical", lambda periods, p: calls.append(p) or classify(periods, p)
     )
-    levels = spectrum(lat, 1000.0)
+    levels = spectrum(twin, 1000.0)
     assert sum(s.degeneracy for s in levels) == 640
     assert len(calls) == 320
     assert all(s.degeneracy % 2 == 0 for s in levels)
     assert all(s.labels < (0, 0) for s in levels)
+    assert _fields(spectrum(exact, 1000.0)) == _fields(levels)
+    assert len(calls) == 320
+
+
+def test_momentum_kind_is_exact_in_an_exact_frame():
+    # the square's label (1, 10^10) points 1e-10 rad off its x period, within
+    # the float tolerance, but is parallel to no period; a float frame keeps
+    # its tolerance, on the square's float twin and on a substitute whose
+    # label (1, 1) is periodic
+    exact = lattice_of(square())
+    assert momentum_aperiodic(exact, 1, 10**10).kind == CLASSICAL_APERIODIC
+    assert momentum_aperiodic(exact, 0, 10**10).kind == CLASSICAL_PERIODIC
+    assert momentum_aperiodic(exact, -(10**10), 0).kind == CLASSICAL_PERIODIC
+    assert momentum_aperiodic(_float_twin(exact), 1, 10**10).kind == CLASSICAL_PERIODIC
+    sub = _substitute(1, 38, 2, 6)
+    assert sub.parallel_labels is None
+    assert momentum_aperiodic(sub, 1, 1).kind == CLASSICAL_PERIODIC
+    assert momentum_aperiodic(sub, 10**10, 10**10 + 1).kind == CLASSICAL_PERIODIC
+    assert momentum_aperiodic(sub, 10**5, 10**5 + 1).kind == CLASSICAL_APERIODIC
+
+
+def _root2_diagonals():
+    """The (1 + sqrt 2) x 1 rectangle's pair with the diagonal members D1 + D2
+    and 2*D1 - D2, whose directions no label takes: |D1|^2 / |D2|^2 is irrational."""
+    root2 = CycloField(8).zeta(1).real * 2
+    poly = validate_polygon(["1/2"] * 4, [1 + root2, 1, 1 + root2, 1])
+    lat = lattice_of(poly)
+    d1, d2 = lat.d1, lat.d2
+    basis = [Period(d1), Period(d2), Period(d1 + d2), Period(2 * d1 - d2)]
+    return period_lattice(poly.frame, basis, pair_choice=(0, 1))
+
+
+@pytest.mark.parametrize("make", [square, l_shape, parallelogram_pi3, shapes.broken_parallelogram,
+                                  shapes.equilateral, _root2_diagonals])
+def test_parallel_labels_agree_with_the_float_test_on_small_labels(make):
+    lat = make() if make is _root2_diagonals else lattice_of(make())
+    lines = lat.parallel_labels
+    assert lat.frame.exact and len(lines) == (2 if make is _root2_diagonals else len(lat.basis))
+    periods = quantize._basis_floats(lat)
+    p1, p2 = _dual_steps(lat)
+    for m in range(-25, 26):
+        for n in range(-25, 26):
+            if m or n:
+                float_kind = quantize._classify_classical(periods, m * p1 + n * p2)
+                assert momentum_aperiodic(lat, m, n).kind == float_kind, (m, n)
 
 
 def test_spectrum_kind_filter():
