@@ -135,8 +135,8 @@ def enumerate_prescriptions(epp: EPP) -> list[SignPrescription]:
     # image -> bit set of the sides its tree path from image 1 crosses an odd number of times
     crossed: dict[int, int] = {}
     for k, up in epp.face_tree.items():
-        crossed[k] = 0 if up is None else crossed[up[0]] ^ 1 << epp.edges[up[1]].side
-    cycles = {crossed[e.a] ^ crossed[e.b] ^ (1 << e.side) for e in epp.edges}
+        crossed[k] = 0 if up is None else crossed[up[0]] ^ 1 << epp.gluings[up[1]][2]
+    cycles = {crossed[a] ^ crossed[b] ^ (1 << s) for a, b, s, _t in epp.gluings}
     found: list[SignPrescription] = []
     for mask in range(2**n):  # bit set -> Dirichlet on that side
         if any((c & mask).bit_count() & 1 for c in cycles):
@@ -181,12 +181,11 @@ def compile_swf(
                 f"into the period {t:.6g}"
             )
     terms = []
-    for img, eta in zip(epp.images, prescription.eta):
-        iso = img.iso
-        angle = math.pi * iso.rotation / f.N
+    for (reflecting, rotation, t), eta in zip(epp.images, prescription.eta):
+        angle = math.pi * rotation / f.N
         omega = complex(math.cos(angle), math.sin(angle))
-        t = f.to_complex(iso.translation)
-        pk = p.conjugate() * omega if iso.reflecting else p * omega.conjugate()
+        t = f.to_complex(t)
+        pk = p.conjugate() * omega if reflecting else p * omega.conjugate()
         alpha = (p.conjugate() * t).real
         terms.append(PlaneWaveTerm(eta=eta, alpha=alpha, p=pk))
     terms = tuple(terms)

@@ -8,9 +8,11 @@ terminates with exactly 2C images — the elementary pattern.  Every further
 reflection lands on an accepted image up to a pure translation; those
 translations are the simple periods, and the pattern's edges glue in pairs.
 The search is a walk over its own image list (`build_epp`): it mirrors
-each image across its sides in order and makes an isometry only for an
-image of a new orientation.  A boundary pair signs its translation into a
-period (`_half_plane`) only when a reader first asks for it.
+each image across its sides in order and adds an image only for a new
+orientation.  Images and gluings are plain tuples (`EPP`); the pattern
+makes an `EdgePair` record of each gluing only when a reader first asks
+for `EPP.edges`, and a boundary pair signs its translation into a period
+(`_half_plane`) only when a reader first asks for it.
 
 Gluing the 2C images along their edge pairs produces a closed orientable
 surface whose genus the angle data fixes (`genus`).  Its faces are the
@@ -65,8 +67,6 @@ from .errors import ConvergenceFailure, NonIntegerGenus, RankMismatch, _refuse_p
 from .exactgeom import Polygon
 
 __all__ = [
-    "Isometry",
-    "PolygonImage",
     "Period",
     "EdgePair",
     "EPP",
@@ -97,56 +97,6 @@ def _fmt_vec(f, v) -> str:
         if v.imag.is_zero():
             im = 0.0
     return f"({re:.12g},{im:.12g})"
-
-
-class Isometry:
-    """Planar isometry z -> unit(rotation) * (conj z if reflecting else z) + translation.
-
-    `rotation` is a direction index mod 2N: the linear part rotates by
-    rotation*pi/N (after the optional conjugation).
-    Isometries are equal and hashed by value.  An isometry is the placement
-    of one image and holds no algebra: `build_epp` composes the mirror step
-    inline, and `EPP._sides_float` applies the placements in floats.
-    """
-
-    __slots__ = ("reflecting", "rotation", "translation")
-
-    def __init__(self, reflecting: bool, rotation: int, translation):
-        self.reflecting = reflecting
-        self.rotation = rotation
-        self.translation = translation  # frame vector
-
-    def _key(self) -> tuple:
-        return (self.reflecting, self.rotation, self.translation)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"Isometry(reflecting={self.reflecting}, rotation={self.rotation}, "
-            f"translation={self.translation!r})"
-        )
-
-
-class PolygonImage:
-    """One copy of the polygon in the unfolding, placed by `iso`; index is 1-based."""
-
-    __slots__ = ("index", "iso")
-
-    def __init__(self, index: int, iso: Isometry):
-        self.index = index
-        self.iso = iso
-
-    @property
-    def parity(self) -> int:
-        """0 for even (orientation-preserving), 1 for odd; equals the reflecting flag."""
-        return 1 if self.iso.reflecting else 0
 
 
 class Period:
@@ -188,7 +138,7 @@ class EdgePair:
     (`_half_plane`) and kind None, None for an interior gluing; the
     classified period it shares with every pair of an equal translation is
     in `EPP.periods`.  A pair given its `frame` instead of a period, as
-    `build_epp` makes them, signs its translation when `period` is first
+    `EPP.edges` makes them, signs its translation when `period` is first
     read.
     """
 
@@ -214,7 +164,17 @@ class EdgePair:
 class EPP:
     """Elementary polygon pattern: 2C images plus the full edge gluing.
 
-    `face_tree` maps each image to (parent image, index in `edges` of the
+    `images` holds image k + 1 at k as a plain (reflecting, rotation,
+    translation) tuple, its placement z -> unit(rotation) * (conj z if
+    reflecting else z) + translation, rotation a direction index mod 2C.
+    `gluings` holds the gluings in discovery order, interior and boundary
+    mixed, as (a, b, side, translation) tuples: side `side` of image a is
+    glued to side `side` of image b.  An interior gluing's translation is
+    the frame's zero, so `not translation` tells it.  `edges` and
+    `edge_pairs` make an `EdgePair` of each when first read, for the
+    period kinds and library callers.
+
+    `face_tree` maps each image to (parent image, index in `gluings` of the
     gluing that created it), image 1 to None: the spanning tree of the faces
     that `build_epp` grows.  The crossing cycle of every other gluing
     crosses it and returns through this tree; `period_basis` takes 2g of
@@ -226,14 +186,14 @@ class EPP:
     def __init__(
         self,
         polygon: Polygon,
-        images: list[PolygonImage],
-        edges: list[EdgePair],  # discovery order, interior and boundary mixed
+        images: list[tuple],
+        gluings: list[tuple],
         C: int,
         face_tree: dict[int, tuple[int, int] | None] | None = None,
     ):
         self.polygon = polygon
         self.images = images
-        self.edges = edges
+        self.gluings = gluings
         self.C = C
         self.face_tree = face_tree
         # `frame.index_key` of a group's vector -> the indices of the groups
@@ -243,8 +203,14 @@ class EPP:
         # group index -> its classified period, for the groups asked for so far
         self._kinds: dict[int, Period] = {}
 
-    def image(self, k: int) -> PolygonImage:
+    def image(self, k: int) -> tuple:
         return self.images[k - 1]
+
+    @cached_property
+    def edges(self) -> list[EdgePair]:
+        """An `EdgePair` per gluing, in the order of `gluings`."""
+        f = self.polygon.frame
+        return [EdgePair(a, b, s, t, None, f if t else None) for a, b, s, t in self.gluings]
 
     @cached_property
     def edge_pairs(self) -> list[EdgePair]:
@@ -317,9 +283,9 @@ class EPP:
     def gluing(self) -> dict:
         """(image, side) -> (neighbor image, crossing translation)."""
         table = {}
-        for e in self.edges:
-            table[(e.a, e.side)] = (e.b, e.translation)
-            table[(e.b, e.side)] = (e.a, -e.translation)
+        for a, b, s, t in self.gluings:
+            table[(a, s)] = (b, t)
+            table[(b, s)] = (a, -t)
         return table
 
     @cached_property
@@ -339,9 +305,9 @@ class EPP:
         verts = self.polygon.vertices_float()
         mirrored = [z.conjugate() for z in verts]
         out = []
-        for img in self.images:
-            w, t = units[img.iso.rotation], complex(img.iso.translation)
-            corners = [w * z + t for z in (mirrored if img.iso.reflecting else verts)]
+        for reflecting, rotation, t in self.images:
+            w, t = units[rotation], complex(t)
+            corners = [w * z + t for z in (mirrored if reflecting else verts)]
             sides = [(c, corners[(i + 1) % len(corners)] - c) for i, c in enumerate(corners)]
             out.append([(a, d, abs(d)) for a, d in sides])
         return out
@@ -349,18 +315,14 @@ class EPP:
     def dump(self) -> str:
         f = self.polygon.frame
         lines = [f"EPP C={self.C} images={len(self.images)} exact={f.exact}"]
-        for img in self.images:
+        for k, (reflecting, rotation, t) in enumerate(self.images, 1):
             lines.append(
-                f"image {img.index}: rot={img.iso.rotation} refl={img.parity} "
-                f"t={_fmt_vec(f, img.iso.translation)}"
-                + (f" t_exact={img.iso.translation!r}" if f.exact else "")
+                f"image {k}: rot={rotation} refl={int(reflecting)} t={_fmt_vec(f, t)}"
+                + (f" t_exact={t!r}" if f.exact else "")
             )
-        for e in self.edges:
-            kind = "interior" if e.interior else self._period(self._group_index[e]).kind
-            lines.append(
-                f"pair side {e.side}: {e.a} <-> {e.b} "
-                f"T={_fmt_vec(f, e.translation)} [{kind}]"
-            )
+        for (a, b, s, t), e in zip(self.gluings, self.edges):
+            kind = self._period(self._group_index[e]).kind if t else "interior"
+            lines.append(f"pair side {s}: {a} <-> {b} T={_fmt_vec(f, t)} [{kind}]")
         return "\n".join(lines)
 
 
@@ -414,12 +376,14 @@ def build_epp(polygon: Polygon) -> EPP:
     are at most 4C orientations (reflecting flag, rotation mod 2C), so the
     search ends; that it ends with 2C images is the theorem checked below.
 
-    The 2C images are refused before the first is made when, at the bare
-    size of an image's two records and translation, they outrun physical
-    memory (OutOfRange).
+    The 2C images are refused before the walk starts when they outrun
+    physical memory (OutOfRange) at what the walk stores per image: its
+    tuple and translation, its n/2 gluing tuples and their translations,
+    its face-tree entry and its slots in the walk's lists.
 
-    Only unfolds: no channel is decided and no period signed here.  A
-    boundary pair signs its period when it is first read (`EdgePair`), the
+    Only unfolds: no channel is decided, no period signed and no record
+    made here.  `EPP.edges` makes an `EdgePair` of each gluing when first
+    read, a boundary pair signs its period when it is first read, the
     pattern groups them into simple periods on first use, and decides a
     period's kind when a reader asks for it (`EPP.periods`).
     """
@@ -427,49 +391,46 @@ def build_epp(polygon: Polygon) -> EPP:
     n, m = polygon.n, 2 * f.N
     scale = polygon.perimeter_float()
     rotate, mirror, is_zero, zero = f.rotate, f.mirror, f.is_zero, f.zero()
-    _refuse_past_memory(m, PolygonImage.__basicsize__ + Isometry.__basicsize__ + sys.getsizeof(zero),
-                        f"the {m} images of the unfolding are more")
+    size, slot = sys.getsizeof, sys.getsizeof([None]) - sys.getsizeof([])
+    # per image: images, 2 by_orient, n glued and n/2 gluings slots
+    per_image = (size((False, 0, zero)) + size(zero) + size((1, 0)) + (3 + n) * slot
+                 + n * (size((1, 1, 0, zero)) + size(zero) + slot) // 2)
+    _refuse_past_memory(m, per_image, f"the {m} images of the unfolding are more")
     # per reflecting flag, (side s, twice its direction signed, its start corner)
     sides = list(enumerate(zip(polygon.dirs, polygon.verts)))
     walks = ([(s, 2 * j, v) for s, (j, v) in sides], [(s, -2 * j, v.conjugate()) for s, (j, v) in sides])
-    images = [PolygonImage(1, Isometry(False, 0, zero))]
-    shifts = [zero]  # images[k].iso.translation
+    images = [(False, 0, zero)]  # (reflecting, rotation, translation)
     by_orient: list[int | None] = [None] * (2 * m)  # reflecting * m + rotation -> index in images
     by_orient[0] = 0
-    glued = [False] * n  # slot k*n + s: side s of images[k]
-    edges: list[EdgePair] = []
+    unglued = [False] * n
+    glued = unglued[:]  # slot k*n + s: side s of images[k]
+    gluings: list[tuple] = []  # (a, b, side, translation)
     face_tree: dict[int, tuple[int, int] | None] = {1: None}  # image -> its creating gluing
-    for k, image in enumerate(images):  # the list grows as the walk finds images
-        flip, rot = image.iso.reflecting, image.iso.rotation
-        t0 = shifts[k]
-        t0c, base, other_flag = t0.conjugate(), k * n, 0 if flip else m
+    for k, (flip, rot, t0) in enumerate(images):  # the list grows as the walk finds images
+        a, rot2, t0c, base, other_flag = k + 1, 2 * rot, t0.conjugate(), k * n, 0 if flip else m
         for s, dj, corner in walks[flip]:
             if glued[base + s]:
                 continue
-            r = (2 * rot + dj) % m
+            r = (rot2 + dj) % m
             p0 = rotate(corner, rot) + t0
             t = mirror(t0c, p0, r)
             orient = other_flag + (r - rot) % m
             other = by_orient[orient]
             if other is None:
                 other = by_orient[orient] = len(images)
-                images.append(PolygonImage(other + 1, Isometry(not flip, orient - other_flag, t)))
-                shifts.append(t)
-                face_tree[other + 1] = (k + 1, len(edges))
-                edges.append(EdgePair(k + 1, other + 1, s, zero))
-                glued += [False] * n
+                images.append((not flip, orient - other_flag, t))
+                face_tree[other + 1] = (a, len(gluings))
+                gluings.append((a, other + 1, s, zero))
+                glued += unglued
             else:
-                t = t - shifts[other]
-                if is_zero(t, scale):
-                    edges.append(EdgePair(k + 1, other + 1, s, zero))
-                else:
-                    edges.append(EdgePair(k + 1, other + 1, s, t, None, f))
+                t = t - images[other][2]
+                gluings.append((a, other + 1, s, zero if is_zero(t, scale) else t))
             glued[base + s] = glued[other * n + s] = True
     if len(images) != 2 * f.N:
         raise RuntimeError(
             f"unfolding closed with {len(images)} images, expected {2 * f.N}"
         )
-    return EPP(polygon, images, edges, f.N, face_tree)
+    return EPP(polygon, images, gluings, f.N, face_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +446,7 @@ def _find(root: list[int], v: int) -> int:
 
 
 def _basis_cycles(epp: EPP) -> list[int]:
-    """Indices in `edges` of the 2g classes whose crossing cycles `period_basis` takes.
+    """Indices in `gluings` of the 2g classes whose crossing cycles `period_basis` takes.
 
     One union-find forest over the corners, corner (k, i) at (k - 1)*n + i.
     It first joins the corners each gluing identifies, corner s of its two
@@ -500,30 +461,28 @@ def _basis_cycles(epp: EPP) -> list[int]:
     """
     n = epp.polygon.n
     g = genus(epp.polygon)
+    gluings = epp.gluings
     root = list(range(n * len(epp.images)))
-    for e in epp.edges:
-        a, b, s = (e.a - 1) * n, (e.b - 1) * n, e.side
-        t = (s + 1) % n
+    for a, b, s, _t in gluings:
+        a, b, t = (a - 1) * n, (b - 1) * n, (s + 1) % n
         root[_find(root, a + s)] = _find(root, b + s)
         root[_find(root, a + t)] = _find(root, b + t)
     nverts = sum(map(eq, root, range(len(root))))
-    chi = nverts - len(epp.edges) + len(epp.images)
+    chi = nverts - len(gluings) + len(epp.images)
     if chi != 2 - 2 * g:
         raise RankMismatch(f"Euler characteristic {chi} != {2 - 2 * g}")
     face_tree = {p[1] for p in epp.face_tree.values() if p is not None}
 
     def key(cid: int) -> tuple:  # boundary pairs by length, then interior gluings
-        e = epp.edges[cid]
-        if e.interior:
-            return (1, 0.0, cid)
-        return (0, round(abs(complex(e.translation)), 12), cid)
+        t = gluings[cid][3]
+        return (0, round(abs(complex(t)), 12), cid) if t else (1, 0.0, cid)
 
-    candidates = sorted((cid for cid in range(len(epp.edges)) if cid not in face_tree), key=key)
+    candidates = sorted((cid for cid in range(len(gluings)) if cid not in face_tree), key=key)
     cycles = []
     for cid in reversed(candidates):
-        e = epp.edges[cid]
-        tail = _find(root, (e.a - 1) * n + e.side)
-        head = _find(root, (e.a - 1) * n + (e.side + 1) % n)
+        a, _b, s, _t = gluings[cid]
+        tail = _find(root, (a - 1) * n + s)
+        head = _find(root, (a - 1) * n + (s + 1) % n)
         if tail == head:
             cycles.append(cid)
         else:
@@ -572,19 +531,19 @@ def period_basis(epp: EPP) -> list[Period]:
     relations, and the independence statement lives on the surface cycles.
     """
     f = epp.polygon.frame
-    pairs = [epp.edges[cid] for cid in _basis_cycles(epp)]
-    first = next((e for e in pairs if not e.interior), None)
+    cycles = _basis_cycles(epp)
+    first = next((cid for cid in cycles if epp.gluings[cid][3]), None)
     if first is None:
         raise RankMismatch("all basis periods have zero translation")
     periods = []
-    for e in pairs:
-        if e.interior:
-            e = first
+    for cid in cycles:
+        if not epp.gluings[cid][3]:
+            cid = first
         # a holonomy is a sum from zero, which also turns a float -0.0 into 0.0
-        v = _half_plane(f, f.zero() + e.translation)
+        v = _half_plane(f, f.zero() + epp.gluings[cid][3])
         z = complex(v)
         p = Period(v)
-        p._resolve = lambda e=e: epp._period(epp._group_index[e]).kind
+        p._resolve = lambda cid=cid: epp._period(epp._group_index[epp.edges[cid]]).kind
         periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), p))
     periods.sort(key=lambda t: (t[0], t[1]))
     return [p for _n, _a, p in periods]
@@ -721,13 +680,13 @@ def channel_exists(epp: EPP, vector) -> bool:
         if abs(cross) <= _TOL:
             continue  # parallel to the orbits: none crosses it
         # image a lies left of its side, or right when it is reflecting
-        face = e.a if (cross > 0) != epp.image(e.a).iso.reflecting else e.b
+        face = e.a if (cross > 0) != epp.image(e.a)[0] else e.b
         if _closes(epp, face, e.side, 0.5, u, length, vector, missed):
             return True
         sides.append((e, face))
     cuts = defaultdict(list)  # (image, side) -> positions of its cuts
     for k, image_sides in enumerate(epp._sides_float, 1):
-        reflecting = epp.image(k).iso.reflecting
+        reflecting = epp.image(k)[0]
         for i, (_a, d, _len) in enumerate(image_sides):
             # the sector at corner i, the start of side i, turns counterclockwise from `start`
             start = -image_sides[i - 1][1] if reflecting else d

@@ -44,8 +44,7 @@ def _scalar(x):
 
 def _record(polygon) -> str:
     epp = build_epp(polygon)
-    images = [(img.iso.reflecting, img.iso.rotation, _scalar(img.iso.translation))
-              for img in epp.images]
+    images = [(reflecting, rotation, _scalar(t)) for reflecting, rotation, t in epp.images]
     gluings = [(e.a, e.b, e.side, e.interior, _scalar(e.translation)) for e in epp.edges]
     basis = period_basis(epp)
     lat = period_lattice(polygon.frame, basis)

@@ -115,11 +115,10 @@ def direct_image_sum(epp, prescription, p: complex, branch: int, pts):
     """Eq-22-style evaluation straight from image coordinates."""
     f = epp.polygon.frame
     total = np.zeros(len(pts), dtype=complex)
-    for img, eta in zip(epp.images, prescription.eta):
-        iso = img.iso
-        om = cmath.exp(1j * math.pi * iso.rotation / f.N)
-        t = f.to_complex(iso.translation)
-        zk = om * (np.conj(pts) if iso.reflecting else pts) + t
+    for (reflecting, rotation, t), eta in zip(epp.images, prescription.eta):
+        om = cmath.exp(1j * math.pi * rotation / f.N)
+        t = f.to_complex(t)
+        zk = om * (np.conj(pts) if reflecting else pts) + t
         total += eta * np.exp(1j * branch * (p.real * zk.real + p.imag * zk.imag))
     return total
 
@@ -173,8 +172,8 @@ def test_dirichlet_signs_follow_reflection_parity():
         epp = build_epp(poly)
         pres = enumerate_prescriptions(epp)[0]
         assert set(pres.bc) == {DIRICHLET}
-        for img, eta in zip(epp.images, pres.eta):
-            assert eta == (1 if img.parity == 0 else -1)
+        for (reflecting, _rotation, _t), eta in zip(epp.images, pres.eta):
+            assert eta == (-1 if reflecting else 1)
 
 
 @pytest.mark.parametrize(

@@ -7,18 +7,25 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import defaultdict, deque
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polybilliard
 from polybilliard import cli, exactgeom, unfold
-from polybilliard.errors import ConvergenceFailure, NonIntegerGenus, OutOfRange, RankMismatch
+from polybilliard.errors import (
+    BilliardError,
+    ConvergenceFailure,
+    NonIntegerGenus,
+    OutOfRange,
+    RankMismatch,
+)
 from polybilliard.shapes import (
     broken_parallelogram,
     equilateral,
@@ -40,9 +47,7 @@ from polybilliard.lattice import period_lattice
 from polybilliard.unfold import (
     EPP,
     EdgePair,
-    Isometry,
     Period,
-    PolygonImage,
     build_epp,
     channel_exists,
     find_pocs,
@@ -54,10 +59,6 @@ from polybilliard.unfold import _basis_cycles, _closes, _find, _half_plane, _re_
 POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 
 
-def _identity_image(polygon) -> PolygonImage:
-    return PolygonImage(1, _identity(polygon.frame))
-
-
 def _vec(frame, v) -> complex:
     return frame.to_complex(v)
 
@@ -67,36 +68,42 @@ def _same_vector(frame, a, b, scale=1.0) -> bool:
 
 
 # --- a queue-of-slots unfolding, the reference for build_epp's walk ----------
+#
+# An isometry is a (reflecting, rotation, translation) tuple, as in
+# `EPP.images`: z -> unit(rotation) * (conj z if reflecting else z) + translation.
 
-def _identity(frame) -> Isometry:
-    return Isometry(False, 0, frame.zero())
+def _identity(frame) -> tuple:
+    return (False, 0, frame.zero())
 
 
-def _apply(iso: Isometry, frame, z):
+def _apply(iso: tuple, frame, z):
     """iso(z): conjugate z if iso reflects, rotate it, then translate."""
-    w = z.conjugate() if iso.reflecting else z
-    return frame.rotate(w, iso.rotation) + iso.translation
+    reflecting, rotation, translation = iso
+    w = z.conjugate() if reflecting else z
+    return frame.rotate(w, rotation) + translation
 
 
-def _transport(iso: Isometry, j: int, frame) -> int:
+def _transport(iso: tuple, j: int, frame) -> int:
     """Direction index of the image under iso of a vector with direction index j."""
-    if iso.reflecting:
-        return (iso.rotation - j) % (2 * frame.N)
-    return (iso.rotation + j) % (2 * frame.N)
+    reflecting, rotation, _t = iso
+    if reflecting:
+        return (rotation - j) % (2 * frame.N)
+    return (rotation + j) % (2 * frame.N)
 
 
-def _mirror(iso: Isometry, polygon, s: int) -> Isometry:
+def _mirror(iso: tuple, polygon, s: int) -> tuple:
     """The isometry of the mirror copy, across its side s, of the image placed by iso.
 
     That is the reflection across the line of the image's side s, through
     its corner p0 = iso(vertex s), composed after iso.  `build_epp` makes
-    the same frame operations in the same order without an isometry.
+    the same frame operations in the same order.
     """
     f = polygon.frame
+    reflecting, rotation, translation = iso
     r = 2 * _transport(iso, polygon.dirs[s], f) % (2 * f.N)
     p0 = _apply(iso, f, polygon.verts[s])
-    t = f.rotate(iso.translation.conjugate(), r) + (p0 - f.rotate(p0.conjugate(), r))
-    return Isometry(not iso.reflecting, (r - iso.rotation) % (2 * f.N), t)
+    t = f.rotate(translation.conjugate(), r) + (p0 - f.rotate(p0.conjugate(), r))
+    return (not reflecting, (r - rotation) % (2 * f.N), t)
 
 
 def _queue_unfolding(polygon):
@@ -119,16 +126,16 @@ def _queue_unfolding(polygon):
             continue
         k, s = divmod(slot, n)
         cand = _mirror(isos[k], polygon, s)
-        other = by_orient.get((cand.reflecting, cand.rotation))
+        other = by_orient.get(cand[:2])
         if other is None:
-            other = by_orient[(cand.reflecting, cand.rotation)] = len(isos)
+            other = by_orient[cand[:2]] = len(isos)
             isos.append(cand)
             face_tree[other + 1] = (k + 1, len(edges))
             edges.append((k + 1, other + 1, s, f.zero(), True))
             glued += [False] * n
             queue.extend(range(other * n, other * n + n))
         else:
-            t = cand.translation - isos[other].translation
+            t = cand[2] - isos[other][2]
             interior = f.is_zero(t, scale)
             edges.append((k + 1, other + 1, s, f.zero() if interior else t, interior))
         glued[slot] = glued[other * n + s] = True
@@ -137,19 +144,18 @@ def _queue_unfolding(polygon):
 
 def test_reflect_square_bottom_is_conjugation():
     p = square()
-    iso = _mirror(_identity(p.frame), p, 0)
-    assert iso.reflecting is True
-    assert iso.rotation == 0
-    assert p.frame.is_zero(iso.translation)
-    assert PolygonImage(2, iso).parity == 1
+    reflecting, rotation, t = _mirror(_identity(p.frame), p, 0)
+    assert reflecting is True
+    assert rotation == 0
+    assert p.frame.is_zero(t)
 
 
 def test_reflect_twice_is_identity():
     p = square()
-    iso = _mirror(_mirror(_identity(p.frame), p, 0), p, 0)
-    assert iso.reflecting is False
-    assert iso.rotation == 0
-    assert p.frame.is_zero(iso.translation)
+    reflecting, rotation, t = _mirror(_mirror(_identity(p.frame), p, 0), p, 0)
+    assert reflecting is False
+    assert rotation == 0
+    assert p.frame.is_zero(t)
 
 
 def test_reflect_adjacent_edges_gives_vertex_rotation():
@@ -158,8 +164,8 @@ def test_reflect_adjacent_edges_gives_vertex_rotation():
     p = square()
     f = p.frame
     iso = _mirror(_mirror(_identity(f), p, 0), p, 1)
-    assert iso.reflecting is False
-    assert iso.rotation == p.N  # pi in units of pi/N
+    assert iso[0] is False
+    assert iso[1] == p.N  # pi in units of pi/N
     v = f.from_xy(1, 0)
     assert f.is_zero(_apply(iso, f, v) - v)
 
@@ -192,16 +198,16 @@ def test_epp_rationalized_triangle_has_2000_images(monkeypatch):
 def test_epp_images_pairwise_nonfaithful():
     for mk in (square, l_shape, parallelogram_pi3, isosceles_pi5):
         epp = build_epp(mk())
-        orientations = {(im.iso.reflecting, im.iso.rotation) for im in epp.images}
+        orientations = {(reflecting, rotation) for reflecting, rotation, _t in epp.images}
         assert len(orientations) == len(epp.images)
 
 
 def test_epp_base_image_is_identity():
     epp = build_epp(parallelogram_pi3())
-    base = epp.image(1)
-    assert base.iso.reflecting is False
-    assert base.iso.rotation == 0
-    assert epp.polygon.frame.is_zero(base.iso.translation)
+    reflecting, rotation, t = epp.image(1)
+    assert reflecting is False
+    assert rotation == 0
+    assert epp.polygon.frame.is_zero(t)
 
 
 def test_epp_every_side_has_c_copies():
@@ -345,17 +351,42 @@ def test_genus_is_the_fraction_formula(pqs):
 
 def test_unfolding_past_memory_is_refused_before_any_image(monkeypatch):
     # 2000 images cannot fit in 100 kB of "physical memory"; build_epp must
-    # say so before it makes the first one
+    # say so before its walk mirrors the first image
     p = right_triangle_rationalized()
     pages = {"SC_PHYS_PAGES": 25, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
 
-    def no_image(*_args):
-        raise AssertionError("an image was made")
+    def no_mirror(*_args):
+        raise AssertionError("an image was mirrored")
 
-    monkeypatch.setattr(PolygonImage, "__init__", no_image)
+    monkeypatch.setattr(type(p.frame), "mirror", no_mirror)
     with pytest.raises(OutOfRange, match="the 2000 images of the unfolding are more than memory can hold"):
         build_epp(p)
+
+
+def test_unfolding_memory_figure_bounds_what_the_walk_stores(monkeypatch):
+    # the bytes per image that the refusal counts are at most what the walk
+    # holds at its peak per image, so an unfolding that fits is never
+    # refused, and at least half of it, so the refusal is not a gross
+    # lower bound: triangle 1/10000, 20,000 images
+    angles = [Fraction(1, 10000), Fraction(1, 2), Fraction(4999, 10000)]
+    p = validate_polygon(angles, [1, None, None])
+    figures = []
+    real = unfold._refuse_past_memory
+
+    def capture(count, item_bytes, what):
+        figures.append(item_bytes)
+        real(count, item_bytes, what)
+
+    monkeypatch.setattr(unfold, "_refuse_past_memory", capture)
+    tracemalloc.start()
+    try:
+        epp = build_epp(p)
+        peak = tracemalloc.get_traced_memory()[1] / len(epp.images)
+    finally:
+        tracemalloc.stop()
+    assert len(epp.images) == 20000 and len(figures) == 1
+    assert peak / 2 <= figures[0] <= peak
 
 
 def test_period_count_is_twice_genus():
@@ -385,15 +416,10 @@ def test_square_orbit_closure_under_periods():
     basis = period_basis(epp)
     for img in epp.images:
         for b in basis:
-            shifted = img.iso.translation + b.vector
-            mates = [
-                other
-                for other in epp.images
-                if other.iso.reflecting == img.iso.reflecting
-                and other.iso.rotation == img.iso.rotation
-            ]
+            shifted = img[2] + b.vector
+            mates = [other for other in epp.images if other[:2] == img[:2]]
             assert len(mates) == 1
-            d = shifted - mates[0].iso.translation
+            d = shifted - mates[0][2]
             rx = f.rational_value(d.real)
             ry = f.rational_value(d.imag)
             assert rx is not None and ry is not None
@@ -533,7 +559,7 @@ def test_face_tree_is_the_breadth_first_tree(name):
     epp = build_epp(VERTEX_CASES[name]())
     tree = epp.face_tree
     assert list(tree.items()) == list(_bfs_face_tree(epp).items())
-    assert sorted(tree) == [img.index for img in epp.images]
+    assert sorted(tree) == list(range(1, len(epp.images) + 1))
     seen = set()
     for k, up in tree.items():
         if up is not None:
@@ -549,25 +575,87 @@ def _bits(v) -> str:
     return repr(v) if isinstance(v, complex) else f"{v!r} {list(v.num.items())}"
 
 
+def _assert_walk_equals_the_queue(p):
+    """build_epp's images, gluings and face tree are the queue's, to the
+    float bit and the monomial order."""
+    epp = build_epp(p)
+    isos, edges, face_tree = _queue_unfolding(p)
+    assert [(r, rot, _bits(t)) for r, rot, t in epp.images] == [
+        (r, rot, _bits(t)) for r, rot, t in isos
+    ]
+    assert [(a, b, side, _bits(t), not t) for a, b, side, t in epp.gluings] == [
+        (a, b, side, _bits(t), interior) for a, b, side, t, interior in edges
+    ]
+    assert list(epp.face_tree.items()) == list(face_tree.items())
+
+
 @pytest.mark.parametrize("name, force_exact", [
     *((name, False) for name in VERTEX_CASES), ("triangle_1_20", True), ("triangle_3_44", True),
 ])
 def test_walk_equals_the_queue_unfolding(name, force_exact, monkeypatch):
     # the walk over the image list finds the images, gluings and face tree
-    # of the queue of slots, to the float bit and the monomial order
+    # of the queue of slots
     if force_exact:
         monkeypatch.setattr(exactgeom, "EXACT_DEGREE_LIMIT", 10**6)
     p = VERTEX_CASES[name]()
     assert p.frame.exact or not force_exact
-    epp = build_epp(p)
-    isos, edges, face_tree = _queue_unfolding(p)
-    assert [(i.iso.reflecting, i.iso.rotation, _bits(i.iso.translation)) for i in epp.images] == [
-        (iso.reflecting, iso.rotation, _bits(iso.translation)) for iso in isos
-    ]
-    assert [(e.a, e.b, e.side, _bits(e.translation), e.interior) for e in epp.edges] == [
-        (a, b, side, _bits(t), interior) for a, b, side, t, interior in edges
-    ]
-    assert list(epp.face_tree.items()) == list(face_tree.items())
+    _assert_walk_equals_the_queue(p)
+
+
+@st.composite
+def _rational_polygons(draw):
+    """Angles and lengths of a triangle a/N, b/N, N <= 60, with a unit side 0,
+    or of a quadrilateral with three angles p/q, q <= 12, the fourth closing,
+    and sides 0 and 1 of lengths p/q, p, q <= 6; closure solves the rest."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 60))
+        a = draw(st.integers(1, n - 2))
+        b = draw(st.integers(1, n - 1 - a))
+        return [Fraction(a, n), Fraction(b, n), Fraction(n - a - b, n)], [1, None, None]
+    qs = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 10, 12]), min_size=3, max_size=3))
+    angles = [Fraction(draw(st.integers(1, 2 * q - 1)), q) for q in qs]
+    angles.append(2 - sum(angles))
+    assume(all(0 < x < 2 and x != 1 for x in angles))
+    lengths = [Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6))) for _ in range(2)]
+    return angles, lengths + [None, None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_polygons(), st.sampled_from([0, 10**6]))
+def test_walk_equals_the_queue_unfolding_on_random_polygons(drawn, degree_limit):
+    # in a float frame (degree limit 0) and in an exact one however large
+    angles, lengths = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactgeom, "EXACT_DEGREE_LIMIT", degree_limit)
+        try:
+            p = validate_polygon(angles, lengths)
+        except BilliardError:
+            assume(False)
+    assert p.frame.exact == bool(degree_limit)
+    _assert_walk_equals_the_queue(p)
+
+
+def test_analyze_path_makes_no_edge_record(monkeypatch):
+    # the 2000-image triangle unfolds, takes its basis and lattice without
+    # one EdgePair; the first kind read makes the records and decides the
+    # kind a pattern that decided every kind first gives
+    p = right_triangle_rationalized()
+
+    def no_record(*_args, **_kwargs):
+        raise AssertionError("an EdgePair was made")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(EdgePair, "__init__", no_record)
+        epp = build_epp(p)
+        basis = period_basis(epp)
+        lat = period_lattice(p.frame, basis)
+    assert "edges" not in epp.__dict__ and len(lat.basis) == 500
+    kind = basis[0].kind
+    assert "edges" in epp.__dict__
+    fresh = build_epp(p)
+    fresh.periods
+    first = period_basis(fresh)[0]
+    assert (repr(basis[0].vector), kind) == (repr(first.vector), first.kind)
 
 
 def test_periods_are_signed_when_read(monkeypatch):
@@ -630,11 +718,8 @@ def test_float_and_exact_frames_unfold_alike(a, n, monkeypatch):
     assert not flt.frame.exact and ext.frame.exact
     fe, ee = build_epp(flt), build_epp(ext)
     tol = 1e-9 * flt.perimeter_float()
-    assert [(i.iso.reflecting, i.iso.rotation) for i in fe.images] == [
-        (i.iso.reflecting, i.iso.rotation) for i in ee.images
-    ]
-    assert all(abs(complex(i.iso.translation) - complex(j.iso.translation)) <= tol
-               for i, j in zip(fe.images, ee.images))
+    assert [i[:2] for i in fe.images] == [i[:2] for i in ee.images]
+    assert all(abs(complex(i[2]) - complex(j[2])) <= tol for i, j in zip(fe.images, ee.images))
     assert list(fe.face_tree.items()) == list(ee.face_tree.items())
     assert [(e.a, e.b, e.side, e.interior) for e in fe.edges] == [
         (e.a, e.b, e.side, e.interior) for e in ee.edges
@@ -669,7 +754,7 @@ def _homology_coords(epp):
         if cid in face_tree:
             continue
         tail, head = vclass[(e.a, e.side)], vclass[(e.a, (e.side + 1) % n)]
-        if epp.image(e.a).iso.reflecting:
+        if epp.image(e.a)[0]:
             tail, head = head, tail
         ends[cid] = (tail, head)
         adj[tail].append((head, cid, 1))
@@ -820,16 +905,6 @@ def test_analyze_path_loads_no_dataclasses(module):
     assert (run.returncode, run.stderr) == (0, "")
 
 
-def test_isometry_compares_and_hashes_by_value():
-    f = square().frame
-    a = Isometry(False, 1, f.unit(0))
-    b = Isometry(reflecting=False, rotation=1, translation=f.unit(0) + f.zero())
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a != Isometry(True, 1, f.unit(0)) and a != Isometry(False, 1, f.zero())
-    assert _identity(f) == Isometry(False, 0, f.zero()) and a != (False, 1, f.unit(0))
-    assert len({a, b, _identity(f)}) == 2
-
-
 def test_pattern_records_compare_by_identity():
     poly = square()
     f = poly.frame
@@ -841,11 +916,15 @@ def test_pattern_records_compare_by_identity():
     assert not pair.interior and EdgePair(1, 2, 0, f.zero()).interior
     lazy = EdgePair(1, 2, 0, -v, frame=f)  # signs -v into v when first read
     assert not lazy.interior and lazy.period is lazy.period and lazy.period.vector == v
-    image = PolygonImage(index=1, iso=_identity(f))
-    assert image.parity == 0 and image != _identity_image(poly)
-    epp = EPP(poly, [image], [pair], C=1)
-    assert epp.edge_pairs == [pair] and epp.image(1) is image
-    assert epp != EPP(poly, [image], [pair], 1)
+    # the pattern makes its records from the gluing tuples on first read
+    image, gluings = _identity(f), [(1, 2, 0, -v), (1, 2, 1, f.zero())]
+    epp = EPP(poly, [image], gluings, C=1)
+    assert epp.edges is epp.edges and epp.edge_pairs == epp.edges[:1]
+    made = epp.edges[0]
+    assert (made.a, made.b, made.side, made.translation) == gluings[0]
+    assert not made.interior and made.period.vector == v and epp.edges[1].interior
+    assert made != EPP(poly, [image], gluings, C=1).edges[0] and epp.image(1) is image
+    assert epp != EPP(poly, [image], gluings, 1)
 
 
 # --- find_pocs and channels -------------------------------------------------
@@ -1057,7 +1136,7 @@ def _sampled_channel_exists(epp, vector) -> bool:
         for face in (e.a, e.b):
             verts = [a for a, _d, _len in epp._sides_float[face - 1]]
             a, b = verts[e.side], verts[(e.side + 1) % len(verts)]
-            ccw = not epp.image(face).iso.reflecting
+            ccw = not epp.image(face)[0]
             d = (b - a) / abs(b - a)
             for j in range(1, _SAMPLES):
                 z = a + (b - a) * (j / _SAMPLES)
@@ -1094,7 +1173,7 @@ def _middle_march_closes(epp, vector) -> bool:
             verts = [a for a, _d, _len in epp._sides_float[face - 1]]
             a, b = verts[e.side], verts[(e.side + 1) % len(verts)]
             inward = ((b - a).conjugate() * tgt).imag
-            if epp.image(face).iso.reflecting:
+            if epp.image(face)[0]:
                 inward = -inward
             if inward > 1e-9 * abs(b - a) * abs(tgt) and _sampled_trace_closes(
                 epp, face, a + (b - a) * 0.5, vector
@@ -1169,7 +1248,8 @@ def test_float_period_index_matches_linear_scan(cells, offsets, base):
         y = base.imag + (j + dy) * r
         vectors.append(complex(x + ulps * math.ulp(x), y - ulps * math.ulp(y)))
     pairs = [EdgePair(1, 1, 0, v, Period(v)) for v in vectors]
-    epp = EPP(p, [], pairs, 1)
+    epp = EPP(p, [], [], 1)
+    epp.edges = pairs  # records given their periods as they are, unsigned
     scan: list[list[int]] = []
     for k, v in enumerate(vectors):
         g = next((g for g in scan if f.is_zero(v - vectors[g[0]], scale)), None)
@@ -1261,7 +1341,7 @@ def test_march_matches_the_float_point_march(name):
         tgt = complex(per.vector)
         length = abs(tgt)
         for k, sides in enumerate(epp._sides_float, 1):
-            reflecting = epp.image(k).iso.reflecting
+            reflecting = epp.image(k)[0]
             for side, (_a, d, side_len) in enumerate(sides):
                 cross = ((d / side_len).conjugate() * tgt).imag / length
                 if abs(cross) > 1e-9:
@@ -1307,7 +1387,7 @@ def test_closing_march_ends_inside_its_start_image():
     _a, d, side_len = epp._sides_float[e.a - 1][e.side]
     cross = ((d / side_len).conjugate() * u).imag
     # into image a when it lies left of its side, or right when it is reflecting
-    face = e.a if (cross > 0) != epp.image(e.a).iso.reflecting else e.b
+    face = e.a if (cross > 0) != epp.image(e.a)[0] else e.b
     assert length > 1.99
     assert _closes(epp, face, e.side, 0.5, u, length, e.period.vector, defaultdict(list))
 
