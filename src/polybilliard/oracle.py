@@ -38,6 +38,11 @@ from .swf import _point_in_polygon
 
 _TOL = 1e-9
 _DENSE_LIMIT = 4000
+# bytes per grid node of the arrays `rasterize` returns: four float quadrant
+# masks, the float Dirichlet flux and the bool mask.  Its peak, temporaries
+# included, is about 64 B per node as tracemalloc counts it, so a grid this
+# figure refuses could not have been held
+_RASTER_NODE_BYTES = 4 * 8 + 8 + 1
 
 
 # --------------------------------------------------------------------------
@@ -48,19 +53,20 @@ def _vertex_array(polygon) -> np.ndarray:
     return np.asarray(polygon.vertices_float(), dtype=complex)
 
 
-def _edge_distances(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Distance from each point to each polygon edge, shape (npts, nedges)."""
+def _side_distance(px: np.ndarray, py: np.ndarray, a: complex, b: complex) -> np.ndarray:
+    """Distance from each point to the segment from a to b, shaped like px."""
+    dx, dy = b.real - a.real, b.imag - a.imag
+    length2 = dx * dx + dy * dy
+    t = ((px - a.real) * dx + (py - a.imag) * dy) / length2
+    t = np.clip(t, 0.0, 1.0)
+    return np.hypot(px - (a.real + t * dx), py - (a.imag + t * dy))
+
+
+def _nearest_side(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Index of the polygon side nearest each point, the first on a tie."""
     n = len(verts)
-    out = np.empty(px.shape + (n,))
-    for k in range(n):
-        a = verts[k]
-        b = verts[(k + 1) % n]
-        dx, dy = b.real - a.real, b.imag - a.imag
-        length2 = dx * dx + dy * dy
-        t = ((px - a.real) * dx + (py - a.imag) * dy) / length2
-        t = np.clip(t, 0.0, 1.0)
-        out[..., k] = np.hypot(px - (a.real + t * dx), py - (a.imag + t * dy))
-    return out
+    dist = np.stack([_side_distance(px, py, verts[k], verts[(k + 1) % n]) for k in range(n)], axis=-1)
+    return np.argmin(dist, axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -118,8 +124,10 @@ def _normalize_bc(polygon, bc_map) -> tuple[str, ...]:
 def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
     """Sample the polygon on a grid of spacing ``h`` aligned to multiples of h.
 
-    A grid whose nodes, at one 8-byte index each, outrun physical memory
-    raises OutOfRange before any node is placed.
+    A grid whose nodes, at the `_RASTER_NODE_BYTES` each that the returned
+    arrays take, outrun memory raises OutOfRange before any node is placed.
+    Boundary tests run one side at a time, so the grid's temporaries never
+    grow with the number of sides.
     """
     bc = _normalize_bc(polygon, bc_map)
     verts = _vertex_array(polygon)
@@ -137,29 +145,35 @@ def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
     j0 = math.floor(ymin / h + _TOL)
     nx = math.ceil(xmax / h - _TOL) - i0 + 1
     ny = math.ceil(ymax / h - _TOL) - j0 + 1
-    _refuse_past_memory(nx * ny, 8, f"spacing {h:g} puts more grid nodes on the polygon")
+    _refuse_past_memory(
+        nx * ny, _RASTER_NODE_BYTES, f"spacing {h:g} puts more grid nodes on the polygon"
+    )
 
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
-    px = (ii + i0) * h
-    py = (jj + j0) * h
+    # node coordinates as broadcast views of one row and one column
+    shape = (ny, nx)
+    xs = (np.arange(nx) + i0) * h
+    ys = ((np.arange(ny) + j0) * h)[:, None]
+    px, py = np.broadcast_to(xs, shape), np.broadcast_to(ys, shape)
 
-    dist = _edge_distances(px, py, verts)
-    near = dist <= _TOL
-    on_boundary = near.any(axis=-1)
-    touches_dirichlet = np.zeros(px.shape, dtype=bool)
-    only_neumann = on_boundary.copy()
+    # one side at a time, so no (ny, nx, sides) array of distances is held
+    on_boundary = np.zeros(shape, dtype=bool)
+    touches_dirichlet = np.zeros(shape, dtype=bool)
+    n = len(verts)
     for side, tag in enumerate(bc):
+        near = _side_distance(px, py, verts[side], verts[(side + 1) % n]) <= _TOL
+        on_boundary |= near
         if tag == DIRICHLET:
-            touches_dirichlet |= near[..., side]
-            only_neumann &= ~near[..., side]
+            touches_dirichlet |= near
+    only_neumann = on_boundary & ~touches_dirichlet
     strict_inside = ~on_boundary & _point_in_polygon(px, py, verts)
     mask = strict_inside | only_neumann
 
     # quadrant-midpoint insideness drives both masses and face coefficients
-    quadrants = np.zeros((2, 2) + px.shape)
+    quadrants = np.zeros((2, 2) + shape)
     for sy, oy in ((0, -0.5), (1, 0.5)):
         for sx, ox in ((0, -0.5), (1, 0.5)):
-            quadrants[sy, sx] = _point_in_polygon(px + ox * h, py + oy * h, verts)
+            qx, qy = np.broadcast_to(xs + ox * h, shape), np.broadcast_to(ys + oy * h, shape)
+            quadrants[sy, sx] = _point_in_polygon(qx, qy, verts)
 
     # accumulate flux toward Dirichlet-pinned missing neighbours; other
     # missing links are Neumann (zero flux) and simply dropped.  Dirichlet
@@ -167,7 +181,7 @@ def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
     # the node column must not fade out of the operator.
     pad_mask = np.pad(mask, 1, constant_values=False)
     pad_dir = np.pad(touches_dirichlet & ~mask, 1, constant_values=False)
-    dflux = np.zeros(px.shape)
+    dflux = np.zeros(shape)
     for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
         nb_mask = pad_mask[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
         nb_dir = pad_dir[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
@@ -180,7 +194,7 @@ def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
         if open_face.any():
             mx = px[open_face] + 0.5 * di * h
             my = py[open_face] + 0.5 * dj * h
-            nearest = np.argmin(_edge_distances(mx, my, verts), axis=-1)
+            nearest = _nearest_side(mx, my, verts)
             is_d = np.array([bc[s] == DIRICHLET for s in nearest], dtype=float)
             dflux[open_face] += is_d
     return GridDomain(h=h, mask=mask, quadrants=quadrants, dirichlet_flux=dflux, bc=bc)
@@ -222,7 +236,16 @@ def _assemble(domain: GridDomain):
 
 
 def fd_eigenvalues(domain: GridDomain, count: int) -> np.ndarray:
-    """Lowest ``count`` eigenvalues of -(1/2)*Laplacian on the raster domain."""
+    """Lowest ``count`` eigenvalues of -(1/2)*Laplacian on the raster domain.
+
+    Up to `_DENSE_LIMIT` unknowns LAPACK's dense `eigh` solves the
+    symmetrized operator; above it, shift-invert Lanczos (ARPACK's `eigsh`
+    at sigma = 0) runs on one sparse LU factor of the operator, its columns
+    ordered by minimum degree on the symmetric pattern.  The two branches
+    agree to about 1e-14 relative on the same operator, so levels above the
+    limit carry that solver roundoff in their trailing digits.  ARPACK
+    giving up raises ConvergenceFailure.
+    """
     # scipy loads here, not with the module: `verify --against` solves nothing
     import scipy.linalg
     import scipy.sparse
@@ -244,10 +267,16 @@ def fd_eigenvalues(domain: GridDomain, count: int) -> np.ndarray:
             overwrite_a=True, check_finite=False,
         )
         return np.asarray(vals)
+    # eigsh's own shift-invert factor orders columns by COLAMD, made for
+    # unsymmetric matrices; a minimum-degree ordering of the symmetric
+    # pattern leaves about half its fill, so each Lanczos solve costs half
+    sym = sym.tocsc()
+    lu = scipy.sparse.linalg.splu(sym, permc_spec="MMD_AT_PLUS_A")
+    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=sym.dtype)
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
         vals = scipy.sparse.linalg.eigsh(
-            sym.tocsc(), k=count, sigma=0.0, which="LM", v0=v0,
+            sym, k=count, sigma=0.0, which="LM", v0=v0, OPinv=op_inv,
             return_eigenvectors=False,
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:

@@ -578,6 +578,20 @@ def test_verify_absurd_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+def test_verify_eigensolver_giving_up_exits_5(capsys, monkeypatch):
+    # README's exit code 5: the FD eigensolver did not converge.  At 1/72
+    # the square has 5041 unknowns, so the sparse ARPACK branch solves it
+    import scipy.sparse.linalg
+
+    def give_up(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", give_up)
+    code, out, err = invoke(capsys, "verify", str(POLYGONS / "square.json"), "--spacing", "1/72")
+    assert (code, out) == (5, "")
+    assert "No convergence" in err
+
+
 def test_verify_skewed_polygon_rejected(capsys):
     code, _, err = invoke(
         capsys, "verify", str(POLYGONS / "parallelogram_2_3.json")
@@ -817,6 +831,24 @@ def test_unfolding_past_an_address_space_cap_is_usage_error(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "than memory can hold" in proc.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="address-space limits are POSIX")
+def test_grid_past_an_address_space_cap_is_usage_error():
+    # spacing 1/10000 puts 10^8 nodes on the square: at 8 B a node the
+    # refusal let it through a 2 GB address space, where building the grid
+    # died with MemoryError, exit 1; the refusal counts what rasterize holds
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybilliard", "verify", str(POLYGONS / "square.json"),
+         "--spacing", "1/10000"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+        preexec_fn=functools.partial(_cap_address_space, 2 << 30),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "more grid nodes on the polygon than memory can hold" in proc.stderr
 
 
 def test_verify_neumann_study_is_refused(capsys):

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from polybilliard import oracle
 from polybilliard.cyclo import CycloField
-from polybilliard.errors import OutOfRange, TooCoarse
-from polybilliard.exactgeom import validate_polygon
+from polybilliard.errors import ConvergenceFailure, OutOfRange, TooCoarse
+from polybilliard.exactgeom import load_polygon, validate_polygon
 from polybilliard.oracle import (
     compare_spectra,
     deform_domain,
@@ -28,6 +32,7 @@ from polybilliard.shapes import l_shape, rectangle, square
 from polybilliard.swf import DIRICHLET, NEUMANN
 
 HALF_PI2 = 0.5 * math.pi**2
+POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 
 
 # ------------------------------------------------------------- rasterize
@@ -86,6 +91,54 @@ def test_mixed_bc_keeps_only_neumann_boundary_nodes():
     assert dom.interior_count == 7 * 7 + 2 * 7
 
 
+# sha256 over every bundled polygon's GridDomain arrays (dtype, shape and
+# bytes) with Dirichlet, Neumann and alternating sides, recorded from the
+# rasterizer that held an (ny, nx, sides) array of edge distances
+RASTER_DIGESTS = {
+    16: "204a3ca047f07f5e3c5c620f7c09b05eec9950a47da5263395b57386558d68fd",
+    64: "c1a16bc59584e7c45675585f8c5be517dcacf80d77afe3ca1f99165ade1aa6cd",
+    128: "c5222d8c02de7ca884c7f8a5143804d016e92c49349ac6e028cd4d3d8cf2acf3",
+}
+
+
+@pytest.mark.parametrize("k", sorted(RASTER_DIGESTS))
+def test_rasterize_is_bit_for_bit(k):
+    digest = hashlib.sha256()
+    for path in sorted(POLYGONS.glob("*.json")):
+        polygon = load_polygon(path)
+        alternating = tuple(DIRICHLET if s % 2 else NEUMANN for s in range(polygon.n))
+        for bc in (DIRICHLET, NEUMANN, alternating):
+            dom = rasterize(polygon, 1 / k, bc)
+            for a in (dom.mask, dom.quadrants, dom.dirichlet_flux):
+                digest.update(repr((a.dtype.str, a.shape)).encode())
+                digest.update(a.tobytes())
+    assert digest.hexdigest() == RASTER_DIGESTS[k]
+
+
+def test_raster_memory_figure_bounds_what_rasterize_holds(monkeypatch):
+    # the bytes per node that the refusal counts are at most what rasterize
+    # holds at its peak per node, so a grid that fits is never refused, and
+    # at least half of it, so the refusal is not a gross lower bound
+    figures = []
+    real = oracle._refuse_past_memory
+
+    def capture(count, item_bytes, what):
+        figures.append(item_bytes)
+        real(count, item_bytes, what)
+
+    monkeypatch.setattr(oracle, "_refuse_past_memory", capture)
+    for polygon in (square(), l_shape(1, 1, 2, 2)):
+        figures.clear()
+        tracemalloc.start()
+        try:
+            dom = rasterize(polygon, 1 / 200)
+            peak = tracemalloc.get_traced_memory()[1] / dom.mask.size
+        finally:
+            tracemalloc.stop()
+        assert len(figures) == 1
+        assert peak / 2 <= figures[0] <= peak
+
+
 # -------------------------------------------------------- fd eigenvalues
 
 def test_square_dirichlet_levels():
@@ -99,16 +152,20 @@ def test_square_richardson_order():
     assert richardson_order(*es) >= 1.8
 
 
+def _operator(dom):
+    """The symmetrized -(1/2)*Laplacian that fd_eigenvalues solves, as a dense C-ordered array."""
+    stiffness, masses = oracle._assemble(dom)
+    scale = 1.0 / np.sqrt(masses)
+    sym = scipy.sparse.diags(scale) @ stiffness @ scipy.sparse.diags(scale)
+    return (sym / (2.0 * dom.h * dom.h)).toarray()
+
+
 def test_dense_branch_equals_copying_eigh_bitwise():
     # the dense branch lets LAPACK overwrite a Fortran-ordered matrix; the
     # call it replaced, on a C-ordered copy, must give the same bits
     dom = rasterize(l_shape(1, 1, 2, 2), 1 / 32)
     assert dom.interior_count <= oracle._DENSE_LIMIT
-    stiffness, masses = oracle._assemble(dom)
-    scale = 1.0 / np.sqrt(masses)
-    sym = scipy.sparse.diags(scale) @ stiffness @ scipy.sparse.diags(scale)
-    sym = sym / (2.0 * dom.h * dom.h)
-    old = scipy.linalg.eigh(sym.toarray(), eigvals_only=True, subset_by_index=(0, 11))
+    old = scipy.linalg.eigh(_operator(dom), eigvals_only=True, subset_by_index=(0, 11))
     assert fd_eigenvalues(dom, 12).tobytes() == np.asarray(old).tobytes()
 
 
@@ -119,6 +176,35 @@ def test_sparse_path_agrees_and_is_deterministic():
     b = fd_eigenvalues(dom, 3)
     assert np.array_equal(a, b)
     assert np.allclose(a, [HALF_PI2 * s for s in (2, 5, 5)], rtol=2e-3)
+
+
+@pytest.mark.parametrize("polygon, h, bc", [
+    (square(), 1 / 32, DIRICHLET),
+    (l_shape(1, 1, 2, 2), 1 / 16, DIRICHLET),
+    (square(), 1 / 32, NEUMANN),  # singular: a zero level
+    (square(), 1 / 32, (NEUMANN, DIRICHLET, NEUMANN, DIRICHLET)),
+], ids=["dirichlet-square", "l-shape", "neumann-square", "mixed-square"])
+def test_sparse_branch_matches_dense_to_roundoff(monkeypatch, polygon, h, bc):
+    # with the limit lowered, these small domains take the sparse branch
+    monkeypatch.setattr(oracle, "_DENSE_LIMIT", 0)
+    dom = rasterize(polygon, h, bc)
+    dense = scipy.linalg.eigh(_operator(dom), eigvals_only=True, subset_by_index=(0, 9))
+    sparse = fd_eigenvalues(dom, 10)
+    if bc == NEUMANN:
+        assert abs(sparse[0]) < 1e-9 and abs(dense[0]) < 1e-9
+        sparse, dense = sparse[1:], dense[1:]
+    assert np.allclose(sparse, dense, rtol=1e-12, atol=0)
+
+
+def test_arpack_giving_up_is_convergence_failure(monkeypatch):
+    def give_up(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", give_up)
+    dom = rasterize(square(), 1 / 72)
+    assert dom.interior_count > oracle._DENSE_LIMIT
+    with pytest.raises(ConvergenceFailure, match="No convergence"):
+        fd_eigenvalues(dom, 3)
 
 
 def test_rectangle_ground_level():
