@@ -129,6 +129,7 @@ def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
     Boundary tests run one side at a time, so the grid's temporaries never
     grow with the number of sides.
     """
+    h = float(h)  # a Fraction would make object arrays and miss the :g format
     bc = _normalize_bc(polygon, bc_map)
     verts = _vertex_array(polygon)
     edges = np.abs(np.roll(verts, -1) - verts)

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .exactgeom import DIRICHLET, NEUMANN, Polygon
 from .quantize import QuantizedMomentum
-from .unfold import EPP
+from .unfold import EPP, _half_plane
 
 __all__ = [
     "SignPrescription",
@@ -172,10 +172,14 @@ def compile_swf(
     """
     p = _momentum_vector(momentum)
     f = epp.polygon.frame
-    for e in epp.edge_pairs:
-        t = f.to_complex(e.period.vector)
-        turns = ((p.conjugate() * t).real) / (2 * math.pi)
+    for _a, _b, _s, t in epp.gluings:
+        if not t:
+            continue
+        # -t fits -turns wavelengths: the test takes t unsigned, the message signed
+        turns = ((p.conjugate() * f.to_complex(t)).real) / (2 * math.pi)
         if abs(turns - round(turns)) > _REL_TOL * max(1.0, abs(turns)):
+            t = f.to_complex(_half_plane(f, t))
+            turns = ((p.conjugate() * t).real) / (2 * math.pi)
             raise UnquantizedMomentum(
                 f"momentum fits {turns:.6g} wavelengths (not an integer) "
                 f"into the period {t:.6g}"

@@ -9,10 +9,9 @@ reflection lands on an accepted image up to a pure translation; those
 translations are the simple periods, and the pattern's edges glue in pairs.
 The search is a walk over its own image list (`build_epp`): it mirrors
 each image across its sides in order and adds an image only for a new
-orientation.  Images and gluings are plain tuples (`EPP`); the pattern
-makes an `EdgePair` record of each gluing only when a reader first asks
-for `EPP.edges`, and a boundary pair signs its translation into a period
-(`_half_plane`) only when a reader first asks for it.
+orientation.  Images and gluings are plain tuples (`EPP`), and every
+reader of a gluing reads its tuple; a boundary pair's translation is
+signed into a period (`_half_plane`) where a reader needs the sign.
 
 Gluing the 2C images along their edge pairs produces a closed orientable
 surface whose genus the angle data fixes (`genus`).  Its faces are the
@@ -30,22 +29,22 @@ corner joins make its trees the vertex classes, and Kruskal's rule then
 joins those longest first on the same forest, so that the classes left
 over are the shortest-first greedy basis.  It returns their translations.
 
-Boundary pairs with equal translations share one simple period
-(`EPP.periods`), and each basis cycle that is a boundary pair takes its
-own group's kind.  One index finds a vector's group, for the grouping
-itself and for `channel_exists`: an exact frame keys it by the
-normalized field element, a float frame by a grid cell a little wider than
-the `is_zero` radius, and a lookup probes the cells around the vector
-(`frame.index_key`, `frame.probe_keys`), so it finds the group a scan of
-every group would.  The pattern decides, once per distinct period and only
-when a reader asks for its kind, whether a channel of parallel periodic
-orbits runs along it (`channel_exists`: test one orbit from the middle of
-each boundary side, and only if none closes, cut the sides at the
-separatrices of that direction and test one orbit per piece, skipping the
-pieces an orbit already tested runs through; an orbit's state is an image,
-a side and a position on it, and it keeps only its boundary crossings;
-a test orbit runs on past its length by half its first step, so that one
-that closes ends inside its start image, not on its start side).
+Boundary pairs with equal signed translations share one simple period
+(`EPP.periods`): the pattern groups them by gluing index, and each basis
+cycle that is a boundary pair takes its own group's kind.  One index finds
+a vector's group, for the grouping itself and for `channel_exists`: an
+exact frame keys it by the normalized field element, a float frame by a
+grid cell a little wider than the `is_zero` radius, and a lookup probes the
+cells around the vector (`frame.index_key`, `frame.probe_keys`), so it
+finds the group a scan of every group would.  The pattern decides, once per
+distinct period and only when a reader asks for its kind, whether a channel
+of parallel periodic orbits runs along it (`channel_exists`: test one orbit
+from the middle of each boundary side, and only if none closes, cut the
+sides at the separatrices of that direction and test one orbit per piece,
+skipping the pieces an orbit already tested runs through; an orbit's state
+is an image, a side and a position on it, and it keeps only its boundary
+crossings; a test orbit runs on past its length by half its first step, so
+that one that closes ends inside its start image, not on its start side).
 `period_basis` asks for no kind: a basis period asks for its group's kind
 when its own is first read, as `analyze` and `unfold` do when they print
 it.  `EPP.periods`, `EPP.dump` and `find_pocs` ask for every kind, and
@@ -105,9 +104,8 @@ class Period:
     kind: "simple-internal" (a single edge-pair translation along which a
     channel of parallel periodic orbits runs), "structural" (single pair, no
     orbit of that holonomy closes: `channel_exists` is False), or None for
-    the bare translation an `EdgePair` carries, which the pair signs when
-    its `period` is first read; the pattern's classified periods are
-    `EPP.periods`.
+    the bare signed translation that a record view of a gluing carries; the
+    pattern's classified periods are `EPP.periods`.
 
     A `period_basis` period decides its kind when it is first read, from
     its group's classified period (`EPP._period`), so a caller that reads
@@ -130,35 +128,27 @@ class Period:
 
 
 class EdgePair:
-    """Gluing of side `side` of image a to side `side` of image b.
+    """Gluing of side `side` of image a to side `side` of image b, as a record.
 
     Crossing from a to b continues the trajectory in the copy of the pattern
     offset by +translation; `interior` gluings have translation zero.  A
-    boundary pair's `period` is its translation with the canonical sign
-    (`_half_plane`) and kind None, None for an interior gluing; the
-    classified period it shares with every pair of an equal translation is
-    in `EPP.periods`.  A pair given its `frame` instead of a period, as
-    `EPP.edges` makes them, signs its translation when `period` is first
-    read.
+    boundary pair's `period` is the one it is given, its translation with
+    the canonical sign (`_half_plane`) and kind None; an interior gluing's
+    is None.  The classified period it shares with every pair of an equal
+    translation is in `EPP.periods`.  The pattern itself stores tuples;
+    `EPP.edges` and `EPP.edge_pairs` build these records for library
+    callers.
     """
 
-    __slots__ = ("a", "b", "side", "translation", "interior", "_period", "_frame")
+    __slots__ = ("a", "b", "side", "translation", "interior", "period")
 
-    def __init__(self, a: int, b: int, side: int, translation,
-                 period: Period | None = None, frame=None):
+    def __init__(self, a: int, b: int, side: int, translation, period: Period | None = None):
         self.a = a
         self.b = b
         self.side = side
         self.translation = translation
-        self.interior = period is None and frame is None
-        self._period = period
-        self._frame = frame
-
-    @property
-    def period(self) -> Period | None:
-        if self._period is None and self._frame is not None:
-            self._period = Period(_half_plane(self._frame, self.translation))
-        return self._period
+        self.interior = period is None
+        self.period = period
 
 
 class EPP:
@@ -170,9 +160,10 @@ class EPP:
     `gluings` holds the gluings in discovery order, interior and boundary
     mixed, as (a, b, side, translation) tuples: side `side` of image a is
     glued to side `side` of image b.  An interior gluing's translation is
-    the frame's zero, so `not translation` tells it.  `edges` and
-    `edge_pairs` make an `EdgePair` of each when first read, for the
-    period kinds and library callers.
+    the frame's zero, so `not translation` tells it.  `_groups` groups the
+    boundary gluings by index, and every reader in this package reads the
+    tuples; `edges` and `edge_pairs` are record views of them, built on
+    request for library callers.
 
     `face_tree` maps each image to (parent image, index in `gluings` of the
     gluing that created it), image 1 to None: the spanning tree of the faces
@@ -208,13 +199,13 @@ class EPP:
 
     @cached_property
     def edges(self) -> list[EdgePair]:
-        """An `EdgePair` per gluing, in the order of `gluings`."""
+        """A view: an `EdgePair` per gluing, in the order of `gluings`, its period signed."""
         f = self.polygon.frame
-        return [EdgePair(a, b, s, t, None, f if t else None) for a, b, s, t in self.gluings]
+        return [EdgePair(*g, Period(_half_plane(f, g[3])) if g[3] else None) for g in self.gluings]
 
     @cached_property
     def edge_pairs(self) -> list[EdgePair]:
-        """Boundary pairs: the gluings with a nonzero translation, in discovery order."""
+        """A view: the boundary pairs of `edges`, those with a nonzero translation."""
         return [e for e in self.edges if not e.interior]
 
     @cached_property
@@ -224,48 +215,50 @@ class EPP:
         Reading them decides every kind: one `channel_exists` call for each
         distinct period whose kind no reader has asked for yet (`_period`).
         """
-        return [self._period(i) for i in range(len(self._groups))]
+        return [self._period(i) for i in range(len(self._groups[0]))]
 
     @cached_property
-    def _groups(self) -> list[list[EdgePair]]:
-        """Boundary pairs grouped by equal half-plane translation, in discovery order.
+    def _groups(self) -> tuple[list, list[list[int]], list[int | None]]:
+        """Boundary gluings grouped by equal signed translation, in discovery order.
 
-        The first pair of a group represents it: its vector is the group's
-        simple period.  A pair joins the first group whose vector its own
-        equals (`frame.is_zero` of the difference), found through `_index`.
+        Each group's vector, each group's gluing indices, and per gluing its
+        group number, None for an interior gluing.  A gluing joins the first
+        group whose vector its signed translation (`_half_plane`) equals
+        (`frame.is_zero` of the difference), found through `_index`, or
+        starts a group with that vector, a simple period.
         """
         f, scale = self.polygon.frame, self._scale
-        groups: list[list[EdgePair]] = []
-        for e in self.edge_pairs:
-            v = e.period.vector
-            i = self._group_of(v, groups)
+        vectors, members, number = [], [], []
+        for cid, (_a, _b, _s, t) in enumerate(self.gluings):
+            if not t:
+                number.append(None)
+                continue
+            v = _half_plane(f, t)
+            i = self._group_of(v, vectors)
             if i is None:
-                self._index.setdefault(f.index_key(v, scale), []).append(len(groups))
-                groups.append([e])
-            else:
-                groups[i].append(e)
-        return groups
+                i = len(vectors)
+                self._index.setdefault(f.index_key(v, scale), []).append(i)
+                vectors.append(v)
+                members.append([])
+            members[i].append(cid)
+            number.append(i)
+        return vectors, members, number
 
-    @cached_property
-    def _group_index(self) -> dict[EdgePair, int]:
-        """Boundary pair -> the index in `_groups` of its group of equal translations."""
-        return {e: i for i, group in enumerate(self._groups) for e in group}
-
-    def _group_of(self, v, groups: list[list[EdgePair]] | None = None) -> int | None:
-        """Index of the first group whose vector equals v, or None.
+    def _group_of(self, v, vectors: list | None = None) -> int | None:
+        """Number of the first group whose vector equals v, or None.
 
         Only the groups at v's `frame.probe_keys` can pass `frame.is_zero`, so
-        the lowest index that passes there is the first match of a scan over
+        the lowest number that passes there is the first match of a scan over
         every group.
         """
         f, scale = self.polygon.frame, self._scale
-        groups = self._groups if groups is None else groups
+        vectors = self._groups[0] if vectors is None else vectors
         found = None
         for key in f.probe_keys(v, scale):
             for i in self._index.get(key, ()):
                 if found is not None and i >= found:
                     break
-                if f.is_zero(v - groups[i][0].period.vector, scale):
+                if f.is_zero(v - vectors[i], scale):
                     found = i
                     break
         return found
@@ -274,7 +267,7 @@ class EPP:
         """The classified period of group i, deciding its channel on first request."""
         p = self._kinds.get(i)
         if p is None:
-            v = self._groups[i][0].period.vector
+            v = self._groups[0][i]
             p = Period(v, "simple-internal" if channel_exists(self, v) else "structural")
             self._kinds[i] = p
         return p
@@ -320,8 +313,8 @@ class EPP:
                 f"image {k}: rot={rotation} refl={int(reflecting)} t={_fmt_vec(f, t)}"
                 + (f" t_exact={t!r}" if f.exact else "")
             )
-        for (a, b, s, t), e in zip(self.gluings, self.edges):
-            kind = self._period(self._group_index[e]).kind if t else "interior"
+        for cid, (a, b, s, t) in enumerate(self.gluings):
+            kind = self._period(self._groups[2][cid]).kind if t else "interior"
             lines.append(f"pair side {s}: {a} <-> {b} T={_fmt_vec(f, t)} [{kind}]")
         return "\n".join(lines)
 
@@ -382,10 +375,9 @@ def build_epp(polygon: Polygon) -> EPP:
     its face-tree entry and its slots in the walk's lists.
 
     Only unfolds: no channel is decided, no period signed and no record
-    made here.  `EPP.edges` makes an `EdgePair` of each gluing when first
-    read, a boundary pair signs its period when it is first read, the
-    pattern groups them into simple periods on first use, and decides a
-    period's kind when a reader asks for it (`EPP.periods`).
+    made here.  The pattern signs its boundary translations and groups
+    them by gluing index into simple periods on first use (`EPP._groups`),
+    and decides a period's kind when a reader asks for it (`EPP.periods`).
     """
     f = polygon.frame
     n, m = polygon.n, 2 * f.N
@@ -543,7 +535,7 @@ def period_basis(epp: EPP) -> list[Period]:
         v = _half_plane(f, f.zero() + epp.gluings[cid][3])
         z = complex(v)
         p = Period(v)
-        p._resolve = lambda cid=cid: epp._period(epp._group_index[epp.edges[cid]]).kind
+        p._resolve = lambda cid=cid: epp._period(epp._groups[2][cid]).kind
         periods.append((round(abs(z), 12), math.atan2(z.imag, z.real), p))
     periods.sort(key=lambda t: (t[0], t[1]))
     return [p for _n, _a, p in periods]
@@ -670,20 +662,22 @@ def channel_exists(epp: EPP, vector) -> bool:
     u = tgt / length
     angles = epp.polygon.angles
 
+    _vectors, members, number = epp._groups
     group = epp._group_of(_half_plane(epp.polygon.frame, vector))
-    own = [] if group is None else epp._groups[group]
+    own = [] if group is None else members[group]
     missed = defaultdict(list)  # (image, side) -> positions a march that did not close crossed
-    sides = []  # (pair, image u enters)
-    for e in chain(own, (e for e in epp.edge_pairs if e not in own)):
-        _a, d, side_len = epp._sides_float[e.a - 1][e.side]
+    sides = []  # (image a, image b, side, image u enters)
+    for cid in chain(own, (cid for cid, i in enumerate(number) if i is not None and i != group)):
+        a, b, side, _t = epp.gluings[cid]
+        _a, d, side_len = epp._sides_float[a - 1][side]
         cross = ((d / side_len).conjugate() * u).imag
         if abs(cross) <= _TOL:
             continue  # parallel to the orbits: none crosses it
         # image a lies left of its side, or right when it is reflecting
-        face = e.a if (cross > 0) != epp.image(e.a)[0] else e.b
-        if _closes(epp, face, e.side, 0.5, u, length, vector, missed):
+        face = a if (cross > 0) != epp.image(a)[0] else b
+        if _closes(epp, face, side, 0.5, u, length, vector, missed):
             return True
-        sides.append((e, face))
+        sides.append((a, b, side, face))
     cuts = defaultdict(list)  # (image, side) -> positions of its cuts
     for k, image_sides in enumerate(epp._sides_float, 1):
         reflecting = epp.image(k)[0]
@@ -693,13 +687,13 @@ def channel_exists(epp: EPP, vector) -> bool:
             if _TOL < cmath.phase(-u / start) % (2 * math.pi) < angles[i - 1].radians() - _TOL:
                 for face, side, r in _march(epp, k, i, 0.0, -u, length)[0]:
                     cuts[(face, side)].append(r)
-    for e, face in sides:
-        rs = sorted([0.0, 1.0, *cuts[(e.a, e.side)], *cuts[(e.b, e.side)]])
+    for a, b, side, face in sides:
+        rs = sorted([0.0, 1.0, *cuts[(a, side)], *cuts[(b, side)]])
         for r0, r1 in zip(rs, rs[1:]):
             if any(r0 + _TOL < r < r1 - _TOL
-                   for r in chain(missed[(e.a, e.side)], missed[(e.b, e.side)])):
+                   for r in chain(missed[(a, side)], missed[(b, side)])):
                 continue
-            if _closes(epp, face, e.side, (r0 + r1) / 2, u, length, vector, missed):
+            if _closes(epp, face, side, (r0 + r1) / 2, u, length, vector, missed):
                 return True
     return False
 

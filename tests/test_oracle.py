@@ -28,7 +28,7 @@ from polybilliard.oracle import (
     richardson_order,
     study_csv,
 )
-from polybilliard.shapes import l_shape, rectangle, square
+from polybilliard.shapes import equilateral, l_shape, rectangle, square
 from polybilliard.swf import DIRICHLET, NEUMANN
 
 HALF_PI2 = 0.5 * math.pi**2
@@ -51,6 +51,18 @@ def test_square_interior_count():
     assert dom.interior_count == 7 * 7
     assert np.all(dom.weight[dom.mask] == 1.0)
     assert dom.bc == (DIRICHLET,) * 4
+
+
+@pytest.mark.parametrize("make", [square, equilateral])
+def test_fraction_spacing_rasterizes_as_its_float(make):
+    # a Fraction spacing is the float spacing it equals: the same raster and
+    # the same levels, on every Python that runs the package
+    for h in (Fraction(1, 64), Fraction(1, 32)):
+        got, want = rasterize(make(), h), rasterize(make(), float(h))
+        assert type(got.h) is float and got.h == want.h and got.bc == want.bc
+        for name in ("mask", "quadrants", "dirichlet_flux"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(fd_eigenvalues(got, 3), fd_eigenvalues(want, 3))
 
 
 def test_lshape_interior_count_matches_lattice_oracle():

@@ -59,6 +59,7 @@ _UNCALLED_API = {
     "CycloField.element",  # a field element from a coefficient table; the cyclo tests build with it
     "_Frame.from_xy",  # a frame vector from x and y; the tests place points with it
     "PeriodLattice.generators",  # the lattice generators D1/C1 and D2/C2; the lattice tests read them
+    "EPP.edge_pairs",  # read by `bench/common.py`'s counters and by library callers
 }
 
 _DECLARATIONS = ("__all__", "_EXPORTS", "_NUMERIC")

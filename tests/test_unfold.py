@@ -25,6 +25,7 @@ from polybilliard.errors import (
     NonIntegerGenus,
     OutOfRange,
     RankMismatch,
+    UnquantizedMomentum,
 )
 from polybilliard.shapes import (
     broken_parallelogram,
@@ -44,6 +45,8 @@ from polybilliard.exactgeom import (
     validate_polygon,
 )
 from polybilliard.lattice import period_lattice
+from polybilliard.quantize import momentum_aperiodic
+from polybilliard.swf import compile_swf, enumerate_prescriptions
 from polybilliard.unfold import (
     EPP,
     EdgePair,
@@ -635,27 +638,53 @@ def test_walk_equals_the_queue_unfolding_on_random_polygons(drawn, degree_limit)
     _assert_walk_equals_the_queue(p)
 
 
-def test_analyze_path_makes_no_edge_record(monkeypatch):
-    # the 2000-image triangle unfolds, takes its basis and lattice without
-    # one EdgePair; the first kind read makes the records and decides the
-    # kind a pattern that decided every kind first gives
-    p = right_triangle_rationalized()
+def test_analyze_path_makes_no_edge_record(monkeypatch, capsys, tmp_path):
+    # no reader in the package makes an EdgePair: `analyze` of the
+    # 2000-image triangle reads all 500 basis kinds, the pattern's periods,
+    # dump and channels read every kind, and the SWF's wavelength check
+    # passes one momentum and refuses another, all on the gluing tuples
+    spec = tmp_path / "triangle_353_1000.json"
+    spec.write_text('{"sides": [{"angle": "353/1000", "length": "1"}, '
+                    '{"angle": "1/2"}, {"angle": "147/1000"}]}')
 
     def no_record(*_args, **_kwargs):
         raise AssertionError("an EdgePair was made")
 
-    with monkeypatch.context() as mp:
-        mp.setattr(EdgePair, "__init__", no_record)
-        epp = build_epp(p)
-        basis = period_basis(epp)
-        lat = period_lattice(p.frame, basis)
-    assert "edges" not in epp.__dict__ and len(lat.basis) == 500
-    kind = basis[0].kind
-    assert "edges" in epp.__dict__
-    fresh = build_epp(p)
-    fresh.periods
-    first = period_basis(fresh)[0]
-    assert (repr(basis[0].vector), kind) == (repr(first.vector), first.kind)
+    monkeypatch.setattr(EdgePair, "__init__", no_record)
+    assert cli.run(["analyze", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "g=250, images=2000, periods=500, DRPB=no (irrational relations)"
+    assert (out.count(" simple-internal"), out.count(" structural")) == (498, 2)
+    epp = build_epp(broken_parallelogram())
+    assert all(p.kind in ("simple-internal", "structural") for p in epp.periods)
+    assert "[None]" not in epp.dump() and find_pocs(epp)
+    poly = square()
+    epp = build_epp(poly)
+    pres = enumerate_prescriptions(epp)[0]
+    q = momentum_aperiodic(period_lattice(poly.frame, period_basis(epp)), 1, 1)
+    assert len(compile_swf(epp, pres, q)) == 2
+    with pytest.raises(UnquantizedMomentum, match="into the period"):
+        compile_swf(epp, pres, complex(1.1, 0.3))
+    assert "edges" not in epp.__dict__
+
+
+@pytest.mark.parametrize("make", [square, broken_parallelogram, equilateral,
+                                  lambda: _right_triangle(1, 38), right_triangle_rationalized])
+def test_edge_views_give_what_the_bench_counters_read(make):
+    # the record views built on request: one per gluing, and each boundary
+    # pair's period the signed vector of its group of equal translations
+    epp = build_epp(make())
+    f = epp.polygon.frame
+    vectors, members, number = epp._groups
+    boundary = [cid for cid, (_a, _b, _s, t) in enumerate(epp.gluings) if t]
+    assert len(epp.edges) == len(epp.gluings)
+    assert len(epp.edge_pairs) == len(boundary) == sum(map(len, members))
+    for e, cid in zip(epp.edge_pairs, boundary):
+        assert (e.a, e.b, e.side, e.translation) == epp.gluings[cid]
+        assert e.period.kind is None
+        assert f.is_zero(e.period.vector - vectors[number[cid]], epp._scale)
+    for v, group in zip(vectors, members):
+        assert epp.edges[group[0]].period.vector == v
 
 
 def test_periods_are_signed_when_read(monkeypatch):
@@ -671,7 +700,7 @@ def test_periods_are_signed_when_read(monkeypatch):
 
     monkeypatch.setattr(unfold, "_half_plane", counting)
     epp = build_epp(right_triangle_rationalized())
-    assert calls == [] and len(epp.edge_pairs) == 999
+    assert calls == [] and sum(1 for g in epp.gluings if g[3]) == 999
     basis = period_basis(epp)
     assert len(calls) == len(basis) == 500 and "_groups" not in epp.__dict__
     basis[0].kind
@@ -914,9 +943,7 @@ def test_pattern_records_compare_by_identity():
     pair = EdgePair(1, 2, side=0, translation=v, period=Period(v))
     assert pair == pair and pair != EdgePair(1, 2, 0, v, pair.period)
     assert not pair.interior and EdgePair(1, 2, 0, f.zero()).interior
-    lazy = EdgePair(1, 2, 0, -v, frame=f)  # signs -v into v when first read
-    assert not lazy.interior and lazy.period is lazy.period and lazy.period.vector == v
-    # the pattern makes its records from the gluing tuples on first read
+    # the pattern's views make their records from the gluing tuples on first read
     image, gluings = _identity(f), [(1, 2, 0, -v), (1, 2, 1, f.zero())]
     epp = EPP(poly, [image], gluings, C=1)
     assert epp.edges is epp.edges and epp.edge_pairs == epp.edges[:1]
@@ -992,14 +1019,16 @@ def test_periods_trace_each_distinct_period_once(make, monkeypatch):
     epp = build_epp(p)
     assert calls == []
     periods = epp.periods
-    assert len(calls) == len(periods) < len(epp.edge_pairs)
+    boundary = [cid for cid, (_a, _b, _s, t) in enumerate(epp.gluings) if t]
+    assert len(calls) == len(periods) < len(boundary)
     for i, a in enumerate(periods):
         assert not any(f.is_zero(a.vector - b.vector, scale) for b in periods[:i])
     # every pair maps to the classified period of its group
-    for e in epp.edge_pairs:
-        per = epp._period(epp._group_index[e])
+    number = epp._groups[2]
+    for cid in boundary:
+        per = epp._period(number[cid])
         assert per in periods
-        assert f.is_zero(e.period.vector - per.vector, scale)
+        assert f.is_zero(_half_plane(f, epp.gluings[cid][3]) - per.vector, scale)
     assert all(e.period.kind is None for e in epp.edge_pairs)
     assert all(q.kind in ("simple-internal", "structural") for q in periods)
 
@@ -1036,8 +1065,8 @@ def test_period_basis_decides_only_the_kinds_it_reads(monkeypatch):
     basis = period_basis(epp)
     assert calls == []
     kinds = [p.kind for p in basis]
-    pairs = [epp.edges[cid] for cid in _basis_cycles(epp)]
-    groups = {epp._group_index[e] for e in pairs if e.period is not None}
+    number = epp._groups[2]
+    groups = {number[cid] for cid in _basis_cycles(epp) if number[cid] is not None}
     assert len(calls) == len(groups) and set(epp._kinds) == groups
     assert [p.kind for p in basis] == kinds and len(calls) == len(groups)
     # reading every kind afterwards decides the rest, each once
@@ -1247,20 +1276,23 @@ def test_float_period_index_matches_linear_scan(cells, offsets, base):
         x = base.real + (i + dx) * r
         y = base.imag + (j + dy) * r
         vectors.append(complex(x + ulps * math.ulp(x), y - ulps * math.ulp(y)))
-    pairs = [EdgePair(1, 1, 0, v, Period(v)) for v in vectors]
-    epp = EPP(p, [], [], 1)
-    epp.edges = pairs  # records given their periods as they are, unsigned
+    epp = EPP(p, [], [(1, 1, 0, v) for v in vectors], 1)
+    signed = [_half_plane(f, v) for v in vectors]  # what the pattern groups
     scan: list[list[int]] = []
-    for k, v in enumerate(vectors):
-        g = next((g for g in scan if f.is_zero(v - vectors[g[0]], scale)), None)
+    for k, v in enumerate(signed):
+        if not vectors[k]:
+            continue  # a zero translation is an interior gluing
+        g = next((g for g in scan if f.is_zero(v - signed[g[0]], scale)), None)
         if g is None:
             scan.append([k])
         else:
             g.append(k)
-    assert [[pairs.index(e) for e in g] for g in epp._groups] == scan
+    assert epp._groups[1] == scan
+    assert epp._groups[2] == [next((i for i, g in enumerate(scan) if k in g), None)
+                              for k in range(len(vectors))]
     for (dx, dy, _u) in offsets:
         w = vectors[0] + complex(dx, dy) * r
-        want = next((i for i, g in enumerate(scan) if f.is_zero(w - vectors[g[0]], scale)), None)
+        want = next((i for i, g in enumerate(scan) if f.is_zero(w - signed[g[0]], scale)), None)
         assert epp._group_of(w) == want
 
 
@@ -1410,8 +1442,7 @@ def test_channel_verdict_is_dihedral(name):
     p = VERTEX_CASES[name]()
     f = p.frame
     epp = build_epp(p)
-    for group in epp._groups:
-        v = group[0].period.vector
+    for v in epp._groups[0]:
         assert channel_exists(epp, v) == channel_exists(epp, f.rotate(v, 2)) \
             == channel_exists(epp, v.conjugate())
 
@@ -1495,9 +1526,11 @@ _SIDE = st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=6)
 )
 def test_pair_kind_matches_direct_channel_test(polygon):
     epp = build_epp(polygon)
-    for e in epp.edge_pairs:
-        direct = channel_exists(epp, e.period.vector)
-        assert epp._period(epp._group_index[e]).kind == ("simple-internal" if direct else "structural")
+    f, number = epp.polygon.frame, epp._groups[2]
+    for cid, (_a, _b, _s, t) in enumerate(epp.gluings):
+        if t:
+            direct = channel_exists(epp, _half_plane(f, t))
+            assert epp._period(number[cid]).kind == ("simple-internal" if direct else "structural")
     # sampling can miss a narrow channel but never invents one
     for per in epp.periods:
         if _sampled_channel_exists(epp, per.vector):
