@@ -10,7 +10,10 @@ keep their boundary nodes and use mirror ghosts.  The mirror scheme is
 symmetrized in finite-volume form: boundary nodes carry fractional cell
 masses (1/2 on a flat side, 1/4 at a convex corner) and the stiffness matrix
 simply omits the outward link, which reproduces the ghost-point equations on
-straight sides while keeping the generalized problem symmetric.
+straight sides while keeping the generalized problem symmetric.  A node whose
+cell has no mass inside the polygon, at a sharp corner, has no face inside it
+either, so the operator leaves it out, as embedded-boundary schemes drop cells
+of no volume.
 
 Energies follow the package convention E = |p|^2 / 2, so the solver returns
 eigenvalues of -(1/2)*Laplacian and numbers compare directly with the
@@ -43,6 +46,13 @@ _DENSE_LIMIT = 4000
 # included, is about 64 B per node as tracemalloc counts it, so a grid this
 # figure refuses could not have been held
 _RASTER_NODE_BYTES = 4 * 8 + 8 + 1
+# bytes that `_operator` takes at its peak, as tracemalloc counts it: about
+# 35 per grid node for its grid-shaped temporaries, and 290 to 340 per
+# unknown for the triplets and CSC arrays of about five entries each.  The
+# refusal counts every mask node as an unknown; the few massless ones it
+# leaves out cost less than that slack
+_OPERATOR_NODE_BYTES = 32
+_OPERATOR_UNKNOWN_BYTES = 256
 
 
 # --------------------------------------------------------------------------
@@ -77,11 +87,12 @@ def _nearest_side(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarr
 class GridDomain:
     """Rasterized polygon: unknown-node mask plus boundary metadata.
 
-    ``mask`` marks the solver unknowns: nodes strictly inside the polygon
-    plus nodes sitting on Neumann-only boundary.  ``quadrants[sy, sx]`` tells
-    whether the cell quadrant offset by (sx*h/2, sy*h/2) from each node lies
-    inside the polygon; grid faces inherit their flux coefficients from the
-    two quadrants they separate, and cell masses are the quadrant averages.
+    ``mask`` marks the nodes strictly inside the polygon plus nodes sitting
+    on Neumann-only boundary; those of positive mass are the solver
+    unknowns.  ``quadrants[sy, sx]`` tells whether the cell quadrant offset
+    by (sx*h/2, sy*h/2) from each node lies inside the polygon; grid faces
+    inherit their flux coefficients from the two quadrants they separate,
+    and cell masses are the quadrant averages.
     ``dirichlet_flux`` accumulates, per unknown, the face coefficients of
     neighbours pinned to zero by a Dirichlet side.
     """
@@ -205,79 +216,95 @@ def rasterize(polygon, h: float, bc_map=None) -> GridDomain:
 # eigensolver
 
 
-def _assemble(domain: GridDomain):
+def _operator(domain: GridDomain):
+    """The symmetrized FD operator M^(-1/2)·K·M^(-1/2)/(2h²), as a CSC matrix.
+
+    K is the 5-point stiffness: each unknown's diagonal is its Dirichlet
+    flux plus its linked face coefficients, and each link is -coefficient.
+    M holds the cell masses.  Its unknowns are the mask's nodes of positive
+    mass: a node whose four cell corners all lie outside the polygon has no
+    face inside it either, so it would be an isolated row of mass zero that
+    no solver can take.  A grid whose nodes and unknowns, at the
+    `_OPERATOR_NODE_BYTES` and `_OPERATOR_UNKNOWN_BYTES` each that building
+    takes, outrun memory raises OutOfRange first.
+    """
     import scipy.sparse
 
-    mask = domain.mask
-    ny, nx = mask.shape
-    idx = -np.ones(mask.shape, dtype=np.int64)
-    idx[mask] = np.arange(domain.interior_count)
+    h = domain.h
+    _refuse_past_memory(
+        domain.mask.size * _OPERATOR_NODE_BYTES + domain.interior_count * _OPERATOR_UNKNOWN_BYTES,
+        1, f"spacing {h:g} builds an FD operator larger",
+    )
+    ny, nx = domain.mask.shape
+    weight = domain.weight
+    unknown = domain.mask & (weight > 0)
+    n = int(unknown.sum())
+    idx = np.full(unknown.shape, -1, dtype=np.int64)
+    idx[unknown] = np.arange(n)
 
-    diag = domain.dirichlet_flux[mask].astype(float)
-    rows, cols, vals = [], [], []
+    diag = domain.dirichlet_flux[unknown]
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [diag]
     pad_idx = np.pad(idx, 1, constant_values=-1)
     for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
         nb = pad_idx[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
         coef = domain.face_coefficients(di, dj)
-        linked = mask & (nb >= 0) & (coef > 0)
-        rows.append(idx[linked])
+        linked = unknown & (nb >= 0) & (coef > 0)
+        row, c = idx[linked], coef[linked]
+        # each unknown has one face per direction, so no index repeats here
+        diag[row] += c
+        rows.append(row)
         cols.append(nb[linked])
-        vals.append(coef[linked])
-        np.add.at(diag, idx[linked], coef[linked])
-    n = domain.interior_count
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    k = scipy.sparse.coo_matrix(
-        (np.concatenate([diag, -vals]),
-         (np.concatenate([np.arange(n), rows]), np.concatenate([np.arange(n), cols]))),
-        shape=(n, n),
-    ).tocsr()
-    return k, domain.weight[mask]
+        vals.append(-c)
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    scale = 1.0 / np.sqrt(weight[unknown])
+    # times the reciprocal of 2h², as scipy divides a sparse matrix by a
+    # scalar: the pinned levels carry that rounding
+    vals = scale[rows] * vals * scale[cols] * (1 / (2.0 * h * h))
+    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def fd_eigenvalues(domain: GridDomain, count: int) -> np.ndarray:
     """Lowest ``count`` eigenvalues of -(1/2)*Laplacian on the raster domain.
 
-    Up to `_DENSE_LIMIT` unknowns LAPACK's dense `eigh` solves the
-    symmetrized operator; above it, shift-invert Lanczos (ARPACK's `eigsh`
-    at sigma = 0) runs on one sparse LU factor of the operator, its columns
-    ordered by minimum degree on the symmetric pattern.  The two branches
-    agree to about 1e-14 relative on the same operator, so levels above the
-    limit carry that solver roundoff in their trailing digits.  ARPACK
-    giving up raises ConvergenceFailure.
+    The unknowns are those of `_operator`: the mask's nodes of positive
+    mass, for a node with none has no face inside the polygon.  Up to
+    `_DENSE_LIMIT` unknowns LAPACK's dense `eigh` solves the operator; above
+    it, shift-invert Lanczos (ARPACK's `eigsh` at sigma = 0) runs on one
+    sparse LU factor of the operator, its columns ordered by minimum degree
+    on the symmetric pattern.  The two branches agree to about 1e-14
+    relative on the same operator, so levels above the limit carry that
+    solver roundoff in their trailing digits.  ARPACK giving up raises
+    ConvergenceFailure.
     """
     # scipy loads here, not with the module: `verify --against` solves nothing
     import scipy.linalg
-    import scipy.sparse
     import scipy.sparse.linalg
 
-    n = domain.interior_count
+    op = _operator(domain)
+    n = op.shape[0]
     if count < 1 or count > n // 4:
         raise OutOfRange(
-            f"count={count} outside 1..{n // 4} for {n} interior points"
+            f"count={count} outside 1..{n // 4} for {n} unknowns"
         )
-    stiffness, masses = _assemble(domain)
-    scale = 1.0 / np.sqrt(masses)
-    sym = scipy.sparse.diags(scale) @ stiffness @ scipy.sparse.diags(scale)
-    sym = sym / (2.0 * domain.h * domain.h)
     if n <= _DENSE_LIMIT:
+        _refuse_past_memory(
+            n * n, 8, f"spacing {domain.h:g} puts more unknowns into the dense eigensolver"
+        )
         # LAPACK reads a Fortran-ordered array in place, so eigh makes no copy
         vals = scipy.linalg.eigh(
-            sym.toarray(order="F"), eigvals_only=True, subset_by_index=(0, count - 1),
+            op.toarray(order="F"), eigvals_only=True, subset_by_index=(0, count - 1),
             overwrite_a=True, check_finite=False,
         )
         return np.asarray(vals)
     # eigsh's own shift-invert factor orders columns by COLAMD, made for
     # unsymmetric matrices; a minimum-degree ordering of the symmetric
     # pattern leaves about half its fill, so each Lanczos solve costs half
-    sym = sym.tocsc()
-    lu = scipy.sparse.linalg.splu(sym, permc_spec="MMD_AT_PLUS_A")
-    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=sym.dtype)
+    lu = scipy.sparse.linalg.splu(op, permc_spec="MMD_AT_PLUS_A")
+    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=op.dtype)
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
         vals = scipy.sparse.linalg.eigsh(
-            sym, k=count, sigma=0.0, which="LM", v0=v0, OPinv=op_inv,
+            op, k=count, sigma=0.0, which="LM", v0=v0, OPinv=op_inv,
             return_eigenvectors=False,
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:

@@ -851,6 +851,24 @@ def test_grid_past_an_address_space_cap_is_usage_error():
     assert "more grid nodes on the polygon than memory can hold" in proc.stderr
 
 
+@pytest.mark.skipif(os.name != "posix", reason="address-space limits are POSIX")
+def test_fd_operator_past_an_address_space_cap_is_usage_error():
+    # spacing 1/2500 puts 6.25*10^6 nodes on the square: the raster fits a
+    # 1.5 GB address space, but building the FD operator from it died with
+    # MemoryError, exit 1; the builder counts what it takes before it builds
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybilliard", "verify", str(POLYGONS / "square.json"),
+         "--spacing", "1/2500"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+        preexec_fn=functools.partial(_cap_address_space, 1_500_000 << 10),  # ulimit -v 1500000
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "builds an FD operator larger than memory can hold" in proc.stderr
+
+
 def test_verify_neumann_study_is_refused(capsys):
     # the study solves Dirichlet walls whatever --bc says
     code, out, err = invoke(capsys, *STUDY_ARGV, "--bc", "neumann")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,10 +167,71 @@ def test_square_richardson_order():
 
 def _operator(dom):
     """The symmetrized -(1/2)*Laplacian that fd_eigenvalues solves, as a dense C-ordered array."""
-    stiffness, masses = oracle._assemble(dom)
-    scale = 1.0 / np.sqrt(masses)
+    return oracle._operator(dom).toarray()
+
+
+def _reference_operator(dom):
+    """The reference construction of the operator, which the builder matches bit for bit.
+
+    A COO stiffness matrix summed with `np.add.at`, scaled by two sparse
+    diagonal products and divided by 2h².  It reads every mask node as an
+    unknown, so a raster with a massless node gives it an infinite scale.
+    """
+    mask = dom.mask
+    ny, nx = mask.shape
+    idx = -np.ones(mask.shape, dtype=np.int64)
+    idx[mask] = np.arange(dom.interior_count)
+    diag = dom.dirichlet_flux[mask].astype(float)
+    rows, cols, vals = [], [], []
+    pad_idx = np.pad(idx, 1, constant_values=-1)
+    for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        nb = pad_idx[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
+        coef = dom.face_coefficients(di, dj)
+        linked = mask & (nb >= 0) & (coef > 0)
+        rows.append(idx[linked])
+        cols.append(nb[linked])
+        vals.append(coef[linked])
+        np.add.at(diag, idx[linked], coef[linked])
+    n = dom.interior_count
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    stiffness = scipy.sparse.coo_matrix(
+        (np.concatenate([diag, -vals]),
+         (np.concatenate([np.arange(n), rows]), np.concatenate([np.arange(n), cols]))),
+        shape=(n, n),
+    ).tocsr()
+    scale = 1.0 / np.sqrt(dom.weight[mask])
     sym = scipy.sparse.diags(scale) @ stiffness @ scipy.sparse.diags(scale)
-    return (sym / (2.0 * dom.h * dom.h)).toarray()
+    return (sym / (2.0 * dom.h * dom.h)).tocsc()
+
+
+@pytest.mark.parametrize("path", sorted(POLYGONS.glob("*.json")), ids=lambda p: p.stem)
+def test_operator_equals_the_reference_construction(monkeypatch, path):
+    # the builder's CSC arrays, and the levels both branches solve from
+    # them, are those of the construction it replaced, bit for bit; the
+    # coarse spacing takes the dense branch, the fine one the sparse
+    polygon = load_polygon(path)
+    mixed = tuple(DIRICHLET if s % 2 else NEUMANN for s in range(polygon.n))
+    compared = set()
+    for bc in (DIRICHLET, NEUMANN, mixed):
+        fine = 32
+        while rasterize(polygon, 1 / fine, bc).interior_count <= oracle._DENSE_LIMIT:
+            fine += 16
+        for k in (16, fine):
+            dom = rasterize(polygon, 1 / k, bc)
+            if (dom.mask & (dom.weight == 0)).any():  # the reference cannot solve these
+                continue
+            got, want = oracle._operator(dom), _reference_operator(dom)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (bc, k, name)
+            levels = fd_eigenvalues(dom, 3)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_operator", _reference_operator)
+                assert fd_eigenvalues(dom, 3).tobytes() == levels.tobytes(), (bc, k)
+            compared.add(dom.interior_count > oracle._DENSE_LIMIT)
+    if not compared:
+        pytest.skip("every raster has a massless unknown")
+    assert compared == {False, True}
 
 
 def test_dense_branch_equals_copying_eigh_bitwise():
@@ -195,7 +257,10 @@ def test_sparse_path_agrees_and_is_deterministic():
     (l_shape(1, 1, 2, 2), 1 / 16, DIRICHLET),
     (square(), 1 / 32, NEUMANN),  # singular: a zero level
     (square(), 1 / 32, (NEUMANN, DIRICHLET, NEUMANN, DIRICHLET)),
-], ids=["dirichlet-square", "l-shape", "neumann-square", "mixed-square"])
+    (load_polygon(POLYGONS / "isosceles_pi5.json"), 1 / 32, DIRICHLET),  # a massless apex
+    (load_polygon(POLYGONS / "isosceles_pi5.json"), 1 / 32, NEUMANN),
+], ids=["dirichlet-square", "l-shape", "neumann-square", "mixed-square",
+        "dirichlet-isosceles-pi5", "neumann-isosceles-pi5"])
 def test_sparse_branch_matches_dense_to_roundoff(monkeypatch, polygon, h, bc):
     # with the limit lowered, these small domains take the sparse branch
     monkeypatch.setattr(oracle, "_DENSE_LIMIT", 0)
@@ -206,6 +271,53 @@ def test_sparse_branch_matches_dense_to_roundoff(monkeypatch, polygon, h, bc):
         assert abs(sparse[0]) < 1e-9 and abs(dense[0]) < 1e-9
         sparse, dense = sparse[1:], dense[1:]
     assert np.allclose(sparse, dense, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k", [32, 128])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_massless_node_is_left_out(k, bc):
+    # the apex node of isosceles_pi5 has all four cell corners outside: an
+    # isolated row of mass zero, which made the dense branch divide by zero
+    # and the sparse factor singular.  Left out, both branches solve
+    dom = rasterize(load_polygon(POLYGONS / "isosceles_pi5.json"), 1 / k, bc)
+    assert int((dom.mask & (dom.weight == 0)).sum()) == 1
+    assert (dom.interior_count > oracle._DENSE_LIMIT) == (k == 128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        levels = fd_eigenvalues(dom, 4)
+    assert np.all(np.isfinite(levels)) and np.all(np.diff(levels) >= 0)
+    assert oracle._operator(dom).shape == (dom.interior_count - 1,) * 2
+
+
+def test_operator_memory_figures_bound_what_the_solver_holds(monkeypatch):
+    # the bytes the builder's refusal counts, and those of the dense
+    # branch's n x n array, are at most what tracemalloc sees at the peak,
+    # so an operator that fits is never refused, and at least half of it
+    figures = []
+    real = oracle._refuse_past_memory
+
+    def capture(count, item_bytes, what):
+        figures.append(count * item_bytes)
+        real(count, item_bytes, what)
+
+    def traced_peak(solve, dom):
+        figures.clear()
+        tracemalloc.start()
+        try:
+            solve(dom)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(oracle, "_refuse_past_memory", capture)
+    for polygon in (square(), l_shape(1, 1, 2, 2)):
+        peak = traced_peak(oracle._operator, rasterize(polygon, 1 / 200))
+        assert len(figures) == 1
+        assert peak / 2 <= figures[0] <= peak
+    for polygon, k in ((square(), 32), (equilateral(), 64)):
+        peak = traced_peak(lambda dom: fd_eigenvalues(dom, 3), rasterize(polygon, 1 / k))
+        assert len(figures) == 2  # the builder's, then the dense array's
+        assert peak / 2 <= figures[1] <= peak
 
 
 def test_arpack_giving_up_is_convergence_failure(monkeypatch):
