@@ -5,9 +5,15 @@ record holds every image's flag, rotation and translation, every gluing, the
 face tree, the basis vectors and the lattice's pair, coefficients, shifts and
 `fracs`.  An exact element is written as (den, list of numerator items), so
 the order of its monomial keys counts, since `complex()` sums in it; a float
-is written with `float.hex`.  No channel kind is read.  The digests were
-recorded from the code before its interpreter-level speed-ups, which must
-keep every bit.
+is written with `float.hex`.  No channel kind is read there.  The digests
+were recorded from the code before its interpreter-level speed-ups, which
+must keep every bit.
+
+A second digest per input group pins the channel verdicts (`_kinds`): every
+simple period of `EPP.periods` with its kind, and every basis period's kind.
+It was recorded from the march in developed coordinates, one float copy of
+the polygon per image, before the march moved into the base polygon's own
+coordinates.
 """
 
 import hashlib
@@ -126,3 +132,26 @@ def test_analyze_path_is_bit_for_bit(group):
     for polygon in INPUTS[group]():
         h.update(_record(polygon).encode())
     assert h.hexdigest() == ANALYZE_PATH_SHA256[group]
+
+
+def _kinds(polygon) -> str:
+    epp = build_epp(polygon)
+    periods = [(_scalar(p.vector), p.kind) for p in epp.periods]
+    return repr((periods, [p.kind for p in period_basis(epp)]))
+
+
+CHANNEL_KINDS_SHA256 = {
+    "bundled": "f313f1743cca7808aa5e80a7df052b140f5ffb29749efcd79c685078dfee5ac0",
+    "shapes": "34023c8c006f3ee5648cb441c640843fe478fcd6ab1a898aa15fba002aff0339",
+    "triangles": "f7b8fb6e7ab36e6644c9075f1ff6e01b026f7e79de17ec8e19723981c8cd54b8",
+    "quadrilaterals": "b5f41682a74362ba184bf9aeaaa14558e7191c25ebf8d8e15978306f759deae0",
+}
+
+
+@pytest.mark.parametrize("group", sorted(INPUTS))
+def test_channel_kinds_are_bit_for_bit(group):
+    """Every simple period's vector and kind, and every basis period's kind."""
+    h = hashlib.sha256()
+    for polygon in INPUTS[group]():
+        h.update(_kinds(polygon).encode())
+    assert h.hexdigest() == CHANNEL_KINDS_SHA256[group]
