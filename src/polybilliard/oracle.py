@@ -274,7 +274,9 @@ def fd_eigenvalues(domain: GridDomain, count: int) -> np.ndarray:
     on the symmetric pattern.  The two branches agree to about 1e-14
     relative on the same operator, so levels above the limit carry that
     solver roundoff in their trailing digits.  ARPACK giving up raises
-    ConvergenceFailure.
+    ConvergenceFailure.  An LU factor that cannot be allocated, a
+    MemoryError or SuperLU's RuntimeError from a failed SUPERLU_MALLOC,
+    raises OutOfRange; its fill is not counted before it is factored.
     """
     # scipy loads here, not with the module: `verify --against` solves nothing
     import scipy.linalg
@@ -299,7 +301,16 @@ def fd_eigenvalues(domain: GridDomain, count: int) -> np.ndarray:
     # eigsh's own shift-invert factor orders columns by COLAMD, made for
     # unsymmetric matrices; a minimum-degree ordering of the symmetric
     # pattern leaves about half its fill, so each Lanczos solve costs half
-    lu = scipy.sparse.linalg.splu(op, permc_spec="MMD_AT_PLUS_A")
+    try:
+        lu = scipy.sparse.linalg.splu(op, permc_spec="MMD_AT_PLUS_A")
+    except (MemoryError, RuntimeError) as exc:
+        # SuperLU reports an allocation it could not make as a RuntimeError
+        if isinstance(exc, RuntimeError) and not str(exc).startswith("SUPERLU_MALLOC"):
+            raise
+        raise OutOfRange(
+            f"spacing {domain.h:g} puts {n} unknowns into a sparse LU factor"
+            " larger than memory can hold"
+        ) from exc
     op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=op.dtype)
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:

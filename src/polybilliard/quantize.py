@@ -274,10 +274,9 @@ def momentum_aperiodic(lattice: PeriodLattice, m: int, n: int) -> QuantizedMomen
     lines = lattice.parallel_labels
     if lines is None:
         kind = _classify_classical(_basis_floats(lattice), p)
-    elif any(m * u + n * v == 0 for u, v in lines):
-        kind = CLASSICAL_PERIODIC
     else:
-        kind = CLASSICAL_APERIODIC
+        ns = _row_periodic(lines, m)
+        kind = CLASSICAL_PERIODIC if ns is None or n in ns else CLASSICAL_APERIODIC
     return QuantizedMomentum(m=m, n=n, vector=p, kind=kind)
 
 
@@ -564,6 +563,16 @@ def _merge(lattice: PeriodLattice, records: list, flags: dict) -> list[SpectrumE
     return entries
 
 
+def _momentum_vector(momentum) -> complex:
+    """A momentum as a complex number: a `QuantizedMomentum`'s vector, a
+    complex as it is, or a pair (px, py)."""
+    if isinstance(momentum, QuantizedMomentum):
+        return momentum.vector
+    if isinstance(momentum, complex):
+        return momentum
+    return complex(momentum[0], momentum[1])
+
+
 def wavelength_report(lattice: PeriodLattice, momentum) -> list[WavelengthEntry]:
     """Measure every basis period in wavelengths of the given momentum.
 
@@ -572,12 +581,11 @@ def wavelength_report(lattice: PeriodLattice, momentum) -> list[WavelengthEntry]
     generator coordinates (count = |r1*m + r2*n|), reported as `law_count`.
     Non-integer counts mark the entry as a violation rather than raising.
     """
+    p = _momentum_vector(momentum)
     if isinstance(momentum, QuantizedMomentum):
-        p = momentum.vector
         labels = (momentum.m, momentum.n)
         with_law = momentum.kind != QUANTUM
     else:
-        p = complex(momentum[0], momentum[1]) if not isinstance(momentum, complex) else momentum
         labels = None
         with_law = False
     f = lattice.frame

@@ -33,7 +33,7 @@ from .errors import (
     _refuse_past_memory,
 )
 from .exactgeom import DIRICHLET, NEUMANN, Polygon
-from .quantize import QuantizedMomentum
+from .quantize import _momentum_vector
 from .unfold import EPP, _half_plane
 
 __all__ = [
@@ -149,14 +149,6 @@ def enumerate_prescriptions(epp: EPP) -> list[SignPrescription]:
         found.append(SignPrescription(eta=eta, bc=bc))
     found.sort(key=lambda pr: (pr.bc.count(NEUMANN), pr.bc))
     return found
-
-
-def _momentum_vector(momentum) -> complex:
-    if isinstance(momentum, QuantizedMomentum):
-        return momentum.vector
-    if isinstance(momentum, complex):
-        return momentum
-    return complex(momentum[0], momentum[1])
 
 
 def compile_swf(

@@ -36,15 +36,24 @@ a vector's group, for the grouping itself and for `channel_exists`: an
 exact frame keys it by the normalized field element, a float frame by a
 grid cell a little wider than the `is_zero` radius, and a lookup probes the
 cells around the vector (`frame.index_key`, `frame.probe_keys`), so it
-finds the group a scan of every group would.  The pattern decides, once per
-distinct period and only when a reader asks for its kind, whether a channel
-of parallel periodic orbits runs along it (`channel_exists`: test one orbit
-from the middle of each boundary side, and only if none closes, cut the
-sides at the separatrices of that direction and test one orbit per piece,
-skipping the pieces an orbit already tested runs through; an orbit's state
-is an image, a side and a position on it, and it keeps only its boundary
-crossings; a test orbit runs on past its length by half its first step, so
-that one that closes ends inside its start image, not on its start side).
+finds the group a scan of every group would.
+
+The pattern decides, once per distinct period and only when a reader asks
+for its kind, whether a channel of parallel periodic orbits runs along it
+(`channel_exists`).  A straight orbit on the glued surface is a billiard
+orbit inside the one polygon, and the images only record which copy it is
+in (Katok & Zemlyakov 1975), so an orbit marches in the polygon's own
+coordinates, over one table of its sides (`EPP._sides`, `_march`).  Its
+state is an image, a side and a position on it; inside image k it runs
+along the orbit's direction turned back by k's reflection and rotation,
+made from k's own tuple at each crossing (`_heading`), and `EPP.gluing`
+gives the next image and the crossing's translation.  It keeps only its
+boundary crossings.  `channel_exists` tests one orbit from the middle of
+each boundary side, and only if none closes, cuts the sides at the
+separatrices of that direction and tests one orbit per piece, skipping the
+pieces an orbit already tested runs through; a test orbit runs on past its
+length by half its first step, so that one that closes ends inside its
+start image, not on its start side.
 `period_basis` asks for no kind: a basis period asks for its group's kind
 when its own is first read, as `analyze` and `unfold` do when they print
 it.  `EPP.periods`, `EPP.dump` and `find_pocs` ask for every kind, and
@@ -194,9 +203,6 @@ class EPP:
         # group index -> its classified period, for the groups asked for so far
         self._kinds: dict[int, Period] = {}
 
-    def image(self, k: int) -> tuple:
-        return self.images[k - 1]
-
     @cached_property
     def edges(self) -> list[EdgePair]:
         """A view: an `EdgePair` per gluing, in the order of `gluings`, its period signed."""
@@ -287,23 +293,21 @@ class EPP:
         return self.polygon.perimeter_float()
 
     @cached_property
-    def _sides_float(self) -> list[list[tuple[complex, complex, float]]]:
-        """Per image, each side's (start corner, side vector, length) as floats.
+    def _sides(self) -> list[tuple[complex, complex, float]]:
+        """Each side of the polygon as (start corner, side vector, length), in floats.
 
-        The corners are the image's isometry applied in floats to the
-        polygon's float corners.
+        Every image is an isometry of the polygon, so this one table serves
+        every image: a march runs in the polygon's own coordinates.
         """
-        f = self.polygon.frame
-        units = [complex(f.unit(j)) for j in range(2 * f.N)]
         verts = self.polygon.vertices_float()
-        mirrored = [z.conjugate() for z in verts]
-        out = []
-        for reflecting, rotation, t in self.images:
-            w, t = units[rotation], complex(t)
-            corners = [w * z + t for z in (mirrored if reflecting else verts)]
-            sides = [(c, corners[(i + 1) % len(corners)] - c) for i, c in enumerate(corners)]
-            out.append([(a, d, abs(d)) for a, d in sides])
-        return out
+        sides = [(c, verts[(i + 1) % len(verts)] - c) for i, c in enumerate(verts)]
+        return [(a, d, abs(d)) for a, d in sides]
+
+    @cached_property
+    def _units(self) -> list[complex]:
+        """The float unit of each of the 2N rotations."""
+        f = self.polygon.frame
+        return [complex(f.unit(j)) for j in range(2 * f.N)]
 
     def dump(self) -> str:
         f = self.polygon.frame
@@ -546,17 +550,32 @@ def period_basis(epp: EPP) -> list[Period]:
 # ---------------------------------------------------------------------------
 
 
+def _heading(epp: EPP, k: int, u: complex) -> complex:
+    """Direction u inside the polygon, seen in image k.
+
+    Image k places the polygon by z -> w * z, or w * conj(z) when it
+    reflects, w the float unit of its rotation (`EPP._units`), so u runs
+    along conj(w) * u inside it, or w * conj(u).
+    """
+    reflecting, rotation, _t = epp.images[k - 1]
+    w = epp._units[rotation]
+    return w * u.conjugate() if reflecting else w.conjugate() * u
+
+
 def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float,
            closing: bool = False):
     """March a straight line of `length`, direction u, from side `side` of image `face`.
 
-    The state is (image, side, r), r the position along the side from its
-    start corner, the same in both images the side glues: after a crossing
-    the point is the partner image's own, with no frame shift.  The exit is
-    the nearest side ahead but the one the march stands on (at a corner,
-    r = 0, and the one ending there).  Returns the boundary crossings, as
-    (image left, side, r), and the end image, or None at a corner.  An image
-    with no exit raises ConvergenceFailure.
+    The march runs in the polygon's own coordinates (`EPP._sides`): the
+    state is (image, side, r), r the position along the side from its start
+    corner, the same in both images the side glues, and the image only says
+    which way u runs inside the polygon (`_heading`).  That direction is
+    made afresh from each image's own tuple, not carried across crossings
+    as a product of reflections, whose roundoff would grow along a long
+    march.  The exit is the nearest side ahead but the one the march stands
+    on (at a corner, r = 0, and the one ending there).  Returns the boundary
+    crossings, as (image left, side, r), and the end image, or None at a
+    corner.  An image with no exit raises ConvergenceFailure.
 
     `closing` marches on by half the first step: an orbit that closes after
     `length` is then back on its start side, and it ends half a step inside
@@ -572,21 +591,22 @@ def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float,
     """
     scale = max(1.0, epp._scale)
     tol, corner = _TOL * scale, 1e-12 * scale
-    uc = u.conjugate()
-    sides, gluing, n = epp._sides_float, epp.gluing, epp.polygon.n
+    sides, gluing, n = epp._sides, epp.gluing, epp.polygon.n
     crossings = []
     while True:
-        a, d, _len = sides[face - 1][side]
+        v = _heading(epp, face, u)
+        vc = v.conjugate()
+        a, d, _len = sides[side]
         z = a + d * r
         behind = (side, (side - 1) % n) if r == 0.0 else (side,)
         best = None
-        for t, (a, d, side_len) in enumerate(sides[face - 1]):
-            denom = (uc * d).imag
+        for t, (a, d, side_len) in enumerate(sides):
+            denom = (vc * d).imag
             if t in behind or abs(denom) < 1e-13:
                 continue
             wc = (a - z).conjugate()
             s_hit = (wc * d).imag / denom
-            r_hit = (wc * u).imag / denom
+            r_hit = (wc * v).imag / denom
             if s_hit > 0 and -_TOL <= r_hit <= 1 + _TOL and (best is None or s_hit < best[0]):
                 best = (s_hit, t, r_hit, side_len)
         if best is None:
@@ -634,21 +654,28 @@ def channel_exists(epp: EPP, vector) -> bool:
     """Does some straight orbit close up under translation by `vector`?
 
     Such an orbit, of direction u and length |vector|, crosses a boundary
-    side.  Test first: march one orbit from the middle of each boundary side
-    not parallel to u, in the image u enters, for |vector| plus half its
-    first step, so that it ends inside its start image if it closes
-    (`_closes`); any orbit that closes proves the channel.  The period's own
-    pairs, the group of boundary pairs whose translation is +-vector
-    (`EPP._group_of`), go first, then the rest in discovery order: on a long
-    period an orbit from one of its own pairs usually closes at once.  The order cannot change the verdict, since a
-    yes needs any one closing march and a no tests every piece.  Only when
-    none closes, cut: from every corner sector that -u enters, march a
-    separatrix backward for |vector| (2g-2+V of them at most, V the number
-    of vertex classes) and cut the boundary sides it crosses.  Between two
-    cuts every orbit runs into no corner and follows the same path, so all
-    of them close or none does.  Then test one orbit from the middle of each
-    piece.  A march is an (image, side, r) state (`_march`), r = 0 for a
-    separatrix, and keeps its boundary crossings only: only those are cut.
+    side.  Every test runs in the polygon's own coordinates, where the
+    polygon lies left of each of its sides and u runs inside image k along
+    `_heading`.  Test first: march one orbit from the middle of each
+    boundary side not parallel to u, in the image u enters (image a of the
+    pair when u, seen in a, points to the side's left, else image b, which
+    mirrors a across that side up to a translation), for |vector| plus half
+    its first step, so that it ends inside its start image if it closes
+    (`_closes`); any orbit that closes proves the channel.  The period's own pairs, the group of
+    boundary pairs whose translation is +-vector (`EPP._group_of`), go
+    first, then the rest in discovery order: on a long period an orbit from
+    one of its own pairs usually closes at once.  The order cannot change
+    the verdict, since a yes needs any one closing march and a no tests
+    every piece.  Only when none closes, cut: from every corner sector that
+    -u enters, march a separatrix backward for |vector| (2g-2+V of them at
+    most, V the number of vertex classes) and cut the boundary sides it
+    crosses.  The sector at corner i of image k turns counterclockwise from
+    side i by the corner's angle, and -u enters it when -u seen in k does.
+    Between two cuts every orbit runs into no corner and follows the same
+    path, so all of them close or none does.  Then test one orbit from the
+    middle of each piece.  A march is an (image, side, r) state (`_march`),
+    r = 0 for a separatrix, and keeps its boundary crossings only: only
+    those are cut.
 
     One "no" per orbit: a march that neither closes nor runs into a corner
     records where it started and every boundary side it crossed.  If some
@@ -669,22 +696,20 @@ def channel_exists(epp: EPP, vector) -> bool:
     sides = []  # (image a, image b, side, image u enters)
     for cid in chain(own, (cid for cid, i in enumerate(number) if i is not None and i != group)):
         a, b, side, _t = epp.gluings[cid]
-        _a, d, side_len = epp._sides_float[a - 1][side]
-        cross = ((d / side_len).conjugate() * u).imag
+        _a, d, side_len = epp._sides[side]
+        cross = ((d / side_len).conjugate() * _heading(epp, a, u)).imag
         if abs(cross) <= _TOL:
             continue  # parallel to the orbits: none crosses it
-        # image a lies left of its side, or right when it is reflecting
-        face = a if (cross > 0) != epp.image(a)[0] else b
+        face = a if cross > 0 else b  # the polygon lies left of its sides
         if _closes(epp, face, side, 0.5, u, length, vector, missed):
             return True
         sides.append((a, b, side, face))
     cuts = defaultdict(list)  # (image, side) -> positions of its cuts
-    for k, image_sides in enumerate(epp._sides_float, 1):
-        reflecting = epp.image(k)[0]
-        for i, (_a, d, _len) in enumerate(image_sides):
-            # the sector at corner i, the start of side i, turns counterclockwise from `start`
-            start = -image_sides[i - 1][1] if reflecting else d
-            if _TOL < cmath.phase(-u / start) % (2 * math.pi) < angles[i - 1].radians() - _TOL:
+    for k in range(1, len(epp.images) + 1):
+        v = _heading(epp, k, -u)
+        for i, (_a, d, _len) in enumerate(epp._sides):
+            # the sector at corner i, the start of side i, turns counterclockwise from side i
+            if _TOL < cmath.phase(v / d) % (2 * math.pi) < angles[i - 1].radians() - _TOL:
                 for face, side, r in _march(epp, k, i, 0.0, -u, length)[0]:
                     cuts[(face, side)].append(r)
     for a, b, side, face in sides:

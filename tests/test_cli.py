@@ -869,6 +869,25 @@ def test_fd_operator_past_an_address_space_cap_is_usage_error():
     assert "builds an FD operator larger than memory can hold" in proc.stderr
 
 
+@pytest.mark.skipif(os.name != "posix", reason="address-space limits are POSIX")
+def test_lu_factor_past_an_address_space_cap_is_usage_error():
+    # spacing 1/1500 puts 2.25*10^6 unknowns on the square: the raster and
+    # the FD operator fit a 1.5 GB address space, but SuperLU's factor of it
+    # does not, and its failed allocation was a RuntimeError traceback, exit 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybilliard", "verify", str(POLYGONS / "square.json"),
+         "--spacing", "1/1500"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+        preexec_fn=functools.partial(_cap_address_space, 1_500_000 << 10),  # ulimit -v 1500000
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "sparse LU factor larger than memory can hold" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_neumann_study_is_refused(capsys):
     # the study solves Dirichlet walls whatever --bc says
     code, out, err = invoke(capsys, *STUDY_ARGV, "--bc", "neumann")

@@ -331,6 +331,28 @@ def test_arpack_giving_up_is_convergence_failure(monkeypatch):
         fd_eigenvalues(dom, 3)
 
 
+@pytest.mark.parametrize("error, refused", [
+    (MemoryError(), True),
+    (RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()"), True),
+    (RuntimeError("Factor is exactly singular"), False),
+])
+def test_lu_factor_past_memory_is_out_of_range(monkeypatch, error, refused):
+    # SuperLU reports an allocation it could not make as a RuntimeError
+    # whose message starts SUPERLU_MALLOC; every other RuntimeError is a fault
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
+    dom = rasterize(square(), 1 / 72)
+    assert dom.interior_count > oracle._DENSE_LIMIT
+    if refused:
+        with pytest.raises(OutOfRange, match="sparse LU factor larger than memory can hold"):
+            fd_eigenvalues(dom, 3)
+    else:
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            fd_eigenvalues(dom, 3)
+
+
 def test_rectangle_ground_level():
     vals = fd_eigenvalues(rasterize(rectangle(2, 1), 1 / 16), 1)
     assert vals[0] == pytest.approx(5 * math.pi**2 / 8, rel=5e-3)

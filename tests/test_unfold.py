@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from collections import defaultdict, deque
 from fractions import Fraction
 from math import gcd, lcm
@@ -207,7 +208,7 @@ def test_epp_images_pairwise_nonfaithful():
 
 def test_epp_base_image_is_identity():
     epp = build_epp(parallelogram_pi3())
-    reflecting, rotation, t = epp.image(1)
+    reflecting, rotation, t = epp.images[0]
     assert reflecting is False
     assert rotation == 0
     assert epp.polygon.frame.is_zero(t)
@@ -783,7 +784,7 @@ def _homology_coords(epp):
         if cid in face_tree:
             continue
         tail, head = vclass[(e.a, e.side)], vclass[(e.a, (e.side + 1) % n)]
-        if epp.image(e.a)[0]:
+        if epp.images[e.a - 1][0]:
             tail, head = head, tail
         ends[cid] = (tail, head)
         adj[tail].append((head, cid, 1))
@@ -950,7 +951,7 @@ def test_pattern_records_compare_by_identity():
     made = epp.edges[0]
     assert (made.a, made.b, made.side, made.translation) == gluings[0]
     assert not made.interior and made.period.vector == v and epp.edges[1].interior
-    assert made != EPP(poly, [image], gluings, C=1).edges[0] and epp.image(1) is image
+    assert made != EPP(poly, [image], gluings, C=1).edges[0] and epp.images[0] is image
     assert epp != EPP(poly, [image], gluings, 1)
 
 
@@ -1100,6 +1101,27 @@ def test_find_pocs_unclassified_traces_each_period_once(monkeypatch):
     assert len(calls) == len(epp.periods)
 
 
+_DEVELOPED = weakref.WeakKeyDictionary()  # pattern -> its `_developed_sides`
+
+
+def _developed_sides(epp):
+    """Per image, each side's (start corner, side vector, length) as floats, in
+    developed coordinates: the image's isometry applied to the polygon's float
+    corners.  The reference marches below run in these; `unfold._march` runs
+    in the polygon's own coordinates and never builds them."""
+    if epp not in _DEVELOPED:
+        units = [complex(epp.polygon.frame.unit(j)) for j in range(2 * epp.C)]
+        verts = epp.polygon.vertices_float()
+        table = []
+        for reflecting, rotation, t in epp.images:
+            w, t = units[rotation], complex(t)
+            corners = [w * (z.conjugate() if reflecting else z) + t for z in verts]
+            sides = [(c, corners[(i + 1) % len(corners)] - c) for i, c in enumerate(corners)]
+            table.append([(a, d, abs(d)) for a, d in sides])
+        _DEVELOPED[epp] = table
+    return _DEVELOPED[epp]
+
+
 # the sampled decision that `channel_exists` replaced, kept as an oracle
 _SAMPLES = 33  # the sampled oracle starts traces at _SAMPLES - 1 points per boundary edge
 _MAX_STEPS = 100000  # edge crossings one sampled trace may make before it gives up
@@ -1117,7 +1139,7 @@ def _sampled_trace_closes(epp, face0, z0, target) -> bool:
     offset = f.zero()
     remaining = total
     for _ in range(_MAX_STEPS):
-        verts = [a for a, _d, _len in epp._sides_float[face - 1]]
+        verts = [a for a, _d, _len in _developed_sides(epp)[face - 1]]
         n = len(verts)
         best_s, best_side, best_r = None, None, None
         for t in range(n):
@@ -1163,9 +1185,9 @@ def _sampled_channel_exists(epp, vector) -> bool:
     tgt = f.to_complex(vector)
     for e in epp.edge_pairs:
         for face in (e.a, e.b):
-            verts = [a for a, _d, _len in epp._sides_float[face - 1]]
+            verts = [a for a, _d, _len in _developed_sides(epp)[face - 1]]
             a, b = verts[e.side], verts[(e.side + 1) % len(verts)]
-            ccw = not epp.image(face)[0]
+            ccw = not epp.images[face - 1][0]
             d = (b - a) / abs(b - a)
             for j in range(1, _SAMPLES):
                 z = a + (b - a) * (j / _SAMPLES)
@@ -1199,10 +1221,10 @@ def _middle_march_closes(epp, vector) -> bool:
     tgt = epp.polygon.frame.to_complex(vector)
     for e in epp.edge_pairs:
         for face in (e.a, e.b):
-            verts = [a for a, _d, _len in epp._sides_float[face - 1]]
+            verts = [a for a, _d, _len in _developed_sides(epp)[face - 1]]
             a, b = verts[e.side], verts[(e.side + 1) % len(verts)]
             inward = ((b - a).conjugate() * tgt).imag
-            if epp.image(face)[0]:
+            if epp.images[face - 1][0]:
                 inward = -inward
             if inward > 1e-9 * abs(b - a) * abs(tgt) and _sampled_trace_closes(
                 epp, face, a + (b - a) * 0.5, vector
@@ -1324,7 +1346,7 @@ def _float_point_march(epp, face, z, u, length):
     crossings = []
     while True:
         best = None
-        for t, (a, d, side_len) in enumerate(epp._sides_float[face - 1]):
+        for t, (a, d, side_len) in enumerate(_developed_sides(epp)[face - 1]):
             denom = (uc * d).imag
             if abs(denom) < 1e-13:
                 continue
@@ -1351,7 +1373,7 @@ MARCH_CASES = [name for name in VERTEX_CASES
 
 
 def _assert_same_march(epp, face, side, r, u, length):
-    a, d, _len = epp._sides_float[face - 1][side]
+    a, d, _len = _developed_sides(epp)[face - 1][side]
     want, want_end = _float_point_march(epp, face, a + d * r, u, length)
     got, end = unfold._march(epp, face, side, r, u, length)
     want = [c for c in want if epp.gluing[c[:2]][1]]
@@ -1372,8 +1394,8 @@ def test_march_matches_the_float_point_march(name):
     for per in epp.periods:
         tgt = complex(per.vector)
         length = abs(tgt)
-        for k, sides in enumerate(epp._sides_float, 1):
-            reflecting = epp.image(k)[0]
+        for k, sides in enumerate(_developed_sides(epp), 1):
+            reflecting = epp.images[k - 1][0]
             for side, (_a, d, side_len) in enumerate(sides):
                 cross = ((d / side_len).conjugate() * tgt).imag / length
                 if abs(cross) > 1e-9:
@@ -1396,7 +1418,7 @@ def test_march_knows_the_entered_side_by_index():
     epp = build_epp(_right_triangle(3, 2000))
     face, side, r = 1340, 1, 0.5
     u, length = 0.00471237153937703 + 0.999988896715596j, 1.9999777934312393
-    a, d, _len = epp._sides_float[face - 1][side]
+    a, d, _len = _developed_sides(epp)[face - 1][side]
     with pytest.raises(RuntimeError, match="image 1883"):
         _float_point_march(epp, face, a + d * r, u, length)
     t0 = time.perf_counter()
@@ -1416,10 +1438,10 @@ def test_closing_march_ends_inside_its_start_image():
     tgt = complex(e.period.vector)
     length = abs(tgt)
     u = tgt / length
-    _a, d, side_len = epp._sides_float[e.a - 1][e.side]
+    _a, d, side_len = _developed_sides(epp)[e.a - 1][e.side]
     cross = ((d / side_len).conjugate() * u).imag
     # into image a when it lies left of its side, or right when it is reflecting
-    face = e.a if (cross > 0) != epp.image(e.a)[0] else e.b
+    face = e.a if (cross > 0) != epp.images[e.a - 1][0] else e.b
     assert length > 1.99
     assert _closes(epp, face, e.side, 0.5, u, length, e.period.vector, defaultdict(list))
 
@@ -1449,11 +1471,11 @@ def test_channel_verdict_is_dihedral(name):
 
 def test_march_without_exit_gives_up(monkeypatch, capsys):
     # a march that cannot leave its image is a search that gave up, exit 5,
-    # and must not read as "no channel"; here every side of every image lies
-    # on the line of side 0, which the march stands on, so none lies ahead
-    real = EPP._sides_float.func
-    monkeypatch.setattr(EPP, "_sides_float", property(
-        lambda epp: [[sides[0]] * len(sides) for sides in real(epp)]))
+    # and must not read as "no channel"; here every side of the polygon, the
+    # one side table of every image, lies on the line of side 0, which the
+    # march stands on, so none lies ahead
+    real = EPP._sides.func
+    monkeypatch.setattr(EPP, "_sides", property(lambda epp: [real(epp)[0]] * epp.polygon.n))
     epp = build_epp(square())
     with pytest.raises(ConvergenceFailure, match="no exit"):
         channel_exists(epp, epp.polygon.frame.from_xy(1, 1))
