@@ -8,7 +8,7 @@ stable contract scripts can rely on:
   2  input error (unreadable file, bad JSON, closure failure, bad flags, an
      --e-max, --grid, --edge-samples or --spacing that memory cannot hold,
      a polygon whose unfolding, 2N images for N the lcm of its angle
-     denominators, memory cannot hold,
+     denominators, memory cannot hold, a polygon perimeter past 1e150,
      a quantize lattice whose momenta overflow a float, a swf or verify
      momentum whose energy overflows one)
   3  the billiard is not doubly rational and no --rationalize cap was given

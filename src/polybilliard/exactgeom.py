@@ -23,6 +23,7 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from .approx import as_rational, best_rational
@@ -63,6 +64,8 @@ NEUMANN = "neumann"
 EXACT_DEGREE_LIMIT = 64
 
 _FLOAT_TOL = 1e-9  # absolute tolerance on unit-scale float comparisons
+# the float geometry squares coordinates, so a perimeter past this would overflow it
+_MAX_PERIMETER = 1e150
 
 
 def _euler_phi(m: int) -> int:
@@ -468,27 +471,23 @@ def validate_polygon(angles, lengths, name: str | None = None) -> Polygon:
     lengths may be None: the closure equations then fix the two, on the
     frame the polygon is built on (`solve_closure`).  Raises
     ClosureViolation if the chain does not return to its start,
-    SelfIntersection if the boundary touches itself.
+    SelfIntersection if the boundary touches itself, OutOfRange if the
+    perimeter is past `_MAX_PERIMETER` or a length past the float range.
     """
-    ra, frame, dirs, ls = _side_chain(angles, lengths)
-    verts = [frame.zero()]
-    for d, length in zip(dirs, ls):
-        verts.append(verts[-1] + frame.unit(d) * length)
-    scale = sum(float(v) for v in ls)
+    try:
+        ra, frame, dirs, ls = _side_chain(angles, lengths)
+        scale = sum(float(v) for v in ls)
+    except OverflowError:  # a length's float, in `frame.positive` or here
+        scale = math.inf
+    if not scale <= _MAX_PERIMETER:
+        raise OutOfRange(f"the perimeter is past {_MAX_PERIMETER:.0e}, beyond the float geometry")
+    verts = list(accumulate((frame.unit(d) * v for d, v in zip(dirs, ls)), initial=frame.zero()))
     if not frame.is_zero(verts[-1], scale=scale):
         raise ClosureViolation(
             f"side chain misses its start by {abs(complex(verts[-1])):.3g}"
         )
-    verts = verts[:-1]
-
-    poly = Polygon(
-        angles=tuple(ra),
-        lengths=tuple(ls),
-        frame=frame,
-        dirs=tuple(dirs),
-        verts=tuple(verts),
-        name=name,
-    )
+    poly = Polygon(angles=tuple(ra), lengths=tuple(ls), frame=frame, dirs=tuple(dirs),
+                   verts=tuple(verts[:-1]), name=name)
     _check_simple(poly.vertices_float(), scale)
     return poly
 

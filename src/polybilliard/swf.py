@@ -126,25 +126,24 @@ def enumerate_prescriptions(epp: EPP) -> list[SignPrescription]:
     A set of base sides can be Dirichlet, the rest Neumann, exactly when
     every closed cycle of the glued pattern crosses those sides an even
     number of times.  The cycles are spanned by one per gluing: across it,
-    then back through the face tree (`EPP.face_tree`), the tree of the
-    gluings that created the images.  Each image's sign is
-    then -1 to the number of Dirichlet sides its tree path from image 1
-    crosses.  Returned all-Dirichlet first and all-Neumann last.
+    then back through the face tree (`EPP.face_tree`), the list of the
+    gluings that created the images: each image's creating gluing runs from
+    its parent, an earlier image.  Each image's sign is then -1 to the
+    number of Dirichlet sides its tree path from image 1 crosses.  Returned
+    all-Dirichlet first and all-Neumann last.
     """
     n = epp.polygon.n
-    # image -> bit set of the sides its tree path from image 1 crosses an odd number of times
-    crossed: dict[int, int] = {}
-    for k, up in epp.face_tree.items():
-        crossed[k] = 0 if up is None else crossed[up[0]] ^ 1 << epp.gluings[up[1]][2]
-    cycles = {crossed[a] ^ crossed[b] ^ (1 << s) for a, b, s, _t in epp.gluings}
+    # at k - 1, the bit set of the sides image k's tree path crosses an odd number of times
+    crossed = [0]
+    for cid in epp.face_tree[1:]:
+        parent, _b, s, _t = epp.gluings[cid]
+        crossed.append(crossed[parent - 1] ^ 1 << s)
+    cycles = {crossed[a - 1] ^ crossed[b - 1] ^ (1 << s) for a, b, s, _t in epp.gluings}
     found: list[SignPrescription] = []
     for mask in range(2**n):  # bit set -> Dirichlet on that side
         if any((c & mask).bit_count() & 1 for c in cycles):
             continue
-        eta = tuple(
-            -1 if (crossed[k] & mask).bit_count() & 1 else 1
-            for k in range(1, len(epp.images) + 1)
-        )
+        eta = tuple(-1 if (c & mask).bit_count() & 1 else 1 for c in crossed)
         bc = tuple(DIRICHLET if mask >> s & 1 else NEUMANN for s in range(n))
         found.append(SignPrescription(eta=eta, bc=bc))
     found.sort(key=lambda pr: (pr.bc.count(NEUMANN), pr.bc))

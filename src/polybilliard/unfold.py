@@ -46,14 +46,14 @@ in (Katok & Zemlyakov 1975), so an orbit marches in the polygon's own
 coordinates, over one table of its sides (`EPP._sides`, `_march`).  Its
 state is an image, a side and a position on it; inside image k it runs
 along the orbit's direction turned back by k's reflection and rotation,
-made from k's own tuple at each crossing (`_heading`), and `EPP.gluing`
-gives the next image and the crossing's translation.  It keeps only its
-boundary crossings.  `channel_exists` tests one orbit from the middle of
-each boundary side, and only if none closes, cuts the sides at the
-separatrices of that direction and tests one orbit per piece, skipping the
-pieces an orbit already tested runs through; a test orbit runs on past its
-length by half its first step, so that one that closes ends inside its
-start image, not on its start side.
+made from k's own tuple at each crossing (`_heading`); the next image is
+the other end of the gluing of the side it crosses (`EPP.slots`).  It
+keeps only its boundary crossings.  `channel_exists` tests one orbit from
+the middle of each boundary side, and only if none closes, cuts the sides
+at the separatrices of that direction and tests one orbit per piece,
+skipping the pieces an orbit already tested runs through; a test orbit
+runs on past its length by half its first step, so that one that closes
+ends inside its start image, not on its start side.
 `period_basis` asks for no kind: a basis period asks for its group's kind
 when its own is first read, as `analyze` and `unfold` do when they print
 it.  `EPP.periods`, `EPP.dump` and `find_pocs` ask for every kind, and
@@ -174,13 +174,13 @@ class EPP:
     tuples; `edges` and `edge_pairs` are record views of them, built on
     request for library callers.
 
-    `face_tree` maps each image to (parent image, index in `gluings` of the
-    gluing that created it), image 1 to None: the spanning tree of the faces
-    that `build_epp` grows.  The crossing cycle of every other gluing
-    crosses it and returns through this tree; `period_basis` takes 2g of
-    them, the complement of a spanning tree of the vertex classes, and
-    `swf.enumerate_prescriptions` reads off the tree which sides each
-    image's path from image 1 crosses.
+    `face_tree` holds at k - 1 the index in `gluings` of the gluing that
+    created image k from its parent, the gluing's a end (None for image 1):
+    the spanning tree of the faces that `build_epp` grows.  The crossing
+    cycle of every other gluing crosses it and returns through this tree;
+    `period_basis` takes 2g of them and `swf.enumerate_prescriptions` reads
+    the tree.  `slots` holds at (k - 1)*n + s the index in `gluings` of the
+    gluing of side s of image k.
     """
 
     def __init__(
@@ -189,7 +189,7 @@ class EPP:
         images: list[tuple],
         gluings: list[tuple],
         C: int,
-        face_tree: dict[int, tuple[int, int] | None] | None = None,
+        face_tree: list[int | None] | None = None,
     ):
         self.polygon = polygon
         self.images = images
@@ -279,13 +279,13 @@ class EPP:
         return p
 
     @cached_property
-    def gluing(self) -> dict:
-        """(image, side) -> (neighbor image, crossing translation)."""
-        table = {}
-        for a, b, s, t in self.gluings:
-            table[(a, s)] = (b, t)
-            table[(b, s)] = (a, -t)
-        return table
+    def slots(self) -> list[int | None]:
+        """Slot (k - 1)*n + s, side s of image k -> index in `gluings` of its gluing."""
+        n = self.polygon.n
+        slots: list[int | None] = [None] * (n * len(self.images))
+        for cid, (a, b, s, _t) in enumerate(self.gluings):
+            slots[(a - 1) * n + s] = slots[(b - 1) * n + s] = cid
+        return slots
 
     @cached_property
     def _scale(self) -> float:
@@ -388,8 +388,8 @@ def build_epp(polygon: Polygon) -> EPP:
     scale = polygon.perimeter_float()
     rotate, mirror, is_zero, zero = f.rotate, f.mirror, f.is_zero, f.zero()
     size, slot = sys.getsizeof, sys.getsizeof([None]) - sys.getsizeof([])
-    # per image: images, 2 by_orient, n glued and n/2 gluings slots
-    per_image = (size((False, 0, zero)) + size(zero) + size((1, 0)) + (3 + n) * slot
+    # per image: images, 2 by_orient, n glued, n/2 gluings and face_tree slots
+    per_image = (size((False, 0, zero)) + size(zero) + size(n * m) + (4 + n) * slot
                  + n * (size((1, 1, 0, zero)) + size(zero) + slot) // 2)
     _refuse_past_memory(m, per_image, f"the {m} images of the unfolding are more")
     # per reflecting flag, (side s, twice its direction signed, its start corner)
@@ -401,7 +401,7 @@ def build_epp(polygon: Polygon) -> EPP:
     unglued = [False] * n
     glued = unglued[:]  # slot k*n + s: side s of images[k]
     gluings: list[tuple] = []  # (a, b, side, translation)
-    face_tree: dict[int, tuple[int, int] | None] = {1: None}  # image -> its creating gluing
+    face_tree: list[int | None] = [None]  # image k + 1 -> index in gluings of its creating gluing
     for k, (flip, rot, t0) in enumerate(images):  # the list grows as the walk finds images
         a, rot2, t0c, base, other_flag = k + 1, 2 * rot, t0.conjugate(), k * n, 0 if flip else m
         for s, dj, corner in walks[flip]:
@@ -415,7 +415,7 @@ def build_epp(polygon: Polygon) -> EPP:
             if other is None:
                 other = by_orient[orient] = len(images)
                 images.append((not flip, orient - other_flag, t))
-                face_tree[other + 1] = (a, len(gluings))
+                face_tree.append(len(gluings))
                 gluings.append((a, other + 1, s, zero))
                 glued += unglued
             else:
@@ -457,7 +457,7 @@ def _basis_cycles(epp: EPP) -> list[int]:
     """
     n = epp.polygon.n
     g = genus(epp.polygon)
-    gluings = epp.gluings
+    gluings, face_tree = epp.gluings, epp.face_tree
     root = list(range(n * len(epp.images)))
     for a, b, s, _t in gluings:
         a, b, t = (a - 1) * n, (b - 1) * n, (s + 1) % n
@@ -467,13 +467,12 @@ def _basis_cycles(epp: EPP) -> list[int]:
     chi = nverts - len(gluings) + len(epp.images)
     if chi != 2 - 2 * g:
         raise RankMismatch(f"Euler characteristic {chi} != {2 - 2 * g}")
-    face_tree = {p[1] for p in epp.face_tree.values() if p is not None}
 
     def key(cid: int) -> tuple:  # boundary pairs by length, then interior gluings
         t = gluings[cid][3]
         return (0, round(abs(complex(t)), 12), cid) if t else (1, 0.0, cid)
 
-    candidates = sorted((cid for cid in range(len(gluings)) if cid not in face_tree), key=key)
+    candidates = sorted((cid for cid, g in enumerate(gluings) if face_tree[g[1] - 1] != cid), key=key)
     cycles = []
     for cid in reversed(candidates):
         a, _b, s, _t = gluings[cid]
@@ -592,7 +591,8 @@ def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float,
     scale = max(1.0, epp._scale)
     tol, corner = _TOL * scale, 1e-12 * scale
     uc = u.conjugate()
-    sides, units, images, gluing, n = epp._sides, epp._units, epp.images, epp.gluing, epp.polygon.n
+    sides, units, images, n = epp._sides, epp._units, epp.images, epp.polygon.n
+    gluings, slots = epp.gluings, epp.slots
     crossings = []
     while True:
         # u inside the polygon, `_heading` inline: a call per crossing costs a tenth of the march
@@ -622,10 +622,10 @@ def _march(epp: EPP, face: int, side: int, r: float, u: complex, length: float,
             return crossings, face
         if min(r, 1 - r) * side_len < corner:
             return crossings, None
-        nxt, t_cross = gluing[(face, side)]
+        ga, gb, _s, t_cross = gluings[slots[(face - 1) * n + side]]
         if t_cross:
             crossings.append((face, side, r))
-        face = nxt
+        face = gb if face == ga else ga
         length -= s_hit
 
 
@@ -636,20 +636,23 @@ def _closes(epp: EPP, face: int, side: int, r: float, u: complex, length: float,
     `closing`), so a closing orbit ends inside `face`.  True when it
     closes: it ends in `face` and its boundary crossings sum exactly to
     `vector`.  False when it ends in an image without closing; its start
-    and boundary crossings then go into `missed`, as (image, side) ->
+    and boundary crossings then go into `missed`, as gluing index ->
     positions.  None when it runs into a corner.
     """
     crossings, end = _march(epp, face, side, r, u, length, closing=True)
     if end is None:
         return None
+    f, n, slots = epp.polygon.frame, epp.polygon.n, epp.slots
     if end == face:
-        f = epp.polygon.frame
-        offset = sum((epp.gluing[(fc, s)][1] for fc, s, _r in crossings), f.zero())
+        offset = f.zero()
+        for fc, s, _r in crossings:  # crossing from the b end goes back by the translation
+            a, _b, _s, t = epp.gluings[slots[(fc - 1) * n + s]]
+            offset = offset + t if fc == a else offset - t
         if f.is_zero(offset - vector, epp._scale):
             return True
-    missed[(face, side)].append(r)
+    missed[slots[(face - 1) * n + side]].append(r)
     for fc, s, rc in crossings:
-        missed[(fc, s)].append(rc)
+        missed[slots[(fc - 1) * n + s]].append(rc)
     return False
 
 
@@ -690,13 +693,13 @@ def channel_exists(epp: EPP, vector) -> bool:
     tgt = complex(vector)
     length = abs(tgt)
     u = tgt / length
-    angles = epp.polygon.angles
+    angles, n, slots = epp.polygon.angles, epp.polygon.n, epp.slots
 
     _vectors, members, number = epp._groups
     group = epp._group_of(_half_plane(epp.polygon.frame, vector))
     own = [] if group is None else members[group]
-    missed = defaultdict(list)  # (image, side) -> positions a march that did not close crossed
-    sides = []  # (image a, image b, side, image u enters)
+    missed = defaultdict(list)  # gluing index -> positions a march that did not close crossed
+    sides = []  # (gluing index, side, image u enters)
     for cid in chain(own, (cid for cid, i in enumerate(number) if i is not None and i != group)):
         a, b, side, _t = epp.gluings[cid]
         _a, d, side_len = epp._sides[side]
@@ -706,20 +709,19 @@ def channel_exists(epp: EPP, vector) -> bool:
         face = a if cross > 0 else b  # the polygon lies left of its sides
         if _closes(epp, face, side, 0.5, u, length, vector, missed):
             return True
-        sides.append((a, b, side, face))
-    cuts = defaultdict(list)  # (image, side) -> positions of its cuts
+        sides.append((cid, side, face))
+    cuts = defaultdict(list)  # gluing index -> positions of its cuts
     for k in range(1, len(epp.images) + 1):
         v = _heading(epp, k, -u)
         for i, (_a, d, _len) in enumerate(epp._sides):
             # the sector at corner i, the start of side i, turns counterclockwise from side i
             if _TOL < cmath.phase(v / d) % (2 * math.pi) < angles[i - 1].radians() - _TOL:
                 for face, side, r in _march(epp, k, i, 0.0, -u, length)[0]:
-                    cuts[(face, side)].append(r)
-    for a, b, side, face in sides:
-        rs = sorted([0.0, 1.0, *cuts[(a, side)], *cuts[(b, side)]])
+                    cuts[slots[(face - 1) * n + side]].append(r)
+    for cid, side, face in sides:
+        rs = sorted([0.0, 1.0, *cuts[cid]])
         for r0, r1 in zip(rs, rs[1:]):
-            if any(r0 + _TOL < r < r1 - _TOL
-                   for r in chain(missed[(a, side)], missed[(b, side)])):
+            if any(r0 + _TOL < r < r1 - _TOL for r in missed[cid]):
                 continue
             if _closes(epp, face, side, (r0 + r1) / 2, u, length, vector, missed):
                 return True

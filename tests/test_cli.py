@@ -129,6 +129,21 @@ def test_analyze_unsolvable_lengths_are_input_errors(tmp_path, capsys, angles, l
     assert message in err
 
 
+@pytest.mark.parametrize("length", [
+    "1e400",  # past the float range: its float overflowed while checking its sign
+    "1e160",  # its square overflowed in the simplicity check's float geometry
+])
+def test_analyze_length_past_float_range_is_input_error(tmp_path, capsys, length):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"sides": [
+        {"angle": "1/2", "length": length}, {"angle": "1/2", "length": "1"},
+        {"angle": "1/2"}, {"angle": "1/2"},
+    ]}))
+    code, out, err = invoke(capsys, "analyze", str(spec))
+    assert (code, out) == (2, "")
+    assert err == "error: the perimeter is past 1e+150, beyond the float geometry\n"
+
+
 # --------------------------------------------------------------------------
 # unfold
 

@@ -59,7 +59,8 @@ def _record(polygon) -> str:
         polygon.frame.exact,
         images,
         gluings,
-        sorted(epp.face_tree.items()),
+        # the face tree as the (image, (parent, creating gluing)) items it was recorded as
+        [(k, None if cid is None else (epp.gluings[cid][0], cid)) for k, cid in enumerate(epp.face_tree, 1)],
         [_scalar(p.vector) for p in basis],
         lat.pair_indexes,
         [[_scalar(a) for a in row] for row in lat.coeffs],

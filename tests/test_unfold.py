@@ -114,15 +114,16 @@ def _queue_unfolding(polygon):
     """Breadth-first unfolding over a queue of slots (image, side), one image per orientation.
 
     Returns the image isometries, the gluings as (a, b, side, translation,
-    interior) and the face tree, in the order the queue finds them: the
-    reference `build_epp`'s walk over its image list is checked against.
+    interior) and the face tree, each image's creating gluing index (None
+    for image 1), in the order the queue finds them: the reference
+    `build_epp`'s walk over its image list is checked against.
     """
     f, n = polygon.frame, polygon.n
     scale = polygon.perimeter_float()
     isos = [_identity(f)]
     by_orient = {(False, 0): 0}  # -> index in isos
     glued = [False] * n  # slot k*n + s: side s of image k + 1
-    edges, face_tree = [], {1: None}
+    edges, face_tree = [], [None]
     queue = deque(range(n))
     while queue:
         slot = queue.popleft()
@@ -134,7 +135,7 @@ def _queue_unfolding(polygon):
         if other is None:
             other = by_orient[cand[:2]] = len(isos)
             isos.append(cand)
-            face_tree[other + 1] = (k + 1, len(edges))
+            face_tree.append(len(edges))
             edges.append((k + 1, other + 1, s, f.zero(), True))
             glued += [False] * n
             queue.extend(range(other * n, other * n + n))
@@ -221,16 +222,36 @@ def test_epp_every_side_has_c_copies():
             assert sum(1 for e in epp.edges if e.side == s) == epp.C
 
 
+def _crossing(epp, k, s):
+    """(next image, translation) of crossing side s out of image k, read off its gluing tuple."""
+    a, b, _s, t = epp.gluings[epp.slots[(k - 1) * epp.polygon.n + s]]
+    return (b, t) if k == a else (a, -t)
+
+
 def test_epp_gluing_covers_every_slot():
-    epp = build_epp(l_shape())
-    n = epp.polygon.n
-    assert set(epp.gluing) == {(k, s) for k in range(1, 5) for s in range(n)}
+    # each slot's gluing glues that slot, and each gluing holds exactly its two slots
+    for mk in (l_shape, square, isosceles_pi5, broken_parallelogram):
+        epp = build_epp(mk())
+        n = epp.polygon.n
+        assert len(epp.slots) == n * len(epp.images) and epp.slots is epp.slots
+        held = defaultdict(list)
+        for slot, cid in enumerate(epp.slots):
+            k, s = divmod(slot, n)
+            a, b, side, _t = epp.gluings[cid]
+            assert side == s and k + 1 in (a, b)
+            held[cid].append(slot)
+        assert sorted(held) == list(range(len(epp.gluings)))
+        for cid, (a, b, s, _t) in enumerate(epp.gluings):
+            assert a != b and held[cid] == sorted([(a - 1) * n + s, (b - 1) * n + s])
     # crossing a pair and crossing it back cancels the translation
+    epp = build_epp(l_shape())
     f = epp.polygon.frame
-    for (k, s), (j, t) in epp.gluing.items():
-        back, t_back = epp.gluing[(j, s)]
-        assert back == k
-        assert f.is_zero(t + t_back)
+    for k in range(1, len(epp.images) + 1):
+        for s in range(epp.polygon.n):
+            j, t = _crossing(epp, k, s)
+            back, t_back = _crossing(epp, j, s)
+            assert back == k
+            assert f.is_zero(t + t_back)
 
 
 def test_epp_boundary_translations_nonzero_interior_zero():
@@ -393,6 +414,29 @@ def test_unfolding_memory_figure_bounds_what_the_walk_stores(monkeypatch):
     assert peak / 2 <= figures[0] <= peak
 
 
+def test_reading_every_kind_holds_no_more_than_the_pattern():
+    # reading every basis kind on triangle 1/20000, 40,000 images, builds
+    # the tables a march reads (the slot table, the boundary groups and
+    # their index) and marches 10,000 channels: at its traced peak it holds
+    # at most as much again as `build_epp` and `period_basis` hold.  A ratio,
+    # not bytes, so that the Python versions agree; it was 1.37 when the
+    # march read a dict of every (image, side) slot, and is about 0.6
+    angles = [Fraction(1, 20000), Fraction(1, 2), Fraction(9999, 20000)]
+    p = validate_polygon(angles, [1, None, None])
+    tracemalloc.start()
+    try:
+        epp = build_epp(p)
+        basis = period_basis(epp)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kinds = [q.kind for q in basis]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(epp.images) == 40000 and kinds == ["simple-internal"] * 10000
+    assert (peak - held) / held <= 1
+
+
 def test_period_count_is_twice_genus():
     for mk in (square, l_shape, parallelogram_pi3, equilateral, isosceles_pi5, broken_parallelogram):
         p = mk()
@@ -527,7 +571,7 @@ def test_vertex_classes_hold_2q_corners_and_close(name):
         walk, cur, hol = [], k, f.zero()
         for step in range(2 * q):
             walk.append((cur, i))
-            cur, t = epp.gluing[(cur, i if step % 2 == 0 else (i - 1) % n)]
+            cur, t = _crossing(epp, cur, i if step % 2 == 0 else (i - 1) % n)
             hol = hol + t
         assert cur == k and sorted(walk) == sorted(corners)
         assert hol == f.zero() if f.exact else f.is_zero(hol, p.perimeter_float())
@@ -562,15 +606,12 @@ def test_face_tree_is_the_breadth_first_tree(name):
     # over the interior gluings finds, image for image and in the same order
     epp = build_epp(VERTEX_CASES[name]())
     tree = epp.face_tree
-    assert list(tree.items()) == list(_bfs_face_tree(epp).items())
-    assert sorted(tree) == list(range(1, len(epp.images) + 1))
-    seen = set()
-    for k, up in tree.items():
-        if up is not None:
-            parent, cid = up
-            e = epp.edges[cid]
-            assert parent in seen and e.period is None and (e.a, e.b) == (parent, k)
-        seen.add(k)
+    bfs = _bfs_face_tree(epp)
+    assert list(bfs) == list(range(1, len(epp.images) + 1))
+    assert [None if cid is None else (epp.gluings[cid][0], cid) for cid in tree] == list(bfs.values())
+    for k, cid in enumerate(tree[1:], 2):
+        e = epp.edges[cid]
+        assert e.period is None and e.b == k and e.a < k
 
 
 def _bits(v) -> str:
@@ -590,7 +631,7 @@ def _assert_walk_equals_the_queue(p):
     assert [(a, b, side, _bits(t), not t) for a, b, side, t in epp.gluings] == [
         (a, b, side, _bits(t), interior) for a, b, side, t, interior in edges
     ]
-    assert list(epp.face_tree.items()) == list(face_tree.items())
+    assert epp.face_tree == face_tree
 
 
 @pytest.mark.parametrize("name, force_exact", [
@@ -750,7 +791,7 @@ def test_float_and_exact_frames_unfold_alike(a, n, monkeypatch):
     tol = 1e-9 * flt.perimeter_float()
     assert [i[:2] for i in fe.images] == [i[:2] for i in ee.images]
     assert all(abs(complex(i[2]) - complex(j[2])) <= tol for i, j in zip(fe.images, ee.images))
-    assert list(fe.face_tree.items()) == list(ee.face_tree.items())
+    assert fe.face_tree == ee.face_tree
     assert [(e.a, e.b, e.side, e.interior) for e in fe.edges] == [
         (e.a, e.b, e.side, e.interior) for e in ee.edges
     ]
@@ -777,7 +818,7 @@ def _homology_coords(epp):
     g = genus(epp.polygon)
     vclass = _vertex_classes(epp)
     nverts = len(set(vclass.values()))
-    face_tree = {p[1] for p in epp.face_tree.values() if p is not None}
+    face_tree = set(epp.face_tree[1:])
     ends = {}  # class id -> (tail, head) vertex class
     adj = defaultdict(list)
     for cid, e in enumerate(epp.edges):
@@ -1162,7 +1203,7 @@ def _sampled_trace_closes(epp, face0, z0, target) -> bool:
         edge_len = abs(verts[(best_side + 1) % len(verts)] - verts[best_side])
         if min(best_r, 1 - best_r) * edge_len < tol:
             return False  # corner hit: sample invalid
-        nxt, t_cross = epp.gluing[(face, best_side)]
+        nxt, t_cross = _crossing(epp, face, best_side)
         cur = cur + best_s * u - f.to_complex(t_cross)
         offset = offset + t_cross
         face = nxt
@@ -1363,7 +1404,7 @@ def _float_point_march(epp, face, z, u, length):
         if min(r, 1 - r) * side_len < tol:
             return crossings, None
         crossings.append((face, side, r))
-        face, t_cross = epp.gluing[(face, side)]
+        face, t_cross = _crossing(epp, face, side)
         z = z + s_hit * u - complex(t_cross)
         length -= s_hit
 
@@ -1376,7 +1417,7 @@ def _assert_same_march(epp, face, side, r, u, length):
     a, d, _len = _developed_sides(epp)[face - 1][side]
     want, want_end = _float_point_march(epp, face, a + d * r, u, length)
     got, end = unfold._march(epp, face, side, r, u, length)
-    want = [c for c in want if epp.gluing[c[:2]][1]]
+    want = [c for c in want if _crossing(epp, *c[:2])[1]]
     assert end == want_end
     assert [c[:2] for c in got] == [c[:2] for c in want]
     assert all(abs(c[2] - w[2]) <= 1e-9 for c, w in zip(got, want))
