@@ -31,11 +31,13 @@ comes in through flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import math
 import os
 import re
 import sys
+import tempfile
 from fractions import Fraction
 
 from .approx import best_rational
@@ -68,7 +70,9 @@ __all__ = ["run", "main"]
 # names into this module's namespace when the command runs, so that importing
 # the CLI and running the other commands never loads numpy.  They stay
 # attributes of this module (the module `__getattr__` binds them on access),
-# so a caller can still wrap them, as bench/childtrace.py does.
+# so a caller can still wrap them, as bench/childtrace.py does; `swf` streams
+# its grid through `_write_grid` and `_pgm`, and `grid_csv` and `grid_pgm`
+# stay here for the wrappers that name them.
 _NUMERIC = {
     "oracle": (
         "compare_spectra",
@@ -79,6 +83,8 @@ _NUMERIC = {
         "study_csv",
     ),
     "swf": (
+        "_pgm",
+        "_write_grid",
         "compile_swf",
         "enumerate_prescriptions",
         "grid_csv",
@@ -380,6 +386,25 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+@contextlib.contextmanager
+def _replacing(path: str, mode: str):
+    """A new file beside `path`, opened for `mode`, that takes `path`'s name
+    when the block ends and is removed if the block raises.  It gets the
+    permissions `open` gives a new file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=f".{os.path.basename(path)}.", suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _drpb_phrase(lat: PeriodLattice) -> str:
     return "yes" if lat.doubly_rational else "no (irrational relations)"
 
@@ -441,6 +466,15 @@ def cmd_quantize(ns: argparse.Namespace) -> int:
 
 
 def cmd_swf(ns: argparse.Namespace) -> int:
+    """Sample one wave on the grid, check it, and write PREFIX.csv and PREFIX.pgm.
+
+    The grid is sampled a block of rows at a time (`_write_grid`) and its
+    CSV rows stream into a temporary file beside PREFIX.csv; only |Psi|^2,
+    8 B a point, is kept for the PGM.  Both files take their names once the
+    boundary and Helmholtz checks have run, so a failed check (exit 5)
+    still writes them, and a refusal or a failed write leaves them as they
+    were, with nothing printed.
+    """
     _bind("swf")
     polygon, epp, basis, lat = _load_lattice(ns.polygon)
     prescriptions = enumerate_prescriptions(epp)
@@ -457,19 +491,16 @@ def cmd_swf(ns: argparse.Namespace) -> int:
     momentum = momentum_aperiodic(lat, m, n)
     psi = compile_swf(epp, pres, momentum)[0]
 
-    # sample and check everything before writing anything, so that a grid or
-    # sample count memory cannot hold leaves stdout and both files untouched
     width, height = ns.grid
-    csv_text, pgm = grid_csv(psi, width, height), grid_pgm(psi, width, height)
-    boundary = verify_boundary(
-        psi, polygon, pres, samples_per_edge=ns.edge_samples, tol=ns.tol
-    )
-    helm = verify_helmholtz(psi)
     csv_path, pgm_path = f"{ns.out_prefix}.csv", f"{ns.out_prefix}.pgm"
-    with open(csv_path, "w") as fh:
-        fh.write(csv_text)
-    with open(pgm_path, "wb") as fh:
-        fh.write(pgm)
+    with _replacing(csv_path, "w") as csv_file:
+        abs2 = _write_grid(psi, width, height, csv_file.write)
+        boundary = verify_boundary(
+            psi, polygon, pres, samples_per_edge=ns.edge_samples, tol=ns.tol
+        )
+        helm = verify_helmholtz(psi)
+        with _replacing(pgm_path, "wb") as pgm_file:
+            pgm_file.write(_pgm(abs2))
 
     print(f"prescription {pid}/{len(prescriptions)} [{pres.label}], labels ({m},{n})")
     print(f"energy: {psi.energy:.12g}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -54,6 +55,15 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+# points per row block of the grid pass: the block's samples and their
+# Python floats, some 220 B a point, stay a few MB whatever the grid
+_BLOCK_POINTS = 1 << 14
+# what the grid pass holds per point past its block: 8 B of |Psi|^2, then a
+# byte each for the PGM's pixels and its bytes
+_GRID_POINT_BYTES = 10
+# what `verify_boundary` holds per sample of the sides it evaluates together:
+# 82 B at the peak of a Dirichlet batch, 114 of a Neumann one
+_EDGE_SAMPLE_BYTES = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,12 +211,10 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _term_waves(swf: SWF, points):
-    """Each term's momentum p_k and wave eta_k exp(s*i*(alpha_k + p_k . z)),
-    s = -1 only for the -1 read-out.  The sign stays in the exponent:
-    conjugating the +1 waves would flip the sign of exact zeros."""
-    pts = _as_points(points)
-    x, y = pts.real, pts.imag
+def _term_waves(swf: SWF, x, y):
+    """Each term's momentum p_k and wave eta_k exp(s*i*(alpha_k + p_k . z)) at
+    the points (x, y), s = -1 only for the -1 read-out.  The sign stays in the
+    exponent: conjugating the +1 waves would flip the sign of exact zeros."""
     s = -1 if swf.readout == -1 else 1
     for term in swf.terms:
         yield term.p, term.eta * np.exp(1j * s * (term.alpha + term.p.real * x + term.p.imag * y))
@@ -220,16 +228,22 @@ def _read(swf: SWF, total: np.ndarray) -> np.ndarray:
     return total
 
 
+def _wave_sum(swf: SWF, x, y) -> np.ndarray:
+    return _read(swf, sum(wave for _p, wave in _term_waves(swf, x, y)))
+
+
 def evaluate(swf: SWF, points) -> np.ndarray:
     """Values of the wave function at the given points (complex or (x, y))."""
-    return _read(swf, sum(wave for _p, wave in _term_waves(swf, points)))
+    pts = _as_points(points)
+    return _wave_sum(swf, pts.real, pts.imag)
 
 
 def _gradient(swf: SWF, points) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient (dPsi/dx, dPsi/dy) of the plane-wave sum."""
+    pts = _as_points(points)
     ds = 1j * (-1 if swf.readout == -1 else 1)
     gx = gy = 0j
-    for p, wave in _term_waves(swf, points):
+    for p, wave in _term_waves(swf, pts.real, pts.imag):
         d = ds * wave
         gx = gx + p.real * d
         gy = gy + p.imag * d
@@ -297,29 +311,33 @@ def verify_boundary(
     tol: float = 1e-9,
 ) -> BoundaryReport:
     """Residuals on every edge: |Psi| where Dirichlet is induced, |dPsi/dn|
-    where Neumann is (normal derivative taken analytically).  A count whose
-    complex sample points alone outrun physical memory raises OutOfRange."""
-    _refuse_past_memory(samples_per_edge, 16, f"{samples_per_edge} samples per edge are more")
-    verts = polygon.vertices_float()
+    where Neumann is (normal derivative taken analytically).  The sides of
+    one wall condition are sampled together, in one evaluation.  A count
+    whose samples outrun memory raises OutOfRange."""
     n = polygon.n
+    batch = max(prescription.bc.count(DIRICHLET), prescription.bc.count(NEUMANN))
+    _refuse_past_memory(batch * samples_per_edge, _EDGE_SAMPLE_BYTES,
+                        f"{samples_per_edge} samples per edge are more")
+    verts = polygon.vertices_float()
     ts = (np.arange(samples_per_edge) + 0.5) / samples_per_edge
-    entries = []
-    worst = 0.0
-    for s in range(n):
-        a, b = verts[s], verts[(s + 1) % n]
-        pts = a + ts * (b - a)
-        if prescription.bc[s] == DIRICHLET:
-            res = float(np.max(np.abs(evaluate(swf, pts))))
+    residuals = [0.0] * n
+    for bc in (DIRICHLET, NEUMANN):
+        sides = [s for s in range(n) if prescription.bc[s] == bc]
+        if not sides:
+            continue
+        ends = [(verts[s], verts[(s + 1) % n]) for s in sides]
+        pts = np.array([a + ts * (b - a) for a, b in ends])  # a row per side
+        if bc == DIRICHLET:
+            res = np.abs(evaluate(swf, pts))
         else:
-            d = (b - a) / abs(b - a)
-            normal = complex(d.imag, -d.real)  # outward for ccw order
+            d = np.array([(b - a) / abs(b - a) for a, b in ends])[:, None]
             gx, gy = _gradient(swf, pts)
-            res = float(np.max(np.abs(gx * normal.real + gy * normal.imag)))
-        entries.append((s, prescription.bc[s], res))
-        worst = max(worst, res)
-    return BoundaryReport(
-        entries=tuple(entries), max_residual=worst, tol=tol, passed=worst < tol
-    )
+            res = np.abs(gx * d.imag + gy * -d.real)  # outward normal (d.imag, -d.real)
+        for s, r in zip(sides, res.max(axis=1).tolist()):
+            residuals[s] = r
+    worst = max(0.0, *residuals)
+    entries = tuple((s, prescription.bc[s], r) for s, r in enumerate(residuals))
+    return BoundaryReport(entries=entries, max_residual=worst, tol=tol, passed=worst < tol)
 
 
 def verify_helmholtz(swf, samples: int = 100, seed: int = 2) -> HelmholtzReport:
@@ -327,7 +345,8 @@ def verify_helmholtz(swf, samples: int = 100, seed: int = 2) -> HelmholtzReport:
 
     All term momenta must share one norm (raises MomentumMismatch) — that
     already implies the equation holds exactly; a finite-difference Laplacian
-    at random interior points guards the implementation itself.
+    at random interior points, its five stencil points evaluated in one call,
+    guards the implementation itself.
     """
     norms = [abs(t.p) for t in swf.terms]
     ref = norms[0]
@@ -347,14 +366,9 @@ def verify_helmholtz(swf, samples: int = 100, seed: int = 2) -> HelmholtzReport:
         moved = pts + off
         keep &= _point_in_polygon(moved.real, moved.imag, verts)
     pts = pts[keep] if keep.any() else pts[:1]
-    center = evaluate(swf, pts)
-    lap = (
-        evaluate(swf, pts + h)
-        + evaluate(swf, pts - h)
-        + evaluate(swf, pts + 1j * h)
-        + evaluate(swf, pts - 1j * h)
-        - 4 * center
-    ) / h**2
+    stencil = np.concatenate([pts, pts + h, pts - h, pts + 1j * h, pts - 1j * h])
+    center, east, west, north, south = evaluate(swf, stencil).reshape(5, len(pts))
+    lap = (east + west + north + south - 4 * center) / h**2
     residual = float(np.max(np.abs(lap + 2 * e * center)))
     bound = 1e-6 * e * float(max(np.max(np.abs(center)), 1e-30))
     return HelmholtzReport(
@@ -394,51 +408,95 @@ def symmetry_probe(swf, symmetry, samples: int = 200, tol: float = 1e-9) -> str:
     return "none"
 
 
-@lru_cache(maxsize=1)
-def _sample_grid(swf, width: int, height: int):
-    """Grid axes over the bounding box, the wave on the whole grid (one
-    row per y, bottom row first, zeroed outside the polygon) and the
-    inside mask.  One point-in-polygon test and one evaluation cover every
-    point.  The last sample is kept, so `grid_csv` and `grid_pgm` of one
-    wave and grid sample it once.  A grid whose complex samples alone
-    outrun physical memory raises OutOfRange before any is taken."""
-    _refuse_past_memory(width * height, 16, f"a {width}x{height} grid holds more samples")
+def _csv_fields(vals: np.ndarray) -> list[float]:
+    """re, im and abs2 of each value, in one flat list.  abs2 is Python's
+    abs(v)**2, which np.hypot then math.pow reproduce bit for bit; numpy's
+    abs or square differs from it in the last bit of some values."""
+    fields = [0.0] * (3 * len(vals))
+    fields[0::3] = vals.real.tolist()
+    fields[1::3] = vals.imag.tolist()
+    fields[2::3] = map(math.pow, np.hypot(vals.real, vals.imag).tolist(), repeat(2.0))
+    return fields
+
+
+def _write_grid(swf, width: int, height: int, write) -> np.ndarray:
+    """Sample the wave on the bounding grid and hand its CSV to `write`.
+
+    `write` gets the header, then the rows x,y,re,im,abs2 one string each,
+    bottom row first.  The grid is sampled a block of rows at a time: one
+    point-in-polygon test per block and one evaluation of the block's
+    inside points.  A row is one `%` over a template joined by the row's y
+    string, each x formatted once per grid, an inside point's tail three
+    `%.12g` of `_csv_fields` and an outside point's the constant `0,0,0`.
+    Returns numpy's |Psi|^2, np.abs(v)**2 as the PGM has always used, one
+    row per y and zero outside.  A grid whose |Psi|^2 and PGM alone outrun
+    memory raises OutOfRange before any sample is taken."""
+    _refuse_past_memory(width * height, _GRID_POINT_BYTES,
+                        f"a {width}x{height} grid holds more samples")
     verts = np.asarray(swf.polygon.vertices_float())
     gx = np.linspace(verts.real.min(), verts.real.max(), width)
     gy = np.linspace(verts.imag.min(), verts.imag.max(), height)
-    px = np.broadcast_to(gx, (height, width))
-    py = np.broadcast_to(gy[:, None], (height, width))
-    inside = _point_in_polygon(px, py, verts)
-    vals = np.where(inside, evaluate(swf, px + 1j * py), 0.0)
-    return gx, gy, vals, inside
+    # a row's template is its pieces joined by its y string: the first x,
+    # then per point its tail and the next point's x
+    xs = [f"{x:.12g}," for x in gx.tolist()]
+    tails = ("0,0,0\n", "%.12g,%.12g,%.12g\n")
+    outside_links, inside_links = (
+        np.array([tail + x for x in xs[1:]] + [tail], dtype=object) for tail in tails
+    )
+    abs2 = np.zeros((height, width))
+    write("x,y,re,im,abs2\n")
+    step = max(1, _BLOCK_POINTS // width)
+    for r0 in range(0, height, step):
+        block = slice(r0, r0 + step)
+        px = np.broadcast_to(gx, (len(gy[block]), width))
+        py = np.broadcast_to(gy[block, None], px.shape)
+        inside = _point_in_polygon(px, py, verts)
+        vals = _wave_sum(swf, px[inside], py[inside])
+        abs2[block][inside] = np.abs(vals) ** 2
+        fields = _csv_fields(vals)
+        rows = zip(gy[block].tolist(), inside.sum(axis=1).tolist(),
+                   np.where(inside, inside_links, outside_links).tolist())
+        end = 0
+        for y, count, pieces in rows:
+            start, end = end, end + 3 * count
+            write(f"{y:.12g},".join([xs[0], *pieces]) % tuple(fields[start:end]))
+    return abs2
+
+
+def _pgm(abs2: np.ndarray) -> bytes:
+    """8-bit PGM of |Psi|^2 given one row per y, bottom row first; it
+    scales `abs2` in place."""
+    height, width = abs2.shape
+    img = abs2[::-1]  # top row first in the file
+    peak = img.max() or 1.0
+    np.divide(img, peak, out=img)
+    np.multiply(img, 255, out=img)
+    np.clip(img, 0, 255, out=img)
+    return f"P5 {width} {height} 255\n".encode() + img.astype(np.uint8).tobytes()
+
+
+@lru_cache(maxsize=1)
+def _sample_grid(swf, width: int, height: int) -> tuple[str, np.ndarray]:
+    """The CSV text and |Psi|^2 of one pass of `_write_grid`.  The last
+    sample is kept, so `grid_csv` and `grid_pgm` of one wave and grid
+    sample it once."""
+    parts: list[str] = []
+    abs2 = _write_grid(swf, width, height, parts.append)
+    return "".join(parts), abs2
 
 
 def grid_csv(swf, width: int, height: int) -> str:
-    """CSV dump x,y,re,im,abs2 on the bounding grid, bottom row first.
+    """CSV dump x,y,re,im,abs2 on the bounding grid, bottom row first; a
+    point outside the polygon is an exact zero and writes `0,0,0`.
 
-    Each x and each y is formatted once, and the sample becomes Python
-    numbers one row at a time; a point outside the polygon is an exact zero
-    and writes the constant tail `0,0,0`."""
-    gx, gy, vals, inside = _sample_grid(swf, width, height)
-    xs = [f"{x:.12g}," for x in gx.tolist()]
-    out = ["x,y,re,im,abs2\n"]
-    for y, row, row_inside in zip(gy.tolist(), vals, inside):
-        ys = f"{y:.12g},"
-        zero = ys + "0,0,0\n"
-        for x, v, point_inside in zip(xs, row.tolist(), row_inside.tolist()):
-            if point_inside:
-                out.append("%s%s%.12g,%.12g,%.12g\n" % (x, ys, v.real, v.imag, abs(v) ** 2))
-            else:
-                out.append(x + zero)
-    return "".join(out)
+    The whole text is returned; `polybilliard swf` streams the same rows to
+    its file instead (`_write_grid`)."""
+    return _sample_grid(swf, width, height)[0]
 
 
 def grid_pgm(swf, width: int, height: int) -> bytes:
-    """8-bit PGM of |Psi|^2 on the bounding grid, outside pixels zeroed;
-    it reuses the sample of a `grid_csv` call on the same wave and grid."""
-    _gx, _gy, vals, _inside = _sample_grid(swf, width, height)
-    img = (np.abs(vals) ** 2)[::-1]  # top row first in the file
-    peak = img.max() or 1.0
-    data = np.clip(img / peak * 255, 0, 255).astype(np.uint8)
-    header = f"P5 {width} {height} 255\n".encode()
-    return header + data.tobytes()
+    """8-bit PGM of |Psi|^2 on the bounding grid, outside pixels zeroed.
+
+    It reuses the sample of a `grid_csv` call on the same wave and grid;
+    called first, it takes that sample itself, CSV text included."""
+    return _pgm(_sample_grid(swf, width, height)[1].copy())

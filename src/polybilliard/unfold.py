@@ -305,8 +305,11 @@ class EPP:
 
     @cached_property
     def _units(self) -> list[complex]:
-        """The float unit of each of the 2N rotations."""
+        """The float unit of each of the 2N rotations: a float frame's own
+        table, which holds them already, or the exact units' floats."""
         f = self.polygon.frame
+        if not f.exact:
+            return f._units
         return [complex(f.unit(j)) for j in range(2 * f.N)]
 
     def dump(self) -> str:

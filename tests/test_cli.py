@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import json
@@ -515,6 +516,68 @@ def test_swf_square_files_digest(tmp_path, capsys, monkeypatch):
     assert digest("swf.pgm") == "2697c972feb6698cba011defc108bda5e1578fe3ae83c09d8fe64bb145087312"
 
 
+@pytest.mark.parametrize("failing", ["csv", "pgm"])
+def test_swf_failed_write_leaves_the_files(tmp_path, capsys, monkeypatch, failing):
+    # the disk fills half way through the CSV's rows, or once the checks
+    # have run, at the PGM: both earlier files stay as they were, and no
+    # temporary file is left beside them
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "swf.csv").write_text("kept csv\n")
+    (tmp_path / "swf.pgm").write_text("kept pgm\n")
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if failing == "csv":
+        real = cli._write_grid
+
+        def half_written(psi, width, height, write):
+            rows = []
+
+            def write_half(text):
+                rows.append(text)
+                if len(rows) > height // 2:
+                    full()
+                write(text)
+
+            return real(psi, width, height, write_half)
+
+        monkeypatch.setattr(cli, "_write_grid", half_written)
+    else:
+        monkeypatch.setattr(cli, "_pgm", full)
+    code, out, err = invoke(capsys, "swf", str(POLYGONS / "square.json"), "--grid", "40x40")
+    assert (code, out) == (2, "")
+    assert "No space left on device" in err
+    assert sorted(os.listdir(tmp_path)) == ["swf.csv", "swf.pgm"]
+    assert (tmp_path / "swf.csv").read_text() == "kept csv\n"
+    assert (tmp_path / "swf.pgm").read_text() == "kept pgm\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="address-space limits are POSIX")
+def test_swf_grid_past_an_address_space_cap(tmp_path):
+    # 10^6 grid points under a 300 MB address space: the whole-grid sampler
+    # held some 230 B a point and died with MemoryError, exit 1; the row
+    # blocks hold 10 B a point, and the files are those of an uncapped run
+    argv = [sys.executable, "-m", "polybilliard", "swf", str(POLYGONS / "square.json"),
+            "--labels", "1,2", "--grid", "1000x1000"]
+    runs = []
+    for name, cap in (("capped", 300_000 << 10), ("free", None)):
+        (tmp_path / name).mkdir()
+        proc = subprocess.run(
+            argv,
+            capture_output=True,
+            cwd=tmp_path / name,
+            env=CHILD_ENV,
+            timeout=120,
+            preexec_fn=functools.partial(_cap_address_space, cap) if cap else None,
+        )
+        digests = [hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+                   for f in ("swf.csv", "swf.pgm")]
+        runs.append((proc.returncode, proc.stdout, *digests))
+    assert runs[0][0] == 0, "the capped run failed"
+    assert runs[0] == runs[1]
+
+
 def test_swf_prescription_out_of_range(tmp_path, capsys):
     code, _, err = invoke(
         capsys,
@@ -784,8 +847,8 @@ def test_e_max_past_memory_is_usage_error(command):
 
 
 @pytest.mark.parametrize("argv, outputs", [
-    (["swf", "square.json", "--grid", "100000x100000"], ["swf.csv", "swf.pgm"]),  # 160 GB of samples
-    (["swf", "square.json", "--edge-samples", "10000000000"], ["swf.csv", "swf.pgm"]),  # 160 GB
+    (["swf", "square.json", "--grid", "100000x100000"], ["swf.csv", "swf.pgm"]),  # 100 GB of |Psi|^2 and PGM
+    (["swf", "square.json", "--edge-samples", "10000000000"], ["swf.csv", "swf.pgm"]),  # 3.2 TB
     (["verify", "square.json", "--spacing", "1/200000", "--out", "match.csv"], ["match.csv"]),  # 320 GB
 ])
 def test_sizes_past_memory_are_usage_errors(tmp_path, argv, outputs):

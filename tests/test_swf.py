@@ -6,7 +6,8 @@ import cmath
 import hashlib
 import itertools
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import astuple, replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -34,13 +35,20 @@ from polybilliard.shapes import (
     rectangle,
     square,
 )
+from polybilliard import swf as swf_module
 from polybilliard.swf import (
     DIRICHLET,
     NEUMANN,
     PlaneWaveTerm,
     SWF,
+    BoundaryReport,
+    HelmholtzReport,
+    _csv_fields,
     _gradient,
+    _interior_points,
+    _pgm,
     _point_in_polygon,
+    _write_grid,
     compile_swf,
     enumerate_prescriptions,
     evaluate,
@@ -659,20 +667,26 @@ def row_grid_pgm(swf, width, height) -> bytes:
     return f"P5 {width} {height} 255\n".encode() + data.tobytes()
 
 
-def wave_family(poly, labels):
-    """Both branches and every real combination of every prescription."""
+def prescribed_waves(poly, labels):
+    """Both branches and every real combination of every prescription, each
+    with its prescription."""
     epp = build_epp(poly)
     lat = period_lattice(poly.frame, period_basis(epp))
     q = momentum_aperiodic(lat, *labels)
-    waves = []
+    found = []
     for pres in enumerate_prescriptions(epp):
         pair = compile_swf(epp, pres, q)
-        waves.extend(pair)
         try:
-            waves.extend(real_combinations(pair))
+            waves = [*pair, *real_combinations(pair)]
         except DegenerateCombination:
-            pass
-    return waves
+            waves = list(pair)
+        found.extend((pres, wave) for wave in waves)
+    return found
+
+
+def wave_family(poly, labels):
+    """Both branches and every real combination of every prescription."""
+    return [wave for _pres, wave in prescribed_waves(poly, labels)]
 
 
 def samples_rounding_noise(wave, width, height):
@@ -718,11 +732,68 @@ def test_grid_digest(name):
 
 @pytest.mark.parametrize("size", GRID_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("name", sorted(GRID_SHAPES))
-def test_grid_bytes_match_row_sampler_on_shapes(name, size):
-    # every wave of labels (2, 3), the ones that sample noise included
-    for wave in wave_family(GRID_SHAPES[name](), (2, 3)):
-        assert grid_csv(wave, *size) == row_grid_csv(wave, *size)
-        assert grid_pgm(wave, *size) == row_grid_pgm(wave, *size)
+def test_grid_bytes_match_row_sampler_on_shapes(name, size, monkeypatch):
+    # every wave of labels (2, 3), the ones that sample noise included, in
+    # one block of rows and in blocks of at most 100 points (1 or 2 rows)
+    for block in (swf_module._BLOCK_POINTS, 100):
+        monkeypatch.setattr(swf_module, "_BLOCK_POINTS", block)
+        for wave in wave_family(GRID_SHAPES[name](), (2, 3)):
+            assert grid_csv(wave, *size) == row_grid_csv(wave, *size)
+            assert grid_pgm(wave, *size) == row_grid_pgm(wave, *size)
+
+
+def test_csv_fields_are_python_abs_squared_bitwise():
+    # numpy's abs of a complex and its square of a float differ from
+    # Python's abs(c)**2 in the last bit of about 39% and 0.08% of values,
+    # which a CSV's 12 digits nearly always hide: the fields are compared
+    # before formatting
+    rng = np.random.default_rng(5)
+    n = 100_000
+    scale = lambda: rng.normal(size=n) * 10.0 ** rng.uniform(-5, 3, n)
+    values = scale() + 1j * scale()
+    for vals in (values, values.real):
+        want = [x for c in vals.tolist() for x in (complex(c).real, complex(c).imag, abs(c) ** 2)]
+        assert np.array(_csv_fields(vals)).tobytes() == np.array(want).tobytes()
+
+
+def test_grid_and_edge_memory_figures_bound_what_they_hold(monkeypatch):
+    # the bytes that the grid's and the edge samples' refusals count are at
+    # most what tracemalloc sees at the peak, so a size that fits is never
+    # refused, and at least half of it.  The grid is traced as `swf` runs
+    # it, streamed to a sink, in blocks of 1024 points: its figure leaves
+    # the block out, which then stays a small part of the peak
+    figures = []
+    real = swf_module._refuse_past_memory
+
+    def capture(count, item_bytes, what):
+        figures.append(count * item_bytes)
+        real(count, item_bytes, what)
+
+    def traced_peak(call):
+        figures.clear()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(swf_module, "_refuse_past_memory", capture)
+    monkeypatch.setattr(swf_module, "_BLOCK_POINTS", 1024)
+    _pres, wave = prescribed_waves(square(), (1, 2))[0]
+    peaks = []
+    for n in (200, 300):
+        peaks.append(traced_peak(lambda: _pgm(_write_grid(wave, n, n, lambda text: None))))
+        assert len(figures) == 1
+        assert peaks[-1] / 2 <= figures[0] <= peaks[-1]
+    # what the blocks hold does not grow with the grid
+    assert (peaks[1] - peaks[0]) / (300**2 - 200**2) <= 16
+    poly = l_shape(1, 1, 2, 2)
+    for pres, wave in prescribed_waves(poly, (1, 2))[::2]:  # the +1 branch of each
+        for samples in (2000, 20000):
+            peak = traced_peak(lambda: verify_boundary(wave, poly, pres, samples_per_edge=samples))
+            assert len(figures) == 1
+            assert peak / 2 <= figures[0] <= peak
 
 
 def ref_evaluate(swf, points):
@@ -818,6 +889,74 @@ def test_grid_bytes_match_row_sampler(poly, labels, width, height):
     for wave in wave_family(poly, labels):
         assert grid_csv(wave, width, height) == row_grid_csv(wave, width, height)
         assert grid_pgm(wave, width, height) == row_grid_pgm(wave, width, height)
+
+
+def ref_verify_boundary(swf, polygon, prescription, samples_per_edge=1000, tol=1e-9):
+    """The per-side `verify_boundary` that one evaluation per wall condition replaced."""
+    verts = polygon.vertices_float()
+    n = polygon.n
+    ts = (np.arange(samples_per_edge) + 0.5) / samples_per_edge
+    entries = []
+    worst = 0.0
+    for s in range(n):
+        a, b = verts[s], verts[(s + 1) % n]
+        pts = a + ts * (b - a)
+        if prescription.bc[s] == DIRICHLET:
+            res = float(np.max(np.abs(evaluate(swf, pts))))
+        else:
+            d = (b - a) / abs(b - a)
+            normal = complex(d.imag, -d.real)  # outward for ccw order
+            gx, gy = _gradient(swf, pts)
+            res = float(np.max(np.abs(gx * normal.real + gy * normal.imag)))
+        entries.append((s, prescription.bc[s], res))
+        worst = max(worst, res)
+    return BoundaryReport(
+        entries=tuple(entries), max_residual=worst, tol=tol, passed=worst < tol
+    )
+
+
+def ref_verify_helmholtz(swf, samples=100, seed=2):
+    """The `verify_helmholtz` that one evaluation of all five stencil points
+    replaced: one call per stencil point.  The norm check is left out."""
+    e = swf.energy
+    h = 1e-4 * 2 * math.pi / math.sqrt(2 * e)
+    pts = _interior_points(swf.polygon, samples, seed=seed)
+    verts = np.asarray(swf.polygon.vertices_float())
+    keep = np.ones(pts.shape, dtype=bool)
+    for off in (h, -h, 1j * h, -1j * h):
+        moved = pts + off
+        keep &= _point_in_polygon(moved.real, moved.imag, verts)
+    pts = pts[keep] if keep.any() else pts[:1]
+    center = evaluate(swf, pts)
+    lap = (
+        evaluate(swf, pts + h)
+        + evaluate(swf, pts - h)
+        + evaluate(swf, pts + 1j * h)
+        + evaluate(swf, pts - 1j * h)
+        - 4 * center
+    ) / h**2
+    residual = float(np.max(np.abs(lap + 2 * e * center)))
+    bound = 1e-6 * e * float(max(np.max(np.abs(center)), 1e-30))
+    return residual, bound, residual < bound
+
+
+def assert_checks_match_references(poly, labels):
+    for pres, wave in prescribed_waves(poly, labels):
+        got = verify_boundary(wave, poly, pres)
+        assert astuple(got) == astuple(ref_verify_boundary(wave, poly, pres))
+        helm = verify_helmholtz(wave)
+        assert (helm.max_residual, helm.bound, helm.passed) == ref_verify_helmholtz(wave)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SHAPES))
+def test_checks_match_per_side_and_per_stencil_references(name):
+    assert_checks_match_references(GRID_SHAPES[name](), (2, 3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(poly=grid_polygons(), labels=st.tuples(st.integers(1, 6), st.integers(1, 6)))
+def test_checks_match_references(poly, labels):
+    assert_checks_match_references(poly, labels)
 
 
 @settings(max_examples=40, deadline=None)
